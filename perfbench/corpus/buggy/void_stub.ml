@@ -1,0 +1,3 @@
+type handle
+
+external init : unit -> handle = "stub_eventchn_init"
