@@ -3,6 +3,12 @@
 One node per executed statement.  Declarations without an initializer do
 not execute anything, so they get no node.  `return`, `CAMLreturn`, and
 calls to noreturn functions edge straight to the synthetic exit.
+
+Building a node lowers its statement once into `Node.ops` (see
+nodes.lower_ops): the calls, assignments, address-takings, increments and
+dereferences its own expressions perform, children before parents.  The
+lock, value and constant analyses read those ops and nothing else of the
+expression tree.  Entry and exit have no ops.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ class Node:
     stmt: object
     line: int
     col: int
+    ops: tuple = ()
     succs: list[int] = field(default_factory=list)
-    preds: list[int] = field(default_factory=list)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<node {self.id} {self.kind} L{self.line} -> {self.succs}>"
@@ -42,9 +48,6 @@ class Cfg:
     @property
     def exit(self) -> Node:
         return self.nodes[EXIT]
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
 
     def statement_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "stmt"]
@@ -75,14 +78,15 @@ class _Builder:
         self.continue_stack: list[list[int]] = []
 
     def new_node(self, stmt) -> int:
-        node = Node(len(self.nodes), "stmt", stmt, stmt.line, stmt.col)
+        node = Node(
+            len(self.nodes), "stmt", stmt, stmt.line, stmt.col, ast.lower_ops(stmt)
+        )
         self.nodes.append(node)
         return node.id
 
     def add_edge(self, src: int, dst: int):
         if dst not in self.nodes[src].succs:
             self.nodes[src].succs.append(dst)
-            self.nodes[dst].preds.append(src)
 
     def connect(self, frontier: list[int], target: int):
         for src in frontier:

@@ -1,7 +1,9 @@
-"""AST shapes for the C stub subset, plus the walkers the analyses share.
+"""AST shapes for the C stub subset, and their lowering into ops.
 
 Expression nodes carry (line, col) of their introducing token.  Statement
-bodies are plain Python lists; there is no separate Block node.
+bodies are plain Python lists; there is no separate Block node.  The
+analyses never walk expression trees themselves: `lower_ops` turns each
+statement into the flat ops its CFG node carries (see "Lowering" below).
 """
 
 from __future__ import annotations
@@ -276,28 +278,28 @@ class StubFunction:
 
 
 @dataclass
-class Prototype:
-    name: str
-    params: list[tuple[str | None, CType]]
-    return_type: CType
-    is_camlprim: bool = False
-    file: str = ""
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
 class StubUnit:
     file: str
     functions: list[StubFunction] = field(default_factory=list)
-    prototypes: list[Prototype] = field(default_factory=list)
-    globals: list[VarDecl] = field(default_factory=list)
-    includes: list[tuple[str, int]] = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
-# Walkers
+# Lowering
+#
+# build_cfg lowers each statement once into `ops`, a flat tuple of the
+# effects its own expressions have; every analysis transfers and reports over
+# those ops instead of walking the expression tree again.  Ops come in the
+# order walk_expr visits the tree: children before parents, operands left to
+# right.  So `v = (n = 2)` gives ASSIGN n before ASSIGN v, and `f(g(x))`
+# gives CALL g before CALL f.  An initialized VarDecl ends with an ASSIGN of
+# its initializer to the declared name.
+
+CALL = "call"  # (CALL, name, call): a call whose callee is a plain name
+ASSIGN = "assign"  # (ASSIGN, name, op, value, where): `name op value`
+ADDR = "addr"  # (ADDR, name, where): `&name`
+BUMP = "bump"  # (BUMP, name): `++`/`--` on a name
+DEREF = "deref"  # (DEREF, ptr, where): `*ptr`, `ptr->f` or `ptr[i]`
 
 _EXPR_FIELDS = {
     Num: (),
@@ -359,9 +361,30 @@ def stmt_exprs(stmt):
     return []
 
 
-def iter_calls(stmt):
-    """Call nodes evaluated at this statement, arguments-first order."""
+def lower_ops(stmt) -> tuple:
+    """The ops of one statement, in walk_expr order."""
+    ops = []
     for expr in stmt_exprs(stmt):
-        for node in walk_expr(expr):
-            if isinstance(node, Call):
-                yield node
+        for sub in walk_expr(expr):
+            if isinstance(sub, Call):
+                if isinstance(sub.func, Name):
+                    ops.append((CALL, sub.func.ident, sub))
+            elif isinstance(sub, Assign):
+                if isinstance(sub.target, Name):
+                    ops.append((ASSIGN, sub.target.ident, sub.op, sub.value, sub))
+            elif isinstance(sub, Unary):
+                if sub.op == "*":
+                    ops.append((DEREF, sub.operand, sub))
+                elif isinstance(sub.operand, Name):
+                    if sub.op == "&":
+                        ops.append((ADDR, sub.operand.ident, sub))
+                    elif sub.op in ("++", "--"):
+                        ops.append((BUMP, sub.operand.ident))
+            elif isinstance(sub, Member):
+                if sub.arrow:
+                    ops.append((DEREF, sub.obj, sub))
+            elif isinstance(sub, Index):
+                ops.append((DEREF, sub.obj, sub))
+    if isinstance(stmt, VarDecl) and stmt.init is not None:
+        ops.append((ASSIGN, stmt.name, "=", stmt.init, stmt))
+    return tuple(ops)

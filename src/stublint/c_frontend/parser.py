@@ -240,18 +240,11 @@ class _Parser:
                 self.parse_function_tail(unit, quals, base, ptrs, name_tok)
                 return
             first = False
-            ctype = nodes.CType(base, ptrs)
+            # a global: consumed, not recorded
             if self.at("["):
                 self.skip_balanced("[", "]")
-                ctype = nodes.CType(base, ptrs, array=True)
-            init = None
             if self.accept("="):
-                init = self.parse_initializer()
-            unit.globals.append(
-                nodes.VarDecl(
-                    name_tok.text, ctype, init, line=name_tok.line, col=name_tok.col
-                )
-            )
+                self.parse_initializer()
             if self.accept(","):
                 continue
             self.expect(";")
@@ -261,18 +254,7 @@ class _Parser:
         params = self.parse_params()
         ret = nodes.CType(base, ptrs)
         is_camlprim = "CAMLprim" in quals or ret.is_value
-        if self.accept(";"):
-            unit.prototypes.append(
-                nodes.Prototype(
-                    name_tok.text,
-                    params,
-                    ret,
-                    is_camlprim,
-                    file=self.file,
-                    line=name_tok.line,
-                    col=name_tok.col,
-                )
-            )
+        if self.accept(";"):  # a prototype: consumed, not recorded
             return
         brace = self.peek()
         if brace.text != "{":

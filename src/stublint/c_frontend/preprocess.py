@@ -2,9 +2,9 @@
 
 Supports what stub files actually contain: object-like and one-argument
 function-like `#define`s (expanded a single level, never rescanned),
-`#include` lines (recorded, removed) and conditional blocks.  `#if 0` is
-elided silently; any other conditional takes the branch you would get with
-all unknown identifiers undefined, and leaves a note saying so.
+`#include` lines (removed, never expanded) and conditional blocks.  `#if 0`
+is elided silently; any other conditional takes the branch you would get
+with all unknown identifiers undefined, and leaves a note saying so.
 
 The line grid is kept intact: every directive line, every consumed
 continuation line and every line of a dropped branch is replaced by a blank
@@ -38,8 +38,6 @@ class MacroDef:
 @dataclass
 class PreprocessResult:
     text: str
-    macros: dict[str, MacroDef] = field(default_factory=dict)
-    includes: list[tuple[str, int]] = field(default_factory=list)
     notes: list[Diagnostic] = field(default_factory=list)
 
 
@@ -54,7 +52,7 @@ def preprocess_local(source_text: str, file_name: str = "<memory>") -> Preproces
     lines = text.split("\n")
 
     result = PreprocessResult(text="")
-    macros = result.macros
+    macros: dict[str, MacroDef] = {}
     # conditional stack entries: [active, any_branch_taken, saw_else]
     stack: list[list] = []
     out: list[str] = []
@@ -90,8 +88,6 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
     elif name == "undef" and active:
         ident = rest.strip()
         macros.pop(ident, None)
-    elif name == "include" and active:
-        result.includes.append((rest.strip(), lineno))
     elif name in ("if", "ifdef", "ifndef"):
         if not parent_active:
             stack.append([False, True, False])  # whole region dead

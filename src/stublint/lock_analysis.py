@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .c_frontend.intrinsics import ENTER_BLOCKING, LEAVE_BLOCKING, is_macro_name
-from .c_frontend.nodes import iter_calls
+from .c_frontend.nodes import CALL
 from .dataflow import forward_solve
 from .diagnostics import ERROR, WARNING, Diagnostic
 
@@ -219,21 +219,16 @@ def step_call(name: str, state: LockState, table: SummaryTable):
     return state, None
 
 
-def _node_calls(node):
-    if node.kind != "stmt":
-        return
-    for call in iter_calls(node.stmt):
-        name = call.callee
-        if name is None or is_macro_name(name):
-            continue
-        yield name, call
-
-
-def transfer(node, state: LockState, table: SummaryTable) -> LockState:
+def transfer(node, state: LockState, table: SummaryTable, report=None):
+    """Lock state after a node's calls.  report(call, finding), when given,
+    sees each enter/leave that does not match the state it meets."""
     if state is LockState.BOTTOM:
         return state
-    for name, _ in _node_calls(node):
-        state, _finding = step_call(name, state, table)
+    for op in node.ops:
+        if op[0] == CALL and not is_macro_name(op[1]):
+            state, finding = step_call(op[1], state, table)
+            if finding is not None and report is not None:
+                report(op[2], finding)
     return state
 
 
@@ -260,21 +255,20 @@ def solve(cfg, table: SummaryTable) -> LockMap:
 def collect_lock_diagnostics(cfg, lockmap: LockMap, table: SummaryTable):
     """Enter/leave balance findings, one pass after the fixpoint.
 
-    Calls made while the lock is released are a value_safety concern
-    (RUNTIME_CALL_UNLOCKED rides along with the dereference events); this
-    pass only reports mismatched blocking-section transitions.
+    This is the lock transfer run once more over every reached node, from
+    its fixpoint entry state, with a report hook, so a finding sees the
+    state left by the calls before it in the same node.  Calls made while
+    the lock is released are a value_safety concern (RUNTIME_CALL_UNLOCKED
+    rides along with the dereference events); this pass only reports
+    mismatched blocking-section transitions.
     """
     diags = []
     file = cfg.fn.file
+
+    def report(call, finding):
+        rule, severity, message = finding
+        diags.append(Diagnostic(rule, severity, file, call.line, call.col, message))
+
     for node in cfg.statement_nodes():
-        state = lockmap.at(node.id)
-        if state is LockState.BOTTOM:
-            continue
-        for name, call in _node_calls(node):
-            state, finding = step_call(name, state, table)
-            if finding is not None:
-                rule, severity, message = finding
-                diags.append(
-                    Diagnostic(rule, severity, file, call.line, call.col, message)
-                )
+        transfer(node, lockmap.at(node.id), table, report)
     return diags

@@ -10,6 +10,7 @@ alone, since the check cannot show absence of naked pointers anyway.
 from __future__ import annotations
 
 from .c_frontend import nodes as ast
+from .c_frontend.nodes import ADDR, ASSIGN, BUMP
 from .c_frontend.intrinsics import ALLOC_CALLS, CONSTANTS
 from .dataflow import forward_solve
 from .diagnostics import ERROR, Diagnostic
@@ -78,37 +79,19 @@ def eval_const(expr, env) -> int | None:
 def transfer_const(node, env):
     if env is None or node.kind != "stmt":
         return env
-    stmt = node.stmt
-    env = dict(env)
-
-    def forget(name):
-        env.pop(name, None)
-
-    for expr in ast.stmt_exprs(stmt):
-        for sub in ast.walk_expr(expr):
-            if isinstance(sub, ast.Assign) and isinstance(sub.target, ast.Name):
-                name = sub.target.ident
-                if sub.op == "=":
-                    k = eval_const(sub.value, env)
-                    if k is None:
-                        forget(name)
-                    else:
-                        env[name] = k
-                else:
-                    forget(name)
-            elif isinstance(sub, ast.Unary):
-                if sub.op in ("++", "--", "&") and isinstance(
-                    sub.operand, ast.Name
-                ):
-                    forget(sub.operand.ident)
-    if isinstance(stmt, ast.Opaque):
+    if isinstance(node.stmt, ast.Opaque):
         return {}
-    if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-        k = eval_const(stmt.init, env)
-        if k is None:
-            env.pop(stmt.name, None)
-        else:
-            env[stmt.name] = k
+    env = dict(env)
+    for op in node.ops:
+        kind = op[0]
+        if kind == ASSIGN:
+            k = eval_const(op[3], env) if op[2] == "=" else None
+            if k is None:
+                env.pop(op[1], None)
+            else:
+                env[op[1]] = k
+        elif kind == BUMP or kind == ADDR:
+            env.pop(op[1], None)
     return env
 
 
@@ -130,7 +113,7 @@ def check_naked(cfg, env_map) -> list[Diagnostic]:
     value_vars = _value_vars(fn)
     diags = []
 
-    def check_store(name, rhs, env, line, col):
+    def check_store(name, rhs, env, where):
         if name not in value_vars:
             return
         if isinstance(rhs, ast.Call) and rhs.callee in ALLOC_CALLS:
@@ -142,8 +125,8 @@ def check_naked(cfg, env_map) -> list[Diagnostic]:
                     "NAKED_POINTER",
                     ERROR,
                     fn.file,
-                    line,
-                    col,
+                    where.line,
+                    where.col,
                     f"constant {k} stored into OCaml value '{name}' has a"
                     " clear low bit; the GC would chase it as a pointer",
                 )
@@ -153,19 +136,13 @@ def check_naked(cfg, env_map) -> list[Diagnostic]:
         env = env_map.get(node.id)
         if env is None:
             continue
-        stmt = node.stmt
-        if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-            if stmt.ctype.is_value:
-                check_store(stmt.name, stmt.init, env, stmt.line, stmt.col)
-            continue
-        for expr in ast.stmt_exprs(stmt):
-            for sub in ast.walk_expr(expr):
-                if (
-                    isinstance(sub, ast.Assign)
-                    and sub.op == "="
-                    and isinstance(sub.target, ast.Name)
-                ):
-                    check_store(
-                        sub.target.ident, sub.value, env, sub.line, sub.col
-                    )
+        ops = node.ops
+        if isinstance(node.stmt, ast.VarDecl):
+            # only the declaration's own store, and only into a value
+            if not node.stmt.ctype.is_value:
+                continue
+            ops = ops[-1:]
+        for op in ops:
+            if op[0] == ASSIGN and op[2] == "=":
+                check_store(op[1], op[3], env, op[4])
     return diags

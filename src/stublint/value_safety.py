@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .c_frontend import nodes as ast
+from .c_frontend.nodes import ADDR, ASSIGN, CALL, DEREF
 from .c_frontend.intrinsics import (
     ALLOC_CALLS,
     CAMLPARAM,
@@ -136,11 +137,11 @@ def fact_of(expr, env, derive_stale: bool = False):
 # -- dataflow ---------------------------------------------------------------
 
 
-def _is_gc_point(stmt, table: SummaryTable) -> bool:
-    for call in ast.iter_calls(stmt):
-        name = call.callee
-        if name is None:
+def _is_gc_point(ops, table: SummaryTable) -> bool:
+    for op in ops:
+        if op[0] != CALL:
             continue
+        name = op[1]
         if name == ENTER_BLOCKING:
             return True
         if not is_macro_name(name) and table.may_gc(name):
@@ -151,33 +152,24 @@ def _is_gc_point(stmt, table: SummaryTable) -> bool:
 def transfer_values(node, env, lockmap: LockMap, table: SummaryTable):
     if env is None or node.kind != "stmt":
         return env
-    stmt = node.stmt
     env = dict(env)
-    if _is_gc_point(stmt, table):
+    # a GC point makes heap facts stale before any store in the node lands
+    if _is_gc_point(node.ops, table):
         for name, fact in env.items():
             if is_heap(fact):
                 env[name] = heap(True)
-    if isinstance(stmt, ast.Opaque):
+    if isinstance(node.stmt, ast.Opaque):
         for name, fact in env.items():
             if is_heap(fact):
                 env[name] = PLAIN
         return env
     derive_stale = lockmap.at(node.id) is not LockState.HELD
-    for expr in ast.stmt_exprs(stmt):
-        for sub in ast.walk_expr(expr):
-            if (
-                isinstance(sub, ast.Unary)
-                and sub.op == "&"
-                and isinstance(sub.operand, ast.Name)
-            ):
-                name = sub.operand.ident
-                if is_tracked(env.get(name, PLAIN)):
-                    env[name] = PLAIN
-            elif isinstance(sub, ast.Assign) and isinstance(sub.target, ast.Name):
-                if sub.op == "=":
-                    env[sub.target.ident] = fact_of(sub.value, env, derive_stale)
-    if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-        env[stmt.name] = fact_of(stmt.init, env, derive_stale)
+    for op in node.ops:
+        if op[0] == ADDR:
+            if is_tracked(env.get(op[1], PLAIN)):
+                env[op[1]] = PLAIN
+        elif op[0] == ASSIGN and op[2] == "=":
+            env[op[1]] = fact_of(op[3], env, derive_stale)
     return env
 
 
@@ -213,7 +205,11 @@ def _sketch(expr) -> str:
 
 
 def track_values(cfg, lockmap: LockMap, table: SummaryTable):
-    """Fixpoint facts per node, dereference/call events, and notes."""
+    """Fixpoint facts per node, dereference/call events, and notes.
+
+    Events and notes judge each node's ops against the facts at the node's
+    entry, not as its own stores change them.
+    """
     init = initial_facts(cfg.fn)
     factmap, _pops = forward_solve(
         cfg,
@@ -230,69 +226,45 @@ def track_values(cfg, lockmap: LockMap, table: SummaryTable):
         if env is None:
             continue
 
-        def event(kind, subject_expr, fact, where):
+        def event(kind, subject, fact, where):
             events.append(
-                DerefEvent(
-                    kind,
-                    _sketch(subject_expr),
-                    fact,
-                    node.id,
-                    file,
-                    where.line,
-                    where.col,
-                )
+                DerefEvent(kind, subject, fact, node.id, file, where.line, where.col)
             )
 
-        for expr in ast.stmt_exprs(node.stmt):
-            for sub in ast.walk_expr(expr):
-                if isinstance(sub, ast.Call):
-                    name = sub.callee
-                    if name is None or name in DATA_DERIVE:
+        for op in node.ops:
+            kind = op[0]
+            if kind == CALL:
+                name, call = op[1], op[2]
+                if name in DATA_DERIVE:
+                    continue
+                if name == FIELD_READ or name == FIELD_WRITE or name in STRING_DEREF:
+                    if not call.args:
                         continue
-                    if name == FIELD_READ or name == FIELD_WRITE or name in STRING_DEREF:
-                        if not sub.args:
-                            continue
-                        operand = sub.args[0]
-                        fact = fact_of(operand, env)
-                        if is_tracked(fact):
-                            event("value_macro_deref", operand, fact, sub)
-                    elif is_macro_name(name):
-                        continue
-                    elif table.requires_lock(name):
-                        event("runtime_call", name_expr(sub), PLAIN, sub)
-                elif isinstance(sub, ast.Unary) and sub.op == "*":
-                    fact = fact_of(sub.operand, env)
+                    operand = call.args[0]
+                    fact = fact_of(operand, env)
                     if is_tracked(fact):
-                        event("explicit_deref", sub.operand, fact, sub)
-                elif isinstance(sub, ast.Unary) and sub.op == "&":
-                    operand = sub.operand
-                    if isinstance(operand, ast.Name) and is_tracked(
-                        env.get(operand.ident, PLAIN)
-                    ):
-                        notes.append(
-                            Diagnostic(
-                                "NOTE",
-                                NOTE,
-                                file,
-                                sub.line,
-                                sub.col,
-                                f"address of '{operand.ident}' escapes;"
-                                " it is no longer tracked as an OCaml value",
-                            )
+                        event("value_macro_deref", _sketch(operand), fact, call)
+                elif not is_macro_name(name) and table.requires_lock(name):
+                    event("runtime_call", name, PLAIN, call)
+            elif kind == DEREF:
+                fact = fact_of(op[1], env)
+                if is_tracked(fact):
+                    event("explicit_deref", _sketch(op[1]), fact, op[2])
+            elif kind == ADDR:
+                name, where = op[1], op[2]
+                if is_tracked(env.get(name, PLAIN)):
+                    notes.append(
+                        Diagnostic(
+                            "NOTE",
+                            NOTE,
+                            file,
+                            where.line,
+                            where.col,
+                            f"address of '{name}' escapes;"
+                            " it is no longer tracked as an OCaml value",
                         )
-                elif isinstance(sub, ast.Member) and sub.arrow:
-                    fact = fact_of(sub.obj, env)
-                    if is_tracked(fact):
-                        event("explicit_deref", sub.obj, fact, sub)
-                elif isinstance(sub, ast.Index):
-                    fact = fact_of(sub.obj, env)
-                    if is_tracked(fact):
-                        event("explicit_deref", sub.obj, fact, sub)
+                    )
     return factmap, events, notes
-
-
-def name_expr(call: ast.Call):
-    return call.func
 
 
 def check_deref_safety(events, lockmap: LockMap) -> list[Diagnostic]:
