@@ -327,16 +327,21 @@ class _Parser:
             if self.eof():
                 tok = self.peek()
                 raise CParseError("unbalanced '{'", tok.line, tok.col)
-            if self.at("{"):  # bare nested block: splice its statements
-                stmts.extend(self.parse_block())
-                continue
-            stmt = self.parse_stmt()
-            if stmt is not None:
-                stmts.append(stmt)
+            stmts.extend(self.parse_body_or_single())
         self.expect("}")
         return stmts
 
     def parse_body_or_single(self) -> list:
+        """One statement, as the list of statements it contributes: labels
+        are transparent for analysis and skipped, and a braced block is
+        spliced into its statements."""
+        while (
+            self.peek().kind == "ident"
+            and self.peek(1).text == ":"
+            and self.peek().text not in ("default", "case")
+        ):
+            self.take()
+            self.take()
         if self.at("{"):
             return self.parse_block()
         stmt = self.parse_stmt()
@@ -349,21 +354,6 @@ class _Parser:
         if text == ";":
             self.take()
             return None
-        if text == "{":
-            # only reached after a label; block statements elsewhere are
-            # spliced by parse_block / parse_body_or_single
-            inner = self.parse_block()
-            if not inner:
-                return None
-            if len(inner) == 1:
-                return inner[0]
-            return nodes.If(
-                cond=nodes.Num("1", 1, line=tok.line, col=tok.col),
-                then=inner,
-                els=None,
-                line=tok.line,
-                col=tok.col,
-            )
         if text == "if":
             self.take()
             self.expect("(")
@@ -441,15 +431,6 @@ class _Parser:
             return nodes.Opaque(
                 text="asm", reason="inline asm", line=tok.line, col=tok.col
             )
-        if (
-            tok.kind == "ident"
-            and self.peek(1).text == ":"
-            and text not in ("default", "case")
-        ):
-            # plain label; transparent for analysis
-            self.take()
-            self.take()
-            return self.parse_stmt()
         if self.starts_decl():
             return self.parse_decl_stmt()
         expr = self.parse_expr()
@@ -493,12 +474,7 @@ class _Parser:
                 raise CParseError(
                     "statement before first case label", t.line, t.col
                 )
-            if self.at("{"):
-                current.body.extend(self.parse_block())
-                continue
-            stmt = self.parse_stmt()
-            if stmt is not None:
-                current.body.append(stmt)
+            current.body.extend(self.parse_body_or_single())
         self.expect("}")
         return nodes.Switch(subject, cases, line=tok.line, col=tok.col)
 

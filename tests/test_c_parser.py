@@ -219,6 +219,20 @@ def test_goto_degrades_to_opaque_with_warning(parse_c):
     assert opaques
 
 
+def test_labelled_blocks_are_spliced(parse_c):
+    src = (
+        "value f(value a)\n{\n"
+        "out: { g(); h(); }\n"
+        "    switch (a) { case 1: inner: { k(); } }\n"
+        "    return a;\n}\n"
+    )
+    body = fn_of(parse_c(src)).body
+    assert [type(s).__name__ for s in body] == [
+        "ExprStmt", "ExprStmt", "Switch", "Return"
+    ]
+    assert [type(s).__name__ for s in body[2].cases[0].body] == ["ExprStmt"]
+
+
 def walk_stmts(stmts):
     for s in stmts:
         yield s

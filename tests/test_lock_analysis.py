@@ -277,3 +277,17 @@ def test_unreachable_node_stays_bottom(parse_c):
     lockmap = solve(cfg, table)
     probe = next(n for n in cfg.statement_nodes() if "probe" in repr(n.stmt))
     assert lockmap.at(probe.id) is B
+
+
+def test_labelled_block_cannot_be_skipped(lint_c):
+    # the block under a label runs every time; it used to be lowered like an
+    # `if`, whose skip edge left the lock "maybe still held" at the leave
+    src = (
+        "value f(value a)\n{\n"
+        "    CAMLparam1(a);\n"
+        "    int n = 0;\n"
+        "    out: { caml_enter_blocking_section(); n = n + 1; }\n"
+        "    caml_leave_blocking_section();\n"
+        "    CAMLreturn(a);\n}\n"
+    )
+    assert lint_c(src) == []
