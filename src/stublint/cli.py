@@ -12,7 +12,13 @@ import os
 import sys
 
 from . import harness_gen, header_gen, ml_frontend
-from .c_frontend import PreprocessError, build_cfg, parse_unit, preprocess_local
+from .c_frontend import (
+    CLexError,
+    PreprocessError,
+    build_cfg,
+    parse_unit,
+    preprocess_local,
+)
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
 from .header_gen import MAX_DIRECT_ARITY
 from .lock_analysis import (
@@ -191,6 +197,10 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise FatalError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FatalError(
+            f"{path}: not UTF-8 text (byte {exc.start} cannot be decoded)"
+        ) from exc
 
 
 def _load_table(summaries_path: str | None) -> SummaryTable:
@@ -250,10 +260,10 @@ def run(
         text = _read(path)
         try:
             pre = preprocess_local(text, path)
-        except PreprocessError as exc:
+            units.append(parse_unit(pre.text, path))
+        except (PreprocessError, CLexError) as exc:
             raise FatalError(f"{path}: {exc}") from exc
         diags.extend(pre.notes)
-        units.append(parse_unit(pre.text, path))
 
     for unit in units:
         diags.extend(analyze_unit(unit, table))

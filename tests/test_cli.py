@@ -82,6 +82,26 @@ def test_missing_file_is_fatal(run_main, tmp_path):
     assert "cannot read" in err
 
 
+def test_lex_error_is_fatal_not_a_traceback(proj, run_main):
+    _, write = proj
+    path = write("stray.c", "value f(value a)\n{\n    return a @ 1;\n}\n")
+    code, out, err = run_main(path)
+    assert code == 2
+    assert out == ""
+    assert err == f"stublint: error: {path}: 3:14: unexpected character '@'\n"
+
+
+def test_non_utf8_source_is_fatal_not_a_traceback(proj, run_main):
+    dirpath, _ = proj
+    path = dirpath / "latin1.c"
+    path.write_bytes(b"/* caf\xe9 */\nint x;\n")
+    code, out, err = run_main(str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"stublint: error: {path}: not UTF-8")
+    assert "Traceback" not in err
+
+
 def test_broken_summaries_are_fatal(proj, run_main):
     _, write = proj
     summ = write("s.txt", "f: acquires_lock, releases_lock\n")
