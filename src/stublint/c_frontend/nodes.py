@@ -341,8 +341,8 @@ def walk_expr(expr):
 def stmt_exprs(stmt):
     """Expressions evaluated *at* a statement, not inside nested bodies.
 
-    CFG lowering gives nested statements their own nodes, so the analyses
-    only ever need the current node's own expressions.
+    CFG lowering gives nested statements their own nodes, so a node's ops
+    come from its own expressions only.
     """
     if isinstance(stmt, ExprStmt):
         return [stmt.expr]

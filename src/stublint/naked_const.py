@@ -77,7 +77,7 @@ def eval_const(expr, env) -> int | None:
 
 
 def transfer_const(node, env):
-    if env is None or node.kind != "stmt":
+    if env is None:
         return env
     if isinstance(node.stmt, ast.Opaque):
         return {}

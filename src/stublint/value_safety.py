@@ -150,7 +150,7 @@ def _is_gc_point(ops, table: SummaryTable) -> bool:
 
 
 def transfer_values(node, env, lockmap: LockMap, table: SummaryTable):
-    if env is None or node.kind != "stmt":
+    if env is None:
         return env
     env = dict(env)
     # a GC point makes heap facts stale before any store in the node lands
