@@ -179,6 +179,41 @@ def test_ternary_and_precedence(parse_c):
     assert isinstance(body[0].expr.value, ast.Ternary)
 
 
+# C's binary operators, loosest first; operators on one line bind equally.
+C_BINARY_PRECEDENCE = [
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+PREC = {op: i for i, ops in enumerate(C_BINARY_PRECEDENCE) for op in ops}
+
+
+def parenthesized(expr):
+    if isinstance(expr, ast.Binary):
+        return f"({parenthesized(expr.left)} {expr.op} {parenthesized(expr.right)})"
+    return expr.ident
+
+
+def test_binary_operators_nest_by_precedence_left_to_right(parse_c):
+    pairs = [(op1, op2) for op1 in PREC for op2 in PREC]
+    src = "\n".join(f"x = a {o1} b {o2} c;" for o1, o2 in pairs)
+    body = expr_stmts(parse_c, src)[:-1]  # drop the trailing return
+    assert len(body) == len(pairs) == 18 * 18
+    for (op1, op2), stmt in zip(pairs, body):
+        if PREC[op1] >= PREC[op2]:
+            expected = f"((a {op1} b) {op2} c)"
+        else:
+            expected = f"(a {op1} (b {op2} c))"
+        assert parenthesized(stmt.expr.value) == expected
+
+
 def test_string_concatenation_single_literal(parse_c):
     body = expr_stmts(parse_c, 'caml_failwith("a" "b");')
     arg = body[0].expr.args[0]

@@ -86,9 +86,46 @@ def test_unknown_guard_takes_undefined_branch_with_note():
     assert any(d.rule_id == "NOTE" for d in result.notes)
 
 
-def test_if_expression_guard():
-    src = "#define VER 5\n#if VER >= 5\nint v5;\n#endif\n"
-    assert "int v5;" in expanded(src)
+@pytest.mark.parametrize(
+    "guard, taken, note",
+    [
+        ("VER >= 5", True, False),
+        ("1 + 2 * 3 == 7", True, False),
+        ("(1 + 2) * 3 == 9", True, False),
+        ("10 - 4 - 3 == 3 && 12 / 2 / 3 == 2", True, False),
+        ("2 | 1 ^ 3 & 1", True, False),
+        ("1 || 0 && 0", True, False),
+        ("-VER + 6 == ~0 + 2 && !0", True, False),
+        ("VER < 6 == 1", True, False),
+        ("1 << 4 == 16 && 256 >> 4 == 16 && VER % 3 == 2", True, False),
+        ("defined(VER) && defined VER", True, False),
+        ("defined(X)", False, True),
+        ("!defined X", True, True),
+        ("0x1F", False, True),
+        ("1\t+ 1", False, True),
+        ("--1", True, False),
+        ("1f == 10", True, True),
+        ("UNKNOWN + 1", True, True),
+        ("UNKNOWN", False, True),
+        ("1 ? 2 : 3", False, True),
+        ("1 +", False, True),
+    ],
+)
+def test_if_expression_guard(guard, taken, note):
+    src = f"#define VER 5\n#if {guard}\nint yes;\n#endif\n"
+    result = preprocess_local(src, "t.c")
+    assert ("int yes;" in result.text) == taken
+    assert [d.rule_id for d in result.notes] == (["NOTE"] if note else [])
+
+
+def test_elif_guard_reports_its_own_note():
+    src = "#if 0\nint a;\n#elif X\nint b;\n#else\nint c;\n#endif\n"
+    result = preprocess_local(src, "t.c")
+    assert "int c;" in result.text
+    assert "int a;" not in result.text and "int b;" not in result.text
+    assert [d.message.split(" depends")[0] for d in result.notes] == [
+        "conditional '#elif X'"
+    ]
 
 
 def test_undef_removes_macro():
