@@ -8,7 +8,11 @@ nested assignments such as `v = (n = 2)` and `int z = (v = 4);`, `&name`,
 `++`/`--` on names, dereferences through `*`, `->` and `[]`, declarations
 with initializers, if/else, while, do-while and for loops, switch with
 fallthrough, break, continue, return, goto, inline asm, plain labels and
-labelled blocks.
+labelled blocks.  Each file also exercises the preprocessor: block and line
+comments (with comment markers and quotes inside string literals and
+comments), object-like and one-parameter function-like `#define`s and their
+uses, a continued `#define`, and `#if`/`#elif`/`#else` guards on known and
+unknown macros.
 
 `golden_text()` renders what stublint finds on those stubs, one finding per
 line.  tests/data/golden_findings.txt holds that text; regenerate it after
@@ -139,8 +143,54 @@ class _Gen:
                     f"value u = Val_int({k}), y = {k};",
                 ),
                 self.pick(f"v = (n = {k});", f"v = w = {2 * k};"),
+                self.pick(
+                    "v = NIL;",
+                    "w = TAG;",
+                    "n = LEN + 1;",
+                    "v = FIELD0(a);",
+                    "p = HANDLE(b);",
+                    f"v = BOX({k});",
+                    f"w = TWICE({k});",
+                    "caml_failwith(MSG);",
+                    'caml_failwith("/* kept */ // kept");',
+                    "q[0] = '/';",
+                ),
             )
         ]
+
+    def comment(self) -> list[str]:
+        """A statement with comments before, after or around it."""
+        stmt = self.simple()[0]
+        before = self.pick("note", "a longer note", "it's")
+        after = self.pick("trailing", "don't /* care")
+        return self.pick(
+            [f"/* {before} */ {stmt}"],
+            [f"{stmt} // {after}"],
+            [f"{stmt} /* trailing */"],
+            ["/* spans", "   two lines */ " + stmt],
+            ["// a line comment", stmt],
+        )
+
+    def guarded(self) -> list[str]:
+        """Statements under an #if/#elif/#else guard."""
+        out = [f"#if {self.guard()}", *self.simple()]
+        if self.rng.random() < 0.5:
+            out += [f"#elif {self.guard()}", *self.simple()]
+        if self.rng.random() < 0.5:
+            out += ["#else", *self.simple()]
+        return out + ["#endif"]
+
+    def guard(self) -> str:
+        return self.pick(
+            "LEN > 2",
+            "LEN == 4 && defined(NIL)",
+            "!defined(OCAML_OLD)",
+            "defined OCAML_OLD || LEN < 3",
+            "0",
+            "1",
+            "(LEN << 1) + 1 == 9",
+            "HAVE_THREADS",
+        )
 
     def body(self, depth: int, size: int, extra: str | None = None) -> list[str]:
         stmts = [self.stmt(depth) for _ in range(size)]
@@ -155,7 +205,11 @@ class _Gen:
         rng = self.rng
         if depth >= 2 or rng.random() < 0.6:
             return self.simple()
-        shape = rng.randrange(11)
+        shape = rng.randrange(13)
+        if shape == 11:
+            return self.comment()
+        if shape == 12:
+            return self.guarded()
         if shape == 0:
             out = [f"if ({self.cond()})"] + self.block(depth)
             if rng.random() < 0.5:
@@ -210,9 +264,31 @@ class _Gen:
             [self.pick("CAMLreturn(v);", "return Val_unit;", 'caml_failwith("x");')]
         )
 
+    def defines(self) -> list[str]:
+        """A comment banner and the macros `simple` uses, some guarded."""
+        return [
+            "/* generated stub: \"quotes\" and 'ticks' stay in comments */",
+            f"#define LEN {self.pick(2, 4)} /* words */",
+            f"#define NIL {self.pick('Val_int(0)', 'Val_unit', '0')}",
+            f"#define TAG {self.pick('Tag_cons', 'Val_emptylist', '3')}",
+            '#define MSG "/* not a comment */ // nor this"',
+            "#define FIELD0(x) Field(x, 0) // first field",
+            "#define HANDLE(h) (*((struct blk **) Data_custom_val(h)))",
+            "#define TWICE(x) \\",
+            "    ((x) + (x))",
+            f"#if {self.guard()}",
+            "#define BOX(x) Val_int(x)",
+            f"#elif {self.guard()}",
+            "#define BOX(x) (x)",
+            "#else",
+            "#define BOX(x) ((value) (x))",
+            "#endif",
+            "",
+        ]
+
     def stub(self, name: str) -> str:
         rng = self.rng
-        head = [f"value {name}(value a, value b)", "{"]
+        head = self.defines() + [f"value {name}(value a, value b)", "{"]
         prologue = [
             self.pick(
                 "CAMLparam2(a, b);",
