@@ -716,7 +716,8 @@ class _Parser:
 
 
 def _num_value(text: str):
-    body = text.rstrip("uUlLfF")
+    # f and F are digits in a hex literal, float suffixes elsewhere
+    body = text.rstrip("uUlL" if text[:2] in ("0x", "0X") else "uUlLfF")
     try:
         return int(body, 0)
     except ValueError:

@@ -104,6 +104,12 @@ def test_arithmetic_folding(lint_c):
     assert naked_lines(lint_c, "    value v;\n    v = 7 - 1;\n") == [4]
 
 
+def test_hex_literals_keep_their_f_digits(lint_c):
+    # 0x10F is 271, odd; 0x2F - 1 is 46, even
+    assert naked_lines(lint_c, "    value v;\n    v = 0x10F;\n") == []
+    assert naked_lines(lint_c, "    value v;\n    v = 0x2F - 1;\n") == [4]
+
+
 @given(st.integers(min_value=0, max_value=4095))
 def test_literal_parity_decides(k):
     # tiny inline mirror of the corpus-scale oracle
