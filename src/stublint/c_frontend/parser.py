@@ -39,18 +39,16 @@ _ASSIGN_OPS = frozenset(
 
 _ASM_WORDS = frozenset({"asm", "__asm", "__asm__"})
 
-_BINARY_LEVELS = [
-    ("||",),
-    ("&&",),
-    ("|",),
-    ("^",),
-    ("&",),
-    ("==", "!="),
-    ("<", ">", "<=", ">="),
-    ("<<", ">>"),
-    ("+", "-"),
-    ("*", "/", "%"),
-]
+# C's binary operators; a higher number binds tighter, and every one of
+# them is left-associative.
+_BINARY_PREC = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
 
 
 class CParseError(Exception):
@@ -586,7 +584,7 @@ class _Parser:
         return left
 
     def parse_ternary(self):
-        cond = self.parse_binary(0)
+        cond = self.parse_binary(1)
         if self.at("?"):
             tok = self.take()
             then = self.parse_expr()
@@ -595,15 +593,18 @@ class _Parser:
             return nodes.Ternary(cond, then, els, line=tok.line, col=tok.col)
         return cond
 
-    def parse_binary(self, level: int):
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        while self.peek().text in _BINARY_LEVELS[level]:
-            tok = self.take()
-            right = self.parse_binary(level + 1)
+    def parse_binary(self, min_prec: int):
+        """Precedence climbing: the operand and every operator binding at
+        least `min_prec`, each right operand taking only tighter ones."""
+        left = self.parse_unary()
+        while True:
+            tok = self.peek()
+            prec = _BINARY_PREC.get(tok.text, 0)
+            if prec < min_prec:
+                return left
+            self.take()
+            right = self.parse_binary(prec + 1)
             left = nodes.Binary(tok.text, left, right, line=tok.line, col=tok.col)
-        return left
 
     def parse_unary(self):
         tok = self.peek()
@@ -768,3 +769,14 @@ def parse_unit(preprocessed_text: str, file_name: str) -> nodes.StubUnit:
     """Parse one preprocessed translation unit."""
     tokens = lex(preprocessed_text)
     return _Parser(tokens, file_name).parse_unit()
+
+
+def parse_expression(text: str):
+    """Parse all of `text` as one expression.  Raises CLexError or
+    CParseError when it is not one."""
+    parser = _Parser(lex(text), "<expression>")
+    expr = parser.parse_expr()
+    if not parser.eof():
+        tok = parser.peek()
+        raise CParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+    return expr

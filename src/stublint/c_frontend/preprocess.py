@@ -2,13 +2,22 @@
 
 Supports what stub files actually contain: object-like and one-argument
 function-like `#define`s (expanded a single level, never rescanned),
-`#include` lines (removed, never expanded) and conditional blocks.  `#if 0`
-is elided silently; any other conditional takes the branch you would get
-with all unknown identifiers undefined, and leaves a note saying so.
+`#include` lines (removed, never expanded) and conditional blocks.
+
+An `#if`/`#elif` guard has its local macros substituted, is parsed by the C
+parser's `parse_expression` and folded over integer literals.  A guard that
+names a macro not defined in this file, or that uses syntax the fold does
+not model, takes the branch you would get with those macros undefined (0)
+and leaves a note saying so; `#if 0` is elided silently.
+
+String and char literals are recognised by one pattern, `_LITERAL`, shared
+by comment stripping, macro expansion and parameter substitution, so a
+comment marker or a macro name inside a literal is left alone.
 
 The line grid is kept intact: every directive line, every consumed
 continuation line and every line of a dropped branch is replaced by a blank
-line, so downstream positions match the file on disk.
+line, and a block comment keeps its newlines, so downstream line numbers
+match the file on disk.
 """
 
 from __future__ import annotations
@@ -17,6 +26,9 @@ import re
 from dataclasses import dataclass, field
 
 from ..diagnostics import NOTE, Diagnostic
+from . import nodes
+from .lexer import CLexError
+from .parser import CParseError, parse_expression
 
 
 class PreprocessError(Exception):
@@ -41,7 +53,16 @@ class PreprocessResult:
     notes: list[Diagnostic] = field(default_factory=list)
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# A string or char literal.  A backslash escapes any next character, line
+# ends included; a literal left open ends before the newline or at the end
+# of the text.
+_LITERAL = r""""(?:[^"\\\n]|\\[\s\S]?)*"?|'(?:[^'\\\n]|\\[\s\S]?)*'?"""
+_COMMENT_RE = re.compile(rf"{_LITERAL}|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)")
+_WORD_RE = re.compile(rf"{_LITERAL}|{_IDENT}")
+_PAREN_RE = re.compile(rf"{_LITERAL}|[()]")
+_ARGS_OPEN_RE = re.compile(r"[ \t]*\(")
+_GUARD_NAME_RE = re.compile(rf"\b{_IDENT}")  # not the x1F of 0x1F
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*?)\s*$")
 _DEFINE_RE = re.compile(r"^([A-Za-z_]\w*)(\()?")
 
@@ -88,8 +109,17 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
     elif name == "undef" and active:
         ident = rest.strip()
         macros.pop(ident, None)
-    elif name in ("if", "ifdef", "ifndef"):
-        if not parent_active:
+    elif name in ("if", "ifdef", "ifndef", "elif"):
+        if name == "elif":
+            if not stack:
+                raise PreprocessError("#elif without #if", lineno)
+            state = stack[-1]
+            if state[2]:
+                raise PreprocessError("#elif after #else", lineno)
+            if state[1] or not all(s[0] for s in stack[:-1]):
+                state[0] = False
+                return
+        elif not parent_active:
             stack.append([False, True, False])  # whole region dead
             return
         value, used_unknown = _guard(name, rest, macros)
@@ -106,32 +136,11 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
                     " they are undefined",
                 )
             )
-        stack.append([bool(value), bool(value), False])
-    elif name == "elif":
-        if not stack:
-            raise PreprocessError("#elif without #if", lineno)
-        state = stack[-1]
-        if state[2]:
-            raise PreprocessError("#elif after #else", lineno)
-        if state[1] or not all(s[0] for s in stack[:-1]):
-            state[0] = False
-            return
-        value, used_unknown = _guard("if", rest, macros)
-        if used_unknown:
-            result.notes.append(
-                Diagnostic(
-                    "NOTE",
-                    NOTE,
-                    file_name,
-                    lineno,
-                    1,
-                    f"conditional '#elif {rest}' depends on macros not"
-                    " defined in this file; analyzing the branch taken when"
-                    " they are undefined",
-                )
-            )
-        state[0] = bool(value)
-        state[1] = state[1] or bool(value)
+        if name == "elif":
+            state[0] = bool(value)
+            state[1] = state[1] or bool(value)
+        else:
+            stack.append([bool(value), bool(value), False])
     elif name == "else":
         if not stack:
             raise PreprocessError("#else without #if", lineno)
@@ -206,7 +215,6 @@ def _guard(kind, rest, macros):
         known = ident in macros
         return (0 if known else 1), (not known)
 
-    expr = rest
     used_unknown = False
 
     def _defined(mm):
@@ -217,7 +225,7 @@ def _guard(kind, rest, macros):
         return "1" if ident in macros else "0"
 
     expr = re.sub(
-        r"defined\s*(?:\(\s*([A-Za-z_]\w*)\s*\)|([A-Za-z_]\w*))", _defined, expr
+        r"defined\s*(?:\(\s*([A-Za-z_]\w*)\s*\)|([A-Za-z_]\w*))", _defined, rest
     )
 
     def _subst_ident(mm):
@@ -229,101 +237,52 @@ def _guard(kind, rest, macros):
         used_unknown = True
         return "0"
 
-    expr = _IDENT_RE.sub(_subst_ident, expr)
+    expr = _GUARD_NAME_RE.sub(_subst_ident, expr)
     try:
-        value = _eval_int_expr(expr)
-    except (ValueError, ZeroDivisionError, SyntaxError):
+        value = _fold(parse_expression(expr))
+    except (CLexError, CParseError, ValueError, ZeroDivisionError):
         return 0, True
     return value, used_unknown
 
 
-def _eval_int_expr(expr: str) -> int:
-    """Tiny constant-expression evaluator for guards (ints and the usual
-    operators; no assignment, no identifiers by the time we get here)."""
-    tokens = re.findall(
-        r"0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%()!~<>&^|]",
-        expr,
-    )
-    if "".join(tokens).replace(" ", "") != expr.replace(" ", ""):
-        raise ValueError("unsupported guard syntax")
-    pos = 0
+_GUARD_OPS = {
+    "||": lambda a, b: int(bool(a) or bool(b)),
+    "&&": lambda a, b: int(bool(a) and bool(b)),
+    "|": lambda a, b: a | b,
+    "^": lambda a, b: a ^ b,
+    "&": lambda a, b: a & b,
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b),
+    ">": lambda a, b: int(a > b),
+    "<=": lambda a, b: int(a <= b),
+    ">=": lambda a, b: int(a >= b),
+    "<<": lambda a, b: a << b,
+    ">>": lambda a, b: a >> b,
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a // b,
+    "%": lambda a, b: a % b,
+}
+_GUARD_PREFIX_OPS = {
+    "!": lambda x: int(not x),
+    "~": lambda x: ~x,
+    "-": lambda x: -x,
+    "+": lambda x: x,
+}
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
 
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def primary():
-        tok = peek()
-        if tok == "(":
-            take()
-            v = binary(0)
-            if peek() != ")":
-                raise ValueError("unbalanced parens in guard")
-            take()
-            return v
-        if tok in ("!", "~", "-", "+"):
-            take()
-            v = primary()
-            return {"!": lambda x: int(not x), "~": lambda x: ~x,
-                    "-": lambda x: -x, "+": lambda x: x}[tok](v)
-        if tok is None:
-            raise ValueError("truncated guard")
-        take()
-        return int(tok.rstrip("uUlL"), 0)
-
-    levels = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    ops = {
-        "||": lambda a, b: int(bool(a) or bool(b)),
-        "&&": lambda a, b: int(bool(a) and bool(b)),
-        "|": lambda a, b: a | b,
-        "^": lambda a, b: a ^ b,
-        "&": lambda a, b: a & b,
-        "==": lambda a, b: int(a == b),
-        "!=": lambda a, b: int(a != b),
-        "<": lambda a, b: int(a < b),
-        ">": lambda a, b: int(a > b),
-        "<=": lambda a, b: int(a <= b),
-        ">=": lambda a, b: int(a >= b),
-        "<<": lambda a, b: a << b,
-        ">>": lambda a, b: a >> b,
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "/": lambda a, b: a // b,
-        "%": lambda a, b: a % b,
-    }
-
-    def binary(level):
-        if level >= len(levels):
-            return primary()
-        left = binary(level + 1)
-        while peek() in levels[level]:
-            op = take()
-            right = binary(level + 1)
-            left = ops[op](left, right)
-        return left
-
-    value = binary(0)
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in guard")
-    return value
+def _fold(expr) -> int:
+    """Value of a guard expression over int literals; ValueError for
+    anything else."""
+    if isinstance(expr, nodes.Num) and isinstance(expr.value, int):
+        return expr.value
+    if isinstance(expr, nodes.Unary) and expr.prefix and expr.op in _GUARD_PREFIX_OPS:
+        return _GUARD_PREFIX_OPS[expr.op](_fold(expr.operand))
+    if isinstance(expr, nodes.Binary):
+        return _GUARD_OPS[expr.op](_fold(expr.left), _fold(expr.right))
+    raise ValueError("unsupported guard syntax")
 
 
 # ---------------------------------------------------------------------------
@@ -351,46 +310,16 @@ def _splice_continuations(text: str) -> list[str]:
 
 
 def _strip_comments(text: str) -> str:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "/" and text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            i += 2
-            while i < n and not text.startswith("*/", i):
-                if text[i] == "\n":
-                    out.append("\n")
-                i += 1
-            i += 2 if i < n else 0
-            out.append(" ")
-            continue
-        if ch in "\"'":
-            j = _skip_literal(text, i)
-            out.append(text[i:j])
-            i = j
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_blank_comment, text)
 
 
-def _skip_literal(text: str, i: int) -> int:
-    quote = text[i]
-    i += 1
-    n = len(text)
-    while i < n:
-        if text[i] == "\\":
-            i += 2
-        elif text[i] == quote or text[i] == "\n":
-            return i + 1 if text[i] == quote else i
-        else:
-            i += 1
-    return n
+def _blank_comment(m: re.Match) -> str:
+    text = m.group()
+    if text[0] != "/":  # a literal: comment markers inside it are text
+        return text
+    if text[1] == "/":
+        return ""
+    return "\n" * text.count("\n") + " "
 
 
 def _expand_line(line: str, macros: dict[str, MacroDef]) -> str:
@@ -398,77 +327,35 @@ def _expand_line(line: str, macros: dict[str, MacroDef]) -> str:
     if not macros:
         return line
     out = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in "\"'":
-            j = _skip_literal(line, i)
-            out.append(line[i:j])
-            i = j
-            continue
-        m = _IDENT_RE.match(line, i)
-        if not m:
-            out.append(ch)
-            i += 1
-            continue
-        name = m.group()
-        macro = macros.get(name)
+    copied = pos = 0  # line[:copied] is in out; scanning resumes at pos
+    while m := _WORD_RE.search(line, pos):
+        pos = m.end()
+        macro = macros.get(m.group())  # a literal never names a macro
         if macro is None or not macro.expandable:
-            out.append(name)
-            i = m.end()
             continue
-        if not macro.func_like:
-            out.append(macro.body)
-            i = m.end()
-            continue
-        j = m.end()
-        while j < n and line[j] in " \t":
-            j += 1
-        if j >= n or line[j] != "(":
-            out.append(name)  # function-like name without arguments
-            i = m.end()
-            continue
-        depth = 0
-        k = j
-        while k < n:
-            if line[k] in "\"'":
-                k = _skip_literal(line, k)
-                continue
-            if line[k] == "(":
-                depth += 1
-            elif line[k] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            k += 1
-        if k >= n:
-            out.append(name)  # argument list is not closed on this line
-            i = m.end()
-            continue
-        arg = line[j + 1 : k].strip()
-        out.append(_subst_param(macro.body, macro.param, arg))
-        i = k + 1
+        text = macro.body
+        if macro.func_like:
+            args = _ARGS_OPEN_RE.match(line, pos)
+            if not args:
+                continue  # function-like name without arguments
+            depth = 0
+            for paren in _PAREN_RE.finditer(line, args.end() - 1):
+                if paren.group() == "(":
+                    depth += 1
+                elif paren.group() == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+            else:
+                continue  # argument list is not closed on this line
+            arg = line[args.end() : paren.start()].strip()
+            text = _subst_param(macro.body, macro.param, arg)
+            pos = paren.end()
+        out += (line[copied : m.start()], text)
+        copied = pos
+    out.append(line[copied:])
     return "".join(out)
 
 
 def _subst_param(body: str, param: str | None, arg: str) -> str:
-    if param is None:
-        return body
-    out = []
-    i = 0
-    n = len(body)
-    while i < n:
-        if body[i] in "\"'":
-            j = _skip_literal(body, i)
-            out.append(body[i:j])
-            i = j
-            continue
-        m = _IDENT_RE.match(body, i)
-        if m:
-            out.append(arg if m.group() == param else m.group())
-            i = m.end()
-            continue
-        out.append(body[i])
-        i += 1
-    return "".join(out)
+    return _WORD_RE.sub(lambda m: arg if m.group() == param else m.group(), body)

@@ -101,10 +101,10 @@ def test_unknown_guard_takes_undefined_branch_with_note():
         ("defined(VER) && defined VER", True, False),
         ("defined(X)", False, True),
         ("!defined X", True, True),
-        ("0x1F", False, True),
-        ("1\t+ 1", False, True),
-        ("--1", True, False),
-        ("1f == 10", True, True),
+        ("0x1F", True, False),
+        ("1\t+ 1", True, False),
+        ("--1", False, True),  # C's decrement token, not two minus signs
+        ("1f == 10", False, False),
         ("UNKNOWN + 1", True, True),
         ("UNKNOWN", False, True),
         ("1 ? 2 : 3", False, True),
