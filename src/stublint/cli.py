@@ -227,7 +227,7 @@ def run(
     """Analyze the given files.  Returns (diagnostics, exit_code)."""
     ml_paths = [p for p in paths if p.endswith(".ml")]
     c_paths = [p for p in paths if p.endswith(".c")]
-    stray = [p for p in paths if p not in ml_paths and p not in c_paths]
+    stray = [p for p in paths if not p.endswith((".ml", ".c"))]
     if stray:
         raise FatalError(f"unsupported input (want .ml or .c): {stray[0]}")
 
