@@ -16,8 +16,9 @@ comment marker or a macro name inside a literal is left alone.
 
 The line grid is kept intact: every directive line, every consumed
 continuation line and every line of a dropped branch is replaced by a blank
-line, and a block comment keeps its newlines, so downstream line numbers
-match the file on disk.
+line, and a block comment is blanked to spaces of its own width, newlines
+kept.  Lines, and columns up to the first macro use on a line, match the
+file on disk.
 """
 
 from __future__ import annotations
@@ -319,7 +320,8 @@ def _blank_comment(m: re.Match) -> str:
         return text
     if text[1] == "/":
         return ""
-    return "\n" * text.count("\n") + " "
+    # a block comment keeps its width, so later columns match the disk
+    return "\n".join(" " * len(part) for part in text.split("\n"))
 
 
 def _expand_line(line: str, macros: dict[str, MacroDef]) -> str:

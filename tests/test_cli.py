@@ -44,6 +44,16 @@ def test_findings_exit_one_and_render_one_line_each(proj, run_main):
     assert "error: NAKED_POINTER:" in lines[0]
 
 
+def test_column_after_a_block_comment_is_the_column_on_disk(proj, run_main):
+    _, write = proj
+    store = "    /* a long comment here */ v = 0;"
+    path = write("shifted.c", BAD_C.replace("    v = Tag_cons;", store))
+    code, out, _ = run_main(path)
+    assert code == 1
+    col = store.index("=") + 1
+    assert out.startswith(f"{path}:5:{col}: error: NAKED_POINTER:")
+
+
 def test_warnings_gate_only_under_strict(proj, run_main):
     _, write = proj
     path = write("warn.c", WARN_C)
