@@ -86,36 +86,39 @@ def test_unknown_guard_takes_undefined_branch_with_note():
     assert any(d.rule_id == "NOTE" for d in result.notes)
 
 
-@pytest.mark.parametrize(
-    "guard, taken, note",
-    [
-        ("VER >= 5", True, False),
-        ("1 + 2 * 3 == 7", True, False),
-        ("(1 + 2) * 3 == 9", True, False),
-        ("10 - 4 - 3 == 3 && 12 / 2 / 3 == 2", True, False),
-        ("2 | 1 ^ 3 & 1", True, False),
-        ("1 || 0 && 0", True, False),
-        ("-VER + 6 == ~0 + 2 && !0", True, False),
-        ("VER < 6 == 1", True, False),
-        ("1 << 4 == 16 && 256 >> 4 == 16 && VER % 3 == 2", True, False),
-        ("defined(VER) && defined VER", True, False),
-        ("defined(X)", False, True),
-        ("!defined X", True, True),
-        ("0x1F", True, False),
-        ("1\t+ 1", True, False),
-        ("--1", False, True),  # C's decrement token, not two minus signs
-        ("1f == 10", False, False),
-        ("UNKNOWN + 1", True, True),
-        ("UNKNOWN", False, True),
-        ("1 ? 2 : 3", False, True),
-        ("1 +", False, True),
-    ],
-)
-def test_if_expression_guard(guard, taken, note):
-    src = f"#define VER 5\n#if {guard}\nint yes;\n#endif\n"
-    result = preprocess_local(src, "t.c")
-    assert ("int yes;" in result.text) == taken
-    assert [d.rule_id for d in result.notes] == (["NOTE"] if note else [])
+# (guard, branch taken, NOTE given), with VER defined as 5
+GUARDS = [
+    ("VER >= 5", True, False),
+    ("1 + 2 * 3 == 7", True, False),
+    ("(1 + 2) * 3 == 9", True, False),
+    ("10 - 4 - 3 == 3 && 12 / 2 / 3 == 2", True, False),
+    ("2 | 1 ^ 3 & 1", True, False),
+    ("1 || 0 && 0", True, False),
+    ("-VER + 6 == ~0 + 2 && !0", True, False),
+    ("VER < 6 == 1", True, False),
+    ("1 << 4 == 16 && 256 >> 4 == 16 && VER % 3 == 2", True, False),
+    ("defined(VER) && defined VER", True, False),
+    ("defined(X)", False, True),
+    ("!defined X", True, True),
+    ("0x1F", True, False),
+    ("1\t+ 1", True, False),
+    ("--1", False, True),  # C's decrement token, not two minus signs
+    ("1f == 10", False, False),
+    ("UNKNOWN + 1", True, True),
+    ("UNKNOWN", False, True),
+    ("1 ? 2 : 3", False, True),
+    ("1 +", False, True),
+]
+
+
+def test_if_expression_guard():
+    for guard, taken, note in GUARDS:
+        src = f"#define VER 5\n#if {guard}\nint yes;\n#endif\n"
+        result = preprocess_local(src, "t.c")
+        notes = [d.rule_id for d in result.notes]
+        assert ("int yes;" in result.text, notes) == (
+            taken, ["NOTE"] if note else []
+        ), guard
 
 
 def test_elif_guard_reports_its_own_note():
