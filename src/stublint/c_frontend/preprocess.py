@@ -17,8 +17,8 @@ comment marker or a macro name inside a literal is left alone.
 The line grid is kept intact: every directive line, every consumed
 continuation line and every line of a dropped branch is replaced by a blank
 line, and a block comment is blanked to spaces of its own width, newlines
-kept.  Lines, and columns up to the first macro use on a line, match the
-file on disk.
+kept.  Line numbers match the file on disk, and so do columns on a line
+that has no macro use and no continuation.
 """
 
 from __future__ import annotations
