@@ -111,17 +111,17 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
         ident = rest.strip()
         macros.pop(ident, None)
     elif name in ("if", "ifdef", "ifndef", "elif"):
-        if name == "elif":
-            if not stack:
-                raise PreprocessError("#elif without #if", lineno)
-            state = stack[-1]
-            if state[2]:
-                raise PreprocessError("#elif after #else", lineno)
-            if state[1] or not all(s[0] for s in stack[:-1]):
-                state[0] = False
-                return
-        elif not parent_active:
-            stack.append([False, True, False])  # whole region dead
+        if name != "elif":
+            # under a dead parent the whole region is dead: count its
+            # branch as taken already
+            stack.append([False, not parent_active, False])
+        elif not stack:
+            raise PreprocessError("#elif without #if", lineno)
+        elif stack[-1][2]:
+            raise PreprocessError("#elif after #else", lineno)
+        state = stack[-1]
+        if state[1] or not all(s[0] for s in stack[:-1]):
+            state[0] = False
             return
         value, used_unknown = _guard(name, rest, macros)
         if used_unknown:
@@ -137,11 +137,7 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
                     " they are undefined",
                 )
             )
-        if name == "elif":
-            state[0] = bool(value)
-            state[1] = state[1] or bool(value)
-        else:
-            stack.append([bool(value), bool(value), False])
+        state[0] = state[1] = bool(value)
     elif name == "else":
         if not stack:
             raise PreprocessError("#else without #if", lineno)
