@@ -3,6 +3,7 @@
 import json
 
 import jsonschema
+from hypothesis import example, given, strategies as st
 
 from stublint.diagnostics import RULES, Diagnostic
 from stublint.sarif import emit_sarif, sarif_log
@@ -82,3 +83,29 @@ def test_no_wall_clock_anywhere():
     for key in keys(json.loads(emit_sarif(SAMPLE))):
         assert "time" not in key.lower()
         assert "date" not in key.lower()
+
+
+# Text with quotes, backslashes, control characters, line ends, non-ASCII
+# and a lone surrogate (a file name decoded with surrogateescape).
+SPECIAL = '"\\\n\r\t\x00\x1f\x7f\u2028é😀\udc80'
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL)))
+POSITION = st.integers(min_value=-2, max_value=10**6)
+DIAGNOSTIC = st.builds(
+    Diagnostic,
+    rule_id=st.sampled_from(list(RULES)),
+    severity=st.sampled_from(["error", "warning", "note"]),
+    file=TEXT,
+    line=POSITION,
+    column=POSITION,
+    message=TEXT,
+    related=st.lists(
+        st.tuples(TEXT, POSITION, POSITION, st.none() | TEXT), max_size=3
+    ).map(tuple),
+)
+
+
+@given(st.lists(DIAGNOSTIC, max_size=4))
+@example([])
+@example(SAMPLE)
+def test_emit_sarif_writes_the_bytes_json_dumps_would(diags):
+    assert emit_sarif(diags) == json.dumps(sarif_log(diags), indent=2) + "\n"
