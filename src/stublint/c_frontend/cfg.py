@@ -22,7 +22,7 @@ ENTRY = 0
 EXIT = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
     kind: str  # "entry", "exit", or "stmt"
@@ -36,7 +36,7 @@ class Node:
         return f"<node {self.id} {self.kind} L{self.line} -> {self.succs}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class Cfg:
     fn: ast.StubFunction
     nodes: list[Node]

@@ -3,12 +3,18 @@
 Comments are gone by the time this runs (the preprocessor blanks them), so
 the lexer only deals with identifiers, numbers, string/char literals and
 punctuation.  Positions are 1-based.
+
+One master pattern is run with `finditer` over each line.  Every match is
+the blanks before a token followed by one of: a token, a `bad` character
+that starts no token (a lex error at its position), or the end of the line.
+That last alternative lets a run of trailing blanks match once instead of
+being rescanned from every position in it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CLexError(Exception):
@@ -18,8 +24,7 @@ class CLexError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "num" | "str" | "char" | "punct"
     text: str
     line: int
@@ -28,6 +33,8 @@ class Token:
 
 _TOKEN_RE = re.compile(
     r"""
+    [\ \t\r\f\v]*
+    (?:
       (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<num>(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)
         [uUlLfF]*)
@@ -35,36 +42,30 @@ _TOKEN_RE = re.compile(
     | (?P<char>'(?:\\.|[^'\\\n])')
     | (?P<punct>->|\+\+|--|<<=|>>=|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=
         |%=|&=|\|=|\^=|\.\.\.|[-+*/%&|^!~<>=?:;,.(){}\[\]])
+    | (?P<bad>.)
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
 
-_WS_RE = re.compile(r"[ \t\r\f\v]+")
+
+# builds a Token more cheaply than Token(...), whose __new__ NamedTuple
+# writes in Python
+_new_tuple = tuple.__new__
 
 
 def lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line = 1
-    line_start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        ws = _WS_RE.match(text, i)
-        if ws:
-            i = ws.end()
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise CLexError(
-                f"unexpected character {text[i]!r}", line, i - line_start + 1
-            )
-        kind = m.lastgroup
-        tokens.append(Token(kind, m.group(), line, i - line_start + 1))
-        i = m.end()
+    append = tokens.append
+    for line, line_text in enumerate(text.split("\n"), start=1):
+        for m in _TOKEN_RE.finditer(line_text):
+            kind = m.lastgroup
+            if kind is None:  # blanks up to the end of the line
+                continue
+            if kind == "bad":
+                raise CLexError(
+                    f"unexpected character {m[kind]!r}", line, m.start(kind) + 1
+                )
+            append(_new_tuple(Token, (kind, m[kind], line, m.start(kind) + 1)))
     return tokens

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 # Types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CType:
     base: str  # canonical spelling: "value", "int", "struct foo", ...
     pointers: int = 0
@@ -32,7 +32,7 @@ class CType:
 # Expressions
 
 
-@dataclass
+@dataclass(slots=True)
 class Num:
     text: str
     value: int | float | None = None
@@ -40,28 +40,28 @@ class Num:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class StrLit:
     text: str
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class CharLit:
     text: str
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Name:
     ident: str
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     func: object  # usually Name
     args: list = field(default_factory=list)
@@ -73,7 +73,7 @@ class Call:
         return self.func.ident if isinstance(self.func, Name) else None
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary:
     op: str
     operand: object = None
@@ -82,7 +82,7 @@ class Unary:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary:
     op: str
     left: object = None
@@ -91,7 +91,7 @@ class Binary:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Ternary:
     cond: object = None
     then: object = None
@@ -100,7 +100,7 @@ class Ternary:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     target: object = None
     value: object = None
@@ -109,7 +109,7 @@ class Assign:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast:
     ctype: CType = None
     operand: object = None
@@ -117,7 +117,7 @@ class Cast:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Member:
     obj: object = None
     fieldname: str = ""
@@ -126,7 +126,7 @@ class Member:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Index:
     obj: object = None
     index: object = None
@@ -134,14 +134,14 @@ class Index:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SizeofType:
     ctype: CType = None
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class CompoundLit:
     ctype: CType = None
     inits: list = field(default_factory=list)
@@ -153,7 +153,7 @@ class CompoundLit:
 # Statements
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl:
     name: str
     ctype: CType
@@ -162,21 +162,21 @@ class VarDecl:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class DeclStmt:
     decls: list[VarDecl] = field(default_factory=list)
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt:
     expr: object = None
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     cond: object = None
     then: list = field(default_factory=list)
@@ -185,7 +185,7 @@ class If:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class While:
     cond: object = None
     body: list = field(default_factory=list)
@@ -193,7 +193,7 @@ class While:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class DoWhile:
     body: list = field(default_factory=list)
     cond: object = None
@@ -201,7 +201,7 @@ class DoWhile:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class For:
     init: object = None  # DeclStmt | ExprStmt | None
     cond: object = None
@@ -211,7 +211,7 @@ class For:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchCase:
     labels: list = field(default_factory=list)  # exprs; None = default
     body: list = field(default_factory=list)
@@ -219,7 +219,7 @@ class SwitchCase:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Switch:
     subject: object = None
     cases: list[SwitchCase] = field(default_factory=list)
@@ -227,26 +227,26 @@ class Switch:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Return:
     expr: object = None
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Break:
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Continue:
     line: int = 0
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Opaque:
     """A statement the parser cannot model (inline asm, goto target, ...).
 
@@ -264,7 +264,7 @@ class Opaque:
 # Top level
 
 
-@dataclass
+@dataclass(slots=True)
 class StubFunction:
     name: str
     params: list[tuple[str, CType]]
@@ -277,7 +277,7 @@ class StubFunction:
     col: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class StubUnit:
     file: str
     functions: list[StubFunction] = field(default_factory=list)

@@ -39,15 +39,20 @@ _ASSIGN_OPS = frozenset(
 
 _ASM_WORDS = frozenset({"asm", "__asm", "__asm__"})
 
-# C's binary operators; a higher number binds tighter, and every one of
-# them is left-associative.
-_BINARY_PREC = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, ">": 7, "<=": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
+# C's operators that follow an operand, below the postfix ones; a higher
+# number binds tighter.  The binary operators are left-associative, the
+# conditional and the assignments group to the right.
+_ASSIGN = 1
+_CONDITIONAL = 2
+_PREC = {
+    **dict.fromkeys(_ASSIGN_OPS, _ASSIGN),
+    "?": _CONDITIONAL,
+    "||": 3, "&&": 4, "|": 5, "^": 6, "&": 7,
+    "==": 8, "!=": 8,
+    "<": 9, ">": 9, "<=": 9, ">=": 9,
+    "<<": 10, ">>": 10,
+    "+": 11, "-": 11,
+    "*": 12, "/": 12, "%": 12,
 }
 
 
@@ -71,16 +76,24 @@ class _Parser:
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else _EOF
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return _EOF
 
     def take(self) -> Token:
-        tok = self.peek()
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            tok = _EOF
         self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        try:
+            return self.tokens[self.pos].text == text
+        except IndexError:
+            return _EOF.text == text
 
     def accept(self, text: str) -> Token | None:
         if self.at(text):
@@ -546,7 +559,7 @@ class _Parser:
             tok = self.peek()
             inits = self.parse_brace_list()
             return nodes.CompoundLit(None, inits, line=tok.line, col=tok.col)
-        return self.parse_assign()
+        return self.parse_expr()
 
     def parse_brace_list(self) -> list:
         self.expect("{")
@@ -563,7 +576,7 @@ class _Parser:
             if self.at("{"):
                 inits.extend(self.parse_brace_list())
             else:
-                inits.append(self.parse_assign())
+                inits.append(self.parse_expr())
             if not self.accept(","):
                 break
         self.expect("}")
@@ -571,40 +584,28 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------
 
-    def parse_expr(self):
-        return self.parse_assign()
-
-    def parse_assign(self):
-        left = self.parse_ternary()
-        tok = self.peek()
-        if tok.text in _ASSIGN_OPS:
-            self.take()
-            right = self.parse_assign()
-            return nodes.Assign(left, right, tok.text, line=tok.line, col=tok.col)
-        return left
-
-    def parse_ternary(self):
-        cond = self.parse_binary(1)
-        if self.at("?"):
-            tok = self.take()
-            then = self.parse_expr()
-            self.expect(":")
-            els = self.parse_ternary()
-            return nodes.Ternary(cond, then, els, line=tok.line, col=tok.col)
-        return cond
-
-    def parse_binary(self, min_prec: int):
-        """Precedence climbing: the operand and every operator binding at
-        least `min_prec`, each right operand taking only tighter ones."""
+    def parse_expr(self, min_prec: int = _ASSIGN):
+        """Precedence climbing: an operand and every operator after it that
+        binds at least `min_prec`, each right operand taking only tighter
+        ones (or as tight, for the right-grouping ones)."""
         left = self.parse_unary()
         while True:
             tok = self.peek()
-            prec = _BINARY_PREC.get(tok.text, 0)
+            prec = _PREC.get(tok.text, 0)
             if prec < min_prec:
                 return left
             self.take()
-            right = self.parse_binary(prec + 1)
-            left = nodes.Binary(tok.text, left, right, line=tok.line, col=tok.col)
+            if prec == _ASSIGN:
+                right = self.parse_expr(_ASSIGN)
+                left = nodes.Assign(left, right, tok.text, line=tok.line, col=tok.col)
+            elif prec == _CONDITIONAL:
+                then = self.parse_expr()
+                self.expect(":")
+                els = self.parse_expr(_CONDITIONAL)
+                left = nodes.Ternary(left, then, els, line=tok.line, col=tok.col)
+            else:
+                right = self.parse_expr(prec + 1)
+                left = nodes.Binary(tok.text, left, right, line=tok.line, col=tok.col)
 
     def parse_unary(self):
         tok = self.peek()
@@ -660,7 +661,7 @@ class _Parser:
                 args = []
                 if not self.at(")"):
                     while True:
-                        args.append(self.parse_assign())
+                        args.append(self.parse_expr())
                         if not self.accept(","):
                             break
                 self.expect(")")

@@ -1,6 +1,9 @@
 """Lexer and recursive-descent parser for the stub C subset."""
 
+import string
+
 import pytest
+from hypothesis import given, strategies as st
 
 from stublint.c_frontend import nodes as ast
 from stublint.c_frontend.lexer import CLexError, Token, lex
@@ -54,8 +57,85 @@ def test_lexer_two_char_operators_are_single_tokens():
 
 
 def test_lexer_rejects_stray_bytes():
-    with pytest.raises(CLexError):
+    with pytest.raises(CLexError) as exc:
         lex("int x = 1 @ 2;")
+    assert (exc.value.line, exc.value.col) == (1, 11)
+
+
+BLANKS = " \t\r\f\v"
+PUNCTUATORS = [
+    "->", "++", "--", "<<=", ">>=", "<<", ">>", "<=", ">=", "==", "!=",
+    "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "...",
+    *"-+*/%&|^!~<>=?:;,.(){}[]",
+]
+# every character that always starts a token; a quote starts one only when
+# a literal follows
+TOKEN_STARTS = set(
+    string.ascii_letters + string.digits + "_" + "".join(PUNCTUATORS)
+)
+
+TOKEN_OR_BLANK = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+    st.from_regex(
+        r"0[xX][0-9a-fA-F]{1,4}|[0-9]{1,4}(\.[0-9]{0,2})?([eE]-?[0-9])?"
+        r"[uUlLfF]{0,2}|\.[0-9]{1,3}",
+        fullmatch=True,
+    ),
+    st.from_regex(r'"([^"\\\n]|\\[^\n]){0,5}"', fullmatch=True),
+    st.from_regex(r"'([^'\\\n]|\\[^\n])'", fullmatch=True),
+    st.sampled_from(PUNCTUATORS),
+    st.sampled_from([" ", "  ", "\t", "\n", "\r", "\f", "\v"]),
+)
+STRAY = st.sampled_from(["@", "$", "`", "#", "\\", '"', "'", "\x00", "\xa0", "é"])
+# about one piece in sixteen is a stray byte, so that many soups lex
+SOUP = st.lists(
+    st.integers(0, 15).flatmap(lambda k: STRAY if k == 0 else TOKEN_OR_BLANK),
+    max_size=40,
+).map("".join)
+
+
+def _opens_a_literal(rest: str) -> bool:
+    """Whether `rest`, the remainder of a line from a quote on, begins with
+    a complete string or char literal."""
+    if rest[0] == "'":
+        if rest[1:2] == "\\":
+            return rest[3:4] == "'"
+        return rest[1:2] not in ("", "'") and rest[2:3] == "'"
+    i = 1
+    while i < len(rest):
+        if rest[i] == "\\":
+            i += 2
+        elif rest[i] == '"':
+            return True
+        else:
+            i += 1
+    return False
+
+
+@given(SOUP)
+def test_lexer_positions_cover_the_input(text):
+    lines = text.split("\n")
+    try:
+        toks = lex(text)
+    except CLexError as exc:
+        rest = lines[exc.line - 1][exc.col - 1 :]
+        assert rest[0] not in BLANKS and rest[0] not in TOKEN_STARTS
+        if rest[0] in "\"'":
+            assert not _opens_a_literal(rest)
+        return
+    starts = [(t.line, t.col) for t in toks]
+    assert starts == sorted(set(starts))
+    covered = set()
+    for t in toks:
+        assert lines[t.line - 1][t.col - 1 : t.col - 1 + len(t.text)] == t.text
+        covered.update((t.line, t.col + i) for i in range(len(t.text)))
+    assert len(covered) == sum(len(t.text) for t in toks)
+    assert covered >= {
+        (n, col)
+        for n, line in enumerate(lines, start=1)
+        for col, ch in enumerate(line, start=1)
+        if ch not in BLANKS
+    }
 
 
 # -- declarations and functions ---------------------------------------------
