@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from stublint.c_frontend.parser import parse_unit
 from stublint.c_frontend.preprocess import preprocess_local
@@ -11,6 +12,11 @@ from stublint.lock_analysis import load_summaries
 
 TESTS = Path(__file__).parent
 CORPUS = TESTS / "corpus"
+
+# No per-example deadline: the speed of a shared machine drifts by tens of
+# percent, and a property test should fail on a wrong answer, not a slow one.
+settings.register_profile("stublint", deadline=None)
+settings.load_profile("stublint")
 
 
 @pytest.fixture(scope="session")
