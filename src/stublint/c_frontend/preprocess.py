@@ -5,10 +5,12 @@ function-like `#define`s (expanded a single level, never rescanned),
 `#include` lines (removed, never expanded) and conditional blocks.
 
 An `#if`/`#elif` guard has its local macros substituted, is parsed by the C
-parser's `parse_expression` and folded over integer literals.  A guard that
-names a macro not defined in this file, or that uses syntax the fold does
-not model, takes the branch you would get with those macros undefined (0)
-and leaves a note saying so; `#if 0` is elided silently.
+parser's `parse_expression` and folded over integer literals, with `/`
+and `%` truncating toward zero as in C99.  A guard that names a macro not
+defined in this file, or that uses syntax the fold does not model (a shift
+by a count outside 0..63 among it), takes the branch you would get with
+those macros undefined (0) and leaves a note saying so; `#if 0` is elided
+silently.
 
 String and char literals are recognised by one pattern, `_LITERAL`, shared
 by comment stripping, macro expansion and parameter substitution, so a
@@ -254,13 +256,13 @@ _GUARD_OPS = {
     ">": lambda a, b: int(a > b),
     "<=": lambda a, b: int(a <= b),
     ">=": lambda a, b: int(a >= b),
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
+    "<<": lambda a, b: a << _shift_count(b),
+    ">>": lambda a, b: a >> _shift_count(b),
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "/": lambda a, b: a // b,
-    "%": lambda a, b: a % b,
+    "/": lambda a, b: _c_div(a, b),
+    "%": lambda a, b: a - b * _c_div(a, b),
 }
 _GUARD_PREFIX_OPS = {
     "!": lambda x: int(not x),
@@ -268,6 +270,20 @@ _GUARD_PREFIX_OPS = {
     "-": lambda x: -x,
     "+": lambda x: x,
 }
+
+
+def _shift_count(count: int) -> int:
+    # C leaves a shift by a negative count or by the operand's width or
+    # more undefined; refusing it also keeps 1 << 10**10 from allocating
+    if not 0 <= count <= 63:
+        raise ValueError("shift count out of range")
+    return count
+
+
+def _c_div(a: int, b: int) -> int:
+    """C99 division: the quotient truncated toward zero."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
 
 
 def _fold(expr) -> int:

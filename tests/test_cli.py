@@ -101,6 +101,14 @@ def test_lex_error_is_fatal_not_a_traceback(proj, run_main):
     assert err == f"stublint: error: {path}: 3:14: unexpected character '@'\n"
 
 
+def test_out_of_range_shift_in_a_guard_is_not_a_traceback(proj, run_main):
+    _, write = proj
+    path = write("shift.c", "#if 1 << (1 << 70)\nint x;\n#endif\n" + CLEAN_C)
+    code, _, err = run_main(path)
+    assert code in (0, 1)
+    assert "Traceback" not in err
+
+
 def test_non_utf8_source_is_fatal_not_a_traceback(proj, run_main):
     dirpath, _ = proj
     path = dirpath / "latin1.c"

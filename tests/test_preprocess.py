@@ -108,6 +108,13 @@ GUARDS = [
     ("UNKNOWN", False, True),
     ("1 ? 2 : 3", False, True),
     ("1 +", False, True),
+    ("1 << 63 > 0 && 1 >> 0", True, False),
+    ("1 << 64", False, True),  # a shift C leaves undefined
+    ("1 << (1 << 70)", False, True),
+    ("1 << 10000000000", False, True),  # refused, never evaluated
+    ("1 >> -1", False, True),
+    ("-7 / 2 == -3 && 7 / -2 == -3", True, False),  # C99 truncates
+    ("-7 % 2 == -1 && 7 % -2 == 1", True, False),
 ]
 
 
