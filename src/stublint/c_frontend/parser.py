@@ -721,7 +721,8 @@ def _num_value(text: str):
     # f and F are digits in a hex literal, float suffixes elsewhere
     body = text.rstrip("uUlL" if text[:2] in ("0x", "0X") else "uUlLfF")
     try:
-        return int(body, 0)
+        # a leading 0 makes an integer literal octal
+        return int(body, 8 if body[:1] == "0" and body.isdigit() else 0)
     except ValueError:
         try:
             return float(body)

@@ -110,6 +110,12 @@ def test_hex_literals_keep_their_f_digits(lint_c):
     assert naked_lines(lint_c, "    value v;\n    v = 0x2F - 1;\n") == [4]
 
 
+def test_octal_literals_are_octal(lint_c):
+    # 010 is 8, even; 011 is 9, odd
+    assert naked_lines(lint_c, "    value v;\n    v = 010;\n") == [4]
+    assert naked_lines(lint_c, "    value v;\n    v = 011;\n") == []
+
+
 @given(st.integers(min_value=0, max_value=4095))
 def test_literal_parity_decides(k):
     # tiny inline mirror of the corpus-scale oracle

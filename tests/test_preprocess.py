@@ -115,6 +115,7 @@ GUARDS = [
     ("1 >> -1", False, True),
     ("-7 / 2 == -3 && 7 / -2 == -3", True, False),  # C99 truncates
     ("-7 % 2 == -1 && 7 % -2 == 1", True, False),
+    ("010 == 8", True, False),  # octal
 ]
 
 
