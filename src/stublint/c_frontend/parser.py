@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from ..diagnostics import WARNING, Diagnostic
 from . import nodes
+from .intrinsics import CAMLLOCAL
 from .lexer import Token, lex
 
 BASE_TYPE_WORDS = frozenset(
@@ -56,6 +57,18 @@ _PREC = {
 }
 
 
+# How deep statements and expressions may nest, counted together.  A level
+# is a statement, a switch, an operand, a parenthesis (cast and compound
+# literal included), a postfix operator, a binary, conditional or assignment
+# operator (its left operand is a tree already), or an initializer brace.
+# The parser and the walks over its trees (CFG building, lower_ops, fact_of,
+# eval_const, the guard fold) recurse at most two frames per level, so input
+# at the cap needs about 400 frames, well inside Python's default recursion
+# limit of 1000; deeper input is unsupported.  C99 (5.2.4.1) asks compilers
+# for 127 nested blocks and 63 nested parentheses, and 200 levels hold either.
+MAX_NESTING = 200
+
+
 class CParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
@@ -70,6 +83,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], file: str):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.file = file
         self.diagnostics: list[Diagnostic] = []
 
@@ -105,6 +119,17 @@ class _Parser:
         if tok.text != text:
             raise CParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return self.take()
+
+    def nest(self, tok: Token) -> int:
+        """Go one nesting level deeper, at `tok`; returns the depth before,
+        for the caller to restore."""
+        depth = self.depth
+        if depth >= MAX_NESTING:
+            raise CParseError(
+                f"nested more than {MAX_NESTING} levels deep", tok.line, tok.col
+            )
+        self.depth = depth + 1
+        return depth
 
     def eof(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -292,7 +317,7 @@ class _Parser:
             line=name_tok.line,
             col=name_tok.col,
         )
-        fn.locals = _collect_locals(body)
+        _collect_locals(body, fn.locals)
         unit.functions.append(fn)
 
     def parse_params(self):
@@ -346,17 +371,21 @@ class _Parser:
         """One statement, as the list of statements it contributes: labels
         are transparent for analysis and skipped, and a braced block is
         spliced into its statements."""
-        while (
-            self.peek().kind == "ident"
-            and self.peek(1).text == ":"
-            and self.peek().text not in ("default", "case")
-        ):
-            self.take()
-            self.take()
-        if self.at("{"):
-            return self.parse_block()
-        stmt = self.parse_stmt()
-        return [stmt] if stmt is not None else []
+        depth = self.nest(self.peek())
+        try:
+            while (
+                self.peek().kind == "ident"
+                and self.peek(1).text == ":"
+                and self.peek().text not in ("default", "case")
+            ):
+                self.take()
+                self.take()
+            if self.at("{"):
+                return self.parse_block()
+            stmt = self.parse_stmt()
+            return [stmt] if stmt is not None else []
+        finally:
+            self.depth = depth
 
     def parse_stmt(self):
         tok = self.peek()
@@ -450,44 +479,49 @@ class _Parser:
 
     def parse_switch(self):
         tok = self.expect("switch")
-        self.expect("(")
-        subject = self.parse_expr()
-        self.expect(")")
-        self.expect("{")
-        cases: list[nodes.SwitchCase] = []
-        current: nodes.SwitchCase | None = None
-        while not self.at("}"):
-            if self.eof():
-                raise CParseError("unbalanced '{' in switch", tok.line, tok.col)
-            if self.at("case"):
-                lab_tok = self.take()
-                label = self.parse_expr()
-                self.expect(":")
-                if current is None or current.body:
-                    current = nodes.SwitchCase(
-                        labels=[], line=lab_tok.line, col=lab_tok.col
+        # three frames lead down to a case body, so the switch is a level too
+        depth = self.nest(tok)
+        try:
+            self.expect("(")
+            subject = self.parse_expr()
+            self.expect(")")
+            self.expect("{")
+            cases: list[nodes.SwitchCase] = []
+            current: nodes.SwitchCase | None = None
+            while not self.at("}"):
+                if self.eof():
+                    raise CParseError("unbalanced '{' in switch", tok.line, tok.col)
+                if self.at("case"):
+                    lab_tok = self.take()
+                    label = self.parse_expr()
+                    self.expect(":")
+                    if current is None or current.body:
+                        current = nodes.SwitchCase(
+                            labels=[], line=lab_tok.line, col=lab_tok.col
+                        )
+                        cases.append(current)
+                    current.labels.append(label)
+                    continue
+                if self.at("default"):
+                    lab_tok = self.take()
+                    self.expect(":")
+                    if current is None or current.body:
+                        current = nodes.SwitchCase(
+                            labels=[], line=lab_tok.line, col=lab_tok.col
+                        )
+                        cases.append(current)
+                    current.labels.append(None)
+                    continue
+                if current is None:
+                    t = self.peek()
+                    raise CParseError(
+                        "statement before first case label", t.line, t.col
                     )
-                    cases.append(current)
-                current.labels.append(label)
-                continue
-            if self.at("default"):
-                lab_tok = self.take()
-                self.expect(":")
-                if current is None or current.body:
-                    current = nodes.SwitchCase(
-                        labels=[], line=lab_tok.line, col=lab_tok.col
-                    )
-                    cases.append(current)
-                current.labels.append(None)
-                continue
-            if current is None:
-                t = self.peek()
-                raise CParseError(
-                    "statement before first case label", t.line, t.col
-                )
-            current.body.extend(self.parse_body_or_single())
-        self.expect("}")
-        return nodes.Switch(subject, cases, line=tok.line, col=tok.col)
+                current.body.extend(self.parse_body_or_single())
+            self.expect("}")
+            return nodes.Switch(subject, cases, line=tok.line, col=tok.col)
+        finally:
+            self.depth = depth
 
     def starts_decl(self) -> bool:
         tok = self.peek()
@@ -562,25 +596,28 @@ class _Parser:
         return self.parse_expr()
 
     def parse_brace_list(self) -> list:
-        self.expect("{")
-        inits: list = []
-        while not self.at("}"):
-            if self.eof():
-                tok = self.peek()
-                raise CParseError("unbalanced '{'", tok.line, tok.col)
-            # designators: .field = expr  (parsed loosely)
-            if self.at(".") and self.peek(1).kind == "ident":
-                self.take()
-                self.take()
-                self.expect("=")
-            if self.at("{"):
-                inits.extend(self.parse_brace_list())
-            else:
-                inits.append(self.parse_expr())
-            if not self.accept(","):
-                break
-        self.expect("}")
-        return inits
+        depth = self.nest(self.expect("{"))
+        try:
+            inits: list = []
+            while not self.at("}"):
+                if self.eof():
+                    tok = self.peek()
+                    raise CParseError("unbalanced '{'", tok.line, tok.col)
+                # designators: .field = expr  (parsed loosely)
+                if self.at(".") and self.peek(1).kind == "ident":
+                    self.take()
+                    self.take()
+                    self.expect("=")
+                if self.at("{"):
+                    inits.extend(self.parse_brace_list())
+                else:
+                    inits.append(self.parse_expr())
+                if not self.accept(","):
+                    break
+            self.expect("}")
+            return inits
+        finally:
+            self.depth = depth
 
     # -- expressions ----------------------------------------------------
 
@@ -589,40 +626,53 @@ class _Parser:
         binds at least `min_prec`, each right operand taking only tighter
         ones (or as tight, for the right-grouping ones)."""
         left = self.parse_unary()
-        while True:
-            tok = self.peek()
-            prec = _PREC.get(tok.text, 0)
-            if prec < min_prec:
-                return left
-            self.take()
-            if prec == _ASSIGN:
-                right = self.parse_expr(_ASSIGN)
-                left = nodes.Assign(left, right, tok.text, line=tok.line, col=tok.col)
-            elif prec == _CONDITIONAL:
-                then = self.parse_expr()
-                self.expect(":")
-                els = self.parse_expr(_CONDITIONAL)
-                left = nodes.Ternary(left, then, els, line=tok.line, col=tok.col)
-            else:
-                right = self.parse_expr(prec + 1)
-                left = nodes.Binary(tok.text, left, right, line=tok.line, col=tok.col)
+        depth = self.depth
+        try:
+            while True:
+                tok = self.peek()
+                prec = _PREC.get(tok.text, 0)
+                if prec < min_prec:
+                    return left
+                self.take()
+                self.nest(tok)
+                if prec == _ASSIGN:
+                    right = self.parse_expr(_ASSIGN)
+                    left = nodes.Assign(
+                        left, right, tok.text, line=tok.line, col=tok.col
+                    )
+                elif prec == _CONDITIONAL:
+                    then = self.parse_expr()
+                    self.expect(":")
+                    els = self.parse_expr(_CONDITIONAL)
+                    left = nodes.Ternary(left, then, els, line=tok.line, col=tok.col)
+                else:
+                    right = self.parse_expr(prec + 1)
+                    left = nodes.Binary(
+                        tok.text, left, right, line=tok.line, col=tok.col
+                    )
+        finally:
+            self.depth = depth
 
     def parse_unary(self):
         tok = self.peek()
-        if tok.text in ("*", "&", "!", "~", "-", "+", "++", "--"):
-            self.take()
-            operand = self.parse_unary()
-            return nodes.Unary(tok.text, operand, True, line=tok.line, col=tok.col)
-        if tok.text == "sizeof":
-            self.take()
-            if self.at("(") and self.is_type_ahead(1):
-                self.expect("(")
-                ctype = self.parse_type_name()
-                self.expect(")")
-                return nodes.SizeofType(ctype, line=tok.line, col=tok.col)
-            operand = self.parse_unary()
-            return nodes.Unary("sizeof", operand, True, line=tok.line, col=tok.col)
-        return self.parse_postfix()
+        depth = self.nest(tok)
+        try:
+            if tok.text in ("*", "&", "!", "~", "-", "+", "++", "--"):
+                self.take()
+                operand = self.parse_unary()
+                return nodes.Unary(tok.text, operand, True, line=tok.line, col=tok.col)
+            if tok.text == "sizeof":
+                self.take()
+                if self.at("(") and self.is_type_ahead(1):
+                    self.expect("(")
+                    ctype = self.parse_type_name()
+                    self.expect(")")
+                    return nodes.SizeofType(ctype, line=tok.line, col=tok.col)
+                operand = self.parse_unary()
+                return nodes.Unary("sizeof", operand, True, line=tok.line, col=tok.col)
+            return self.parse_postfix()
+        finally:
+            self.depth = depth
 
     def is_type_ahead(self, offset: int) -> bool:
         tok = self.peek(offset)
@@ -654,34 +704,38 @@ class _Parser:
 
     def parse_postfix(self):
         expr = self.parse_primary()
-        while True:
-            tok = self.peek()
-            if tok.text == "(":
+        depth = self.depth
+        try:
+            while True:
+                tok = self.peek()
+                if tok.text not in ("(", "[", ".", "->", "++", "--"):
+                    return expr
                 self.take()
-                args = []
-                if not self.at(")"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if not self.accept(","):
-                            break
-                self.expect(")")
-                expr = nodes.Call(expr, args, line=tok.line, col=tok.col)
-            elif tok.text == "[":
-                self.take()
-                index = self.parse_expr()
-                self.expect("]")
-                expr = nodes.Index(expr, index, line=tok.line, col=tok.col)
-            elif tok.text in (".", "->"):
-                self.take()
-                name = self.take()
-                expr = nodes.Member(
-                    expr, name.text, tok.text == "->", line=tok.line, col=tok.col
-                )
-            elif tok.text in ("++", "--"):
-                self.take()
-                expr = nodes.Unary(tok.text, expr, False, line=tok.line, col=tok.col)
-            else:
-                return expr
+                self.nest(tok)
+                if tok.text == "(":
+                    args = []
+                    if not self.at(")"):
+                        while True:
+                            args.append(self.parse_expr())
+                            if not self.accept(","):
+                                break
+                    self.expect(")")
+                    expr = nodes.Call(expr, args, line=tok.line, col=tok.col)
+                elif tok.text == "[":
+                    index = self.parse_expr()
+                    self.expect("]")
+                    expr = nodes.Index(expr, index, line=tok.line, col=tok.col)
+                elif tok.text in (".", "->"):
+                    name = self.take()
+                    expr = nodes.Member(
+                        expr, name.text, tok.text == "->", line=tok.line, col=tok.col
+                    )
+                else:
+                    expr = nodes.Unary(
+                        tok.text, expr, False, line=tok.line, col=tok.col
+                    )
+        finally:
+            self.depth = depth
 
     def parse_primary(self):
         tok = self.peek()
@@ -700,7 +754,10 @@ class _Parser:
         if tok.kind == "ident":
             self.take()
             return nodes.Name(tok.text, line=tok.line, col=tok.col)
-        if tok.text == "(":
+        if tok.text != "(":
+            raise CParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        depth = self.nest(tok)
+        try:
             if self.is_type_ahead(1):
                 self.take()
                 ctype = self.parse_type_name()
@@ -714,7 +771,8 @@ class _Parser:
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        raise CParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        finally:
+            self.depth = depth
 
 
 def _num_value(text: str):
@@ -730,41 +788,35 @@ def _num_value(text: str):
             return None
 
 
-def _collect_locals(body) -> list[tuple[str, nodes.CType]]:
-    from . import intrinsics
+def _collect_locals(stmts, found: list[tuple[str, nodes.CType]]):
+    """Append the locals declared in `stmts`, nested bodies included.
 
-    found: list[tuple[str, nodes.CType]] = []
-
-    def visit(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, nodes.DeclStmt):
-                for d in stmt.decls:
-                    found.append((d.name, d.ctype))
-            elif isinstance(stmt, nodes.ExprStmt):
-                expr = stmt.expr
-                if (
-                    isinstance(expr, nodes.Call)
-                    and expr.callee in intrinsics.CAMLLOCAL
-                ):
-                    for arg in expr.args:
-                        if isinstance(arg, nodes.Name):
-                            found.append((arg.ident, nodes.CType("value")))
-            elif isinstance(stmt, nodes.If):
-                visit(stmt.then)
-                if stmt.els:
-                    visit(stmt.els)
-            elif isinstance(stmt, (nodes.While, nodes.DoWhile)):
-                visit(stmt.body)
-            elif isinstance(stmt, nodes.For):
-                if stmt.init is not None:
-                    visit([stmt.init])
-                visit(stmt.body)
-            elif isinstance(stmt, nodes.Switch):
-                for case in stmt.cases:
-                    visit(case.body)
-
-    visit(body)
-    return found
+    A module-level function, not a closure over `found`: a closure that
+    calls itself is a reference cycle, which only the cyclic collector
+    frees."""
+    for stmt in stmts:
+        if isinstance(stmt, nodes.DeclStmt):
+            for d in stmt.decls:
+                found.append((d.name, d.ctype))
+        elif isinstance(stmt, nodes.ExprStmt):
+            expr = stmt.expr
+            if isinstance(expr, nodes.Call) and expr.callee in CAMLLOCAL:
+                for arg in expr.args:
+                    if isinstance(arg, nodes.Name):
+                        found.append((arg.ident, nodes.CType("value")))
+        elif isinstance(stmt, nodes.If):
+            _collect_locals(stmt.then, found)
+            if stmt.els:
+                _collect_locals(stmt.els, found)
+        elif isinstance(stmt, (nodes.While, nodes.DoWhile)):
+            _collect_locals(stmt.body, found)
+        elif isinstance(stmt, nodes.For):
+            if stmt.init is not None:
+                _collect_locals([stmt.init], found)
+            _collect_locals(stmt.body, found)
+        elif isinstance(stmt, nodes.Switch):
+            for case in stmt.cases:
+                _collect_locals(case.body, found)
 
 
 def parse_unit(preprocessed_text: str, file_name: str) -> nodes.StubUnit:

@@ -5,8 +5,9 @@ function-like `#define`s (expanded a single level, never rescanned),
 `#include` lines (removed, never expanded) and conditional blocks.
 
 An `#if`/`#elif` guard has its local macros substituted, is parsed by the C
-parser's `parse_expression` and folded over integer literals, with `/`
-and `%` truncating toward zero as in C99.  A guard that names a macro not
+parser's `parse_expression` and folded over integer literals as C99
+does: `/` and `%` truncate toward zero, and `&&`, `||` and `?:` fold only
+the operands they select.  A guard that names a macro not
 defined in this file, or that uses syntax the fold does not model (a shift
 by a count outside 0..63 among it), takes the branch you would get with
 those macros undefined (0) and leaves a note saying so; `#if 0` is elided
@@ -245,8 +246,6 @@ def _guard(kind, rest, macros):
 
 
 _GUARD_OPS = {
-    "||": lambda a, b: int(bool(a) or bool(b)),
-    "&&": lambda a, b: int(bool(a) and bool(b)),
     "|": lambda a, b: a | b,
     "^": lambda a, b: a ^ b,
     "&": lambda a, b: a & b,
@@ -288,13 +287,21 @@ def _c_div(a: int, b: int) -> int:
 
 def _fold(expr) -> int:
     """Value of a guard expression over int literals; ValueError for
-    anything else."""
+    anything else.  As in C, `&&`, `||` and `?:` fold only the operands
+    they select, so `1 || 1 / 0` is 1."""
     if isinstance(expr, nodes.Num) and isinstance(expr.value, int):
         return expr.value
     if isinstance(expr, nodes.Unary) and expr.prefix and expr.op in _GUARD_PREFIX_OPS:
         return _GUARD_PREFIX_OPS[expr.op](_fold(expr.operand))
     if isinstance(expr, nodes.Binary):
-        return _GUARD_OPS[expr.op](_fold(expr.left), _fold(expr.right))
+        left = _fold(expr.left)
+        if expr.op == "&&":
+            return int(bool(left) and bool(_fold(expr.right)))
+        if expr.op == "||":
+            return int(bool(left) or bool(_fold(expr.right)))
+        return _GUARD_OPS[expr.op](left, _fold(expr.right))
+    if isinstance(expr, nodes.Ternary):
+        return _fold(expr.then if _fold(expr.cond) else expr.els)
     raise ValueError("unsupported guard syntax")
 
 

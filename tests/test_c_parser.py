@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from stublint.c_frontend import nodes as ast
 from stublint.c_frontend.lexer import CLexError, Token, lex
+from stublint.c_frontend.parser import MAX_NESTING, CParseError, parse_expression
 
 
 def fn_of(unit, name=None):
@@ -382,3 +383,67 @@ def test_caml_locals_collected(parse_c):
     value_locals = {name for name, ctype in fn.locals if ctype.is_value}
     assert {"x", "y"} <= value_locals
     assert "rc" not in value_locals
+
+
+# -- nesting cap -----------------------------------------------------------
+
+
+def test_nesting_cap_counts_each_prefix_operator_as_a_level():
+    parse_expression("- " * (MAX_NESTING - 1) + "1")  # the 1 is a level too
+    with pytest.raises(CParseError, match=f"nested more than {MAX_NESTING} levels"):
+        parse_expression("- " * MAX_NESTING + "1")
+
+
+# statement bodies of `value f(value c, value x, value *p)`, nesting one
+# construct n times
+NESTED = {
+    "parentheses": lambda n: "v = " + "(" * n + "1" + ")" * n + ";",
+    "prefix operators": lambda n: "v = " + "- " * n + "1;",
+    "casts": lambda n: "v = " + "(long)" * n + "x;",
+    "call arguments": lambda n: "v = " + "f(" * n + "1" + ")" * n + ";",
+    "call chain": lambda n: "v = g" + "()" * n + ";",
+    "members": lambda n: "v = p" + "->f" * n + ";",
+    "sums": lambda n: "v = " + " + ".join(["x"] * (n + 1)) + ";",
+    "assignments": lambda n: "v = " * n + "1;",
+    "conditionals": lambda n: "v = " + "c ? 1 : " * n + "0;",
+    "ifs": lambda n: "if (c) " * n + "v = 1;",
+    "else ifs": lambda n: "if (c) v = 1; else " * n + "v = 2;",
+    "loops": lambda n: "while (c) " * n + "v = 1;",
+    "switches": lambda n: "switch (c) { case 1: " * n + "v = 1;" + " }" * n,
+    "blocks": lambda n: "{ " * n + "v = 1;" + " }" * n,
+    "initializers": lambda n: "int a[1] = " + "{" * n + "1" + "}" * n + ";",
+}
+
+
+def _nested(shape: str, n: int) -> str:
+    body = NESTED[shape](n)
+    return f"value f(value c, value x, value *p)\n{{\n    {body}\n    return c;\n}}\n"
+
+
+def _with_frames_in_use(frames: int, call):
+    return call() if frames == 0 else _with_frames_in_use(frames - 1, call)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_at_the_cap_is_analyzed_and_past_it_dropped(parse_c, lint_c, shape):
+    def parses(n):
+        return bool(parse_c(_nested(shape, n)).functions)
+
+    lo, hi = 1, 2 * MAX_NESTING  # the deepest n that parses is in [lo, hi)
+    assert parses(lo) and not parses(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if parses(mid):
+            lo = mid
+        else:
+            hi = mid
+    # no construct takes more than two levels
+    assert MAX_NESTING // 2 - 3 <= lo < MAX_NESTING
+    # at the cap, every walk over the tree runs, with 400 frames in use
+    diags = _with_frames_in_use(400, lambda: lint_c(_nested(shape, lo)))
+    assert "UNSUPPORTED_CONSTRUCT" not in [d.rule_id for d in diags]
+    # one past it, the function is dropped with a warning
+    (warning,) = [d for d in lint_c(_nested(shape, lo + 1)) if d.severity == "warning"]
+    assert warning.rule_id == "UNSUPPORTED_CONSTRUCT"
+    assert warning.message.startswith("could not parse body of 'f': ")
+    assert warning.message.endswith(f"nested more than {MAX_NESTING} levels deep")

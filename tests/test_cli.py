@@ -1,9 +1,17 @@
 """End-to-end command line behavior: exit codes, outputs, suppression."""
 
+import contextlib
+import gc
+import io
 import json
+import re
 
 import jsonschema
 import pytest
+from conftest import CORPUS
+from hypothesis import given, strategies as st
+
+from stublint.cli import main
 
 CLEAN_C = "value ok(value a)\n{\n    CAMLparam1(a);\n    CAMLreturn(a);\n}\n"
 CLEAN_ML = 'external ok : unit -> unit = "ok"\n'
@@ -129,8 +137,6 @@ def test_broken_summaries_are_fatal(proj, run_main):
 
 
 def test_usage_error_exits_two():
-    from stublint.cli import main
-
     with pytest.raises(SystemExit) as exc:
         main([])  # argparse: FILE is required
     assert exc.value.code == 2
@@ -199,3 +205,68 @@ def test_diagnostics_sorted_and_deduplicated(proj, run_main):
     lines = out.strip().splitlines()
     reported = [int(line.split(":")[1]) for line in lines]
     assert reported == sorted(reported)
+
+
+def test_main_gives_back_the_collector_state_it_found(proj, run_main):
+    _, write = proj
+    paths = {
+        0: write("ok.c", CLEAN_C),
+        1: write("bad.c", BAD_C),
+        2: write("stray.c", "int x = @;\n"),
+    }
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for status, path in paths.items():
+                assert run_main(path)[0] == status
+                assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
+def test_deep_nesting_is_unsupported_not_a_traceback(proj, run_main):
+    _, write = proj
+    bodies = [
+        "v = " + "(" * 400 + "1" + ")" * 400 + ";",
+        "if (a) " * 400 + "a = 1;",
+        "{" * 2000 + "}" * 2000,
+        "v = " + "-" * 3000 + "1;",
+    ]
+    for body in bodies:
+        path = write("deep.c", f"value f(value a)\n{{\n    {body}\n    return a;\n}}\n")
+        code, out, err = run_main(path)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"{path}:1:7: warning: UNSUPPORTED_CONSTRUCT:")
+        assert "nested more than" in out
+    guard = "#if " + "(" * 3000 + "1" + ")" * 3000 + "\nint x;\n#endif\n"
+    code, out, err = run_main(write("deep.c", guard))
+    assert (code, err) == (0, "")
+    assert "note: NOTE: conditional '#if" in out
+
+
+_CORPUS_TOKENS = sorted(
+    {
+        token
+        for path in CORPUS.glob("**/*")
+        if path.suffix in (".c", ".ml")
+        for token in re.findall(r'"(?:[^"\\\n]|\\.)*"|\w+|[^\w\s]|\n', path.read_text())
+    }
+)
+_SOUP = st.lists(st.sampled_from(_CORPUS_TOKENS), max_size=300).map(
+    lambda tokens: " ".join(tokens).encode()
+)
+
+
+@given(
+    source=st.one_of(st.binary(max_size=2000), _SOUP),
+    suffix=st.sampled_from([".c", ".c", ".c", ".ml"]),
+)
+def test_main_on_any_input_exits_0_1_or_2(tmp_path_factory, source, suffix):
+    path = tmp_path_factory.getbasetemp() / f"soup{suffix}"
+    path.write_bytes(source)
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([str(path), "--sarif", str(path) + ".sarif"])
+    assert code in (0, 1, 2)
+    assert gc.isenabled()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from stublint.c_frontend.parser import MAX_NESTING
 from stublint.c_frontend.preprocess import PreprocessError, preprocess_local
 
 
@@ -86,6 +87,10 @@ def test_unknown_guard_takes_undefined_branch_with_note():
     assert any(d.rule_id == "NOTE" for d in result.notes)
 
 
+def _parenthesized(n):
+    return "(" * n + "1" + ")" * n
+
+
 # (guard, branch taken, NOTE given), with VER defined as 5
 GUARDS = [
     ("VER >= 5", True, False),
@@ -106,7 +111,15 @@ GUARDS = [
     ("1f == 10", False, False),
     ("UNKNOWN + 1", True, True),
     ("UNKNOWN", False, True),
-    ("1 ? 2 : 3", False, True),
+    ("1 ? 2 : 3", True, False),
+    ("0 ? 1 : 2", True, False),  # folds to 2
+    ("(0 ? 1 : 2) == 2 && (1 ? 0 ? 3 : 4 : 5) == 4", True, False),
+    ("0 ? 1 / 0 : 1", True, False),  # only the selected operand folds
+    ("1 ? 1 / 0 : 1", False, True),
+    ("1 || 1 / 0", True, False),  # && and || short-circuit
+    ("1 || (1 << 99)", True, False),
+    ("0 && (1 / 0)", False, False),
+    ("0 || 1 / 0", False, True),
     ("1 +", False, True),
     ("1 << 63 > 0 && 1 >> 0", True, False),
     ("1 << 64", False, True),  # a shift C leaves undefined
@@ -116,6 +129,11 @@ GUARDS = [
     ("-7 / 2 == -3 && 7 / -2 == -3", True, False),  # C99 truncates
     ("-7 % 2 == -1 && 7 % -2 == 1", True, False),
     ("010 == 8", True, False),  # octal
+    # a parenthesis and the operand in it are a level each, the outer
+    # operand one more
+    (_parenthesized((MAX_NESTING - 1) // 2), True, False),  # at the cap
+    (_parenthesized((MAX_NESTING + 1) // 2), False, True),
+    (_parenthesized(3000), False, True),
 ]
 
 
