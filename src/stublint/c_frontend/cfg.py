@@ -4,11 +4,16 @@ One node per executed statement.  Declarations without an initializer do
 not execute anything, so they get no node.  `return`, `CAMLreturn`, and
 calls to noreturn functions edge straight to the synthetic exit.
 
-Building a node lowers its statement once into `Node.ops` (see
-nodes.lower_ops): the calls, assignments, address-takings, increments and
+Each node carries the ops the parser attached to its statement (see
+nodes, "Ops"): the calls, assignments, address-takings, increments and
 dereferences its own expressions perform, children before parents.  The
 lock, value and constant analyses read those ops and nothing else of the
 expression tree.  Entry and exit have no ops.
+
+The nodes are grouped into basic blocks (Allen 1970): maximal runs in which
+each node is the only successor of the one before and has no other
+predecessor.  The solver keeps states only at block heads.  Block 0 starts
+at the entry, and the exit always heads a block of its own.
 """
 
 from __future__ import annotations
@@ -27,19 +32,25 @@ class Node:
     id: int
     kind: str  # "entry", "exit", or "stmt"
     stmt: object
-    line: int
-    col: int
     ops: tuple = ()
     succs: list[int] = field(default_factory=list)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<node {self.id} {self.kind} L{self.line} -> {self.succs}>"
+        return f"<node {self.id} {self.kind} -> {self.succs}>"
+
+
+@dataclass(slots=True)
+class Block:
+    id: int
+    nodes: list[Node]
+    succs: list[int] = field(default_factory=list)  # block ids
 
 
 @dataclass(slots=True)
 class Cfg:
     fn: ast.StubFunction
     nodes: list[Node]
+    blocks: list[Block]
 
     @property
     def entry(self) -> Node:
@@ -66,23 +77,49 @@ class Cfg:
         return [n.id for n in self.statement_nodes() if n.id not in seen]
 
 
+def _basic_blocks(nodes: list[Node]) -> list[Block]:
+    preds = [0] * len(nodes)
+    for node in nodes:
+        for succ in node.succs:
+            preds[succ] += 1
+    preds[EXIT] = 0  # so the exit heads a block of its own
+    # follows[n] is the node that continues n's block, or -1
+    follows = [
+        node.succs[0] if len(node.succs) == 1 and preds[node.succs[0]] == 1 else -1
+        for node in nodes
+    ]
+    inner = set(follows)
+    block_of = [-1] * len(nodes)
+    blocks: list[Block] = []
+    # heads first; a cycle of inner nodes, which no head reaches, is cut anywhere
+    for start in [n for n in nodes if n.id not in inner] + nodes:
+        nid = start.id
+        if block_of[nid] < 0:
+            block = Block(len(blocks), [])
+            blocks.append(block)
+            while nid >= 0 and block_of[nid] < 0:
+                block_of[nid] = block.id
+                block.nodes.append(nodes[nid])
+                nid = follows[nid]
+    for block in blocks:
+        block.succs = [block_of[succ] for succ in block.nodes[-1].succs]
+    return blocks
+
+
 class _Builder:
     def __init__(self, fn: ast.StubFunction, is_noreturn):
         self.fn = fn
         self.is_noreturn = is_noreturn or (lambda name: False)
-        self.nodes = [
-            Node(ENTRY, "entry", None, fn.line, fn.col),
-            Node(EXIT, "exit", None, fn.line, fn.col),
-        ]
+        self.nodes = [Node(ENTRY, "entry", None), Node(EXIT, "exit", None)]
         self.break_stack: list[list[int]] = []
         self.continue_stack: list[list[int]] = []
 
-    def new_node(self, stmt) -> int:
-        node = Node(
-            len(self.nodes), "stmt", stmt, stmt.line, stmt.col, ast.lower_ops(stmt)
-        )
-        self.nodes.append(node)
-        return node.id
+    def new_node(self, stmt, frontier: list[int]) -> int:
+        """A node for `stmt`, with its ops, entered from `frontier`."""
+        nid = len(self.nodes)
+        self.nodes.append(Node(nid, "stmt", stmt, getattr(stmt, "ops", ())))
+        self.connect(frontier, nid)
+        return nid
 
     def add_edge(self, src: int, dst: int):
         if dst not in self.nodes[src].succs:
@@ -95,7 +132,7 @@ class _Builder:
     def build(self) -> Cfg:
         frontier = self.lower_list(self.fn.body, [ENTRY])
         self.connect(frontier, EXIT)
-        return Cfg(self.fn, self.nodes)
+        return Cfg(self.fn, self.nodes, _basic_blocks(self.nodes))
 
     def lower_list(self, stmts, frontier: list[int]) -> list[int]:
         for stmt in stmts:
@@ -105,141 +142,76 @@ class _Builder:
     def lower(self, stmt, frontier: list[int]) -> list[int]:
         if isinstance(stmt, ast.DeclStmt):
             for decl in stmt.decls:
-                if decl.init is None:
-                    continue
-                nid = self.new_node(decl)
-                self.connect(frontier, nid)
-                frontier = [nid]
+                if decl.init is not None:
+                    frontier = [self.new_node(decl, frontier)]
             return frontier
+        if isinstance(stmt, ast.For) and stmt.init is not None:
+            frontier = self.lower(stmt.init, frontier)
+        # the node that evaluates the statement's own expression; control
+        # enters a do-while at its body, not at its condition
+        nid = self.new_node(stmt, [] if isinstance(stmt, ast.DoWhile) else frontier)
 
         if isinstance(stmt, ast.ExprStmt):
-            nid = self.new_node(stmt)
-            self.connect(frontier, nid)
             if self._terminates(stmt.expr):
                 self.add_edge(nid, EXIT)
                 return []
             return [nid]
 
         if isinstance(stmt, ast.Return):
-            nid = self.new_node(stmt)
-            self.connect(frontier, nid)
             self.add_edge(nid, EXIT)
             return []
 
         if isinstance(stmt, ast.If):
-            cond = self.new_node(stmt)
-            self.connect(frontier, cond)
-            out = self.lower_list(stmt.then, [cond])
-            if stmt.els is not None:
-                out = out + self.lower_list(stmt.els, [cond])
-            else:
-                out = out + [cond]
-            return out
+            out = self.lower_list(stmt.then, [nid])
+            if stmt.els is None:
+                return out + [nid]
+            return out + self.lower_list(stmt.els, [nid])
 
-        if isinstance(stmt, ast.While):
-            cond = self.new_node(stmt)
-            self.connect(frontier, cond)
+        if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
+            step = None  # a `for` step is its own node, made before the body
+            if isinstance(stmt, ast.For) and stmt.step is not None:
+                step = self.new_node(stmt.step, [])
+            head = len(self.nodes)
             breaks: list[int] = []
             continues: list[int] = []
             self.break_stack.append(breaks)
             self.continue_stack.append(continues)
-            body_out = self.lower_list(stmt.body, [cond])
+            if isinstance(stmt, ast.DoWhile):
+                body_out = self.lower_list(stmt.body, frontier)
+                # the condition loops back to the body's first node
+                self.add_edge(nid, head if head < len(self.nodes) else nid)
+            else:
+                body_out = self.lower_list(stmt.body, [nid])
             self.break_stack.pop()
             self.continue_stack.pop()
-            self.connect(body_out, cond)
-            for nid in continues:
-                self.add_edge(nid, cond)
-            return [cond] + breaks
-
-        if isinstance(stmt, ast.DoWhile):
-            cond = self.new_node(stmt)
-            breaks = []
-            continues = []
-            self.break_stack.append(breaks)
-            self.continue_stack.append(continues)
-            marker = len(self.nodes)
-            body_out = self.lower_list(stmt.body, frontier)
-            self.break_stack.pop()
-            self.continue_stack.pop()
-            head = marker if marker < len(self.nodes) else cond
-            self.connect(body_out, cond)
-            for nid in continues:
-                self.add_edge(nid, cond)
-            self.add_edge(cond, head)
-            return [cond] + breaks
-
-        if isinstance(stmt, ast.For):
-            if stmt.init is not None:
-                frontier = self.lower(stmt.init, frontier)
-            cond = self.new_node(stmt)
-            self.connect(frontier, cond)
-            step = None
-            if stmt.step is not None:
-                synth = ast.ExprStmt(
-                    stmt.step, line=stmt.step.line, col=stmt.step.col
-                )
-                step = self.new_node(synth)
-            breaks = []
-            continues = []
-            self.break_stack.append(breaks)
-            self.continue_stack.append(continues)
-            body_out = self.lower_list(stmt.body, [cond])
-            self.break_stack.pop()
-            self.continue_stack.pop()
-            back = step if step is not None else cond
-            self.connect(body_out, back)
-            for nid in continues:
-                self.add_edge(nid, back)
+            self.connect(body_out + continues, nid if step is None else step)
             if step is not None:
-                self.add_edge(step, cond)
-            out = list(breaks)
-            if stmt.cond is not None:  # for(;;) never falls out of the loop
-                out.append(cond)
-            return out
+                self.add_edge(step, nid)
+            if isinstance(stmt, ast.For) and stmt.cond is None:
+                return breaks  # for(;;) never falls out of the loop
+            return [nid] + breaks
 
         if isinstance(stmt, ast.Switch):
-            subject = self.new_node(stmt)
-            self.connect(frontier, subject)
             breaks = []
             self.break_stack.append(breaks)
             fall: list[int] = []
-            has_default = False
             for case in stmt.cases:
-                if None in case.labels:
-                    has_default = True
-                fall = self.lower_list(case.body, [subject] + fall)
+                fall = self.lower_list(case.body, [nid] + fall)
             self.break_stack.pop()
-            out = breaks + fall
-            if not has_default:
-                out.append(subject)
-            return out
+            if any(None in case.labels for case in stmt.cases):  # a default
+                return breaks + fall
+            return breaks + fall + [nid]
 
-        if isinstance(stmt, ast.Break):
-            nid = self.new_node(stmt)
-            self.connect(frontier, nid)
-            if self.break_stack:
-                self.break_stack[-1].append(nid)
+        if isinstance(stmt, (ast.Break, ast.Continue)):
+            is_break = isinstance(stmt, ast.Break)
+            stack = self.break_stack if is_break else self.continue_stack
+            if stack:
+                stack[-1].append(nid)
             else:
                 self.add_edge(nid, EXIT)
             return []
 
-        if isinstance(stmt, ast.Continue):
-            nid = self.new_node(stmt)
-            self.connect(frontier, nid)
-            if self.continue_stack:
-                self.continue_stack[-1].append(nid)
-            else:
-                self.add_edge(nid, EXIT)
-            return []
-
-        if isinstance(stmt, ast.Opaque):
-            nid = self.new_node(stmt)
-            self.connect(frontier, nid)
-            return [nid]
-
-        # anything unexpected falls through transparently
-        nid = self.new_node(stmt)
-        self.connect(frontier, nid)
+        # an opaque statement, or anything unexpected, falls through
         return [nid]
 
     def _terminates(self, expr) -> bool:

@@ -1,21 +1,39 @@
-"""AST shapes for the C stub subset, and their lowering into ops.
+"""AST shapes for the C stub subset, and the ops the parser attaches.
 
 Expression nodes carry (line, col) of their introducing token.  Statement
 bodies are plain Python lists; there is no separate Block node.  The
-analyses never walk expression trees themselves: `lower_ops` turns each
-statement into the flat ops its CFG node carries (see "Lowering" below).
+analyses never walk expression trees themselves: while it parses a
+statement-level expression, the parser appends the flat ops its nodes
+perform to that statement's `ops` (see "Ops" below), and each CFG node
+hands those ops on.
+
+The classes are slotted dataclasses without generated `__eq__` or
+`__repr__`: nothing compares nodes, and one `__repr__` on the base serves
+debugging and tests for all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+
+class _Node:
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+_node = dataclass(slots=True, repr=False, eq=False)
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True, slots=True)
-class CType:
+@_node
+class CType(_Node):
     base: str  # canonical spelling: "value", "int", "struct foo", ...
     pointers: int = 0
     array: bool = False
@@ -32,37 +50,37 @@ class CType:
 # Expressions
 
 
-@dataclass(slots=True)
-class Num:
+@_node
+class Num(_Node):
     text: str
     value: int | float | None = None
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class StrLit:
+@_node
+class StrLit(_Node):
     text: str
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class CharLit:
+@_node
+class CharLit(_Node):
     text: str
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class Name:
+@_node
+class Name(_Node):
     ident: str
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class Call:
+@_node
+class Call(_Node):
     func: object  # usually Name
     args: list = field(default_factory=list)
     line: int = 0
@@ -73,8 +91,8 @@ class Call:
         return self.func.ident if isinstance(self.func, Name) else None
 
 
-@dataclass(slots=True)
-class Unary:
+@_node
+class Unary(_Node):
     op: str
     operand: object = None
     prefix: bool = True
@@ -82,8 +100,8 @@ class Unary:
     col: int = 0
 
 
-@dataclass(slots=True)
-class Binary:
+@_node
+class Binary(_Node):
     op: str
     left: object = None
     right: object = None
@@ -91,8 +109,8 @@ class Binary:
     col: int = 0
 
 
-@dataclass(slots=True)
-class Ternary:
+@_node
+class Ternary(_Node):
     cond: object = None
     then: object = None
     els: object = None
@@ -100,8 +118,8 @@ class Ternary:
     col: int = 0
 
 
-@dataclass(slots=True)
-class Assign:
+@_node
+class Assign(_Node):
     target: object = None
     value: object = None
     op: str = "="
@@ -109,16 +127,16 @@ class Assign:
     col: int = 0
 
 
-@dataclass(slots=True)
-class Cast:
+@_node
+class Cast(_Node):
     ctype: CType = None
     operand: object = None
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class Member:
+@_node
+class Member(_Node):
     obj: object = None
     fieldname: str = ""
     arrow: bool = False
@@ -126,23 +144,23 @@ class Member:
     col: int = 0
 
 
-@dataclass(slots=True)
-class Index:
+@_node
+class Index(_Node):
     obj: object = None
     index: object = None
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class SizeofType:
+@_node
+class SizeofType(_Node):
     ctype: CType = None
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class CompoundLit:
+@_node
+class CompoundLit(_Node):
     ctype: CType = None
     inits: list = field(default_factory=list)
     line: int = 0
@@ -153,101 +171,109 @@ class CompoundLit:
 # Statements
 
 
-@dataclass(slots=True)
-class VarDecl:
+@_node
+class VarDecl(_Node):
     name: str
     ctype: CType
     init: object = None
+    ops: tuple = ()  # the initializer's, then the store into `name`
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class DeclStmt:
+@_node
+class DeclStmt(_Node):
     decls: list[VarDecl] = field(default_factory=list)
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class ExprStmt:
+@_node
+class ExprStmt(_Node):
     expr: object = None
+    ops: tuple = ()
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class If:
+@_node
+class If(_Node):
     cond: object = None
     then: list = field(default_factory=list)
     els: list | None = None
+    ops: tuple = ()  # the condition's
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class While:
+@_node
+class While(_Node):
     cond: object = None
     body: list = field(default_factory=list)
+    ops: tuple = ()  # the condition's
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class DoWhile:
+@_node
+class DoWhile(_Node):
     body: list = field(default_factory=list)
     cond: object = None
+    ops: tuple = ()  # the condition's
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class For:
+@_node
+class For(_Node):
     init: object = None  # DeclStmt | ExprStmt | None
     cond: object = None
-    step: object = None
+    step: ExprStmt | None = None
     body: list = field(default_factory=list)
+    ops: tuple = ()  # the condition's
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class SwitchCase:
+@_node
+class SwitchCase(_Node):
     labels: list = field(default_factory=list)  # exprs; None = default
     body: list = field(default_factory=list)
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class Switch:
+@_node
+class Switch(_Node):
     subject: object = None
     cases: list[SwitchCase] = field(default_factory=list)
+    ops: tuple = ()  # the subject's
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class Return:
+@_node
+class Return(_Node):
     expr: object = None
+    ops: tuple = ()
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class Break:
+@_node
+class Break(_Node):
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class Continue:
+@_node
+class Continue(_Node):
     line: int = 0
     col: int = 0
 
 
-@dataclass(slots=True)
-class Opaque:
+@_node
+class Opaque(_Node):
     """A statement the parser cannot model (inline asm, goto target, ...).
 
     Analyses treat it as scrambling every derived-pointer fact while leaving
@@ -264,8 +290,8 @@ class Opaque:
 # Top level
 
 
-@dataclass(slots=True)
-class StubFunction:
+@_node
+class StubFunction(_Node):
     name: str
     params: list[tuple[str, CType]]
     return_type: CType
@@ -277,114 +303,27 @@ class StubFunction:
     col: int = 0
 
 
-@dataclass(slots=True)
-class StubUnit:
+@_node
+class StubUnit(_Node):
     file: str
     functions: list[StubFunction] = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
-# Lowering
+# Ops
 #
-# build_cfg lowers each statement once into `ops`, a flat tuple of the
-# effects its own expressions have; every analysis transfers and reports over
-# those ops instead of walking the expression tree again.  Ops come in the
-# order walk_expr visits the tree: children before parents, operands left to
-# right.  So `v = (n = 2)` gives ASSIGN n before ASSIGN v, and `f(g(x))`
-# gives CALL g before CALL f.  An initialized VarDecl ends with an ASSIGN of
-# its initializer to the declared name.
+# The parser appends an op to the current statement-level expression's list
+# as it builds each node below, so ops come children before parents,
+# operands left to right: `v = (n = 2)` gives ASSIGN n before ASSIGN v, and
+# `f(g(x))` gives CALL g before CALL f.  Conditions, `return`, expression
+# statements, each initializer and the `for` step have a list of their own;
+# `case` labels, global initializers and `#if` guards give no op.  An
+# initialized VarDecl's list ends with the store into the declared name,
+# placed at the name's token.
 
 CALL = "call"  # (CALL, name, call): a call whose callee is a plain name
 ASSIGN = "assign"  # (ASSIGN, name, op, value, where): `name op value`
 ADDR = "addr"  # (ADDR, name, where): `&name`
 BUMP = "bump"  # (BUMP, name): `++`/`--` on a name
 DEREF = "deref"  # (DEREF, ptr, where): `*ptr`, `ptr->f` or `ptr[i]`
-
-_EXPR_FIELDS = {
-    Num: (),
-    StrLit: (),
-    CharLit: (),
-    Name: (),
-    Call: ("func", "args"),
-    Unary: ("operand",),
-    Binary: ("left", "right"),
-    Ternary: ("cond", "then", "els"),
-    Assign: ("target", "value"),
-    Cast: ("operand",),
-    Member: ("obj",),
-    Index: ("obj", "index"),
-    SizeofType: (),
-    CompoundLit: ("inits",),
-}
-
-
-def walk_expr(expr):
-    """Yield every node of an expression tree, children before parents
-    (C evaluates arguments before the call, so this is evaluation-ish
-    order for the purposes the analyses care about)."""
-    if expr is None:
-        return
-    fields = _EXPR_FIELDS.get(type(expr))
-    if fields is None:
-        return
-    for name in fields:
-        child = getattr(expr, name)
-        if isinstance(child, list):
-            for sub in child:
-                yield from walk_expr(sub)
-        else:
-            yield from walk_expr(child)
-    yield expr
-
-
-def stmt_exprs(stmt):
-    """Expressions evaluated *at* a statement, not inside nested bodies.
-
-    CFG lowering gives nested statements their own nodes, so a node's ops
-    come from its own expressions only.
-    """
-    if isinstance(stmt, ExprStmt):
-        return [stmt.expr]
-    if isinstance(stmt, VarDecl):
-        return [stmt.init] if stmt.init is not None else []
-    if isinstance(stmt, DeclStmt):
-        return [d.init for d in stmt.decls if d.init is not None]
-    if isinstance(stmt, (If, While, DoWhile)):
-        return [stmt.cond]
-    if isinstance(stmt, For):
-        return [stmt.cond] if stmt.cond is not None else []
-    if isinstance(stmt, Switch):
-        return [stmt.subject]
-    if isinstance(stmt, Return):
-        return [stmt.expr] if stmt.expr is not None else []
-    return []
-
-
-def lower_ops(stmt) -> tuple:
-    """The ops of one statement, in walk_expr order."""
-    ops = []
-    for expr in stmt_exprs(stmt):
-        for sub in walk_expr(expr):
-            if isinstance(sub, Call):
-                if isinstance(sub.func, Name):
-                    ops.append((CALL, sub.func.ident, sub))
-            elif isinstance(sub, Assign):
-                if isinstance(sub.target, Name):
-                    ops.append((ASSIGN, sub.target.ident, sub.op, sub.value, sub))
-            elif isinstance(sub, Unary):
-                if sub.op == "*":
-                    ops.append((DEREF, sub.operand, sub))
-                elif isinstance(sub.operand, Name):
-                    if sub.op == "&":
-                        ops.append((ADDR, sub.operand.ident, sub))
-                    elif sub.op in ("++", "--"):
-                        ops.append((BUMP, sub.operand.ident))
-            elif isinstance(sub, Member):
-                if sub.arrow:
-                    ops.append((DEREF, sub.obj, sub))
-            elif isinstance(sub, Index):
-                ops.append((DEREF, sub.obj, sub))
-    if isinstance(stmt, VarDecl) and stmt.init is not None:
-        ops.append((ASSIGN, stmt.name, "=", stmt.init, stmt))
-    return tuple(ops)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from ..diagnostics import WARNING, Diagnostic
 from . import nodes
 from .intrinsics import CAMLLOCAL
+from .nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
 from .lexer import Token, lex
 
 BASE_TYPE_WORDS = frozenset(
@@ -61,8 +62,8 @@ _PREC = {
 # is a statement, a switch, an operand, a parenthesis (cast and compound
 # literal included), a postfix operator, a binary, conditional or assignment
 # operator (its left operand is a tree already), or an initializer brace.
-# The parser and the walks over its trees (CFG building, lower_ops, fact_of,
-# eval_const, the guard fold) recurse at most two frames per level, so input
+# The parser and the walks over its trees (CFG building, fact_of, eval_const,
+# the guard fold) recurse at most two frames per level, so input
 # at the cap needs about 400 frames, well inside Python's default recursion
 # limit of 1000; deeper input is unsupported.  C99 (5.2.4.1) asks compilers
 # for 127 nested blocks and 63 nested parentheses, and 200 levels hold either.
@@ -86,6 +87,11 @@ class _Parser:
         self.depth = 0
         self.file = file
         self.diagnostics: list[Diagnostic] = []
+        # the ops of the statement-level expression being parsed; each node
+        # that performs one appends it as it is built (see nodes, "Ops").
+        # A statement keeps a copy, so what other expressions append (case
+        # labels, global initializers) lands in a list nothing keeps.
+        self.ops: list[tuple] = []
 
     # -- token plumbing -----------------------------------------------------
 
@@ -397,29 +403,29 @@ class _Parser:
         if text == "if":
             self.take()
             self.expect("(")
-            cond = self.parse_expr()
+            cond, ops = self.statement_expr()
             self.expect(")")
             then = self.parse_body_or_single()
             els = None
             if self.accept("else"):
                 els = self.parse_body_or_single()
-            return nodes.If(cond, then, els, line=tok.line, col=tok.col)
+            return nodes.If(cond, then, els, ops, line=tok.line, col=tok.col)
         if text == "while":
             self.take()
             self.expect("(")
-            cond = self.parse_expr()
+            cond, ops = self.statement_expr()
             self.expect(")")
             body = self.parse_body_or_single()
-            return nodes.While(cond, body, line=tok.line, col=tok.col)
+            return nodes.While(cond, body, ops, line=tok.line, col=tok.col)
         if text == "do":
             self.take()
             body = self.parse_body_or_single()
             self.expect("while")
             self.expect("(")
-            cond = self.parse_expr()
+            cond, ops = self.statement_expr()
             self.expect(")")
             self.expect(";")
-            return nodes.DoWhile(body, cond, line=tok.line, col=tok.col)
+            return nodes.DoWhile(body, cond, ops, line=tok.line, col=tok.col)
         if text == "for":
             self.take()
             self.expect("(")
@@ -428,23 +434,25 @@ class _Parser:
                 if self.starts_decl():
                     init = self.parse_decl_stmt(consume_semi=False)
                 else:
-                    init = nodes.ExprStmt(
-                        self.parse_expr(), line=tok.line, col=tok.col
-                    )
+                    expr, ops = self.statement_expr()
+                    init = nodes.ExprStmt(expr, ops, line=tok.line, col=tok.col)
             self.expect(";")
-            cond = None if self.at(";") else self.parse_expr()
+            cond, ops = (None, ()) if self.at(";") else self.statement_expr()
             self.expect(";")
-            step = None if self.at(")") else self.parse_expr()
+            step = None
+            if not self.at(")"):
+                expr, step_ops = self.statement_expr()
+                step = nodes.ExprStmt(expr, step_ops, line=expr.line, col=expr.col)
             self.expect(")")
             body = self.parse_body_or_single()
-            return nodes.For(init, cond, step, body, line=tok.line, col=tok.col)
+            return nodes.For(init, cond, step, body, ops, line=tok.line, col=tok.col)
         if text == "switch":
             return self.parse_switch()
         if text == "return":
             self.take()
-            expr = None if self.at(";") else self.parse_expr()
+            expr, ops = (None, ()) if self.at(";") else self.statement_expr()
             self.expect(";")
-            return nodes.Return(expr, line=tok.line, col=tok.col)
+            return nodes.Return(expr, ops, line=tok.line, col=tok.col)
         if text == "break":
             self.take()
             self.expect(";")
@@ -473,9 +481,15 @@ class _Parser:
             )
         if self.starts_decl():
             return self.parse_decl_stmt()
-        expr = self.parse_expr()
+        expr, ops = self.statement_expr()
         self.expect(";")
-        return nodes.ExprStmt(expr, line=tok.line, col=tok.col)
+        return nodes.ExprStmt(expr, ops, line=tok.line, col=tok.col)
+
+    def statement_expr(self):
+        """Parse a statement-level expression; returns it with its ops."""
+        self.ops = []
+        expr = self.parse_expr()
+        return expr, tuple(self.ops)
 
     def parse_switch(self):
         tok = self.expect("switch")
@@ -483,7 +497,7 @@ class _Parser:
         depth = self.nest(tok)
         try:
             self.expect("(")
-            subject = self.parse_expr()
+            subject, ops = self.statement_expr()
             self.expect(")")
             self.expect("{")
             cases: list[nodes.SwitchCase] = []
@@ -519,7 +533,7 @@ class _Parser:
                     )
                 current.body.extend(self.parse_body_or_single())
             self.expect("}")
-            return nodes.Switch(subject, cases, line=tok.line, col=tok.col)
+            return nodes.Switch(subject, cases, ops, line=tok.line, col=tok.col)
         finally:
             self.depth = depth
 
@@ -570,13 +584,19 @@ class _Parser:
                 self.skip_balanced("[", "]")
                 array = True
             init = None
+            ops = ()
             if self.accept("="):
+                self.ops = []
                 init = self.parse_initializer()
+                # the store sits at the name's token, not at the declaration
+                # that holds these ops: an op never refers to its statement
+                ops = (*self.ops, (ASSIGN, name_tok.text, "=", init, name_tok))
             decls.append(
                 nodes.VarDecl(
                     name_tok.text,
                     nodes.CType(base, ptrs, array=array),
                     init,
+                    ops,
                     line=name_tok.line,
                     col=name_tok.col,
                 )
@@ -637,9 +657,12 @@ class _Parser:
                 self.nest(tok)
                 if prec == _ASSIGN:
                     right = self.parse_expr(_ASSIGN)
-                    left = nodes.Assign(
+                    node = nodes.Assign(
                         left, right, tok.text, line=tok.line, col=tok.col
                     )
+                    if isinstance(left, nodes.Name):
+                        self.ops.append((ASSIGN, left.ident, tok.text, right, node))
+                    left = node
                 elif prec == _CONDITIONAL:
                     then = self.parse_expr()
                     self.expect(":")
@@ -657,10 +680,19 @@ class _Parser:
         tok = self.peek()
         depth = self.nest(tok)
         try:
-            if tok.text in ("*", "&", "!", "~", "-", "+", "++", "--"):
+            op = tok.text
+            if op in ("*", "&", "!", "~", "-", "+", "++", "--"):
                 self.take()
                 operand = self.parse_unary()
-                return nodes.Unary(tok.text, operand, True, line=tok.line, col=tok.col)
+                node = nodes.Unary(op, operand, True, line=tok.line, col=tok.col)
+                if op == "*":
+                    self.ops.append((DEREF, operand, node))
+                elif isinstance(operand, nodes.Name):
+                    if op == "&":
+                        self.ops.append((ADDR, operand.ident, node))
+                    elif op == "++" or op == "--":
+                        self.ops.append((BUMP, operand.ident))
+                return node
             if tok.text == "sizeof":
                 self.take()
                 if self.at("(") and self.is_type_ahead(1):
@@ -720,17 +752,28 @@ class _Parser:
                             if not self.accept(","):
                                 break
                     self.expect(")")
-                    expr = nodes.Call(expr, args, line=tok.line, col=tok.col)
+                    call = nodes.Call(expr, args, line=tok.line, col=tok.col)
+                    if isinstance(expr, nodes.Name):
+                        self.ops.append((CALL, expr.ident, call))
+                    expr = call
                 elif tok.text == "[":
                     index = self.parse_expr()
                     self.expect("]")
-                    expr = nodes.Index(expr, index, line=tok.line, col=tok.col)
+                    node = nodes.Index(expr, index, line=tok.line, col=tok.col)
+                    self.ops.append((DEREF, expr, node))
+                    expr = node
                 elif tok.text in (".", "->"):
                     name = self.take()
-                    expr = nodes.Member(
-                        expr, name.text, tok.text == "->", line=tok.line, col=tok.col
+                    arrow = tok.text == "->"
+                    node = nodes.Member(
+                        expr, name.text, arrow, line=tok.line, col=tok.col
                     )
+                    if arrow:
+                        self.ops.append((DEREF, expr, node))
+                    expr = node
                 else:
+                    if isinstance(expr, nodes.Name):
+                        self.ops.append((BUMP, expr.ident))
                     expr = nodes.Unary(
                         tok.text, expr, False, line=tok.line, col=tok.col
                     )

@@ -8,10 +8,11 @@ An `#if`/`#elif` guard has its local macros substituted, is parsed by the C
 parser's `parse_expression` and folded over integer literals as C99
 does: `/` and `%` truncate toward zero, and `&&`, `||` and `?:` fold only
 the operands they select.  A guard that names a macro not
-defined in this file, or that uses syntax the fold does not model (a shift
-by a count outside 0..63 among it), takes the branch you would get with
-those macros undefined (0) and leaves a note saying so; `#if 0` is elided
-silently.
+defined in this file takes the branch you would get with those macros
+undefined (0) and leaves a note saying so.  A guard that names none but
+that the fold does not model (a shift by a count outside 0..63, a division
+by zero, nesting past the parser's cap, a non-integer operand) is false,
+and its note says why; `#if 0` is elided silently.
 
 String and char literals are recognised by one pattern, `_LITERAL`, shared
 by comment stripping, macro expansion and parameter substitution, so a
@@ -126,20 +127,10 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
         if state[1] or not all(s[0] for s in stack[:-1]):
             state[0] = False
             return
-        value, used_unknown = _guard(name, rest, macros)
-        if used_unknown:
-            result.notes.append(
-                Diagnostic(
-                    "NOTE",
-                    NOTE,
-                    file_name,
-                    lineno,
-                    1,
-                    f"conditional '#{name} {rest}' depends on macros not"
-                    " defined in this file; analyzing the branch taken when"
-                    " they are undefined",
-                )
-            )
+        value, why = _guard(name, rest, macros)
+        if why is not None:
+            message = f"conditional '#{name} {rest}' {why}"
+            result.notes.append(Diagnostic("NOTE", NOTE, file_name, lineno, 1, message))
         state[0] = state[1] = bool(value)
     elif name == "else":
         if not stack:
@@ -200,20 +191,24 @@ def _define(rest, lineno, macros, result, file_name):
 # Guard evaluation
 
 
+_UNKNOWN_MACROS = (
+    "depends on macros not defined in this file; analyzing the branch taken"
+    " when they are undefined"
+)
+
+
 def _guard(kind, rest, macros):
     """Evaluate a conditional guard.
 
-    Returns (value, used_unknown).  Identifiers with no local definition
-    count as undefined (0), which is what used_unknown reports.
+    Returns (value, why).  Identifiers with no local definition count as
+    undefined (0).  why is None for a guard evaluated in full; otherwise it
+    ends the NOTE: the guard depends on such identifiers, or, when it names
+    none, why it is unsupported, in which case it is false.
     """
-    if kind == "ifdef":
-        ident = rest.strip()
-        known = ident in macros
-        return (1 if known else 0), (not known)
-    if kind == "ifndef":
-        ident = rest.strip()
-        known = ident in macros
-        return (0 if known else 1), (not known)
+    if kind == "ifdef" or kind == "ifndef":
+        known = rest.strip() in macros
+        value = known if kind == "ifdef" else not known
+        return int(value), (None if known else _UNKNOWN_MACROS)
 
     used_unknown = False
 
@@ -240,9 +235,15 @@ def _guard(kind, rest, macros):
     expr = _GUARD_NAME_RE.sub(_subst_ident, expr)
     try:
         value = _fold(parse_expression(expr))
-    except (CLexError, CParseError, ValueError, ZeroDivisionError):
-        return 0, True
-    return value, used_unknown
+    except (CLexError, CParseError, ValueError, ZeroDivisionError) as exc:
+        if used_unknown:
+            return 0, _UNKNOWN_MACROS
+        if isinstance(exc, ZeroDivisionError):
+            reason = "division by zero"
+        else:  # drop the position within the guard that the parser gives
+            reason = str(exc).split(": ", 1)[-1]
+        return 0, f"is unsupported ({reason}); analyzing it as false"
+    return value, (_UNKNOWN_MACROS if used_unknown else None)
 
 
 _GUARD_OPS = {
@@ -275,7 +276,7 @@ def _shift_count(count: int) -> int:
     # C leaves a shift by a negative count or by the operand's width or
     # more undefined; refusing it also keeps 1 << 10**10 from allocating
     if not 0 <= count <= 63:
-        raise ValueError("shift count out of range")
+        raise ValueError(f"shift count {count} out of range 0..63")
     return count
 
 
@@ -302,7 +303,7 @@ def _fold(expr) -> int:
         return _GUARD_OPS[expr.op](left, _fold(expr.right))
     if isinstance(expr, nodes.Ternary):
         return _fold(expr.then if _fold(expr.cond) else expr.els)
-    raise ValueError("unsupported guard syntax")
+    raise ValueError("not an integer constant expression")
 
 
 # ---------------------------------------------------------------------------

@@ -219,56 +219,56 @@ def step_call(name: str, state: LockState, table: SummaryTable):
     return state, None
 
 
-def transfer(node, state: LockState, table: SummaryTable, report=None):
-    """Lock state after a node's calls.  report(call, finding), when given,
-    sees each enter/leave that does not match the state it meets."""
-    if state is LockState.BOTTOM:
-        return state
-    for op in node.ops:
-        if op[0] == CALL and not is_macro_name(op[1]):
-            state, finding = step_call(op[1], state, table)
-            if finding is not None and report is not None:
-                report(op[2], finding)
-    return state
-
-
 @dataclass
 class LockMap:
-    states: dict[int, LockState]
+    """The lock fixpoint: the state at each node's entry, the enter/leave
+    findings, and the solver's block visits."""
+
+    states: list[LockState]
     pops: int
+    diags: list[Diagnostic]
 
     def at(self, node_id: int) -> LockState:
-        return self.states.get(node_id, LockState.BOTTOM)
+        return self.states[node_id]
 
 
 def solve(cfg, table: SummaryTable) -> LockMap:
-    pre, pops = forward_solve(
-        cfg,
-        LockState.HELD,
-        lambda node, state: transfer(node, state, table),
-        join_lock,
-        LockState.BOTTOM,
+    """Run the lock fixpoint, recording each node's entry state and the
+    enter/leave balance findings as a block's last visit saw them.
+
+    A finding sees the state left by the calls before it in the same node.
+    Calls made while the lock is released are a value_safety concern
+    (RUNTIME_CALL_UNLOCKED rides along with the dereference events); this
+    only reports mismatched blocking-section transitions.
+    """
+    states = [LockState.BOTTOM] * len(cfg.nodes)
+    found: list = [()] * len(cfg.blocks)
+    file = cfg.fn.file
+
+    def transfer(block, state):
+        diags = []
+        for node in block.nodes:
+            states[node.id] = state
+            for op in node.ops:
+                if op[0] == CALL and not is_macro_name(op[1]):
+                    state, finding = step_call(op[1], state, table)
+                    if finding is not None:
+                        rule, severity, message = finding
+                        call = op[2]
+                        diags.append(
+                            Diagnostic(
+                                rule, severity, file, call.line, call.col, message
+                            )
+                        )
+        found[block.id] = diags
+        return state
+
+    _heads, pops = forward_solve(
+        cfg, LockState.HELD, transfer, join_lock, LockState.BOTTOM
     )
-    return LockMap(pre, pops)
+    return LockMap(states, pops, [diag for diags in found for diag in diags])
 
 
 def collect_lock_diagnostics(cfg, lockmap: LockMap, table: SummaryTable):
-    """Enter/leave balance findings, one pass after the fixpoint.
-
-    This is the lock transfer run once more over every reached node, from
-    its fixpoint entry state, with a report hook, so a finding sees the
-    state left by the calls before it in the same node.  Calls made while
-    the lock is released are a value_safety concern (RUNTIME_CALL_UNLOCKED
-    rides along with the dereference events); this pass only reports
-    mismatched blocking-section transitions.
-    """
-    diags = []
-    file = cfg.fn.file
-
-    def report(call, finding):
-        rule, severity, message = finding
-        diags.append(Diagnostic(rule, severity, file, call.line, call.col, message))
-
-    for node in cfg.statement_nodes():
-        transfer(node, lockmap.at(node.id), table, report)
-    return diags
+    """Enter/leave balance findings; `solve` collected them."""
+    return lockmap.diags

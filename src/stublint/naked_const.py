@@ -76,12 +76,48 @@ def eval_const(expr, env) -> int | None:
     return None
 
 
-def transfer_const(node, env):
-    if env is None:
-        return env
+def _value_vars(fn: ast.StubFunction) -> set[str]:
+    names = {name for name, t in fn.params if name and t.is_value}
+    names.update(name for name, t in fn.locals if t.is_value)
+    return names
+
+
+def _judge(node, env, value_vars: set[str], file: str, diags: list):
+    """Append a NAKED_POINTER for each even constant a node stores into a
+    value, judged against the constants `env` at the node's entry."""
+    ops = node.ops
+    if isinstance(node.stmt, ast.VarDecl):
+        # only the declaration's own store, and only into a value
+        if not node.stmt.ctype.is_value:
+            return
+        ops = ops[-1:]
+    for op in ops:
+        if op[0] != ASSIGN or op[2] != "=" or op[1] not in value_vars:
+            continue
+        rhs = op[3]
+        if isinstance(rhs, ast.Call) and rhs.callee in ALLOC_CALLS:
+            continue  # runtime allocations are well-formed by construction
+        k = eval_const(rhs, env)
+        if k is not None and k & 1 == 0:
+            where = op[4]
+            diags.append(
+                Diagnostic(
+                    "NAKED_POINTER",
+                    ERROR,
+                    file,
+                    where.line,
+                    where.col,
+                    f"constant {k} stored into OCaml value '{op[1]}' has a"
+                    " clear low bit; the GC would chase it as a pointer",
+                )
+            )
+
+
+def _step(node, env):
+    """Update `env` in place by a node's stores."""
     if isinstance(node.stmt, ast.Opaque):
-        return {}
-    env = dict(env)
+        env.clear()
+        return
     for op in node.ops:
         kind = op[0]
         if kind == ASSIGN:
@@ -92,57 +128,29 @@ def transfer_const(node, env):
                 env[op[1]] = k
         elif kind == BUMP or kind == ADDR:
             env.pop(op[1], None)
-    return env
 
 
-def solve_consts(cfg):
-    env_map, _pops = forward_solve(
-        cfg, {}, transfer_const, join_const_env, None
-    )
-    return env_map
+def solve_consts(cfg) -> list[Diagnostic]:
+    """Propagate constants, and judge every store into a value inside the
+    solve, as each block's last visit saw it.  Returns the NAKED_POINTER
+    findings."""
+    value_vars = _value_vars(cfg.fn)
+    file = cfg.fn.file
+    found: list = [()] * len(cfg.blocks)
+
+    def transfer(block, env):
+        env = dict(env)
+        diags: list[Diagnostic] = []
+        for node in block.nodes:
+            _judge(node, env, value_vars, file, diags)
+            _step(node, env)
+        found[block.id] = diags
+        return env
+
+    forward_solve(cfg, {}, transfer, join_const_env, None)
+    return [diag for diags in found for diag in diags]
 
 
-def _value_vars(fn: ast.StubFunction) -> set[str]:
-    names = {name for name, t in fn.params if name and t.is_value}
-    names.update(name for name, t in fn.locals if t.is_value)
-    return names
-
-
-def check_naked(cfg, env_map) -> list[Diagnostic]:
-    fn = cfg.fn
-    value_vars = _value_vars(fn)
-    diags = []
-
-    def check_store(name, rhs, env, where):
-        if name not in value_vars:
-            return
-        if isinstance(rhs, ast.Call) and rhs.callee in ALLOC_CALLS:
-            return  # runtime allocations are well-formed by construction
-        k = eval_const(rhs, env)
-        if k is not None and k & 1 == 0:
-            diags.append(
-                Diagnostic(
-                    "NAKED_POINTER",
-                    ERROR,
-                    fn.file,
-                    where.line,
-                    where.col,
-                    f"constant {k} stored into OCaml value '{name}' has a"
-                    " clear low bit; the GC would chase it as a pointer",
-                )
-            )
-
-    for node in cfg.statement_nodes():
-        env = env_map.get(node.id)
-        if env is None:
-            continue
-        ops = node.ops
-        if isinstance(node.stmt, ast.VarDecl):
-            # only the declaration's own store, and only into a value
-            if not node.stmt.ctype.is_value:
-                continue
-            ops = ops[-1:]
-        for op in ops:
-            if op[0] == ASSIGN and op[2] == "=":
-                check_store(op[1], op[3], env, op[4])
-    return diags
+def check_naked(cfg, found: list[Diagnostic]) -> list[Diagnostic]:
+    """The NAKED_POINTER findings; `solve_consts` collected them."""
+    return found

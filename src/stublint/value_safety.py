@@ -7,8 +7,9 @@ Per variable and program point one of three facts:
   heap_derived  a C pointer into an OCaml block's payload, with a
                 possibly_stale bit that flips once a GC opportunity passes
 
-Dereference and runtime-call events are collected against the fixpoint
-facts and judged with the lock states from lock_analysis.
+Dereference and runtime-call events are collected inside the fixpoint
+solve, from each block's last visit, and judged with the lock states from
+lock_analysis.
 """
 
 from __future__ import annotations
@@ -149,30 +150,6 @@ def _is_gc_point(ops, table: SummaryTable) -> bool:
     return False
 
 
-def transfer_values(node, env, lockmap: LockMap, table: SummaryTable):
-    if env is None:
-        return env
-    env = dict(env)
-    # a GC point makes heap facts stale before any store in the node lands
-    if _is_gc_point(node.ops, table):
-        for name, fact in env.items():
-            if is_heap(fact):
-                env[name] = heap(True)
-    if isinstance(node.stmt, ast.Opaque):
-        for name, fact in env.items():
-            if is_heap(fact):
-                env[name] = PLAIN
-        return env
-    derive_stale = lockmap.at(node.id) is not LockState.HELD
-    for op in node.ops:
-        if op[0] == ADDR:
-            if is_tracked(env.get(op[1], PLAIN)):
-                env[op[1]] = PLAIN
-        elif op[0] == ASSIGN and op[2] == "=":
-            env[op[1]] = fact_of(op[3], env, derive_stale)
-    return env
-
-
 @dataclass(frozen=True)
 class DerefEvent:
     kind: str  # "value_macro_deref", "explicit_deref", or "runtime_call"
@@ -204,67 +181,93 @@ def _sketch(expr) -> str:
     return "<expr>"
 
 
-def track_values(cfg, lockmap: LockMap, table: SummaryTable):
-    """Fixpoint facts per node, dereference/call events, and notes.
-
-    Events and notes judge each node's ops against the facts at the node's
-    entry, not as its own stores change them.
-    """
-    init = initial_facts(cfg.fn)
-    factmap, _pops = forward_solve(
-        cfg,
-        init,
-        lambda node, env: transfer_values(node, env, lockmap, table),
-        join_env,
-        None,
-    )
-    events: list[DerefEvent] = []
-    notes: list[Diagnostic] = []
-    file = cfg.fn.file
-    for node in cfg.statement_nodes():
-        env = factmap.get(node.id)
-        if env is None:
-            continue
-
-        def event(kind, subject, fact, where):
-            events.append(
-                DerefEvent(kind, subject, fact, node.id, file, where.line, where.col)
-            )
-
-        for op in node.ops:
-            kind = op[0]
-            if kind == CALL:
-                name, call = op[1], op[2]
-                if name in DATA_DERIVE:
+def _judge(node, env, table: SummaryTable, file: str, events: list, notes: list):
+    """Append the events and notes of a node's ops, judged against the
+    facts `env` at the node's entry."""
+    for op in node.ops:
+        kind, where = op[0], op[-1]
+        if kind == CALL:
+            name = op[1]
+            if name == FIELD_READ or name == FIELD_WRITE or name in STRING_DEREF:
+                if not where.args:
                     continue
-                if name == FIELD_READ or name == FIELD_WRITE or name in STRING_DEREF:
-                    if not call.args:
-                        continue
-                    operand = call.args[0]
-                    fact = fact_of(operand, env)
-                    if is_tracked(fact):
-                        event("value_macro_deref", _sketch(operand), fact, call)
-                elif not is_macro_name(name) and table.requires_lock(name):
-                    event("runtime_call", name, PLAIN, call)
-            elif kind == DEREF:
-                fact = fact_of(op[1], env)
-                if is_tracked(fact):
-                    event("explicit_deref", _sketch(op[1]), fact, op[2])
-            elif kind == ADDR:
-                name, where = op[1], op[2]
-                if is_tracked(env.get(name, PLAIN)):
-                    notes.append(
-                        Diagnostic(
-                            "NOTE",
-                            NOTE,
-                            file,
-                            where.line,
-                            where.col,
-                            f"address of '{name}' escapes;"
-                            " it is no longer tracked as an OCaml value",
-                        )
-                    )
-    return factmap, events, notes
+                kind, operand = "value_macro_deref", where.args[0]
+            elif not is_macro_name(name) and table.requires_lock(name):
+                kind, operand = "runtime_call", None
+            else:
+                continue
+        elif kind == DEREF:
+            kind, operand = "explicit_deref", op[1]
+        else:
+            if kind == ADDR and is_tracked(env.get(op[1], PLAIN)):
+                message = (
+                    f"address of '{op[1]}' escapes;"
+                    " it is no longer tracked as an OCaml value"
+                )
+                note = Diagnostic("NOTE", NOTE, file, where.line, where.col, message)
+                notes.append(note)
+            continue
+        if operand is None:  # a runtime call is judged on the lock alone
+            subject, fact = op[1], PLAIN
+        else:
+            fact = fact_of(operand, env)
+            if not is_tracked(fact):
+                continue
+            subject = _sketch(operand)
+        events.append(
+            DerefEvent(kind, subject, fact, node.id, file, where.line, where.col)
+        )
+
+
+def _step(node, env, lock: LockState, table: SummaryTable):
+    """Update `env` in place by a node's effect; `lock` is the lock state
+    at the node's entry."""
+    # a GC point makes heap facts stale before any store in the node lands
+    if _is_gc_point(node.ops, table):
+        for name, fact in env.items():
+            if is_heap(fact):
+                env[name] = heap(True)
+    if isinstance(node.stmt, ast.Opaque):
+        for name, fact in env.items():
+            if is_heap(fact):
+                env[name] = PLAIN
+        return
+    derive_stale = lock is not LockState.HELD
+    for op in node.ops:
+        if op[0] == ADDR:
+            if is_tracked(env.get(op[1], PLAIN)):
+                env[op[1]] = PLAIN
+        elif op[0] == ASSIGN and op[2] == "=":
+            env[op[1]] = fact_of(op[3], env, derive_stale)
+
+
+def track_values(cfg, lockmap: LockMap, table: SummaryTable):
+    """Solve the value facts; returns (heads, events, notes).
+
+    heads holds the facts at each block head.  The dereference and
+    runtime-call events and the escape notes are collected in the solve,
+    as each block's last visit saw them.  Each node's ops are judged
+    against the facts at the node's entry, not as its own stores change
+    them.
+    """
+    lock_at = lockmap.states
+    file = cfg.fn.file
+    found: list = [((), ())] * len(cfg.blocks)
+
+    def transfer(block, env):
+        env = dict(env)
+        events: list[DerefEvent] = []
+        notes: list[Diagnostic] = []
+        for node in block.nodes:
+            _judge(node, env, table, file, events, notes)
+            _step(node, env, lock_at[node.id], table)
+        found[block.id] = (events, notes)
+        return env
+
+    heads, _pops = forward_solve(cfg, initial_facts(cfg.fn), transfer, join_env, None)
+    events = [event for block_events, _ in found for event in block_events]
+    notes = [note for _, block_notes in found for note in block_notes]
+    return heads, events, notes
 
 
 def check_deref_safety(events, lockmap: LockMap) -> list[Diagnostic]:

@@ -192,3 +192,132 @@ def test_noreturn_hook_is_optional(parse_c):
     cfg = build_cfg(unit.functions[0])  # without the hook: falls through
     fw = next(n for n in cfg.statement_nodes() if "caml_failwith" in repr(n.stmt))
     assert fw.succs != [EXIT]
+
+
+SHAPES = st.lists(
+    st.sampled_from(
+        [
+            "a = g(a);",
+            "if (p()) { a = g(a); h(); }",
+            "if (p()) a = g(a); else { h(); k(); }",
+            "while (q()) { h(); if (p()) break; k(); }",
+            "do { h(); if (p()) continue; } while (q());",
+            "for (i = 0; i < 4; i++) h();",
+            "switch (g()) { case 0: h(); case 1: k(); break; default: m(); }",
+            "return a;",
+            "for (;;) { h(); }",  # after a return: an unreachable cycle
+            "caml_failwith(\"x\");",
+        ]
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(SHAPES)
+def test_blocks_are_maximal_straight_runs(stmts):
+    from stublint.c_frontend.parser import parse_unit
+
+    src = "value f(value a)\n{\n    int i;\n" + "\n".join(stmts) + "\nreturn a;\n}\n"
+    cfg = build_cfg(parse_unit(src, "gen.c").functions[0], is_noreturn=NORETURN)
+    # every node in exactly one block; block 0 starts at the entry, and the
+    # exit is alone in its block
+    assert sorted(n.id for b in cfg.blocks for n in b.nodes) == list(
+        range(len(cfg.nodes))
+    )
+    assert cfg.blocks[0].nodes[0] is cfg.entry
+    assert [b.nodes for b in cfg.blocks if cfg.exit in b.nodes] == [[cfg.exit]]
+    preds = {n.id: [] for n in cfg.nodes}
+    for n in cfg.nodes:
+        for succ in n.succs:
+            preds[succ].append(n)
+    head_block = {b.nodes[0].id: b.id for b in cfg.blocks}
+    dead = set(cfg.unreachable())
+    for block in cfg.blocks:
+        # inside a block control only falls through
+        for node, nxt in zip(block.nodes, block.nodes[1:]):
+            assert node.succs == [nxt.id] and preds[nxt.id] == [node]
+        # a block ends where control branches or the next node is joined
+        assert block.succs == [head_block[s] for s in block.nodes[-1].succs]
+        head = block.nodes[0]
+        if head.id not in dead and head is not cfg.exit:
+            pred = preds[head.id]
+            assert not (len(pred) == 1 and pred[0].succs == [head.id])
+
+
+# -- ops: what each node hands the analyses ------------------------------------
+
+
+def _spell(expr):
+    kind = type(expr).__name__
+    if kind == "Name":
+        return expr.ident
+    if kind == "Num":
+        return expr.text
+    if kind == "Member":
+        return _spell(expr.obj) + ("->" if expr.arrow else ".") + expr.fieldname
+    if kind == "Index":
+        return _spell(expr.obj) + "[]"
+    if kind == "Call":
+        return _spell(expr.func) + "()"
+    if kind == "Assign":
+        return f"({_spell(expr.target)}{expr.op}{_spell(expr.value)})"
+    return kind
+
+
+def _show(op):
+    """One op as text: its kind, its name or pointer, and where it sits."""
+    if op[0] == "bump":
+        return f"bump {op[1]}"
+    at = f"{op[-1].line}:{op[-1].col}"
+    if op[0] == "assign":
+        return f"assign {op[1]} {op[2]} {_spell(op[3])} {at}"
+    if op[0] == "deref":
+        return f"deref {_spell(op[1])} {at}"
+    return f"{op[0]} {op[1]} {at}"
+
+
+# Each statement, on line 4 from column 5, against the ops of the nodes it
+# makes, in node order.  Ops come children before parents, operands left to
+# right, so an inner call or assignment precedes the outer one.  The global
+# initializer on line 1 and the `case` label give no op.
+OP_TABLE = [
+    ("v = (n = 2);", [["assign n = 2 4:12", "assign v = (n=2) 4:7"]]),
+    ("f(g(x));", [["call g 4:8", "call f 4:6"]]),
+    ("*p = q->r[i];", [["deref p 4:5", "deref q 4:11", "deref q->r 4:14"]]),
+    ("&x;", [["addr x 4:5"]]),
+    ("x++;", [["bump x"]]),
+    ("--x;", [["bump x"]]),
+    ("(*fp)(x);", [["deref fp 4:6"]]),
+    ("sizeof(*p);", [["deref p 4:12"]]),
+    # init, condition, step (its own node), body
+    (
+        "for (i = 0; i < n; i++) g(&i);",
+        [["assign i = 0 4:12"], [], ["bump i"], ["addr i 4:31", "call g 4:30"]],
+    ),
+    # each initialized declarator ends with its own store, at its name
+    (
+        "value v = f(), w = v;",
+        [["call f 4:16", "assign v = f() 4:11"], ["assign w = v 4:20"]],
+    ),
+    ("switch (k()) { case f(2): g(); }", [["call k 4:14"], ["call g 4:32"]]),
+    ("return s.t + g(x);", [["call g 4:19"]]),
+    (
+        "if (p(x)) h(y); else while (*q) q++;",
+        [["call p 4:10"], ["call h 4:16"], ["deref q 4:33"], ["bump q"]],
+    ),
+    # the condition's node is made before the body's
+    ("do x += 1; while (x--);", [["bump x"], ["assign x += 1 4:10"]]),
+    (
+        "n = (value) {f(1), g(2)};",
+        [["call f 4:19", "call g 4:25", "assign n = CompoundLit 4:7"]],
+    ),
+]
+
+
+def test_each_statement_lowers_to_its_ops_in_evaluation_order(parse_c):
+    for stmt, want in OP_TABLE:
+        src = "int g0 = h(1);\nvalue f(value a)\n{\n    " + stmt + "\n}\n"
+        cfg = cfg_of(parse_c, src)
+        got = [[_show(op) for op in node.ops] for node in cfg.statement_nodes()]
+        assert got == want, stmt

@@ -1,4 +1,5 @@
-"""The forward worklist solver, independent of any particular lattice."""
+"""The forward worklist solver over basic blocks, independent of any
+particular lattice."""
 
 from hypothesis import given, strategies as st
 
@@ -10,8 +11,11 @@ from stublint.dataflow import forward_solve
 def toy_counter(cfg):
     """Count statements along the path, capped at 9 (a finite chain)."""
 
-    def transfer(node, k):
-        return k if node.kind != "stmt" else min(k + 1, 9)
+    def transfer(block, k):
+        for node in block.nodes:
+            if node.kind == "stmt":
+                k = min(k + 1, 9)
+        return k
 
     def join(a, b):
         if a is None:
@@ -27,33 +31,39 @@ def cfg_from(src):
     return build_cfg(parse_unit(src, "t.c").functions[0])
 
 
+def head_of(cfg, heads, node):
+    """The state at the head of the block that holds `node`."""
+    return next(heads[b.id] for b in cfg.blocks if node in b.nodes)
+
+
 def test_straight_line_counts_statements():
     cfg = cfg_from("value f(value a) { g(); h(); k(); return a; }")
-    pre, _ = toy_counter(cfg)
-    assert pre[cfg.exit.id] == 4
+    heads, _ = toy_counter(cfg)
+    assert head_of(cfg, heads, cfg.exit) == 4
 
 
 def test_unreachable_nodes_keep_bottom():
     cfg = cfg_from("value f(value a) { return a; g(); }")
-    pre, _ = toy_counter(cfg)
+    heads, _ = toy_counter(cfg)
     dead = next(n for n in cfg.statement_nodes() if "'g'" in repr(n.stmt))
-    assert pre.get(dead.id) is None
+    assert head_of(cfg, heads, dead) is None
 
 
 def test_branches_join_with_the_maximum():
     cfg = cfg_from(
         "value f(value a) { if (p()) { g(); h(); } else { k(); } return a; }"
     )
-    pre, _ = toy_counter(cfg)
+    heads, _ = toy_counter(cfg)
     # longest path into exit: if + two then-statements + return
-    assert pre[cfg.exit.id] == 4
+    assert head_of(cfg, heads, cfg.exit) == 4
 
 
 def test_loops_reach_a_fixpoint():
     cfg = cfg_from("value f(value a) { while (p()) { g(); } return a; }")
-    pre, pops = toy_counter(cfg)
-    assert pre[cfg.exit.id] == 9  # saturates at the chain cap
-    assert pops >= len(cfg.nodes)
+    heads, pops = toy_counter(cfg)
+    assert head_of(cfg, heads, cfg.exit) == 9  # saturates at the chain cap
+    # pops counts block visits; every reached block is visited
+    assert pops >= sum(head is not None for head in heads)
 
 
 BRANCHY = st.lists(
@@ -72,11 +82,11 @@ BRANCHY = st.lists(
 
 @given(BRANCHY)
 def test_pop_budget_tracks_lattice_height(stmts):
-    """Monotone transfer over a height-2 lattice: every node is popped at
-    most height+1 times, so pops never exceed 3x the node count."""
+    """Monotone transfer over a height-2 lattice: every block is visited at
+    most height+1 times, so pops never exceed 3x the block count."""
     from stublint.lock_analysis import load_summaries, solve
 
     src = "value f(value a)\n{\n" + "\n".join(stmts) + "\nreturn a;\n}\n"
     cfg = cfg_from(src)
     lockmap = solve(cfg, load_summaries())
-    assert lockmap.pops <= 3 * len(cfg.nodes)
+    assert lockmap.pops <= 3 * len(cfg.blocks)

@@ -291,3 +291,27 @@ def test_labelled_block_cannot_be_skipped(lint_c):
         "    CAMLreturn(a);\n}\n"
     )
     assert lint_c(src) == []
+
+
+def test_loop_findings_come_from_the_fixpoint_state(run_main, tmp_path):
+    # The first pass over the loop body sees the lock released; the fixpoint,
+    # after the back edge from the leave, sees it only possibly released.  A
+    # finding judged on the first pass would be an error.
+    stub = tmp_path / "loop.c"
+    stub.write_text(
+        "value f(value v, value c)\n{\n"
+        "    CAMLparam2(v, c);\n"
+        "    int n = 0;\n"
+        "    caml_enter_blocking_section();\n"
+        "    while (Int_val(c)) {\n"
+        "    Field(v, 0);\n"
+        "    caml_leave_blocking_section();\n"
+        "    }\n"
+        "    CAMLreturn(Val_unit);\n}\n"
+    )
+    code, out, _ = run_main(str(stub))
+    assert [line.split(": ", 3)[:3] for line in out.splitlines()] == [
+        [f"{stub}:7:10", "warning", "VALUE_DEREF_UNLOCKED"],
+        [f"{stub}:8:32", "warning", "UNBALANCED_LOCK"],
+    ]
+    assert code == 0

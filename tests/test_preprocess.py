@@ -137,6 +137,24 @@ GUARDS = [
 ]
 
 
+# What the note on an unsupported guard says after the guard: a guard that
+# names an unknown macro depends on it, one that names none says why the
+# fold gave up on it.
+UNKNOWN = "depends on macros not defined in this file"
+GUARD_NOTES = [
+    ("1 << 64", "is unsupported (shift count 64 out of range 0..63)"),
+    ("1 ? 1 / 0 : 1", "is unsupported (division by zero)"),
+    (
+        _parenthesized(3000),
+        f"is unsupported (nested more than {MAX_NESTING} levels deep)",
+    ),
+    ("--1", "is unsupported (not an integer constant expression)"),
+    ("1 +", "is unsupported (unexpected token '<eof>')"),
+    ("UNKNOWN / 0", UNKNOWN),
+    ("defined(X) << 64", UNKNOWN),
+]
+
+
 def test_if_expression_guard():
     for guard, taken, note in GUARDS:
         src = f"#define VER 5\n#if {guard}\nint yes;\n#endif\n"
@@ -145,6 +163,12 @@ def test_if_expression_guard():
         assert ("int yes;" in result.text, notes) == (
             taken, ["NOTE"] if note else []
         ), guard
+    for guard, why in GUARD_NOTES:
+        src = f"#if {guard}\nint yes;\n#endif\n"
+        result = preprocess_local(src, "t.c")
+        assert "int yes;" not in result.text, guard
+        [note] = result.notes
+        assert note.message.startswith(f"conditional '#if {guard}' {why}"), guard
 
 
 def test_elif_guard_reports_its_own_note():
