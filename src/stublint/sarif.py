@@ -84,10 +84,10 @@ def sarif_log(diags) -> dict:
 def emit_sarif(diags) -> str:
     log = json.dumps(sarif_log([]), indent=2)
     results = ",\n".join(_result_text(diag) for diag in diags)
-    if results:
-        head, _, tail = log.rpartition('"results": []')
-        log = f'{head}"results": [\n{results}\n      ]{tail}'
-    return log + "\n"
+    if not results:
+        return log + "\n"
+    head, _, tail = log.rpartition('"results": []')
+    return f'{head}"results": [\n{results}\n      ]{tail}\n'
 
 
 def _result_text(diag) -> str:
