@@ -4,11 +4,12 @@ Comments are gone by the time this runs (the preprocessor blanks them), so
 the lexer only deals with identifiers, numbers, string/char literals and
 punctuation.  Positions are 1-based.
 
-One master pattern is run with `finditer` over each line.  Every match is
-the blanks before a token followed by one of: a token, a `bad` character
-that starts no token (a lex error at its position), or the end of the line.
-That last alternative lets a run of trailing blanks match once instead of
-being rescanned from every position in it.
+One master pattern is run with `finditer` once over the whole text.  Every
+match is the blanks before a token followed by one of: a token, a newline
+(which starts the next line: its number and the offset columns count
+from), a `bad` character that starts no token (a lex error at its
+position), or the end of the text.  So a run of blanks before a newline
+matches once instead of being rescanned from every position in it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ _TOKEN_RE = re.compile(
     | (?P<char>'(?:\\.|[^'\\\n])')
     | (?P<punct>->|\+\+|--|<<=|>>=|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=
         |%=|&=|\|=|\^=|\.\.\.|[-+*/%&|^!~<>=?:;,.(){}\[\]])
+    | (?P<nl>\n)
     | (?P<bad>.)
     | \Z
     )
@@ -54,18 +56,29 @@ _TOKEN_RE = re.compile(
 # writes in Python
 _new_tuple = tuple.__new__
 
+# each kind by the number of its group, which a match gives as `lastindex`
+# more cheaply than the name, as `lastgroup`
+_KINDS = {index: kind for kind, index in _TOKEN_RE.groupindex.items()}
+_NL = _TOKEN_RE.groupindex["nl"]
+_BAD = _TOKEN_RE.groupindex["bad"]
+
 
 def lex(text: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
-    for line, line_text in enumerate(text.split("\n"), start=1):
-        for m in _TOKEN_RE.finditer(line_text):
-            kind = m.lastgroup
-            if kind is None:  # blanks up to the end of the line
-                continue
-            if kind == "bad":
-                raise CLexError(
-                    f"unexpected character {m[kind]!r}", line, m.start(kind) + 1
-                )
-            append(_new_tuple(Token, (kind, m[kind], line, m.start(kind) + 1)))
+    kinds = _KINDS
+    line = 1
+    before = -1  # the offset just before the line's first column
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == _NL:
+            line += 1
+            before = m.start(group)
+            continue
+        if group is None:  # blanks up to the end of the text
+            continue
+        col = m.start(group) - before
+        if group == _BAD:
+            raise CLexError(f"unexpected character {m[group]!r}", line, col)
+        append(_new_tuple(Token, (kinds[group], m[group], line, col)))
     return tokens

@@ -5,6 +5,14 @@ calls, if/while/do/for/switch, casts, sizeof, compound literals, member and
 index access.  Inline asm becomes an opaque statement; goto is reported as
 an unsupported construct.  A function whose body cannot be parsed is
 dropped with a diagnostic while the rest of the file is still analyzed.
+
+A statement is dispatched on its first token's text.  One routine,
+`parse_expr`, parses an expression: a loop over its prefix operators, the
+primary, a loop over its postfix operators, then the binary, conditional
+and assignment operators by precedence climbing.  A cast's operand is
+`parse_expr(_UNARY)`.  So a name or a number costs no call of its own, and
+a call `f(x)` one for each argument.  The locals of a function are
+collected as its declarations are parsed.
 """
 
 from __future__ import annotations
@@ -41,6 +49,10 @@ _ASSIGN_OPS = frozenset(
 
 _ASM_WORDS = frozenset({"asm", "__asm", "__asm__"})
 
+# `sizeof` first takes a parenthesized type name if one follows
+_PREFIX_OPS = frozenset({"*", "&", "!", "~", "-", "+", "++", "--", "sizeof"})
+_POSTFIX_OPS = frozenset({"(", "[", ".", "->", "++", "--"})
+
 # C's operators that follow an operand, below the postfix ones; a higher
 # number binds tighter.  The binary operators are left-associative, the
 # conditional and the assignments group to the right.
@@ -56,6 +68,9 @@ _PREC = {
     "+": 11, "-": 11,
     "*": 12, "/": 12, "%": 12,
 }
+# binds tighter than every operator above: parse_expr(_UNARY) parses one
+# operand with its prefix and postfix operators
+_UNARY = 13
 
 
 # How deep statements and expressions may nest, counted together.  A level
@@ -82,6 +97,9 @@ _EOF = Token("punct", "<eof>", 0, 0)
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
+        # the list becomes the parser's: `_EOF` is appended to end it, so
+        # the token at `pos` always exists and `take` never moves past it
+        tokens.append(_EOF)
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
@@ -92,39 +110,38 @@ class _Parser:
         # A statement keeps a copy, so what other expressions append (case
         # labels, global initializers) lands in a list nothing keeps.
         self.ops: list[tuple] = []
+        # the locals of the function whose body is being parsed, in the
+        # order they are declared
+        self.locals: list[tuple[str, nodes.CType]] = []
 
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        try:
-            return self.tokens[self.pos + offset]
-        except IndexError:
-            return _EOF
+        """The token `offset` ahead; past any token but `_EOF`, there is one."""
+        return self.tokens[self.pos + offset]
 
     def take(self) -> Token:
-        try:
-            tok = self.tokens[self.pos]
-        except IndexError:
-            tok = _EOF
-        self.pos += 1
+        tok = self.tokens[self.pos]
+        if tok is not _EOF:
+            self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        try:
-            return self.tokens[self.pos].text == text
-        except IndexError:
-            return _EOF.text == text
+        return self.tokens[self.pos].text == text
 
     def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.take()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            return None
+        self.pos += 1
+        return tok
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text != text:
             raise CParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return self.take()
+        self.pos += 1
+        return tok
 
     def nest(self, tok: Token) -> int:
         """Go one nesting level deeper, at `tok`; returns the depth before,
@@ -138,7 +155,7 @@ class _Parser:
         return depth
 
     def eof(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos] is _EOF
 
     def warn(self, message: str, tok: Token):
         self.diagnostics.append(
@@ -304,6 +321,7 @@ class _Parser:
                 f"expected function body, found {brace.text!r}", brace.line, brace.col
             )
         body_start = self.pos
+        self.locals = []
         try:
             body = self.parse_block()
         except CParseError as exc:
@@ -319,11 +337,11 @@ class _Parser:
             return_type=ret,
             is_camlprim=is_camlprim,
             body=body,
+            locals=self.locals,
             file=self.file,
             line=name_tok.line,
             col=name_tok.col,
         )
-        _collect_locals(body, fn.locals)
         unit.functions.append(fn)
 
     def parse_params(self):
@@ -364,126 +382,136 @@ class _Parser:
 
     def parse_block(self) -> list:
         self.expect("{")
+        tokens = self.tokens
         stmts: list = []
-        while not self.at("}"):
-            if self.eof():
-                tok = self.peek()
+        while (tok := tokens[self.pos]).text != "}":
+            if tok is _EOF:
                 raise CParseError("unbalanced '{'", tok.line, tok.col)
-            stmts.extend(self.parse_body_or_single())
-        self.expect("}")
+            stmts.extend(self.parse_stmt())
+        self.pos += 1
         return stmts
 
-    def parse_body_or_single(self) -> list:
+    def parse_stmt(self) -> list:
         """One statement, as the list of statements it contributes: labels
         are transparent for analysis and skipped, and a braced block is
         spliced into its statements."""
-        depth = self.nest(self.peek())
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        depth = self.nest(tok)
         try:
+            # a label: an identifier before a colon (a name that is not the
+            # last token has one after it)
             while (
-                self.peek().kind == "ident"
-                and self.peek(1).text == ":"
-                and self.peek().text not in ("default", "case")
+                tok.kind == "ident"
+                and tokens[self.pos + 1].text == ":"
+                and tok.text not in ("default", "case")
             ):
-                self.take()
-                self.take()
-            if self.at("{"):
+                self.pos += 2
+                tok = tokens[self.pos]
+            if tok.text == "{":
                 return self.parse_block()
-            stmt = self.parse_stmt()
-            return [stmt] if stmt is not None else []
+            keyword = self.STATEMENT_KEYWORDS.get(tok.text)
+            if keyword is not None:
+                self.pos += 1
+                stmt = keyword(self, tok)
+                return [stmt] if stmt is not None else []
+            if self.starts_decl():
+                return [self.parse_decl_stmt()]
+            expr, ops = self.statement_expr()
+            self.expect(";")
+            return [self.expr_stmt(expr, ops, tok)]
         finally:
             self.depth = depth
 
-    def parse_stmt(self):
-        tok = self.peek()
-        text = tok.text
-
-        if text == ";":
-            self.take()
-            return None
-        if text == "if":
-            self.take()
-            self.expect("(")
-            cond, ops = self.statement_expr()
-            self.expect(")")
-            then = self.parse_body_or_single()
-            els = None
-            if self.accept("else"):
-                els = self.parse_body_or_single()
-            return nodes.If(cond, then, els, ops, line=tok.line, col=tok.col)
-        if text == "while":
-            self.take()
-            self.expect("(")
-            cond, ops = self.statement_expr()
-            self.expect(")")
-            body = self.parse_body_or_single()
-            return nodes.While(cond, body, ops, line=tok.line, col=tok.col)
-        if text == "do":
-            self.take()
-            body = self.parse_body_or_single()
-            self.expect("while")
-            self.expect("(")
-            cond, ops = self.statement_expr()
-            self.expect(")")
-            self.expect(";")
-            return nodes.DoWhile(body, cond, ops, line=tok.line, col=tok.col)
-        if text == "for":
-            self.take()
-            self.expect("(")
-            init = None
-            if not self.at(";"):
-                if self.starts_decl():
-                    init = self.parse_decl_stmt(consume_semi=False)
-                else:
-                    expr, ops = self.statement_expr()
-                    init = nodes.ExprStmt(expr, ops, line=tok.line, col=tok.col)
-            self.expect(";")
-            cond, ops = (None, ()) if self.at(";") else self.statement_expr()
-            self.expect(";")
-            step = None
-            if not self.at(")"):
-                expr, step_ops = self.statement_expr()
-                step = nodes.ExprStmt(expr, step_ops, line=expr.line, col=expr.col)
-            self.expect(")")
-            body = self.parse_body_or_single()
-            return nodes.For(init, cond, step, body, ops, line=tok.line, col=tok.col)
-        if text == "switch":
-            return self.parse_switch()
-        if text == "return":
-            self.take()
-            expr, ops = (None, ()) if self.at(";") else self.statement_expr()
-            self.expect(";")
-            return nodes.Return(expr, ops, line=tok.line, col=tok.col)
-        if text == "break":
-            self.take()
-            self.expect(";")
-            return nodes.Break(line=tok.line, col=tok.col)
-        if text == "continue":
-            self.take()
-            self.expect(";")
-            return nodes.Continue(line=tok.line, col=tok.col)
-        if text == "goto":
-            self.take()
-            label = self.take()
-            self.accept(";")
-            self.warn("goto is outside the analyzed subset", tok)
-            return nodes.Opaque(
-                text=f"goto {label.text}", reason="goto", line=tok.line, col=tok.col
-            )
-        if text in _ASM_WORDS:
-            self.take()
-            while self.peek().text in ("volatile", "__volatile__", "inline", "goto"):
-                self.take()
-            if self.at("("):
-                self.skip_balanced("(", ")")
-            self.accept(";")
-            return nodes.Opaque(
-                text="asm", reason="inline asm", line=tok.line, col=tok.col
-            )
-        if self.starts_decl():
-            return self.parse_decl_stmt()
-        expr, ops = self.statement_expr()
-        self.expect(";")
+    def expr_stmt(self, expr, ops, tok):
+        """The statement `expr;` at `tok`; a `CAMLlocal` call declares its
+        names as locals of type value."""
+        if isinstance(expr, nodes.Call) and expr.callee in CAMLLOCAL:
+            for arg in expr.args:
+                if isinstance(arg, nodes.Name):
+                    self.locals.append((arg.ident, nodes.CType("value")))
         return nodes.ExprStmt(expr, ops, line=tok.line, col=tok.col)
+
+    # Each statement that a keyword starts is parsed by a method of its own
+    # that takes the keyword's token, already consumed.
+
+    def parse_empty(self, tok):
+        return None
+
+    def parse_if(self, tok):
+        self.expect("(")
+        cond, ops = self.statement_expr()
+        self.expect(")")
+        then = self.parse_stmt()
+        els = None
+        if self.accept("else"):
+            els = self.parse_stmt()
+        return nodes.If(cond, then, els, ops, line=tok.line, col=tok.col)
+
+    def parse_while(self, tok):
+        self.expect("(")
+        cond, ops = self.statement_expr()
+        self.expect(")")
+        body = self.parse_stmt()
+        return nodes.While(cond, body, ops, line=tok.line, col=tok.col)
+
+    def parse_do(self, tok):
+        body = self.parse_stmt()
+        self.expect("while")
+        self.expect("(")
+        cond, ops = self.statement_expr()
+        self.expect(")")
+        self.expect(";")
+        return nodes.DoWhile(body, cond, ops, line=tok.line, col=tok.col)
+
+    def parse_for(self, tok):
+        self.expect("(")
+        init = None
+        if not self.at(";"):
+            if self.starts_decl():
+                init = self.parse_decl_stmt(consume_semi=False)
+            else:
+                expr, ops = self.statement_expr()
+                init = self.expr_stmt(expr, ops, tok)
+        self.expect(";")
+        cond, ops = (None, ()) if self.at(";") else self.statement_expr()
+        self.expect(";")
+        step = None
+        if not self.at(")"):
+            expr, step_ops = self.statement_expr()
+            step = nodes.ExprStmt(expr, step_ops, line=expr.line, col=expr.col)
+        self.expect(")")
+        body = self.parse_stmt()
+        return nodes.For(init, cond, step, body, ops, line=tok.line, col=tok.col)
+
+    def parse_return(self, tok):
+        expr, ops = (None, ()) if self.at(";") else self.statement_expr()
+        self.expect(";")
+        return nodes.Return(expr, ops, line=tok.line, col=tok.col)
+
+    def parse_break(self, tok):
+        self.expect(";")
+        return nodes.Break(line=tok.line, col=tok.col)
+
+    def parse_continue(self, tok):
+        self.expect(";")
+        return nodes.Continue(line=tok.line, col=tok.col)
+
+    def parse_goto(self, tok):
+        label = self.take()
+        self.accept(";")
+        self.warn("goto is outside the analyzed subset", tok)
+        return nodes.Opaque(
+            text=f"goto {label.text}", reason="goto", line=tok.line, col=tok.col
+        )
+
+    def parse_asm(self, tok):
+        while self.peek().text in ("volatile", "__volatile__", "inline", "goto"):
+            self.take()
+        if self.at("("):
+            self.skip_balanced("(", ")")
+        self.accept(";")
+        return nodes.Opaque(text="asm", reason="inline asm", line=tok.line, col=tok.col)
 
     def statement_expr(self):
         """Parse a statement-level expression; returns it with its ops."""
@@ -491,9 +519,9 @@ class _Parser:
         expr = self.parse_expr()
         return expr, tuple(self.ops)
 
-    def parse_switch(self):
-        tok = self.expect("switch")
-        # three frames lead down to a case body, so the switch is a level too
+    def parse_switch(self, tok):
+        # a switch is a level besides its statement's, so a case body sits
+        # two levels in
         depth = self.nest(tok)
         try:
             self.expect("(")
@@ -531,30 +559,46 @@ class _Parser:
                     raise CParseError(
                         "statement before first case label", t.line, t.col
                     )
-                current.body.extend(self.parse_body_or_single())
+                current.body.extend(self.parse_stmt())
             self.expect("}")
             return nodes.Switch(subject, cases, ops, line=tok.line, col=tok.col)
         finally:
             self.depth = depth
 
+    STATEMENT_KEYWORDS = {
+        ";": parse_empty,
+        "if": parse_if,
+        "while": parse_while,
+        "do": parse_do,
+        "for": parse_for,
+        "switch": parse_switch,
+        "return": parse_return,
+        "break": parse_break,
+        "continue": parse_continue,
+        "goto": parse_goto,
+        **dict.fromkeys(_ASM_WORDS, parse_asm),
+    }
+
     def starts_decl(self) -> bool:
-        tok = self.peek()
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
         if tok.kind != "ident":
             return False
         if tok.text in QUALIFIER_WORDS or tok.text in BASE_TYPE_WORDS:
             return True
         if tok.text in ("struct", "union", "enum"):
             return True
-        nxt = self.peek(1)
+        nxt = tokens[pos + 1]
         if nxt.kind == "ident":
             return True  # "xc_interface xch"
         if nxt.text == "*":
             # "T *p;" vs "a * b;": scan stars, require ident then a
             # declarator-ish continuation
-            j = 1
-            while self.peek(j).text == "*":
+            j = pos + 1
+            while tokens[j].text == "*":
                 j += 1
-            if self.peek(j).kind == "ident" and self.peek(j + 1).text in (
+            if tokens[j].kind == "ident" and tokens[j + 1].text in (
                 ";", "=", ",", "[", ")",
             ):
                 return True
@@ -591,10 +635,12 @@ class _Parser:
                 # the store sits at the name's token, not at the declaration
                 # that holds these ops: an op never refers to its statement
                 ops = (*self.ops, (ASSIGN, name_tok.text, "=", init, name_tok))
+            ctype = nodes.CType(base, ptrs, array=array)
+            self.locals.append((name_tok.text, ctype))
             decls.append(
                 nodes.VarDecl(
                     name_tok.text,
-                    nodes.CType(base, ptrs, array=array),
+                    ctype,
                     init,
                     ops,
                     line=name_tok.line,
@@ -642,18 +688,106 @@ class _Parser:
     # -- expressions ----------------------------------------------------
 
     def parse_expr(self, min_prec: int = _ASSIGN):
-        """Precedence climbing: an operand and every operator after it that
-        binds at least `min_prec`, each right operand taking only tighter
-        ones (or as tight, for the right-grouping ones)."""
-        left = self.parse_unary()
+        """An operand and every operator after it that binds at least
+        `min_prec`, each right operand taking only tighter ones (or as
+        tight, for the right-grouping ones).
+
+        The operand is its prefix operators, a primary and its postfix
+        operators.  The operand is a nesting level, and so is each prefix
+        operator, each postfix operator and each binary, conditional or
+        assignment operator.  The ops of postfix operators come before
+        those of the prefix operators around them, which come innermost
+        first."""
+        tokens = self.tokens
         depth = self.depth
         try:
+            tok = tokens[self.pos]
+            self.nest(tok)
+            text = tok.text
+            prefixes = []
+            while text in _PREFIX_OPS:
+                self.pos += 1
+                if (
+                    text == "sizeof"
+                    and tokens[self.pos].text == "("
+                    and self.is_type_ahead(1)
+                ):
+                    # a type operand ends the operand: no postfix follows
+                    self.pos += 1
+                    ctype = self.parse_type_name()
+                    self.expect(")")
+                    left = nodes.SizeofType(ctype, line=tok.line, col=tok.col)
+                    break
+                prefixes.append(tok)
+                tok = tokens[self.pos]
+                self.nest(tok)
+                text = tok.text
+            else:  # the loop ended at the primary
+                kind = tok.kind
+                if kind == "ident":
+                    self.pos += 1
+                    left = nodes.Name(text, line=tok.line, col=tok.col)
+                elif kind == "num":
+                    self.pos += 1
+                    left = nodes.Num(
+                        text, _num_value(text), line=tok.line, col=tok.col
+                    )
+                else:
+                    left = self.parse_primary()
+                while True:
+                    tok = tokens[self.pos]
+                    text = tok.text
+                    if text not in _POSTFIX_OPS:
+                        break
+                    self.pos += 1
+                    self.nest(tok)
+                    if text == "(":
+                        args = []
+                        if tokens[self.pos].text != ")":
+                            while True:
+                                args.append(self.parse_expr())
+                                if not self.accept(","):
+                                    break
+                        self.expect(")")
+                        node = nodes.Call(left, args, line=tok.line, col=tok.col)
+                        if isinstance(left, nodes.Name):
+                            self.ops.append((CALL, left.ident, node))
+                    elif text == "[":
+                        index = self.parse_expr()
+                        self.expect("]")
+                        node = nodes.Index(left, index, line=tok.line, col=tok.col)
+                        self.ops.append((DEREF, left, node))
+                    elif text == "." or text == "->":
+                        name = self.take()
+                        arrow = text == "->"
+                        node = nodes.Member(
+                            left, name.text, arrow, line=tok.line, col=tok.col
+                        )
+                        if arrow:
+                            self.ops.append((DEREF, left, node))
+                    else:
+                        if isinstance(left, nodes.Name):
+                            self.ops.append((BUMP, left.ident))
+                        node = nodes.Unary(text, left, False, line=tok.line, col=tok.col)
+                    left = node
+            for tok in reversed(prefixes):
+                op = tok.text
+                node = nodes.Unary(op, left, True, line=tok.line, col=tok.col)
+                if op == "*":
+                    self.ops.append((DEREF, left, node))
+                elif isinstance(left, nodes.Name):
+                    if op == "&":
+                        self.ops.append((ADDR, left.ident, node))
+                    elif op == "++" or op == "--":
+                        self.ops.append((BUMP, left.ident))
+                left = node
+            self.depth = depth
             while True:
-                tok = self.peek()
+                tok = tokens[self.pos]
                 prec = _PREC.get(tok.text, 0)
                 if prec < min_prec:
                     return left
-                self.take()
+                self.pos += 1
                 self.nest(tok)
                 if prec == _ASSIGN:
                     right = self.parse_expr(_ASSIGN)
@@ -673,36 +807,6 @@ class _Parser:
                     left = nodes.Binary(
                         tok.text, left, right, line=tok.line, col=tok.col
                     )
-        finally:
-            self.depth = depth
-
-    def parse_unary(self):
-        tok = self.peek()
-        depth = self.nest(tok)
-        try:
-            op = tok.text
-            if op in ("*", "&", "!", "~", "-", "+", "++", "--"):
-                self.take()
-                operand = self.parse_unary()
-                node = nodes.Unary(op, operand, True, line=tok.line, col=tok.col)
-                if op == "*":
-                    self.ops.append((DEREF, operand, node))
-                elif isinstance(operand, nodes.Name):
-                    if op == "&":
-                        self.ops.append((ADDR, operand.ident, node))
-                    elif op == "++" or op == "--":
-                        self.ops.append((BUMP, operand.ident))
-                return node
-            if tok.text == "sizeof":
-                self.take()
-                if self.at("(") and self.is_type_ahead(1):
-                    self.expect("(")
-                    ctype = self.parse_type_name()
-                    self.expect(")")
-                    return nodes.SizeofType(ctype, line=tok.line, col=tok.col)
-                operand = self.parse_unary()
-                return nodes.Unary("sizeof", operand, True, line=tok.line, col=tok.col)
-            return self.parse_postfix()
         finally:
             self.depth = depth
 
@@ -734,57 +838,11 @@ class _Parser:
         ptrs = self.parse_pointers()
         return nodes.CType(base, ptrs)
 
-    def parse_postfix(self):
-        expr = self.parse_primary()
-        depth = self.depth
-        try:
-            while True:
-                tok = self.peek()
-                if tok.text not in ("(", "[", ".", "->", "++", "--"):
-                    return expr
-                self.take()
-                self.nest(tok)
-                if tok.text == "(":
-                    args = []
-                    if not self.at(")"):
-                        while True:
-                            args.append(self.parse_expr())
-                            if not self.accept(","):
-                                break
-                    self.expect(")")
-                    call = nodes.Call(expr, args, line=tok.line, col=tok.col)
-                    if isinstance(expr, nodes.Name):
-                        self.ops.append((CALL, expr.ident, call))
-                    expr = call
-                elif tok.text == "[":
-                    index = self.parse_expr()
-                    self.expect("]")
-                    node = nodes.Index(expr, index, line=tok.line, col=tok.col)
-                    self.ops.append((DEREF, expr, node))
-                    expr = node
-                elif tok.text in (".", "->"):
-                    name = self.take()
-                    arrow = tok.text == "->"
-                    node = nodes.Member(
-                        expr, name.text, arrow, line=tok.line, col=tok.col
-                    )
-                    if arrow:
-                        self.ops.append((DEREF, expr, node))
-                    expr = node
-                else:
-                    if isinstance(expr, nodes.Name):
-                        self.ops.append((BUMP, expr.ident))
-                    expr = nodes.Unary(
-                        tok.text, expr, False, line=tok.line, col=tok.col
-                    )
-        finally:
-            self.depth = depth
-
     def parse_primary(self):
+        """A primary other than a name or a number: string and char
+        literals, and a parenthesis, which holds an expression or the type
+        of a cast or a compound literal."""
         tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return nodes.Num(tok.text, _num_value(tok.text), line=tok.line, col=tok.col)
         if tok.kind == "str":
             self.take()
             text = tok.text
@@ -794,9 +852,6 @@ class _Parser:
         if tok.kind == "char":
             self.take()
             return nodes.CharLit(tok.text, line=tok.line, col=tok.col)
-        if tok.kind == "ident":
-            self.take()
-            return nodes.Name(tok.text, line=tok.line, col=tok.col)
         if tok.text != "(":
             raise CParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
         depth = self.nest(tok)
@@ -808,7 +863,7 @@ class _Parser:
                 if self.at("{"):
                     inits = self.parse_brace_list()
                     return nodes.CompoundLit(ctype, inits, line=tok.line, col=tok.col)
-                operand = self.parse_unary()
+                operand = self.parse_expr(_UNARY)
                 return nodes.Cast(ctype, operand, line=tok.line, col=tok.col)
             self.take()
             expr = self.parse_expr()
@@ -829,37 +884,6 @@ def _num_value(text: str):
             return float(body)
         except ValueError:
             return None
-
-
-def _collect_locals(stmts, found: list[tuple[str, nodes.CType]]):
-    """Append the locals declared in `stmts`, nested bodies included.
-
-    A module-level function, not a closure over `found`: a closure that
-    calls itself is a reference cycle, which only the cyclic collector
-    frees."""
-    for stmt in stmts:
-        if isinstance(stmt, nodes.DeclStmt):
-            for d in stmt.decls:
-                found.append((d.name, d.ctype))
-        elif isinstance(stmt, nodes.ExprStmt):
-            expr = stmt.expr
-            if isinstance(expr, nodes.Call) and expr.callee in CAMLLOCAL:
-                for arg in expr.args:
-                    if isinstance(arg, nodes.Name):
-                        found.append((arg.ident, nodes.CType("value")))
-        elif isinstance(stmt, nodes.If):
-            _collect_locals(stmt.then, found)
-            if stmt.els:
-                _collect_locals(stmt.els, found)
-        elif isinstance(stmt, (nodes.While, nodes.DoWhile)):
-            _collect_locals(stmt.body, found)
-        elif isinstance(stmt, nodes.For):
-            if stmt.init is not None:
-                _collect_locals([stmt.init], found)
-            _collect_locals(stmt.body, found)
-        elif isinstance(stmt, nodes.Switch):
-            for case in stmt.cases:
-                _collect_locals(case.body, found)
 
 
 def parse_unit(preprocessed_text: str, file_name: str) -> nodes.StubUnit:

@@ -67,7 +67,12 @@ _COMMENT_RE = re.compile(rf"{_LITERAL}|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)")
 _WORD_RE = re.compile(rf"{_LITERAL}|{_IDENT}")
 _PAREN_RE = re.compile(rf"{_LITERAL}|[()]")
 _ARGS_OPEN_RE = re.compile(r"[ \t]*\(")
-_GUARD_NAME_RE = re.compile(rf"\b{_IDENT}")  # not the x1F of 0x1F
+# in a guard, the names of `defined` and the other identifiers; a literal
+# matches whole and is left as it is
+_DEFINED_RE = re.compile(
+    rf"{_LITERAL}|defined\s*(?:\(\s*({_IDENT})\s*\)|({_IDENT}))"
+)
+_GUARD_NAME_RE = re.compile(rf"{_LITERAL}|\b{_IDENT}")  # not the x1F of 0x1F
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*?)\s*$")
 _DEFINE_RE = re.compile(r"^([A-Za-z_]\w*)(\()?")
 
@@ -215,17 +220,19 @@ def _guard(kind, rest, macros):
     def _defined(mm):
         nonlocal used_unknown
         ident = mm.group(1) or mm.group(2)
+        if ident is None:  # a literal
+            return mm.group()
         if ident not in macros:
             used_unknown = True
         return "1" if ident in macros else "0"
 
-    expr = re.sub(
-        r"defined\s*(?:\(\s*([A-Za-z_]\w*)\s*\)|([A-Za-z_]\w*))", _defined, rest
-    )
+    expr = _DEFINED_RE.sub(_defined, rest)
 
     def _subst_ident(mm):
         nonlocal used_unknown
         ident = mm.group()
+        if ident[0] in "\"'":  # a literal
+            return ident
         macro = macros.get(ident)
         if macro is not None and not macro.func_like:
             return macro.body if macro.body else "1"

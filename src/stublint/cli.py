@@ -11,6 +11,7 @@ import argparse
 import gc
 import os
 import sys
+from collections.abc import Iterable
 
 from . import harness_gen, header_gen, ml_frontend
 from .c_frontend import (
@@ -31,7 +32,7 @@ from .lock_analysis import (
     solve,
 )
 from .naked_const import check_naked, solve_consts
-from .sarif import emit_sarif
+from .sarif import sarif
 from .value_safety import check_camlparam, check_deref_safety, track_values
 
 DEFAULT_SUMMARIES = "stublint-summaries.txt"
@@ -281,12 +282,17 @@ def run(
 
 
 def _write_output(path: str, text: str):
+    _write_pieces(path, (text,))
+
+
+def _write_pieces(path: str, pieces: Iterable[str]):
+    """Write `pieces` one after another to `path`, or to stdout for `-`."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise FatalError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -364,7 +370,7 @@ def main(argv=None) -> int:
             disabled=disabled,
         )
         if args.sarif is not None:
-            _write_output(args.sarif, emit_sarif(diags))
+            _write_pieces(args.sarif, sarif(diags))
         for diag in diags:
             print(diag.render())
         return status

@@ -2,18 +2,21 @@
 
 One run, one tool, rules in the fixed vocabulary order, one result per
 diagnostic.  `sarif_log` builds the log as a dict with its keys in a fixed
-order.  `emit_sarif` writes the same log as text: the skeleton (tool,
-rules, an empty results array) comes from `json.dumps(..., indent=2)`, and
-each result is written directly in the layout `indent=2` gives it, every
-string escaped by the `json` function `ensure_ascii` uses.  So its bytes
-are exactly `json.dumps(sarif_log(diags), indent=2)` plus a newline, at a
-fraction of the cost of `json`'s indenting encoder, which is pure Python.
-Identical findings serialize to identical bytes.
+order.  `sarif` gives the same log as text, in pieces that a caller can
+write out one after another without holding the whole document: the
+skeleton (tool, rules, an empty results array) comes from
+`json.dumps(..., indent=2)`, and each result is written directly in the
+layout `indent=2` gives it, every string escaped by the `json` function
+`ensure_ascii` uses.  So the pieces join to exactly
+`json.dumps(sarif_log(diags), indent=2)` plus a newline, at a fraction of
+the cost of `json`'s indenting encoder, which is pure Python; `emit_sarif`
+joins them.  Identical findings serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _str
 
 from . import __version__
@@ -81,13 +84,25 @@ def sarif_log(diags) -> dict:
     }
 
 
-def emit_sarif(diags) -> str:
+def sarif(diags) -> Iterator[str]:
+    """The SARIF text of `diags`, in pieces: the skeleton up to the first
+    result, each result, and the rest."""
     log = json.dumps(sarif_log([]), indent=2)
-    results = ",\n".join(_result_text(diag) for diag in diags)
-    if not results:
-        return log + "\n"
     head, _, tail = log.rpartition('"results": []')
-    return f'{head}"results": [\n{results}\n      ]{tail}\n'
+    results = iter(diags)
+    first = next(results, None)
+    if first is None:
+        yield log + "\n"
+        return
+    yield f'{head}"results": [\n{_result_text(first)}'
+    for diag in results:
+        yield ",\n" + _result_text(diag)
+    yield f"\n      ]{tail}\n"
+
+
+def emit_sarif(diags) -> str:
+    """The SARIF text of `diags`, whole."""
+    return "".join(sarif(diags))
 
 
 def _result_text(diag) -> str:

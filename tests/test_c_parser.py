@@ -385,38 +385,89 @@ def test_caml_locals_collected(parse_c):
     assert "rc" not in value_locals
 
 
+def test_locals_in_declaration_order_nested_bodies_included(parse_c):
+    src = (
+        "value f(value a)\n{\n"
+        "    CAMLparam1(a);\n"
+        "    int n = 0, *p;\n"
+        "    if (a) { CAMLlocal2(x, y); } else { long e; }\n"
+        "    for (int i = 0; i < n; i++) { value w; }\n"
+        "    for (CAMLlocal1(z); n; CAMLlocal1(s)) {}\n"
+        "    switch (n) { case 1: { char c; } }\n"
+        "    CAMLreturn(a);\n"
+        "}\n"
+        "value g(value b)\n{\n    value d;\n    return (;\n}\n"
+        "value h(value b)\n{\n    value u;\n    return b;\n}\n"
+    )
+    unit = parse_c(src)
+    # g's body does not parse, so g is dropped and its `d` is no one's
+    assert [fn.name for fn in unit.functions] == ["f", "h"]
+    f, h = unit.functions
+    assert [(name, t.spell()) for name, t in f.locals] == [
+        ("n", "int"), ("p", "int *"), ("x", "value"), ("y", "value"),
+        ("e", "long"), ("i", "int"), ("w", "value"), ("z", "value"),
+        ("c", "char"),
+    ]
+    assert [name for name, _ in h.locals] == ["u"]
+
+
 # -- nesting cap -----------------------------------------------------------
 
 
+# expressions nesting one operand form n times, the deepest n that parses,
+# and where the parse fails one past it.  A prefix operator, `sizeof` and the
+# operand they end in are a level each; a cast is two (its parenthesis and
+# its operand); each postfix operator is one more, and so is an index.
+OPERAND_FORMS = {
+    "prefix operators": (lambda n: "- " * n + "1", 199, "1:401"),
+    "sizeof": (lambda n: "sizeof " * n + "x", 199, "1:1401"),
+    "casts": (lambda n: "(long)" * n + "x", 99, "1:601"),
+    "postfix chain": (lambda n: "g" + "()[0]->f++" * n, 49, "1:500"),
+}
+
+
 def test_nesting_cap_counts_each_prefix_operator_as_a_level():
-    parse_expression("- " * (MAX_NESTING - 1) + "1")  # the 1 is a level too
-    with pytest.raises(CParseError, match=f"nested more than {MAX_NESTING} levels"):
-        parse_expression("- " * MAX_NESTING + "1")
+    for form, (expression, deepest, where) in OPERAND_FORMS.items():
+        parse_expression(expression(deepest))
+        with pytest.raises(CParseError) as exc:
+            parse_expression(expression(deepest + 1))
+        assert str(exc.value) == (
+            f"{where}: nested more than {MAX_NESTING} levels deep"
+        ), form
 
 
 # statement bodies of `value f(value c, value x, value *p)`, nesting one
-# construct n times
+# construct n times; the deepest n that parses, and the column on line 3
+# where the parse fails one past it
 NESTED = {
-    "parentheses": lambda n: "v = " + "(" * n + "1" + ")" * n + ";",
-    "prefix operators": lambda n: "v = " + "- " * n + "1;",
-    "casts": lambda n: "v = " + "(long)" * n + "x;",
-    "call arguments": lambda n: "v = " + "f(" * n + "1" + ")" * n + ";",
-    "call chain": lambda n: "v = g" + "()" * n + ";",
-    "members": lambda n: "v = p" + "->f" * n + ";",
-    "sums": lambda n: "v = " + " + ".join(["x"] * (n + 1)) + ";",
-    "assignments": lambda n: "v = " * n + "1;",
-    "conditionals": lambda n: "v = " + "c ? 1 : " * n + "0;",
-    "ifs": lambda n: "if (c) " * n + "v = 1;",
-    "else ifs": lambda n: "if (c) v = 1; else " * n + "v = 2;",
-    "loops": lambda n: "while (c) " * n + "v = 1;",
-    "switches": lambda n: "switch (c) { case 1: " * n + "v = 1;" + " }" * n,
-    "blocks": lambda n: "{ " * n + "v = 1;" + " }" * n,
-    "initializers": lambda n: "int a[1] = " + "{" * n + "1" + "}" * n + ";",
+    "parentheses": (lambda n: "v = " + "(" * n + "1" + ")" * n + ";", 98, 108),
+    "prefix operators": (lambda n: "v = " + "- " * n + "1;", 197, 405),
+    "casts": (lambda n: "v = " + "(long)" * n + "x;", 98, 603),
+    "call arguments": (lambda n: "v = " + "f(" * n + "1" + ")" * n + ";", 98, 207),
+    "call chain": (lambda n: "v = g" + "()" * n + ";", 197, 404),
+    "members": (lambda n: "v = p" + "->f" * n + ";", 197, 601),
+    "sums": (lambda n: "v = " + " + ".join(["x"] * (n + 1)) + ";", 197, 801),
+    "assignments": (lambda n: "v = " * n + "1;", 198, 801),
+    "conditionals": (lambda n: "v = " + "c ? 1 : " * n + "0;", 197, 1589),
+    "ifs": (lambda n: "if (c) " * n + "v = 1;", 197, 1395),
+    "else ifs": (lambda n: "if (c) v = 1; else " * n + "v = 2;", 197, 3759),
+    "loops": (lambda n: "while (c) " * n + "v = 1;", 197, 1989),
+    "switches": (
+        lambda n: "switch (c) { case 1: " * n + "v = 1;" + " }" * n,
+        98,
+        2088,
+    ),
+    "blocks": (lambda n: "{ " * n + "v = 1;" + " }" * n, 197, 405),
+    "initializers": (
+        lambda n: "int a[1] = " + "{" * n + "1" + "}" * n + ";",
+        198,
+        215,
+    ),
 }
 
 
 def _nested(shape: str, n: int) -> str:
-    body = NESTED[shape](n)
+    body = NESTED[shape][0](n)
     return f"value f(value c, value x, value *p)\n{{\n    {body}\n    return c;\n}}\n"
 
 
@@ -426,24 +477,21 @@ def _with_frames_in_use(frames: int, call):
 
 @pytest.mark.parametrize("shape", sorted(NESTED))
 def test_nesting_at_the_cap_is_analyzed_and_past_it_dropped(parse_c, lint_c, shape):
-    def parses(n):
-        return bool(parse_c(_nested(shape, n)).functions)
-
-    lo, hi = 1, 2 * MAX_NESTING  # the deepest n that parses is in [lo, hi)
-    assert parses(lo) and not parses(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if parses(mid):
-            lo = mid
-        else:
-            hi = mid
-    # no construct takes more than two levels
-    assert MAX_NESTING // 2 - 3 <= lo < MAX_NESTING
+    _, deepest, col = NESTED[shape]
+    assert parse_c(_nested(shape, deepest)).functions
+    assert not parse_c(_nested(shape, deepest + 1)).functions
     # at the cap, every walk over the tree runs, with 400 frames in use
-    diags = _with_frames_in_use(400, lambda: lint_c(_nested(shape, lo)))
+    diags = _with_frames_in_use(400, lambda: lint_c(_nested(shape, deepest)))
     assert "UNSUPPORTED_CONSTRUCT" not in [d.rule_id for d in diags]
-    # one past it, the function is dropped with a warning
-    (warning,) = [d for d in lint_c(_nested(shape, lo + 1)) if d.severity == "warning"]
-    assert warning.rule_id == "UNSUPPORTED_CONSTRUCT"
-    assert warning.message.startswith("could not parse body of 'f': ")
-    assert warning.message.endswith(f"nested more than {MAX_NESTING} levels deep")
+    # one past it, the function is dropped with a warning at its name that
+    # says where the parse gave up
+    (warning,) = [
+        d for d in lint_c(_nested(shape, deepest + 1)) if d.severity == "warning"
+    ]
+    assert (warning.rule_id, warning.line, warning.column) == (
+        "UNSUPPORTED_CONSTRUCT", 1, 7
+    )
+    assert warning.message == (
+        f"could not parse body of 'f': 3:{col}: nested more than {MAX_NESTING}"
+        " levels deep"
+    )

@@ -312,6 +312,31 @@ OP_TABLE = [
         "n = (value) {f(1), g(2)};",
         [["call f 4:19", "call g 4:25", "assign n = CompoundLit 4:7"]],
     ),
+    # postfix operators bind before the prefix ones around them, and
+    # prefix operators apply innermost first
+    (
+        "*p++ = -f(x)[i]->g;",
+        [
+            [
+                "bump p", "deref Unary 4:5", "call f 4:14", "deref f() 4:17",
+                "deref f()[] 4:20",
+            ]
+        ],
+    ),
+    (
+        "++*p->q[j]-- = &*g(&y)(z)->h;",
+        [
+            [
+                "deref p 4:9", "deref p->q 4:12", "deref Unary 4:7",
+                "addr y 4:24", "call g 4:23", "deref g()() 4:30",
+                "deref g()()->h 4:21",
+            ]
+        ],
+    ),
+    (
+        "x = sizeof -(long)*p++ + !~q[0];",
+        [["bump p", "deref Unary 4:23", "deref q 4:33", "assign x = Binary 4:7"]],
+    ),
 ]
 
 

@@ -178,6 +178,23 @@ def test_sarif_file_written_and_valid(proj, run_main, sarif_subset_schema):
     assert log["runs"][0]["results"][0]["ruleId"] == "NAKED_POINTER"
 
 
+def test_sarif_to_stdout_or_an_unwritable_path(proj, run_main):
+    dirpath, write = proj
+    c = write("bad.c", BAD_C)
+    sarif_path = dirpath / "out.sarif"
+    _, text, _ = run_main(c)
+    run_main(c, "--sarif", str(sarif_path))
+    # `-` writes the same bytes to stdout, before the text findings
+    code, out, _ = run_main(c, "--sarif", "-")
+    assert code == 1
+    assert out == sarif_path.read_text() + text
+    # a path that cannot be opened is a fatal error, and nothing is printed
+    missing = dirpath / "no such dir" / "out.sarif"
+    code, out, err = run_main(c, "--sarif", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"stublint: error: cannot write {missing}: ")
+
+
 def test_consecutive_runs_are_byte_identical(proj, run_main):
     dirpath, write = proj
     c = write("bad.c", BAD_C)

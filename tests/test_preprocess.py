@@ -152,6 +152,9 @@ GUARD_NOTES = [
     ("1 +", "is unsupported (unexpected token '<eof>')"),
     ("UNKNOWN / 0", UNKNOWN),
     ("defined(X) << 64", UNKNOWN),
+    # a literal names no macro, not even after `defined`
+    ('"a"', "is unsupported (not an integer constant expression)"),
+    ('"defined X"', "is unsupported (not an integer constant expression)"),
 ]
 
 
