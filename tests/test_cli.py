@@ -159,6 +159,49 @@ def test_note_suppressed_without_c_files(proj, run_main):
     assert out == ""
 
 
+ADD_NAT_ML = (
+    "type nat\n"
+    "external add_nat: nat -> int -> int -> nat -> int -> int -> int -> int\n"
+    '                = "add_nat_bytecode" "add_nat_native"\n'
+)
+SEVEN = ", ".join(f"value a{i}" for i in range(1, 8))
+SEVEN_BODY = (
+    "{\n    CAMLparam5(a1, a2, a3, a4, a5);\n    CAMLxparam2(a6, a7);\n"
+    "    CAMLreturn(Val_int(0));\n}\n"
+)
+
+
+def test_arity_above_five_needs_a_native_name_and_the_argv_form(proj, run_main):
+    _, write = proj
+    # one C name for seven arguments: OCaml cannot compile the declaration
+    ml = write("bad7.ml", "type t\nexternal bad7: " + "int -> " * 7 + 'int = "bad7"\n')
+    code, out, _ = run_main(ml)
+    assert code == 1
+    assert out.startswith(
+        f"{ml}:2:1: error: ARITY_MISMATCH: external 'bad7' has arity 7 (> 5)"
+        " but declares no separate native C name;"
+    )
+    # the bytecode stub of an arity-7 external takes (value *argv, int argn)
+    ml = write("add_nat.ml", ADD_NAT_ML)
+    c = write("add_nat.c", f"value add_nat_bytecode({SEVEN})\n" + SEVEN_BODY)
+    code, out, _ = run_main(ml, c)
+    assert code == 1
+    assert (
+        f"{c}:1:7: error: ARITY_MISMATCH: 'add_nat_bytecode' implements an"
+        " arity-7 external and must use the (value *argv, int argn) form"
+    ) in out
+    # and the native one takes one parameter per argument
+    c = write(
+        "add_nat.c",
+        f"value add_nat_native({SEVEN})\n" + SEVEN_BODY + "\n"
+        "value add_nat_bytecode(value *argv, int argn)\n{\n"
+        "    return add_nat_native(argv[0], argv[1], argv[2], argv[3],"
+        " argv[4], argv[5], argv[6]);\n}\n",
+    )
+    code, out, _ = run_main(ml, c)
+    assert (code, out) == (0, "")
+
+
 def test_header_and_harness_to_stdout(proj, run_main):
     _, write = proj
     ml = write("decl.ml", 'external f : int -> int = "c_f"\n')

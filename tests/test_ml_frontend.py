@@ -1,6 +1,9 @@
 """external-declaration scanning and arity computation."""
 
+from pathlib import Path
+
 from hypothesis import given, strategies as st
+from mlgen import REGENERATE, golden_text
 
 from stublint import ml_frontend
 from stublint.ml_frontend import compute_arity, parse_ml_externals
@@ -113,3 +116,21 @@ def test_every_external_in_a_file_is_found(count, noise):
     decls, errors = parse_ml_externals("\n".join(lines) + "\n", "gen.ml")
     assert errors == []
     assert [d.ocaml_name for d in decls] == ["f%d" % i for i in range(count)]
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_externals.txt"
+
+
+def test_random_externals_match_golden():
+    expected = GOLDEN.read_text().splitlines()
+    actual = golden_text().splitlines()
+    first = next(
+        (i for i, pair in enumerate(zip(expected, actual)) if pair[0] != pair[1]),
+        min(len(expected), len(actual)),
+    )
+    assert actual == expected, (
+        f"externals differ from {GOLDEN.name} at line {first + 1}:\n"
+        f"  golden: {expected[first] if first < len(expected) else '<end>'}\n"
+        f"  actual: {actual[first] if first < len(actual) else '<end>'}\n"
+        f"If the change is intended, regenerate with: {REGENERATE}"
+    )
