@@ -22,7 +22,6 @@ from .c_frontend import (
     preprocess_local,
 )
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
-from .header_gen import MAX_DIRECT_ARITY
 from .lock_analysis import (
     SummaryEntry,
     SummaryError,
@@ -57,13 +56,13 @@ def _is_argv_pair(params) -> bool:
     )
 
 
-def _check_definition(decl, fn, flavor) -> Diagnostic | None:
+def _check_definition(decl, fn, proto) -> Diagnostic | None:
     file, line, col = decl.source_loc
     related = (
         (file, line, col, f"external '{decl.ocaml_name}' declared here"),
     )
     nparams = len(fn.params)
-    if flavor == "bytecode" and decl.arity > MAX_DIRECT_ARITY:
+    if proto.is_argv_form:
         if _is_argv_pair(fn.params):
             return None
         return Diagnostic(
@@ -113,32 +112,27 @@ def _check_definition(decl, fn, flavor) -> Diagnostic | None:
 
 
 def check_arity(decls, units) -> list[Diagnostic]:
+    """Each external against the definitions of its C symbols.
+
+    The prototypes, and the error for a declaration OCaml cannot compile,
+    come from `header_gen.prototypes_for`; a symbol named twice is checked
+    against its first prototype, the bytecode one.
+    """
     definitions = {}
     for unit in units:
         for fn in unit.functions:
             definitions.setdefault(fn.name, fn)
     diags = []
     for decl in decls:
-        if decl.byte_name.startswith("%"):
-            continue
+        protos, problems = header_gen.prototypes_for(decl)
+        diags.extend(problems)
         file, line, col = decl.source_loc
-        if decl.arity > MAX_DIRECT_ARITY and decl.native_name is None:
-            diags.append(
-                Diagnostic(
-                    "ARITY_MISMATCH",
-                    ERROR,
-                    file,
-                    line,
-                    col,
-                    f"external '{decl.ocaml_name}' has arity {decl.arity}"
-                    " (> 5) but declares no separate native C name; OCaml"
-                    " cannot compile this declaration",
-                )
-            )
-        symbols = [(decl.byte_name, "bytecode")]
-        if decl.native_name is not None and decl.native_name != decl.byte_name:
-            symbols.append((decl.native_name, "native"))
-        for symbol, flavor in symbols:
+        checked = set()
+        for proto in protos:
+            symbol = proto.c_name
+            if symbol in checked:
+                continue
+            checked.add(symbol)
             fn = definitions.get(symbol)
             if fn is None:
                 if units:
@@ -154,7 +148,7 @@ def check_arity(decls, units) -> list[Diagnostic]:
                         )
                     )
                 continue
-            found = _check_definition(decl, fn, flavor)
+            found = _check_definition(decl, fn, proto)
             if found is not None:
                 diags.append(found)
     return diags

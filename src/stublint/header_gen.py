@@ -5,8 +5,10 @@ bytecode runtime switches to the (value *argv, int argn) calling convention,
 which is exactly the corner the arity checker exists for.  Native stubs take
 one parameter per argument with unboxed/untagged types honoured.
 
-The spelling tables below are the single source of truth: the header writer,
-the harness writer and the arity cross-check all go through them.
+`prototypes_for` is the only code that knows this calling convention, and
+the spelling tables below are the single source of truth: the header writer,
+the harness writer and the arity cross-check (`cli.check_arity`) all go
+through them.
 """
 
 from __future__ import annotations

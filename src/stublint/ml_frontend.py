@@ -6,10 +6,20 @@ string literals, and understands just enough of the type syntax to count
 top-level arrows and classify arguments.  `.ml` and `.mli` files look the
 same from here; callers decide what to do about duplicates between a pair.
 
-Arity is the number of `->` at parenthesis depth zero, so `unit -> handle`
-has arity 1 and `(int -> int) -> int` also has arity 1.  A declaration that
-cannot be made sense of yields one parse error and scanning resumes at the
-next item, so a bad declaration never hides its neighbours.
+Each step is done once, in one place:
+
+- one scan: `_tokenize` matches one pattern from the current position, and
+  a comment is skipped by one search over its openers, closers and strings;
+- one bracket tracker: `_parse_external` collects the type up to its
+  depth-0 `=` and splits it at each depth-0 `->` in the same loop, so the
+  arity is the number of segments less one.  `unit -> handle` has arity 1,
+  and so does `(int -> int) -> int`;
+- one attribute reader: `_kind_of_segment` reads each argument or result
+  in one pass, into its `[@...]` attribute words and its bare type.
+
+A declaration that cannot be made sense of yields one parse error and
+scanning resumes at the next item, so a bad declaration never hides its
+neighbours.
 """
 
 from __future__ import annotations
@@ -42,8 +52,28 @@ _RESYNC = frozenset(
     {"external", "let", "type", "module", "open", "include", "val", "exception"}
 )
 
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_CHAR_LIT_RE = re.compile(r"'(\\[^']*|[^'\\])'")
+# One token from the current position: blanks, a comment opener, a string
+# (a backslash escapes any next character; one left open runs to the end of
+# the text), a char literal, a word, `->` or any other single character.
+# Blanks are the OCaml ones, not `\s`.  A char literal has nothing
+# interesting inside and is dropped; a `'` that starts none is punctuation.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r\n]+
+    |(?P<comment>\(\*)
+    |(?P<string>"(?:[^"\\]|\\[\s\S]?)*"?)
+    |'(?:\\[^']*|[^'\\])'
+    |(?P<word>[A-Za-z_][A-Za-z0-9_']*)
+    |(?P<punct>->|[\s\S])""",
+    re.VERBOSE,
+)
+# inside a comment, what changes its depth; a string is matched whole, so a
+# `*)` inside it closes nothing
+_COMMENT_RE = re.compile(r"""(\(\*)|(\*\))|"(?:[^"\\]|\\[\s\S]?)*"?""")
+_NEWLINE_RE = re.compile(r"\n")
+
+# brackets of a type, each opener with its closer
+_OPEN = {"(": ")", "[": "]", "<": ">"}
+_CLOSE = {")", "]", ">"}
 
 
 @dataclass(frozen=True)
@@ -54,7 +84,6 @@ class ExternalDecl:
     arity: int
     arg_kinds: tuple[str, ...]
     return_kind: str
-    attrs: frozenset[str]
     source_loc: tuple[str, int, int]  # file, 1-based line, 1-based column
 
 
@@ -71,79 +100,38 @@ class MlParseError:
 
 
 def _tokenize(text: str):
-    """Yield (kind, text, pos) tokens; kind is word | string | punct.
+    """The (kind, text, pos) tokens; kind is word | string | punct.
 
     Comments vanish entirely (they nest, and a string literal inside a
     comment keeps the comment open, as in real OCaml).  `->` is one token.
     """
     tokens = []
+    match = _TOKEN_RE.match
     i = 0
     n = len(text)
     while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "(" and text.startswith("(*", i):
+        m = match(text, i)
+        kind = m.lastgroup
+        if kind == "comment":
             i = _skip_comment(text, i)
             continue
-        if c == '"':
-            j = _skip_string(text, i)
-            tokens.append(("string", text[i:j], i))
-            i = j
-            continue
-        if c == "'":
-            m = _CHAR_LIT_RE.match(text, i)
-            if m:
-                i = m.end()  # char literal, nothing interesting inside
-                continue
-            tokens.append(("punct", "'", i))
-            i += 1
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            tokens.append(("word", m.group(), i))
-            i = m.end()
-            continue
-        if c == "-" and text.startswith("->", i):
-            tokens.append(("punct", "->", i))
-            i += 2
-            continue
-        tokens.append(("punct", c, i))
-        i += 1
+        if kind is not None:
+            tokens.append((kind, m.group(), i))
+        i = m.end()
     return tokens
 
 
 def _skip_comment(text: str, i: int) -> int:
+    """The end of the comment that opens at `i`."""
     depth = 0
-    n = len(text)
-    while i < n:
-        if text.startswith("(*", i):
+    for m in _COMMENT_RE.finditer(text, i):
+        if m.lastindex == 1:
             depth += 1
-            i += 2
-        elif text.startswith("*)", i):
+        elif m.lastindex == 2:
             depth -= 1
-            i += 2
             if depth == 0:
-                return i
-        elif text[i] == '"':
-            i = _skip_string(text, i)
-        else:
-            i += 1
-    return n  # unterminated comment swallows the rest of the file
-
-
-def _skip_string(text: str, i: int) -> int:
-    i += 1
-    n = len(text)
-    while i < n:
-        if text[i] == "\\":
-            i += 2
-        elif text[i] == '"':
-            return i + 1
-        else:
-            i += 1
-    return n
+                return m.end()
+    return len(text)  # unterminated comment swallows the rest of the file
 
 
 def _string_value(tok_text: str) -> str:
@@ -152,124 +140,43 @@ def _string_value(tok_text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Arrow counting over token slices
-
-_OPEN = {"(": ")", "[": "]", "<": ">"}
-_CLOSE = {")", "]", ">"}
-
-
-def _split_top_arrows(tokens) -> list[list]:
-    """Split type tokens at depth-0 arrows.  Raises ValueError if unbalanced."""
-    segments = [[]]
-    stack = []
-    for tok in tokens:
-        kind, txt, _ = tok
-        if kind == "punct" and txt in _OPEN:
-            stack.append(_OPEN[txt])
-        elif kind == "punct" and txt in _CLOSE:
-            if txt == ">":
-                # `>` only closes an object type; in `[> ...]` it is variance
-                # punctuation and closes nothing.
-                if stack and stack[-1] == ">":
-                    stack.pop()
-            elif not stack or stack[-1] != txt:
-                raise ValueError("unbalanced parentheses in type expression")
-            else:
-                stack.pop()
-        if kind == "punct" and txt == "->" and not stack:
-            segments.append([])
-        else:
-            segments[-1].append(tok)
-    if stack and set(stack) != {">"}:
-        raise ValueError("unbalanced parentheses in type expression")
-    return segments
-
-
-def compute_arity(type_expr: str) -> int:
-    """Arity of an external's type: its top-level arrow count.
-
-    Arrows inside parentheses (or brackets, or object types) do not count;
-    `unit` is an ordinary argument.  Raises ValueError on unbalanced
-    parentheses.
-    """
-    return len(_split_top_arrows(_tokenize(type_expr))) - 1
-
-
-def _segment_attrs(tokens) -> set[str]:
-    """Attribute words mentioned in [@...] / [@@...] islands of a segment."""
-    attrs = set()
-    depth = 0
-    in_attr = False
-    for pos, (kind, txt, _) in enumerate(tokens):
-        if kind == "punct" and txt == "[":
-            nxt = tokens[pos + 1] if pos + 1 < len(tokens) else None
-            if nxt and nxt[0] == "punct" and nxt[1] == "@":
-                in_attr = True
-            depth += 1
-        elif kind == "punct" and txt == "]":
-            depth -= 1
-            if depth == 0:
-                in_attr = False
-        elif in_attr and kind == "word" and txt in _ATTR_WORDS:
-            attrs.add(txt)
-    return attrs
-
-
-def _segment_base(tokens) -> str | None:
-    """The bare type word of a segment, if it is just one (possibly
-    parenthesized, possibly attributed) word; None otherwise."""
-    toks = [t for t in tokens]
-    # strip attribute islands [@...]
-    stripped = []
-    depth = 0
-    skipping = 0
-    for pos, tok in enumerate(toks):
-        kind, txt, _ = tok
-        if skipping:
-            if kind == "punct" and txt == "[":
-                skipping += 1
-            elif kind == "punct" and txt == "]":
-                skipping -= 1
-            continue
-        if kind == "punct" and txt == "[":
-            nxt = toks[pos + 1] if pos + 1 < len(toks) else None
-            if nxt and nxt[0] == "punct" and nxt[1] == "@":
-                skipping = 1
-                continue
-        stripped.append(tok)
-    # strip one level of wrapping parens
-    while (
-        len(stripped) >= 2
-        and stripped[0][1] == "("
-        and stripped[-1][1] == ")"
-        and _balanced_as_whole(stripped)
-    ):
-        stripped = stripped[1:-1]
-    if len(stripped) == 1 and stripped[0][0] == "word":
-        return stripped[0][1]
-    return None
-
-
-def _balanced_as_whole(tokens) -> bool:
-    depth = 0
-    for pos, (kind, txt, _) in enumerate(tokens):
-        if kind != "punct":
-            continue
-        if txt in _OPEN:
-            depth += 1
-        elif txt in _CLOSE:
-            depth -= 1
-            if depth == 0 and pos != len(tokens) - 1:
-                return False
-    return depth == 0
+# Segment kinds
 
 
 def _kind_of_segment(tokens, decl_attrs: set[str], has_native: bool) -> str:
-    attrs = _segment_attrs(tokens) | decl_attrs
-    base = _segment_base(tokens)
-    if base in _UNBOXABLE and "unboxed" in attrs and has_native:
+    """The kind of one argument or the result, from its tokens.
+
+    One pass splits the segment into the words of its [@...] islands and
+    its bare tokens.  The bare type word is what is left of the bare tokens
+    after peeling matching outer `(`...`)` pairs, if that is one word.
+    """
+    if not has_native:
+        return BOXED  # unboxing only changes the native entry point
+    attrs = set(decl_attrs)
+    bare = []
+    island = 0  # bracket depth inside an attribute island, 0 outside one
+    last = len(tokens) - 1
+    for pos, tok in enumerate(tokens):
+        txt = tok[1]
+        if island:
+            if txt == "[":
+                island += 1
+            elif txt == "]":
+                island -= 1
+            elif txt in _ATTR_WORDS:
+                attrs.add(txt)
+        elif txt == "[" and pos < last and tokens[pos + 1][1] == "@":
+            island = 1
+        else:
+            bare.append(tok)
+    lo, hi = 0, len(bare) - 1
+    while lo < hi and bare[lo][1] == "(" and bare[hi][1] == ")":
+        lo += 1
+        hi -= 1
+    base = bare[lo][1] if lo == hi and bare[lo][0] == "word" else None
+    if base in _UNBOXABLE and "unboxed" in attrs:
         return _UNBOXABLE[base]
-    if base == "int" and "untagged" in attrs and has_native:
+    if base == "int" and "untagged" in attrs:
         return UNTAGGED_INT
     return BOXED
 
@@ -288,9 +195,7 @@ def parse_ml_externals(source_text: str, file_name: str):
     """
     tokens = _tokenize(source_text)
     line_starts = [0]
-    for pos, ch in enumerate(source_text):
-        if ch == "\n":
-            line_starts.append(pos + 1)
+    line_starts.extend(m.end() for m in _NEWLINE_RE.finditer(source_text))
 
     def loc(pos: int) -> tuple[int, int]:
         idx = bisect.bisect_right(line_starts, pos) - 1
@@ -387,28 +292,37 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
         return i
 
     i += 1
-    # collect the type: tokens until a depth-0 '='
-    type_tokens = []
+    # the type: tokens up to a depth-0 '=', split into one segment per
+    # argument and one for the result at each depth-0 '->'
+    segments = [[]]
     stack = []
     while i < n:
-        kind, txt, pos = tokens[i]
-        if kind == "punct" and not stack and txt == "=":
-            break
-        if kind == "word" and not stack and txt in _RESYNC:
+        tok = tokens[i]
+        kind, txt, pos = tok
+        if kind == "punct":
+            if not stack and txt == "=":
+                break
+            if not stack and txt == "->":
+                segments.append([])
+                i += 1
+                continue
+            if txt in _OPEN:
+                stack.append(_OPEN[txt])
+            elif txt in _CLOSE:
+                if txt == ">":
+                    # `>` only closes an object type; in `[> ...]` it is
+                    # variance punctuation and closes nothing.
+                    if stack and stack[-1] == ">":
+                        stack.pop()
+                elif not stack or stack[-1] != txt:
+                    err(pos, f"unbalanced parentheses in type of '{name}'")
+                    return i + 1
+                else:
+                    stack.pop()
+        elif kind == "word" and not stack and txt in _RESYNC:
             err(start_pos, f"missing '=' in external declaration '{name}'")
             return i  # resume at this keyword
-        if kind == "punct" and txt in _OPEN:
-            stack.append(_OPEN[txt])
-        elif kind == "punct" and txt in _CLOSE:
-            if txt == ">":
-                if stack and stack[-1] == ">":
-                    stack.pop()
-            elif not stack or stack[-1] != txt:
-                err(pos, f"unbalanced parentheses in type of '{name}'")
-                return i + 1
-            else:
-                stack.pop()
-        type_tokens.append(tokens[i])
+        segments[-1].append(tok)
         i += 1
     if i >= n:
         err(start_pos, f"missing '=' in external declaration '{name}'")
@@ -448,28 +362,16 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
     byte_name = strings[0]
     native_name = strings[1] if len(strings) > 1 else None
 
-    try:
-        segments = _split_top_arrows(type_tokens)
-    except ValueError as exc:
-        err(start_pos, f"{exc} in external '{name}'")
-        return i
     arity = len(segments) - 1
     if arity == 0:
         err(start_pos, f"external '{name}' must have a function type")
         return i
 
-    # `attrs` so far holds declaration-level attributes ([@@...] islands and
+    # `attrs` holds the declaration-level attributes ([@@...] islands and
     # old-style strings); those apply to every segment.  Per-argument
-    # [@unboxed]/[@untagged] apply to their own segment only, but are still
-    # recorded on the declaration.
-    decl_attrs = set(attrs)
+    # [@unboxed]/[@untagged] apply to their own segment only.
     has_native = native_name is not None
-    arg_kinds = tuple(
-        _kind_of_segment(seg, decl_attrs, has_native) for seg in segments[:-1]
-    )
-    return_kind = _kind_of_segment(segments[-1], decl_attrs, has_native)
-    for seg in segments:
-        attrs |= _segment_attrs(seg)
+    kinds = [_kind_of_segment(seg, attrs, has_native) for seg in segments]
 
     path = [m for m in module_stack if m]
     line, col = loc(start_pos)
@@ -479,9 +381,8 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
             byte_name=byte_name,
             native_name=native_name,
             arity=arity,
-            arg_kinds=arg_kinds,
-            return_kind=return_kind,
-            attrs=frozenset(attrs),
+            arg_kinds=tuple(kinds[:-1]),
+            return_kind=kinds[-1],
             source_loc=(file_name, line, col),
         )
     )

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from mlgen import REGENERATE, golden_text
 
 from stublint import ml_frontend
-from stublint.ml_frontend import compute_arity, parse_ml_externals
+from stublint.ml_frontend import parse_ml_externals
 
 
 def only(decls):
@@ -103,7 +103,16 @@ ATOMS = st.sampled_from(
 
 @given(st.lists(ATOMS, min_size=1, max_size=9))
 def test_arity_counts_top_level_arrows(atoms):
-    assert compute_arity(" -> ".join(atoms)) == len(atoms) - 1
+    src = f'external f : {" -> ".join(atoms)} = "f"'
+    decls, errors = parse_ml_externals(src, "t.ml")
+    if len(atoms) == 1:
+        assert decls == []
+        assert [e.message for e in errors] == [
+            "external 'f' must have a function type"
+        ]
+    else:
+        assert errors == []
+        assert only(decls).arity == len(atoms) - 1
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=7))
