@@ -5,14 +5,16 @@ function-like `#define`s (expanded a single level, never rescanned),
 `#include` lines (removed, never expanded) and conditional blocks.
 
 An `#if`/`#elif` guard has its local macros substituted, is parsed by the C
-parser's `parse_expression` and folded over integer literals as C99
-does: `/` and `%` truncate toward zero, and `&&`, `||` and `?:` fold only
-the operands they select.  A guard that names a macro not
-defined in this file takes the branch you would get with those macros
-undefined (0) and leaves a note saying so.  A guard that names none but
-that the fold does not model (a shift by a count outside 0..63, a division
-by zero, nesting past the parser's cap, a non-integer operand) is false,
-and its note says why; `#if 0` is elided silently.
+parser's `parse_expression` and folded over integer and char constants as
+C99 does: `/` and `%` truncate toward zero, and `&&`, `||` and `?:` fold
+only the operands they select.  A char constant is one ASCII character or
+one simple or octal escape, such as `'a'`, `L'a'`, `'\\n'` or `'\\0'`.  A
+guard that names a macro not defined in this file takes the branch you
+would get with those macros undefined (0) and leaves a note saying so.  A
+guard that names none but that the fold does not model (a shift by a count
+outside 0..63, a division by zero, nesting past the parser's cap, a
+non-integer operand) is false, and its note says why; `#if 0` is elided
+silently.
 
 String and char literals are recognised by one pattern, `_LITERAL`, shared
 by comment stripping, macro expansion and parameter substitution, so a
@@ -67,12 +69,15 @@ _COMMENT_RE = re.compile(rf"{_LITERAL}|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)")
 _WORD_RE = re.compile(rf"{_LITERAL}|{_IDENT}")
 _PAREN_RE = re.compile(rf"{_LITERAL}|[()]")
 _ARGS_OPEN_RE = re.compile(r"[ \t]*\(")
-# in a guard, the names of `defined` and the other identifiers; a literal
-# matches whole and is left as it is
+# in a guard, the names of `defined` and the other identifiers; a literal,
+# with its `L`, `u` or `U` prefix, matches whole and names no macro.  The
+# substitution of names drops the prefix (group 1 is the literal without
+# it), which leaves the value of a char constant the fold reads as it is.
+_GUARD_LITERAL = rf"(?:\b[LuU])?({_LITERAL})"
 _DEFINED_RE = re.compile(
-    rf"{_LITERAL}|defined\s*(?:\(\s*({_IDENT})\s*\)|({_IDENT}))"
+    rf"{_GUARD_LITERAL}|defined\s*(?:\(\s*({_IDENT})\s*\)|({_IDENT}))"
 )
-_GUARD_NAME_RE = re.compile(rf"{_LITERAL}|\b{_IDENT}")  # not the x1F of 0x1F
+_GUARD_NAME_RE = re.compile(rf"{_GUARD_LITERAL}|\b{_IDENT}")  # not the x1F of 0x1F
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*?)\s*$")
 _DEFINE_RE = re.compile(r"^([A-Za-z_]\w*)(\()?")
 
@@ -219,9 +224,9 @@ def _guard(kind, rest, macros):
 
     def _defined(mm):
         nonlocal used_unknown
-        ident = mm.group(1) or mm.group(2)
-        if ident is None:  # a literal
+        if mm.group(1) is not None:  # a literal
             return mm.group()
+        ident = mm.group(2) or mm.group(3)
         if ident not in macros:
             used_unknown = True
         return "1" if ident in macros else "0"
@@ -230,9 +235,9 @@ def _guard(kind, rest, macros):
 
     def _subst_ident(mm):
         nonlocal used_unknown
+        if mm.group(1) is not None:  # a literal, without its prefix
+            return mm.group(1)
         ident = mm.group()
-        if ident[0] in "\"'":  # a literal
-            return ident
         macro = macros.get(ident)
         if macro is not None and not macro.func_like:
             return macro.body if macro.body else "1"
@@ -293,12 +298,43 @@ def _c_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
+# a char constant the fold reads: one character, an octal escape, or a
+# simple escape, whose value is in _SIMPLE_ESCAPES
+_CHAR_CONSTANT_RE = re.compile(
+    r"""'(?:([^'\\])|\\([0-7]{1,3})|\\(['"?\\abfnrtv]))'"""
+)
+_SIMPLE_ESCAPES = {
+    "'": 39, '"': 34, "?": 63, "\\": 92,
+    "a": 7, "b": 8, "f": 12, "n": 10, "r": 13, "t": 9, "v": 11,
+}
+
+
+def _char_value(text: str) -> int:
+    m = _CHAR_CONSTANT_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"char constant {text} is not one character or escape")
+    plain, octal, simple = m.groups()
+    if plain is not None:
+        value = ord(plain)
+    elif octal is not None:
+        value = int(octal, 8)
+    else:
+        value = _SIMPLE_ESCAPES[simple]
+    if value > 127:
+        # whether char is signed, and how a source character past ASCII is
+        # encoded, are the compiler's choice
+        raise ValueError(f"char constant {text} is past ASCII")
+    return value
+
+
 def _fold(expr) -> int:
-    """Value of a guard expression over int literals; ValueError for
-    anything else.  As in C, `&&`, `||` and `?:` fold only the operands
+    """Value of a guard expression over int and char constants; ValueError
+    for anything else.  As in C, `&&`, `||` and `?:` fold only the operands
     they select, so `1 || 1 / 0` is 1."""
     if isinstance(expr, nodes.Num) and isinstance(expr.value, int):
         return expr.value
+    if isinstance(expr, nodes.CharLit):
+        return _char_value(expr.text)
     if isinstance(expr, nodes.Unary) and expr.prefix and expr.op in _GUARD_PREFIX_OPS:
         return _GUARD_PREFIX_OPS[expr.op](_fold(expr.operand))
     if isinstance(expr, nodes.Binary):

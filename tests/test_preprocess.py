@@ -129,6 +129,11 @@ GUARDS = [
     ("-7 / 2 == -3 && 7 / -2 == -3", True, False),  # C99 truncates
     ("-7 % 2 == -1 && 7 % -2 == 1", True, False),
     ("010 == 8", True, False),  # octal
+    # char constants: one character, or one simple or octal escape
+    ("'a' == 97", True, False),
+    ("'\\n' == 10", True, False),
+    ("L'a' == 97", True, False),  # a prefix names no macro
+    ("'\\0'", False, False),
     # a parenthesis and the operand in it are a level each, the outer
     # operand one more
     (_parenthesized((MAX_NESTING - 1) // 2), True, False),  # at the cap
@@ -155,6 +160,9 @@ GUARD_NOTES = [
     # a literal names no macro, not even after `defined`
     ('"a"', "is unsupported (not an integer constant expression)"),
     ('"defined X"', "is unsupported (not an integer constant expression)"),
+    ("'ab'", "is unsupported (unexpected character \"'\")"),
+    ("'\\q'", "is unsupported (char constant '\\q' is not one character or escape)"),
+    ("'\\7' + 'é'", "is unsupported (char constant 'é' is past ASCII)"),
 ]
 
 
