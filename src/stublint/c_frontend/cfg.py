@@ -162,10 +162,18 @@ class _Builder:
             return []
 
         if isinstance(stmt, ast.If):
-            out = self.lower_list(stmt.then, [nid])
-            if stmt.els is None:
-                return out + [nid]
-            return out + self.lower_list(stmt.els, [nid])
+            # an `else if` chain is lowered in this loop: a lone If in the
+            # `els` gets its node here, as `lower` would give it one
+            out = []
+            while True:
+                out += self.lower_list(stmt.then, [nid])
+                els = stmt.els
+                if els is None:
+                    return out + [nid]
+                if len(els) != 1 or not isinstance(els[0], ast.If):
+                    return out + self.lower_list(els, [nid])
+                stmt = els[0]
+                nid = self.new_node(stmt, [nid])
 
         if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
             step = None  # a `for` step is its own node, made before the body

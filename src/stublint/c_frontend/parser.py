@@ -439,14 +439,28 @@ class _Parser:
         return None
 
     def parse_if(self, tok):
-        self.expect("(")
-        cond, ops = self.statement_expr()
-        self.expect(")")
-        then = self.parse_stmt()
+        # an `else if` chain is read in this loop, so a link costs no
+        # nesting level.  The tree keeps its shape: each link's If is the
+        # whole `els` of the one before, and the Ifs are made innermost
+        # first, as parsing each `else` branch as a statement made them.
+        links = []
         els = None
-        if self.accept("else"):
-            els = self.parse_stmt()
-        return nodes.If(cond, then, els, ops, line=tok.line, col=tok.col)
+        while True:
+            self.expect("(")
+            cond, ops = self.statement_expr()
+            self.expect(")")
+            links.append((cond, self.parse_stmt(), ops, tok))
+            if not self.accept("else"):
+                break
+            tok = self.tokens[self.pos]
+            if tok.text != "if" or self.tokens[self.pos + 1].text == ":":
+                els = self.parse_stmt()  # `if:` would be a label
+                break
+            self.pos += 1
+        for cond, then, ops, tok in reversed(links):
+            stmt = nodes.If(cond, then, els, ops, line=tok.line, col=tok.col)
+            els = [stmt]
+        return stmt
 
     def parse_while(self, tok):
         self.expect("(")

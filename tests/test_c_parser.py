@@ -450,7 +450,6 @@ NESTED = {
     "assignments": (lambda n: "v = " * n + "1;", 198, 801),
     "conditionals": (lambda n: "v = " + "c ? 1 : " * n + "0;", 197, 1589),
     "ifs": (lambda n: "if (c) " * n + "v = 1;", 197, 1395),
-    "else ifs": (lambda n: "if (c) v = 1; else " * n + "v = 2;", 197, 3759),
     "loops": (lambda n: "while (c) " * n + "v = 1;", 197, 1989),
     "switches": (
         lambda n: "switch (c) { case 1: " * n + "v = 1;" + " }" * n,
@@ -495,3 +494,19 @@ def test_nesting_at_the_cap_is_analyzed_and_past_it_dropped(parse_c, lint_c, sha
         f"could not parse body of 'f': 3:{col}: nested more than {MAX_NESTING}"
         " levels deep"
     )
+
+
+def test_a_long_else_if_chain_costs_no_nesting(run_main, tmp_path):
+    # each `else if` link is read in a loop, so a chain far longer than the
+    # cap is analysed, with 400 frames in use, and the store after it found
+    chain = "if (c) v = 1;" + " else if (c) v = 1;" * 1000
+    path = tmp_path / "chain.c"
+    path.write_text(
+        "value f(value c)\n{\n    CAMLparam1(c);\n    CAMLlocal1(v);\n"
+        f"    {chain}\n    v = 4;\n    CAMLreturn(v);\n}}\n"
+    )
+    code, out, err = _with_frames_in_use(400, lambda: run_main(str(path)))
+    assert (code, err) == (1, "")
+    assert [line.split(": ")[:3] for line in out.splitlines()] == [
+        [f"{path}:6:7", "error", "NAKED_POINTER"]
+    ]
