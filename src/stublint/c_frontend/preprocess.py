@@ -51,7 +51,6 @@ class MacroDef:
     param: str | None = None
     func_like: bool = False
     expandable: bool = True
-    line: int = 0
 
 
 @dataclass
@@ -172,7 +171,7 @@ def _define(rest, lineno, macros, result, file_name):
         body = rest[close + 1 :].strip()
         if len(params) > 1:
             macros[name] = MacroDef(
-                name, body, param=None, func_like=True, expandable=False, line=lineno
+                name, body, param=None, func_like=True, expandable=False
             )
             result.notes.append(
                 Diagnostic(
@@ -188,10 +187,10 @@ def _define(rest, lineno, macros, result, file_name):
             )
             return
         param = params[0] if params else None
-        macro = MacroDef(name, body, param=param, func_like=True, line=lineno)
+        macro = MacroDef(name, body, param=param, func_like=True)
     else:
         body = rest[m.end(1) :].strip()
-        macro = MacroDef(name, body, line=lineno)
+        macro = MacroDef(name, body)
     if re.search(rf"\b{re.escape(name)}\b", macro.body):
         raise PreprocessError(f"recursive macro '{name}'", lineno)
     macros[name] = macro

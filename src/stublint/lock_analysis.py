@@ -81,7 +81,6 @@ class SummaryEntry:
     pattern: str
     is_prefix: bool
     effects: frozenset[str]
-    line: int = 0
 
 
 @dataclass
@@ -159,7 +158,7 @@ def parse_summary_lines(text: str, first_line: int = 1) -> list[SummaryEntry]:
             raise SummaryError(
                 f"{name!r} cannot both acquire and release the lock", lineno
             )
-        entries.append(SummaryEntry(name, is_prefix, frozenset(effects), lineno))
+        entries.append(SummaryEntry(name, is_prefix, frozenset(effects)))
     return entries
 
 
