@@ -441,8 +441,8 @@ class _Parser:
     def parse_if(self, tok):
         # an `else if` chain is read in this loop, so a link costs no
         # nesting level.  The tree keeps its shape: each link's If is the
-        # whole `els` of the one before, and the Ifs are made innermost
-        # first, as parsing each `else` branch as a statement made them.
+        # whole `els` of the one before.  As for any statement, a node is
+        # made after its branches, so the Ifs are made innermost first.
         links = []
         els = None
         while True:
