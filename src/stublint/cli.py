@@ -115,8 +115,8 @@ def check_arity(decls, units) -> list[Diagnostic]:
     """Each external against the definitions of its C symbols.
 
     The prototypes, and the error for a declaration OCaml cannot compile,
-    come from `header_gen.prototypes_for`; a symbol named twice is checked
-    against its first prototype, the bytecode one.
+    come from `header_gen.prototypes_for`.  A symbol named twice is checked
+    once, against its first prototype, the bytecode one.
     """
     definitions = {}
     for unit in units:
@@ -127,12 +127,10 @@ def check_arity(decls, units) -> list[Diagnostic]:
         protos, problems = header_gen.prototypes_for(decl)
         diags.extend(problems)
         file, line, col = decl.source_loc
-        checked = set()
         for proto in protos:
             symbol = proto.c_name
-            if symbol in checked:
+            if proto.flavor == "native" and symbol == decl.byte_name:
                 continue
-            checked.add(symbol)
             fn = definitions.get(symbol)
             if fn is None:
                 if units:

@@ -13,7 +13,7 @@ through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ml_frontend
 from .diagnostics import ERROR, Diagnostic
@@ -57,8 +57,7 @@ HEADER_PREAMBLE = (
 )
 
 
-@dataclass(frozen=True)
-class CPrototype:
+class CPrototype(NamedTuple):
     c_name: str
     params: tuple[str, ...]
     returns: str
@@ -79,7 +78,6 @@ def prototypes_for(decl: ml_frontend.ExternalDecl):
     """
     protos = []
     diags = []
-    file, line, col = decl.source_loc
 
     if decl.byte_name.startswith("%"):
         return protos, diags  # compiler builtin, no C symbol behind it
@@ -87,6 +85,7 @@ def prototypes_for(decl: ml_frontend.ExternalDecl):
     if decl.arity > MAX_DIRECT_ARITY:
         byte_params = (ARGV_BLOCK, C_INT)
         if decl.native_name is None:
+            file, line, col = decl.source_loc
             diags.append(
                 Diagnostic(
                     "ARITY_MISMATCH",
