@@ -10,7 +10,6 @@ here compiles or runs it.
 from __future__ import annotations
 
 from .header_gen import (
-    ARGV_BLOCK,
     C_DOUBLE,
     C_INT32,
     C_INT64,
