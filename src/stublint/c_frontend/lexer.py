@@ -40,7 +40,7 @@ _TOKEN_RE = re.compile(
     | (?P<num>(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)
         [uUlLfF]*)
     | (?P<str>"(?:\\.|[^"\\\n])*")
-    | (?P<char>'(?:\\.|[^'\\\n])')
+    | (?P<char>'(?:\\.|[^'\\\n])+')
     | (?P<punct>->|\+\+|--|<<=|>>=|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=
         |%=|&=|\|=|\^=|\.\.\.|[-+*/%&|^!~<>=?:;,.(){}\[\]])
     | (?P<nl>\n)

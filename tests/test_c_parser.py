@@ -51,6 +51,16 @@ def test_lexer_strings_and_chars():
     assert r"'\n'" in texts
 
 
+def test_lexer_char_constants_of_escapes_and_several_characters():
+    # hex and octal escapes and multi-character constants are one token each
+    # (C99 6.4.4.4); an escaped quote does not end the constant
+    toks = lex(r"c = '\x41' + '\012' + 'ab' + '\'' + 'a';")
+    chars = [(t.text, t.col) for t in toks if t.kind == "char"]
+    assert chars == [
+        (r"'\x41'", 5), (r"'\012'", 14), ("'ab'", 23), (r"'\''", 30), ("'a'", 37)
+    ]
+
+
 def test_lexer_two_char_operators_are_single_tokens():
     texts = [t.text for t in lex("a == b && c -> d >>= e")]
     for op in ("==", "&&", "->", ">>="):

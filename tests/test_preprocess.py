@@ -160,7 +160,7 @@ GUARD_NOTES = [
     # a literal names no macro, not even after `defined`
     ('"a"', "is unsupported (not an integer constant expression)"),
     ('"defined X"', "is unsupported (not an integer constant expression)"),
-    ("'ab'", "is unsupported (unexpected character \"'\")"),
+    ("'ab'", "is unsupported (char constant 'ab' is not one character or escape)"),
     ("'\\q'", "is unsupported (char constant '\\q' is not one character or escape)"),
     ("'\\7' + 'é'", "is unsupported (char constant 'é' is past ASCII)"),
 ]
