@@ -1,6 +1,7 @@
 """AST shapes for the C stub subset, and the ops the parser attaches.
 
-Expression nodes carry (line, col) of their introducing token.  Statement
+Every node but a type and the unit derives from `_At` and carries the
+(line, col) of its introducing token, passed by keyword.  Statement
 bodies are plain Python lists; there is no separate Block node.  The
 analyses never walk expression trees themselves: while it parses a
 statement-level expression, the parser appends the flat ops its nodes
@@ -14,18 +15,24 @@ debugging and tests for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class _Node:
     __slots__ = ()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        items = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__name__}({items})"
 
 
 _node = dataclass(slots=True, repr=False, eq=False)
+
+
+@_node
+class _At(_Node):
+    line: int = field(default=0, kw_only=True)
+    col: int = field(default=0, kw_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -51,40 +58,30 @@ class CType(_Node):
 
 
 @_node
-class Num(_Node):
+class Num(_At):
     text: str
     value: int | float | None = None
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class StrLit(_Node):
+class StrLit(_At):
     text: str
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class CharLit(_Node):
+class CharLit(_At):
     text: str
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Name(_Node):
+class Name(_At):
     ident: str
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Call(_Node):
+class Call(_At):
     func: object  # usually Name
     args: list = field(default_factory=list)
-    line: int = 0
-    col: int = 0
 
     @property
     def callee(self) -> str | None:
@@ -92,79 +89,61 @@ class Call(_Node):
 
 
 @_node
-class Unary(_Node):
+class Unary(_At):
     op: str
     operand: object = None
     prefix: bool = True
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Binary(_Node):
+class Binary(_At):
     op: str
     left: object = None
     right: object = None
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Ternary(_Node):
+class Ternary(_At):
     cond: object = None
     then: object = None
     els: object = None
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Assign(_Node):
+class Assign(_At):
     target: object = None
     value: object = None
     op: str = "="
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Cast(_Node):
+class Cast(_At):
     ctype: CType = None
     operand: object = None
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Member(_Node):
+class Member(_At):
     obj: object = None
     fieldname: str = ""
     arrow: bool = False
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Index(_Node):
+class Index(_At):
     obj: object = None
     index: object = None
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class SizeofType(_Node):
+class SizeofType(_At):
     ctype: CType = None
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class CompoundLit(_Node):
+class CompoundLit(_At):
     ctype: CType = None
     inits: list = field(default_factory=list)
-    line: int = 0
-    col: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -172,108 +151,86 @@ class CompoundLit(_Node):
 
 
 @_node
-class VarDecl(_Node):
+class VarDecl(_At):
     name: str
     ctype: CType
     init: object = None
     ops: tuple = ()  # the initializer's, then the store into `name`
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class DeclStmt(_Node):
+class DeclStmt(_At):
     decls: list[VarDecl] = field(default_factory=list)
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class ExprStmt(_Node):
+class ExprStmt(_At):
     expr: object = None
     ops: tuple = ()
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class If(_Node):
+class If(_At):
     cond: object = None
     then: list = field(default_factory=list)
     els: list | None = None
     ops: tuple = ()  # the condition's
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class While(_Node):
+class While(_At):
     cond: object = None
     body: list = field(default_factory=list)
     ops: tuple = ()  # the condition's
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class DoWhile(_Node):
+class DoWhile(_At):
     body: list = field(default_factory=list)
     cond: object = None
     ops: tuple = ()  # the condition's
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class For(_Node):
+class For(_At):
     init: object = None  # DeclStmt | ExprStmt | None
     cond: object = None
     step: ExprStmt | None = None
     body: list = field(default_factory=list)
     ops: tuple = ()  # the condition's
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class SwitchCase(_Node):
+class SwitchCase(_At):
     labels: list = field(default_factory=list)  # exprs; None = default
     body: list = field(default_factory=list)
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Switch(_Node):
+class Switch(_At):
     subject: object = None
     cases: list[SwitchCase] = field(default_factory=list)
     ops: tuple = ()  # the subject's
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Return(_Node):
+class Return(_At):
     expr: object = None
     ops: tuple = ()
-    line: int = 0
-    col: int = 0
 
 
 @_node
-class Break(_Node):
-    line: int = 0
-    col: int = 0
+class Break(_At):
+    pass
 
 
 @_node
-class Continue(_Node):
-    line: int = 0
-    col: int = 0
+class Continue(_At):
+    pass
 
 
 @_node
-class Opaque(_Node):
+class Opaque(_At):
     """A statement the parser cannot model (inline asm, goto target, ...).
 
     Analyses treat it as scrambling every derived-pointer fact while leaving
@@ -282,8 +239,6 @@ class Opaque(_Node):
 
     text: str = ""
     reason: str = ""
-    line: int = 0
-    col: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +246,7 @@ class Opaque(_Node):
 
 
 @_node
-class StubFunction(_Node):
+class StubFunction(_At):
     name: str
     params: list[tuple[str, CType]]
     return_type: CType
@@ -299,8 +254,6 @@ class StubFunction(_Node):
     body: list = field(default_factory=list)
     locals: list[tuple[str, CType]] = field(default_factory=list)
     file: str = ""
-    line: int = 0
-    col: int = 0
 
 
 @_node

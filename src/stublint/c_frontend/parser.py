@@ -6,6 +6,13 @@ index access.  Inline asm becomes an opaque statement; goto is reported as
 an unsupported construct.  A function whose body cannot be parsed is
 dropped with a diagnostic while the rest of the file is still analyzed.
 
+Each shape of the grammar is read in one place.  `declarator` reads
+pointers, a name and an array suffix, for a local, a global or a
+parameter; `declarators` reads the initializers and the rest of a
+declarator list, for a declaration statement and for globals alike.
+`condition` reads the parenthesized expression of `if`, `while`, `do` and
+`switch`.
+
 A statement is dispatched on its first token's text.  One routine,
 `parse_expr`, parses an expression: a loop over its prefix operators, the
 primary, a loop over its postfix operators, then the binary, conditional
@@ -211,6 +218,56 @@ class _Parser:
             return None
         return quals, " ".join(base_words)
 
+    def specifiers(self, what: str):
+        """Parse declaration specifiers; returns (quals, base) or raises
+        "expected `what`" if the tokens here cannot start a declaration."""
+        spec = self.try_specifiers()
+        if spec is None:
+            tok = self.peek()
+            raise CParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+        return spec
+
+    def declarator(self, base: str, named: bool = True):
+        """A declarator of type `base` (C99 6.7.5): pointers, the name and an
+        optional array suffix; returns (name token, CType).  The name may
+        be missing only when not `named`, and is then None."""
+        ptrs = self.parse_pointers()
+        tok = self.peek()
+        if tok.kind == "ident":
+            self.take()
+        elif named:
+            raise CParseError(
+                f"expected declarator, found {tok.text!r}", tok.line, tok.col
+            )
+        else:
+            tok = None
+        array = self.at("[")
+        if array:
+            self.skip_balanced("[", "]")
+        return tok, nodes.CType(base, ptrs, array=array)
+
+    def declarators(self, base: str, name: Token, ctype: nodes.CType) -> list:
+        """The rest of a declarator list whose first declarator is `name`
+        of type `ctype`: each declarator's initializer, then `, declarator`
+        and so on.  Each name is recorded as a local; returns the VarDecls."""
+        decls = []
+        while True:
+            init = None
+            ops = ()
+            if self.accept("="):
+                self.ops = []
+                init = self.parse_initializer()
+                # the store sits at the name's token, not at the declaration
+                # that holds these ops: an op never refers to its statement
+                ops = (*self.ops, (ASSIGN, name.text, "=", init, name))
+            self.locals.append((name.text, ctype))
+            decls.append(
+                nodes.VarDecl(name.text, ctype, init, ops, line=name.line, col=name.col)
+            )
+            if not self.accept(","):
+                return decls
+            name, ctype = self.declarator(base)
+
     def parse_pointers(self) -> int:
         ptrs = 0
         while self.at("*"):
@@ -284,34 +341,18 @@ class _Parser:
         quals, base = spec
         if self.accept(";"):  # bare struct/enum definition
             return
-        first = True
-        while True:
-            ptrs = self.parse_pointers()
-            name_tok = self.peek()
-            if name_tok.kind != "ident":
-                raise CParseError(
-                    f"expected declarator, found {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            self.take()
-            if first and self.at("("):
-                self.parse_function_tail(unit, quals, base, ptrs, name_tok)
-                return
-            first = False
-            # a global: consumed, not recorded
-            if self.at("["):
-                self.skip_balanced("[", "]")
-            if self.accept("="):
-                self.parse_initializer()
-            if self.accept(","):
-                continue
-            self.expect(";")
+        # a function's locals are collected from here, and globals land in
+        # a list that no function keeps
+        self.locals = []
+        name_tok, ctype = self.declarator(base)
+        if not ctype.array and self.at("("):
+            self.parse_function_tail(unit, quals, name_tok, ctype)
             return
+        self.declarators(base, name_tok, ctype)  # globals: not recorded
+        self.expect(";")
 
-    def parse_function_tail(self, unit, quals, base, ptrs, name_tok):
+    def parse_function_tail(self, unit, quals, name_tok, ret):
         params = self.parse_params()
-        ret = nodes.CType(base, ptrs)
         is_camlprim = "CAMLprim" in quals or ret.is_value
         if self.accept(";"):  # a prototype: consumed, not recorded
             return
@@ -321,7 +362,6 @@ class _Parser:
                 f"expected function body, found {brace.text!r}", brace.line, brace.col
             )
         body_start = self.pos
-        self.locals = []
         try:
             body = self.parse_block()
         except CParseError as exc:
@@ -333,7 +373,7 @@ class _Parser:
             return
         fn = nodes.StubFunction(
             name=name_tok.text,
-            params=[(n or "", t) for n, t in params],
+            params=params,
             return_type=ret,
             is_camlprim=is_camlprim,
             body=body,
@@ -353,26 +393,11 @@ class _Parser:
             self.take()
             return []
         params = []
-        while True:
-            if self.at("..."):
-                self.take()
-                break
-            spec = self.try_specifiers()
-            if spec is None:
-                tok = self.peek()
-                raise CParseError(
-                    f"expected parameter type, found {tok.text!r}", tok.line, tok.col
-                )
-            _, base = spec
-            ptrs = self.parse_pointers()
-            name = None
-            if self.peek().kind == "ident":
-                name = self.take().text
-            array = False
-            if self.at("["):
-                self.skip_balanced("[", "]")
-                array = True
-            params.append((name, nodes.CType(base, ptrs, array=array)))
+        while not self.accept("..."):
+            _, base = self.specifiers("parameter type")
+            # a parameter may be unnamed: `value *`, `int []`
+            name_tok, ctype = self.declarator(base, named=False)
+            params.append((name_tok.text if name_tok else "", ctype))
             if not self.accept(","):
                 break
         self.expect(")")
@@ -415,17 +440,19 @@ class _Parser:
                 self.pos += 1
                 stmt = keyword(self, tok)
                 return [stmt] if stmt is not None else []
-            if self.starts_decl():
-                return [self.parse_decl_stmt()]
-            expr, ops = self.statement_expr()
+            stmt = self.simple_stmt(tok)
             self.expect(";")
-            return [self.expr_stmt(expr, ops, tok)]
+            return [stmt]
         finally:
             self.depth = depth
 
-    def expr_stmt(self, expr, ops, tok):
-        """The statement `expr;` at `tok`; a `CAMLlocal` call declares its
-        names as locals of type value."""
+    def simple_stmt(self, tok):
+        """A declaration or an expression statement up to its `;`, the
+        latter placed at `tok`; a `CAMLlocal` call declares its names as
+        locals of type value."""
+        if self.starts_decl():
+            return self.parse_decl_stmt()
+        expr, ops = self.statement_expr()
         if isinstance(expr, nodes.Call) and expr.callee in CAMLLOCAL:
             for arg in expr.args:
                 if isinstance(arg, nodes.Name):
@@ -446,9 +473,7 @@ class _Parser:
         links = []
         els = None
         while True:
-            self.expect("(")
-            cond, ops = self.statement_expr()
-            self.expect(")")
+            cond, ops = self.condition()
             links.append((cond, self.parse_stmt(), ops, tok))
             if not self.accept("else"):
                 break
@@ -463,30 +488,20 @@ class _Parser:
         return stmt
 
     def parse_while(self, tok):
-        self.expect("(")
-        cond, ops = self.statement_expr()
-        self.expect(")")
+        cond, ops = self.condition()
         body = self.parse_stmt()
         return nodes.While(cond, body, ops, line=tok.line, col=tok.col)
 
     def parse_do(self, tok):
         body = self.parse_stmt()
         self.expect("while")
-        self.expect("(")
-        cond, ops = self.statement_expr()
-        self.expect(")")
+        cond, ops = self.condition()
         self.expect(";")
         return nodes.DoWhile(body, cond, ops, line=tok.line, col=tok.col)
 
     def parse_for(self, tok):
         self.expect("(")
-        init = None
-        if not self.at(";"):
-            if self.starts_decl():
-                init = self.parse_decl_stmt(consume_semi=False)
-            else:
-                expr, ops = self.statement_expr()
-                init = self.expr_stmt(expr, ops, tok)
+        init = None if self.at(";") else self.simple_stmt(tok)
         self.expect(";")
         cond, ops = (None, ()) if self.at(";") else self.statement_expr()
         self.expect(";")
@@ -533,40 +548,35 @@ class _Parser:
         expr = self.parse_expr()
         return expr, tuple(self.ops)
 
+    def condition(self):
+        """A parenthesized statement-level expression, with its ops."""
+        self.expect("(")
+        cond = self.statement_expr()
+        self.expect(")")
+        return cond
+
     def parse_switch(self, tok):
         # a switch is a level besides its statement's, so a case body sits
         # two levels in
         depth = self.nest(tok)
         try:
-            self.expect("(")
-            subject, ops = self.statement_expr()
-            self.expect(")")
+            subject, ops = self.condition()
             self.expect("{")
             cases: list[nodes.SwitchCase] = []
             current: nodes.SwitchCase | None = None
             while not self.at("}"):
                 if self.eof():
                     raise CParseError("unbalanced '{' in switch", tok.line, tok.col)
-                if self.at("case"):
-                    lab_tok = self.take()
-                    label = self.parse_expr()
+                lab_tok = self.peek()
+                if lab_tok.text in ("case", "default"):
+                    self.take()
+                    label = self.parse_expr() if lab_tok.text == "case" else None
                     self.expect(":")
+                    # labels with no statement between them share one case
                     if current is None or current.body:
-                        current = nodes.SwitchCase(
-                            labels=[], line=lab_tok.line, col=lab_tok.col
-                        )
+                        current = nodes.SwitchCase(line=lab_tok.line, col=lab_tok.col)
                         cases.append(current)
                     current.labels.append(label)
-                    continue
-                if self.at("default"):
-                    lab_tok = self.take()
-                    self.expect(":")
-                    if current is None or current.body:
-                        current = nodes.SwitchCase(
-                            labels=[], line=lab_tok.line, col=lab_tok.col
-                        )
-                        cases.append(current)
-                    current.labels.append(None)
                     continue
                 if current is None:
                     t = self.peek()
@@ -618,54 +628,11 @@ class _Parser:
                 return True
         return False
 
-    def parse_decl_stmt(self, consume_semi: bool = True):
+    def parse_decl_stmt(self):
+        """A declaration up to its `;`, which the caller expects."""
         tok = self.peek()
-        spec = self.try_specifiers()
-        if spec is None:
-            raise CParseError(
-                f"expected declaration, found {tok.text!r}", tok.line, tok.col
-            )
-        _, base = spec
-        decls = []
-        while True:
-            ptrs = self.parse_pointers()
-            name_tok = self.peek()
-            if name_tok.kind != "ident":
-                raise CParseError(
-                    f"expected declarator, found {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            self.take()
-            array = False
-            if self.at("["):
-                self.skip_balanced("[", "]")
-                array = True
-            init = None
-            ops = ()
-            if self.accept("="):
-                self.ops = []
-                init = self.parse_initializer()
-                # the store sits at the name's token, not at the declaration
-                # that holds these ops: an op never refers to its statement
-                ops = (*self.ops, (ASSIGN, name_tok.text, "=", init, name_tok))
-            ctype = nodes.CType(base, ptrs, array=array)
-            self.locals.append((name_tok.text, ctype))
-            decls.append(
-                nodes.VarDecl(
-                    name_tok.text,
-                    ctype,
-                    init,
-                    ops,
-                    line=name_tok.line,
-                    col=name_tok.col,
-                )
-            )
-            if self.accept(","):
-                continue
-            break
-        if consume_semi:
-            self.expect(";")
+        _, base = self.specifiers("declaration")
+        decls = self.declarators(base, *self.declarator(base))
         return nodes.DeclStmt(decls, line=tok.line, col=tok.col)
 
     def parse_initializer(self):
@@ -842,15 +809,8 @@ class _Parser:
         return False
 
     def parse_type_name(self) -> nodes.CType:
-        spec = self.try_specifiers()
-        if spec is None:
-            tok = self.peek()
-            raise CParseError(
-                f"expected type name, found {tok.text!r}", tok.line, tok.col
-            )
-        _, base = spec
-        ptrs = self.parse_pointers()
-        return nodes.CType(base, ptrs)
+        _, base = self.specifiers("type name")
+        return nodes.CType(base, self.parse_pointers())
 
     def parse_primary(self):
         """A primary other than a name or a number: string and char

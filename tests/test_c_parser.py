@@ -421,6 +421,61 @@ def test_locals_in_declaration_order_nested_bodies_included(parse_c):
     assert [name for name, _ in h.locals] == ["u"]
 
 
+# -- declarators -----------------------------------------------------------
+
+
+def test_one_declarator_reading_in_a_block_a_for_init_and_a_parameter(parse_c):
+    src = (
+        "value f(unsigned long **p[4], value *, int [])\n{\n"
+        "    unsigned long **q[4];\n"
+        "    for (unsigned long **r[4] = 0; ; ) {}\n"
+        "    return Val_unit;\n}\n"
+    )
+    fn = fn_of(parse_c(src))
+    same = ("unsigned long", 2, True)
+    assert [(n, (t.base, t.pointers, t.array)) for n, t in fn.params] == [
+        ("p", same), ("", ("value", 1, False)), ("", ("int", 0, True))
+    ]
+    assert [(n, (t.base, t.pointers, t.array)) for n, t in fn.locals] == [
+        ("q", same), ("r", same)
+    ]
+    ctype = fn.body[1].init.decls[0].ctype
+    assert (ctype.base, ctype.pointers, ctype.array) == same
+
+
+@pytest.mark.parametrize(
+    "src, warning",
+    [
+        (
+            "value f(value a)\n{\n    int *[3];\n    return a;\n}\n",
+            "t.c:1:7: warning: UNSUPPORTED_CONSTRUCT: could not parse body of 'f': "
+            "3:10: expected declarator, found '['",
+        ),
+        (
+            "int *[3];\n",
+            "t.c:1:6: warning: UNSUPPORTED_CONSTRUCT: unparsed construct: "
+            "1:6: expected declarator, found '['",
+        ),
+        # an array declarator is not a function's, so its `(` ends nothing
+        (
+            "int f[3](int a) { return a; }\n",
+            "t.c:1:9: warning: UNSUPPORTED_CONSTRUCT: unparsed construct: "
+            "1:9: expected ';', found '('",
+        ),
+    ],
+)
+def test_a_missing_declarator_is_reported_in_its_place(parse_c, src, warning):
+    unit = parse_c(src, "t.c")
+    assert unit.functions == []
+    assert [d.render() for d in unit.diagnostics] == [warning]
+
+
+def test_globals_after_a_function_are_not_its_locals(parse_c):
+    src = "value f(value a)\n{\n    int n;\n    return a;\n}\nint g = 2, *h;\n"
+    fn = fn_of(parse_c(src))
+    assert [name for name, _ in fn.locals] == ["n"]
+
+
 # -- nesting cap -----------------------------------------------------------
 
 
