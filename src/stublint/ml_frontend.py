@@ -52,6 +52,9 @@ _RESYNC = frozenset(
     {"external", "let", "type", "module", "open", "include", "val", "exception"}
 )
 
+# A char literal, as the OCaml manual's lexical conventions spell it: one
+# character other than a backslash or a quote, or one escape sequence.
+_CHAR = r"""'(?:[^\\']|\\(?:[\\'"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-3][0-7]{2}))'"""
 # One token from the current position: blanks, a comment opener, a string
 # (a backslash escapes any next character; one left open runs to the end of
 # the text), a char literal, a word, `->` or any other single character.
@@ -61,14 +64,15 @@ _TOKEN_RE = re.compile(
     r"""[ \t\r\n]+
     |(?P<comment>\(\*)
     |(?P<string>"(?:[^"\\]|\\[\s\S]?)*"?)
-    |'(?:\\[^']*|[^'\\])'
+    |""" + _CHAR + r"""
     |(?P<word>[A-Za-z_][A-Za-z0-9_']*)
     |(?P<punct>->|[\s\S])""",
     re.VERBOSE,
 )
-# inside a comment, what changes its depth; a string is matched whole, so a
-# `*)` inside it closes nothing
-_COMMENT_RE = re.compile(r"""(\(\*)|(\*\))|"(?:[^"\\]|\\[\s\S]?)*"?""")
+# inside a comment, what changes its depth; a string or a char literal is
+# matched whole, so a `*)` or a `"` inside it neither closes the comment nor
+# opens a string, as in OCaml's own lexer
+_COMMENT_RE = re.compile(r"""(\(\*)|(\*\))|"(?:[^"\\]|\\[\s\S]?)*"?|""" + _CHAR)
 _NEWLINE_RE = re.compile(r"\n")
 
 # brackets of a type, each opener with its closer

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 from mlgen import REGENERATE, golden_text
 
@@ -74,6 +75,24 @@ def test_surrounding_structure_is_skipped():
     decls, errors = parse_ml_externals(src, "t.ml")
     assert errors == []
     assert [d.ocaml_name for d in decls] == ["real"]
+
+
+# a `"` in a char literal opens no string inside a comment, and a `'` that
+# starts no char literal is only a quote
+@pytest.mark.parametrize(
+    "comment",
+    [
+        """(* the quote '"' *)""",
+        r"""(* an escaped quote '\'' then '"' *)""",
+        r"""(* a backslash '\\' then '"' *)""",
+        r"""(* '\n is newline *)""",
+    ],
+)
+def test_char_literals_in_comments(comment):
+    src = comment + '\nexternal f : int -> int = "f"\nexternal g : int -> int = "g"\n'
+    decls, errors = parse_ml_externals(src, "t.ml")
+    assert errors == []
+    assert [d.ocaml_name for d in decls] == ["f", "g"]
 
 
 def test_malformed_external_is_reported_and_scan_continues():
