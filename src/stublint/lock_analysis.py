@@ -130,10 +130,9 @@ class SummaryTable:
         return "requires_lock" in self.lookup(name)
 
 
-def parse_summary_lines(text: str, first_line: int = 1) -> list[SummaryEntry]:
+def parse_summary_lines(text: str) -> list[SummaryEntry]:
     entries = []
-    for offset, raw in enumerate(text.splitlines()):
-        lineno = first_line + offset
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -173,43 +172,26 @@ def load_summaries(text: str | None = None) -> SummaryTable:
 # -- transfer ---------------------------------------------------------------
 
 
+# The lock state each blocking-section call leaves, and the finding for
+# the call in each state it does not match.
+_BLOCKING = {ENTER_BLOCKING: LockState.RELEASED, LEAVE_BLOCKING: LockState.HELD}
+_UNBALANCED = {
+    (call, state): ("UNBALANCED_LOCK", severity, f"{call} but the runtime lock {how}")
+    for call, state, severity, how in (
+        (ENTER_BLOCKING, LockState.RELEASED, ERROR, "is already released"),
+        (ENTER_BLOCKING, LockState.UNKNOWN, WARNING, "may already be released"),
+        (LEAVE_BLOCKING, LockState.HELD, ERROR, "is still held"),
+        (LEAVE_BLOCKING, LockState.UNKNOWN, WARNING, "may still be held"),
+    )
+}
+
+
 def step_call(name: str, state: LockState, table: SummaryTable):
     """Lock state after one call, plus (rule, severity, message) when the
     call is an enter/leave that does not match the current state."""
-    if name == ENTER_BLOCKING:
-        finding = None
-        if state is LockState.RELEASED:
-            finding = (
-                "UNBALANCED_LOCK",
-                ERROR,
-                "caml_enter_blocking_section but the runtime lock is"
-                " already released",
-            )
-        elif state is LockState.UNKNOWN:
-            finding = (
-                "UNBALANCED_LOCK",
-                WARNING,
-                "caml_enter_blocking_section but the runtime lock may"
-                " already be released",
-            )
-        return LockState.RELEASED, finding
-    if name == LEAVE_BLOCKING:
-        finding = None
-        if state is LockState.HELD:
-            finding = (
-                "UNBALANCED_LOCK",
-                ERROR,
-                "caml_leave_blocking_section but the runtime lock is"
-                " still held",
-            )
-        elif state is LockState.UNKNOWN:
-            finding = (
-                "UNBALANCED_LOCK",
-                WARNING,
-                "caml_leave_blocking_section but the runtime lock may"
-                " still be held",
-            )
-        return LockState.HELD, finding
+    after = _BLOCKING.get(name)
+    if after is not None:
+        return after, _UNBALANCED.get((name, state))
     effects = table.lookup(name)
     if "releases_lock" in effects:
         return LockState.RELEASED, None

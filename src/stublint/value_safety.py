@@ -270,39 +270,40 @@ def track_values(cfg, lockmap: LockMap, table: SummaryTable):
     return heads, events, notes
 
 
+# The finding for a runtime call (True) or a dereference (False) made in a
+# lock state that does not allow it: rule, severity and message.
+_UNLOCKED = {
+    (True, LockState.RELEASED): (
+        "RUNTIME_CALL_UNLOCKED",
+        ERROR,
+        "{} called while the runtime lock is released",
+    ),
+    (True, LockState.UNKNOWN): (
+        "RUNTIME_CALL_UNLOCKED",
+        WARNING,
+        "{} may be called without the runtime lock held",
+    ),
+    (False, LockState.RELEASED): (
+        "VALUE_DEREF_UNLOCKED",
+        ERROR,
+        "'{}' dereferences an OCaml value while the runtime lock is released",
+    ),
+    (False, LockState.UNKNOWN): (
+        "VALUE_DEREF_UNLOCKED",
+        WARNING,
+        "'{}' may dereference an OCaml value without the runtime lock held",
+    ),
+}
+
+
 def check_deref_safety(events, lockmap: LockMap) -> list[Diagnostic]:
     diags = []
     for ev in events:
         lock = lockmap.at(ev.node_id)
         if lock is LockState.BOTTOM:
             continue
-        if ev.kind == "runtime_call":
-            if lock is LockState.RELEASED:
-                diags.append(
-                    Diagnostic(
-                        "RUNTIME_CALL_UNLOCKED",
-                        ERROR,
-                        ev.file,
-                        ev.line,
-                        ev.col,
-                        f"{ev.subject} called while the runtime lock is"
-                        " released",
-                    )
-                )
-            elif lock is LockState.UNKNOWN:
-                diags.append(
-                    Diagnostic(
-                        "RUNTIME_CALL_UNLOCKED",
-                        WARNING,
-                        ev.file,
-                        ev.line,
-                        ev.col,
-                        f"{ev.subject} may be called without the runtime"
-                        " lock held",
-                    )
-                )
-            continue
-        if is_heap(ev.fact) and ev.fact[1]:
+        call = ev.kind == "runtime_call"
+        if not call and is_heap(ev.fact) and ev.fact[1]:
             diags.append(
                 Diagnostic(
                     "DERIVED_PTR_STALE",
@@ -314,28 +315,13 @@ def check_deref_safety(events, lockmap: LockMap) -> list[Diagnostic]:
                     " may have moved it since the pointer was derived",
                 )
             )
-        elif lock is LockState.RELEASED:
+            continue
+        found = _UNLOCKED.get((call, lock))
+        if found is not None:
+            rule, severity, message = found
             diags.append(
                 Diagnostic(
-                    "VALUE_DEREF_UNLOCKED",
-                    ERROR,
-                    ev.file,
-                    ev.line,
-                    ev.col,
-                    f"'{ev.subject}' dereferences an OCaml value while the"
-                    " runtime lock is released",
-                )
-            )
-        elif lock is LockState.UNKNOWN:
-            diags.append(
-                Diagnostic(
-                    "VALUE_DEREF_UNLOCKED",
-                    WARNING,
-                    ev.file,
-                    ev.line,
-                    ev.col,
-                    f"'{ev.subject}' may dereference an OCaml value without"
-                    " the runtime lock held",
+                    rule, severity, ev.file, ev.line, ev.col, message.format(ev.subject)
                 )
             )
     return diags
