@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 import jsonschema
-import pytest
 
 from stublint.cli import run
 from stublint.header_gen import render_header

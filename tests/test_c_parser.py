@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stublint.c_frontend import nodes as ast
-from stublint.c_frontend.lexer import CLexError, Token, lex
+from stublint.c_frontend.lexer import CLexError, lex
 from stublint.c_frontend.parser import MAX_NESTING, CParseError, parse_expression
 
 

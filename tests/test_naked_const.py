@@ -2,8 +2,6 @@
 
 from hypothesis import given, strategies as st
 
-from conftest import errors_of
-
 
 def naked_lines(lint_c, body):
     src = "value f(value a)\n{\n" + body + "    CAMLreturn(a);\n}\n"
