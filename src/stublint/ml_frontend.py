@@ -9,7 +9,8 @@ same from here; callers decide what to do about duplicates between a pair.
 Each step is done once, in one place:
 
 - one scan: `_tokenize` matches one pattern from the current position, and
-  a comment is skipped by one search over its openers, closers and strings;
+  a comment is skipped by one search over its openers, closers, strings
+  and char literals;
 - one bracket tracker: `_parse_external` collects the type up to its
   depth-0 `=` and splits it at each depth-0 `->` in the same loop, so the
   arity is the number of segments less one.  `unit -> handle` has arity 1,
