@@ -1,8 +1,9 @@
 """Names with special meaning inside stub code.
 
-Everything here is a macro from the OCaml headers, not a real function, so
-none of these names go through summary lookup.  The constant table doubles
-as the source of truth for the naked-pointer check.
+The names in MACRO_NAMES are macros from the OCaml headers, not real
+functions, so summary lookup gives none of them an effect: no summary line
+can make one release the lock, collect, or end the path in the CFG.  The
+constant table doubles as the source of truth for the naked-pointer check.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from .c_frontend import (
 )
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
 from .lock_analysis import (
-    SummaryEntry,
     SummaryError,
     SummaryTable,
     collect_lock_diagnostics,
@@ -155,16 +154,18 @@ def check_arity(decls, units) -> list[Diagnostic]:
 # -- per-unit analysis ------------------------------------------------------
 
 
+_REQUIRES_LOCK = frozenset({"requires_lock"})
+
+
 def _unit_table(unit, base: SummaryTable) -> SummaryTable:
     """Stub-calls-stub: a CAMLprim defined here needs the lock like any
     runtime entry point, unless a summary already says otherwise."""
-    table = SummaryTable(list(base.entries))
-    for fn in unit.functions:
-        if fn.is_camlprim and not table.lookup(fn.name):
-            table.add(
-                SummaryEntry(fn.name, False, frozenset({"requires_lock"}))
-            )
-    return table
+    own = {
+        fn.name: _REQUIRES_LOCK
+        for fn in unit.functions
+        if fn.is_camlprim and not base.lookup(fn.name)
+    }
+    return SummaryTable({**base.exact, **own}, base.prefix)
 
 
 def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:

@@ -4,7 +4,11 @@ The runtime behaves like one global mutex: a stub is entered with the lock
 held, `caml_enter_blocking_section` releases it, `caml_leave_blocking_section`
 takes it back.  Everything else the runtime does is described by summaries,
 either built in or loaded from a plain-text file, so no runtime headers are
-needed.
+needed.  A summary never applies to a runtime macro (`intrinsics`).
+
+The analysis is the lock lattice plus one node step for `forward_solve`:
+the step records the node's entry state, then moves the state call by call
+and reports each enter/leave the state before it does not match.
 """
 
 from __future__ import annotations
@@ -85,36 +89,23 @@ class SummaryEntry:
 
 @dataclass
 class SummaryTable:
-    entries: list[SummaryEntry] = field(default_factory=list)
+    """Effects by exact callee name, and by name prefix (`caml_*`)."""
 
-    def __post_init__(self):
-        self._exact: dict[str, frozenset[str]] = {}
-        self._prefix: dict[str, frozenset[str]] = {}
-        for entry in self.entries:
-            self._add(entry)
-
-    def _add(self, entry: SummaryEntry):
-        if entry.is_prefix:
-            self._prefix[entry.pattern] = entry.effects
-        else:
-            self._exact[entry.pattern] = entry.effects
-
-    def add(self, entry: SummaryEntry):
-        self.entries.append(entry)
-        self._add(entry)
-
-    def extend(self, entries):
-        for entry in entries:
-            self.add(entry)
+    exact: dict[str, frozenset[str]] = field(default_factory=dict)
+    prefix: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def lookup(self, name: str) -> frozenset[str]:
-        """Effects for a callee: exact match first, then longest prefix."""
-        hit = self._exact.get(name)
+        """Effects for a callee: exact match first, then longest prefix.
+        A runtime macro (`Field`, `CAMLparam1`, ...) has none, whatever
+        the summaries say."""
+        if is_macro_name(name):
+            return frozenset()
+        hit = self.exact.get(name)
         if hit is not None:
             return hit
         best = None
         best_len = -1
-        for pattern, effects in self._prefix.items():
+        for pattern, effects in self.prefix.items():
             if len(pattern) > best_len and name.startswith(pattern):
                 best = effects
                 best_len = len(pattern)
@@ -122,12 +113,6 @@ class SummaryTable:
 
     def noreturn(self, name: str) -> bool:
         return name in NORETURN_BUILTINS or "noreturn" in self.lookup(name)
-
-    def may_gc(self, name: str) -> bool:
-        return "may_gc" in self.lookup(name)
-
-    def requires_lock(self, name: str) -> bool:
-        return "requires_lock" in self.lookup(name)
 
 
 def parse_summary_lines(text: str) -> list[SummaryEntry]:
@@ -163,9 +148,13 @@ def parse_summary_lines(text: str) -> list[SummaryEntry]:
 
 def load_summaries(text: str | None = None) -> SummaryTable:
     """Built-ins, optionally extended/overridden by user summary text."""
-    table = SummaryTable(parse_summary_lines(BUILTIN_SUMMARIES))
+    table = SummaryTable()
+    entries = parse_summary_lines(BUILTIN_SUMMARIES)
     if text is not None:
-        table.extend(parse_summary_lines(text))
+        entries += parse_summary_lines(text)
+    for entry in entries:
+        patterns = table.prefix if entry.is_prefix else table.exact
+        patterns[entry.pattern] = entry.effects
     return table
 
 
@@ -223,31 +212,25 @@ def solve(cfg, table: SummaryTable) -> LockMap:
     only reports mismatched blocking-section transitions.
     """
     states = [LockState.BOTTOM] * len(cfg.nodes)
-    found: list = [()] * len(cfg.blocks)
     file = cfg.fn.file
 
-    def transfer(block, state):
-        diags = []
-        for node in block.nodes:
-            states[node.id] = state
-            for op in node.ops:
-                if op[0] == CALL and not is_macro_name(op[1]):
-                    state, finding = step_call(op[1], state, table)
-                    if finding is not None:
-                        rule, severity, message = finding
-                        call = op[2]
-                        diags.append(
-                            Diagnostic(
-                                rule, severity, file, call.line, call.col, message
-                            )
-                        )
-        found[block.id] = diags
+    def step(node, state, found):
+        states[node.id] = state
+        for op in node.ops:
+            if op[0] == CALL:
+                state, finding = step_call(op[1], state, table)
+                if finding is not None:
+                    rule, severity, message = finding
+                    call = op[2]
+                    found.append(
+                        Diagnostic(rule, severity, file, call.line, call.col, message)
+                    )
         return state
 
-    _heads, pops = forward_solve(
-        cfg, LockState.HELD, transfer, join_lock, LockState.BOTTOM
+    _heads, pops, diags = forward_solve(
+        cfg, LockState.HELD, step, join_lock, LockState.BOTTOM, lambda state: state
     )
-    return LockMap(states, pops, [diag for diags in found for diag in diags])
+    return LockMap(states, pops, diags)
 
 
 def collect_lock_diagnostics(cfg, lockmap: LockMap, table: SummaryTable):

@@ -5,6 +5,10 @@ even constant in a `value` slot reads as a heap pointer to the GC.  A flat
 constant propagation catches the direct cases (`v = Tag_cons;`) and one-hop
 flows through C temporaries; anything the propagation cannot prove is left
 alone, since the check cannot show absence of naked pointers anyway.
+
+The propagation is an environment lattice plus one node step for
+`forward_solve`; the step judges a node's stores into values against the
+constants at the node's entry, then applies them.
 """
 
 from __future__ import annotations
@@ -82,73 +86,58 @@ def _value_vars(fn: ast.StubFunction) -> set[str]:
     return names
 
 
-def _judge(node, env, value_vars: set[str], file: str, diags: list):
-    """Append a NAKED_POINTER for each even constant a node stores into a
-    value, judged against the constants `env` at the node's entry."""
-    ops = node.ops
-    if isinstance(node.stmt, ast.VarDecl):
-        # only the declaration's own store, and only into a value
-        if not node.stmt.ctype.is_value:
-            return
-        ops = ops[-1:]
-    for op in ops:
-        if op[0] != ASSIGN or op[2] != "=" or op[1] not in value_vars:
-            continue
-        rhs = op[3]
-        if isinstance(rhs, ast.Call) and rhs.callee in ALLOC_CALLS:
-            continue  # runtime allocations are well-formed by construction
-        k = eval_const(rhs, env)
-        if k is not None and k & 1 == 0:
-            where = op[4]
-            diags.append(
-                Diagnostic(
-                    "NAKED_POINTER",
-                    ERROR,
-                    file,
-                    where.line,
-                    where.col,
-                    f"constant {k} stored into OCaml value '{op[1]}' has a"
-                    " clear low bit; the GC would chase it as a pointer",
-                )
-            )
-
-
-def _step(node, env):
-    """Update `env` in place by a node's stores."""
-    if isinstance(node.stmt, ast.Opaque):
-        env.clear()
-        return
-    for op in node.ops:
-        kind = op[0]
-        if kind == ASSIGN:
-            k = eval_const(op[3], env) if op[2] == "=" else None
-            if k is None:
-                env.pop(op[1], None)
-            else:
-                env[op[1]] = k
-        elif kind == BUMP or kind == ADDR:
-            env.pop(op[1], None)
-
-
 def solve_consts(cfg) -> list[Diagnostic]:
     """Propagate constants, and judge every store into a value inside the
     solve, as each block's last visit saw it.  Returns the NAKED_POINTER
     findings."""
     value_vars = _value_vars(cfg.fn)
     file = cfg.fn.file
-    found: list = [()] * len(cfg.blocks)
 
-    def transfer(block, env):
-        env = dict(env)
-        diags: list[Diagnostic] = []
-        for node in block.nodes:
-            _judge(node, env, value_vars, file, diags)
-            _step(node, env)
-        found[block.id] = diags
+    def step(node, env, found):
+        # judge each store into a value against the constants at the
+        # node's entry
+        ops = node.ops
+        if isinstance(node.stmt, ast.VarDecl):
+            # only the declaration's own store, and only into a value
+            ops = ops[-1:] if node.stmt.ctype.is_value else ()
+        for op in ops:
+            if op[0] != ASSIGN or op[2] != "=" or op[1] not in value_vars:
+                continue
+            rhs = op[3]
+            if isinstance(rhs, ast.Call) and rhs.callee in ALLOC_CALLS:
+                continue  # runtime allocations are well-formed by construction
+            k = eval_const(rhs, env)
+            if k is not None and k & 1 == 0:
+                where = op[4]
+                found.append(
+                    Diagnostic(
+                        "NAKED_POINTER",
+                        ERROR,
+                        file,
+                        where.line,
+                        where.col,
+                        f"constant {k} stored into OCaml value '{op[1]}' has a"
+                        " clear low bit; the GC would chase it as a pointer",
+                    )
+                )
+
+        # then apply the node's stores
+        if isinstance(node.stmt, ast.Opaque):
+            env.clear()
+            return env
+        for op in node.ops:
+            kind = op[0]
+            if kind == ASSIGN:
+                k = eval_const(op[3], env) if op[2] == "=" else None
+                if k is None:
+                    env.pop(op[1], None)
+                else:
+                    env[op[1]] = k
+            elif kind == BUMP or kind == ADDR:
+                env.pop(op[1], None)
         return env
 
-    forward_solve(cfg, {}, transfer, join_const_env, None)
-    return [diag for diags in found for diag in diags]
+    return forward_solve(cfg, {}, step, join_const_env, None, dict)[2]
 
 
 def check_naked(cfg, found: list[Diagnostic]) -> list[Diagnostic]:

@@ -7,9 +7,10 @@ Per variable and program point one of three facts:
   heap_derived  a C pointer into an OCaml block's payload, with a
                 possibly_stale bit that flips once a GC opportunity passes
 
-Dereference and runtime-call events are collected inside the fixpoint
-solve, from each block's last visit, and judged with the lock states from
-lock_analysis.
+The facts are an environment lattice plus one node step for
+`forward_solve`.  The step collects dereference and runtime-call events,
+which are judged afterwards with the lock states from lock_analysis, and
+the solver keeps them from each block's last visit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .c_frontend.intrinsics import (
     FIELD_READ,
     FIELD_WRITE,
     STRING_DEREF,
-    is_macro_name,
 )
 from .dataflow import forward_solve
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic
@@ -81,7 +81,7 @@ def fact_of(expr, env, derive_stale: bool = False):
     """Classify an expression.
 
     derive_stale marks fresh derivations (Data_*_val, value-to-pointer
-    casts) as already stale; the transfer pass sets it when the lock is not
+    casts) as already stale; the node step sets it when the lock is not
     definitely held, because the GC may move the block between computing
     the address and any later use.  Event operands always classify with
     derive_stale=False: within a single expression there is no such window,
@@ -138,18 +138,6 @@ def fact_of(expr, env, derive_stale: bool = False):
 # -- dataflow ---------------------------------------------------------------
 
 
-def _is_gc_point(ops, table: SummaryTable) -> bool:
-    for op in ops:
-        if op[0] != CALL:
-            continue
-        name = op[1]
-        if name == ENTER_BLOCKING:
-            return True
-        if not is_macro_name(name) and table.may_gc(name):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class DerefEvent:
     kind: str  # "value_macro_deref", "explicit_deref", or "runtime_call"
@@ -181,92 +169,82 @@ def _sketch(expr) -> str:
     return "<expr>"
 
 
-def _judge(node, env, table: SummaryTable, file: str, events: list, notes: list):
-    """Append the events and notes of a node's ops, judged against the
-    facts `env` at the node's entry."""
-    for op in node.ops:
-        kind, where = op[0], op[-1]
-        if kind == CALL:
-            name = op[1]
-            if name == FIELD_READ or name == FIELD_WRITE or name in STRING_DEREF:
-                if not where.args:
-                    continue
-                kind, operand = "value_macro_deref", where.args[0]
-            elif not is_macro_name(name) and table.requires_lock(name):
-                kind, operand = "runtime_call", None
-            else:
-                continue
-        elif kind == DEREF:
-            kind, operand = "explicit_deref", op[1]
-        else:
-            if kind == ADDR and is_tracked(env.get(op[1], PLAIN)):
-                message = (
-                    f"address of '{op[1]}' escapes;"
-                    " it is no longer tracked as an OCaml value"
-                )
-                note = Diagnostic("NOTE", NOTE, file, where.line, where.col, message)
-                notes.append(note)
-            continue
-        if operand is None:  # a runtime call is judged on the lock alone
-            subject, fact = op[1], PLAIN
-        else:
-            fact = fact_of(operand, env)
-            if not is_tracked(fact):
-                continue
-            subject = _sketch(operand)
-        events.append(
-            DerefEvent(kind, subject, fact, node.id, file, where.line, where.col)
-        )
-
-
-def _step(node, env, lock: LockState, table: SummaryTable):
-    """Update `env` in place by a node's effect; `lock` is the lock state
-    at the node's entry."""
-    # a GC point makes heap facts stale before any store in the node lands
-    if _is_gc_point(node.ops, table):
-        for name, fact in env.items():
-            if is_heap(fact):
-                env[name] = heap(True)
-    if isinstance(node.stmt, ast.Opaque):
-        for name, fact in env.items():
-            if is_heap(fact):
-                env[name] = PLAIN
-        return
-    derive_stale = lock is not LockState.HELD
-    for op in node.ops:
-        if op[0] == ADDR:
-            if is_tracked(env.get(op[1], PLAIN)):
-                env[op[1]] = PLAIN
-        elif op[0] == ASSIGN and op[2] == "=":
-            env[op[1]] = fact_of(op[3], env, derive_stale)
-
-
 def track_values(cfg, lockmap: LockMap, table: SummaryTable):
     """Solve the value facts; returns (heads, events, notes).
 
-    heads holds the facts at each block head.  The dereference and
-    runtime-call events and the escape notes are collected in the solve,
-    as each block's last visit saw them.  Each node's ops are judged
-    against the facts at the node's entry, not as its own stores change
-    them.
+    heads holds the facts at each block head.  The node step first judges
+    the node's ops against the facts at the node's entry, so the node's own
+    stores never change how it is judged, and appends the dereference and
+    runtime-call events and the escape notes to the solver's findings,
+    which keep each block's last visit.  Then it applies the node's effect.
     """
     lock_at = lockmap.states
     file = cfg.fn.file
-    found: list = [((), ())] * len(cfg.blocks)
+    lookup = table.lookup
 
-    def transfer(block, env):
-        env = dict(env)
-        events: list[DerefEvent] = []
-        notes: list[Diagnostic] = []
-        for node in block.nodes:
-            _judge(node, env, table, file, events, notes)
-            _step(node, env, lock_at[node.id], table)
-        found[block.id] = (events, notes)
+    def step(node, env, found):
+        gc_point = False
+        for op in node.ops:
+            kind, where = op[0], op[-1]
+            if kind == CALL:
+                name = op[1]
+                if name == FIELD_READ or name == FIELD_WRITE or name in STRING_DEREF:
+                    if not where.args:
+                        continue
+                    kind, operand = "value_macro_deref", where.args[0]
+                else:
+                    effects = lookup(name)
+                    if name == ENTER_BLOCKING or "may_gc" in effects:
+                        gc_point = True
+                    if "requires_lock" not in effects:
+                        continue
+                    kind, operand = "runtime_call", None
+            elif kind == DEREF:
+                kind, operand = "explicit_deref", op[1]
+            else:
+                if kind == ADDR and is_tracked(env.get(op[1], PLAIN)):
+                    message = (
+                        f"address of '{op[1]}' escapes;"
+                        " it is no longer tracked as an OCaml value"
+                    )
+                    note = Diagnostic("NOTE", NOTE, file, where.line, where.col, message)
+                    found.append(note)
+                continue
+            if operand is None:  # a runtime call is judged on the lock alone
+                subject, fact = op[1], PLAIN
+            else:
+                fact = fact_of(operand, env)
+                if not is_tracked(fact):
+                    continue
+                subject = _sketch(operand)
+            found.append(
+                DerefEvent(kind, subject, fact, node.id, file, where.line, where.col)
+            )
+
+        # a GC point makes heap facts stale before any store in the node lands
+        if gc_point:
+            for name, fact in env.items():
+                if is_heap(fact):
+                    env[name] = heap(True)
+        if isinstance(node.stmt, ast.Opaque):
+            for name, fact in env.items():
+                if is_heap(fact):
+                    env[name] = PLAIN
+            return env
+        derive_stale = lock_at[node.id] is not LockState.HELD
+        for op in node.ops:
+            if op[0] == ADDR:
+                if is_tracked(env.get(op[1], PLAIN)):
+                    env[op[1]] = PLAIN
+            elif op[0] == ASSIGN and op[2] == "=":
+                env[op[1]] = fact_of(op[3], env, derive_stale)
         return env
 
-    heads, _pops = forward_solve(cfg, initial_facts(cfg.fn), transfer, join_env, None)
-    events = [event for block_events, _ in found for event in block_events]
-    notes = [note for _, block_notes in found for note in block_notes]
+    heads, _pops, found = forward_solve(
+        cfg, initial_facts(cfg.fn), step, join_env, None, dict
+    )
+    events = [item for item in found if type(item) is DerefEvent]
+    notes = [item for item in found if type(item) is not DerefEvent]
     return heads, events, notes
 
 

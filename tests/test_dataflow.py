@@ -9,12 +9,13 @@ from stublint.dataflow import forward_solve
 
 
 def toy_counter(cfg):
-    """Count statements along the path, capped at 9 (a finite chain)."""
+    """Count statements along the path, capped at 9 (a finite chain).  Each
+    statement node reports (node id, count at its entry)."""
 
-    def transfer(block, k):
-        for node in block.nodes:
-            if node.kind == "stmt":
-                k = min(k + 1, 9)
+    def step(node, k, found):
+        if node.kind == "stmt":
+            found.append((node.id, k))
+            k = min(k + 1, 9)
         return k
 
     def join(a, b):
@@ -24,7 +25,7 @@ def toy_counter(cfg):
             return a
         return max(a, b)
 
-    return forward_solve(cfg, 0, transfer, join, None)
+    return forward_solve(cfg, 0, step, join, None, lambda k: k)
 
 
 def cfg_from(src):
@@ -38,13 +39,13 @@ def head_of(cfg, heads, node):
 
 def test_straight_line_counts_statements():
     cfg = cfg_from("value f(value a) { g(); h(); k(); return a; }")
-    heads, _ = toy_counter(cfg)
+    heads, _, _ = toy_counter(cfg)
     assert head_of(cfg, heads, cfg.exit) == 4
 
 
 def test_unreachable_nodes_keep_bottom():
     cfg = cfg_from("value f(value a) { return a; g(); }")
-    heads, _ = toy_counter(cfg)
+    heads, _, _ = toy_counter(cfg)
     dead = next(n for n in cfg.statement_nodes() if "'g'" in repr(n.stmt))
     assert head_of(cfg, heads, dead) is None
 
@@ -53,17 +54,28 @@ def test_branches_join_with_the_maximum():
     cfg = cfg_from(
         "value f(value a) { if (p()) { g(); h(); } else { k(); } return a; }"
     )
-    heads, _ = toy_counter(cfg)
+    heads, _, _ = toy_counter(cfg)
     # longest path into exit: if + two then-statements + return
     assert head_of(cfg, heads, cfg.exit) == 4
 
 
 def test_loops_reach_a_fixpoint():
     cfg = cfg_from("value f(value a) { while (p()) { g(); } return a; }")
-    heads, pops = toy_counter(cfg)
+    heads, pops, _ = toy_counter(cfg)
     assert head_of(cfg, heads, cfg.exit) == 9  # saturates at the chain cap
     # pops counts block visits; every reached block is visited
     assert pops >= sum(head is not None for head in heads)
+
+
+def test_findings_come_from_each_blocks_last_visit():
+    cfg = cfg_from("value f(value a) { while (p()) { g(); } return a; }")
+    heads, pops, found = toy_counter(cfg)
+    assert pops > len(cfg.blocks)  # the loop blocks were visited again
+    # every reached statement reports once, from the fixpoint head state
+    reached = [n for b in cfg.blocks if heads[b.id] is not None for n in b.nodes]
+    assert [nid for nid, _ in found] == [n.id for n in reached if n.kind == "stmt"]
+    call = next(n for n in cfg.statement_nodes() if "'g'" in repr(n.stmt))
+    assert dict(found)[call.id] == 9
 
 
 BRANCHY = st.lists(

@@ -120,7 +120,7 @@ def test_builtin_summaries():
     assert table.lookup("caml_leave_blocking_section") == frozenset({"acquires_lock"})
     # the caml_* prefix: runtime entry points want the lock and may collect
     assert table.lookup("caml_alloc") == frozenset({"requires_lock", "may_gc"})
-    assert table.may_gc("caml_alloc_small")
+    assert "may_gc" in table.lookup("caml_alloc_small")
     # exact entries beat the prefix
     assert table.lookup("caml_stat_free") == frozenset({"no_lock_needed"})
     assert table.noreturn("caml_failwith")
@@ -154,6 +154,27 @@ def test_exact_beats_longer_prefix():
     table = load_summaries(text)
     assert table.lookup("xenevtchn_notify") == frozenset({"no_lock_needed"})
     assert table.lookup("xenevtchn_notice") == frozenset({"may_gc"})
+
+
+def test_summaries_never_apply_to_runtime_macros(parse_c, lint_c):
+    src = (
+        "value f(value a)\n{\n"
+        "    CAMLparam1(a);\n"
+        "    Store_field(a, 0, Val_int(1));\n"
+        "    caml_enter_blocking_section();\n"
+        "    Field(a, 0);\n"
+        "    caml_leave_blocking_section();\n"
+        "    CAMLreturn(a);\n}\n"
+    )
+    summaries = "Store_*: noreturn, releases_lock, may_gc\nField: requires_lock\n"
+    table = load_summaries(summaries)
+    assert table.lookup("Store_field") == table.lookup("Field") == frozenset()
+    fn = parse_c(src).functions[0]
+    plain = build_cfg(fn, is_noreturn=load_summaries().noreturn)
+    assert build_cfg(fn, is_noreturn=table.noreturn).edges() == plain.edges()
+    found = [d.render() for d in lint_c(src, summaries)]
+    assert found == [d.render() for d in lint_c(src)]
+    assert [f.split(": ")[2] for f in found] == ["VALUE_DEREF_UNLOCKED"]
 
 
 def test_comments_and_blanks_are_skipped():
