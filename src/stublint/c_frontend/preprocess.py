@@ -8,17 +8,21 @@ An `#if`/`#elif` guard has its local macros substituted, is parsed by the C
 parser's `parse_expression` and folded over integer and char constants as
 C99 does: `/` and `%` truncate toward zero, and `&&`, `||` and `?:` fold
 only the operands they select.  A char constant is one ASCII character or
-one simple or octal escape, such as `'a'`, `L'a'`, `'\\n'` or `'\\0'`.  A
-guard that names a macro not defined in this file takes the branch you
-would get with those macros undefined (0) and leaves a note saying so.  A
-guard that names none but that the fold does not model (a shift by a count
-outside 0..63, a division by zero, nesting past the parser's cap, a
-non-integer operand) is false, and its note says why; `#if 0` is elided
-silently.
+one simple, octal or hex escape, such as `'a'`, `L'a'`, `'\\n'`, `'\\0'` or
+`'\\x41'`.  A guard that names a macro not defined in this file takes the
+branch you would get with those macros undefined (0) and leaves a note
+saying so.  A guard that names none but that the fold does not model (a
+shift by a count outside 0..63, a division by zero, nesting past the
+parser's cap, a non-integer operand) is false, and its note says why;
+`#if 0` is elided silently.
 
-String and char literals are recognised by one pattern, `_LITERAL`, shared
-by comment stripping, macro expansion and parameter substitution, so a
-comment marker or a macro name inside a literal is left alone.
+String and char literals are recognised by one pattern, `_LITERAL`, which
+comment stripping skips.  The words of a line are recognised by one more,
+`_WORD_RE`: a literal, a preprocessing number or an identifier.  Macro
+expansion, parameter substitution, the self-reference check of `#define`
+and guard evaluation replace only identifiers, so a comment marker or a
+macro name inside a literal, and the `UL` of `1UL` or the `x1F` of `0x1F`,
+are left alone.
 
 The line grid is kept intact: every directive line, every consumed
 continuation line and every line of a dropped branch is replaced by a blank
@@ -65,18 +69,21 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 # of the text.
 _LITERAL = r""""(?:[^"\\\n]|\\[\s\S]?)*"?|'(?:[^'\\\n]|\\[\s\S]?)*'?"""
 _COMMENT_RE = re.compile(rf"{_LITERAL}|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)")
-_WORD_RE = re.compile(rf"{_LITERAL}|{_IDENT}")
 _PAREN_RE = re.compile(rf"{_LITERAL}|[()]")
 _ARGS_OPEN_RE = re.compile(r"[ \t]*\(")
-# in a guard, the names of `defined` and the other identifiers; a literal,
-# with its `L`, `u` or `U` prefix, matches whole and names no macro.  The
-# substitution of names drops the prefix (group 1 is the literal without
-# it), which leaves the value of a char constant the fold reads as it is.
-_GUARD_LITERAL = rf"(?:\b[LuU])?({_LITERAL})"
-_DEFINED_RE = re.compile(
-    rf"{_GUARD_LITERAL}|defined\s*(?:\(\s*({_IDENT})\s*\)|({_IDENT}))"
+# A word of a line: a literal with its optional encoding prefix (group 1 is
+# the literal without it), a preprocessing number (C99 6.4.8, so `1UL` and
+# `0x1F` are one word each) or an identifier (group 2).  Only an identifier
+# can name a macro.
+_WORD = (
+    rf"(?:u8|[LuU])?({_LITERAL})"
+    r"|\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*"
+    rf"|({_IDENT})"
 )
-_GUARD_NAME_RE = re.compile(rf"{_GUARD_LITERAL}|\b{_IDENT}")  # not the x1F of 0x1F
+_WORD_RE = re.compile(_WORD)
+# a guard's words, and `defined X` or `defined(X)` as one (group 1 or 2
+# names X; the word's groups follow as 3 and 4)
+_GUARD_RE = re.compile(rf"defined\b\s*(?:\(\s*({_IDENT})\s*\)|({_IDENT}))|{_WORD}")
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*?)\s*$")
 _DEFINE_RE = re.compile(r"^([A-Za-z_]\w*)(\()?")
 
@@ -191,7 +198,7 @@ def _define(rest, lineno, macros, result, file_name):
     else:
         body = rest[m.end(1) :].strip()
         macro = MacroDef(name, body)
-    if re.search(rf"\b{re.escape(name)}\b", macro.body):
+    if any(m.group(2) == name for m in _WORD_RE.finditer(macro.body)):
         raise PreprocessError(f"recursive macro '{name}'", lineno)
     macros[name] = macro
 
@@ -221,29 +228,22 @@ def _guard(kind, rest, macros):
 
     used_unknown = False
 
-    def _defined(mm):
+    def _subst(mm):
         nonlocal used_unknown
-        if mm.group(1) is not None:  # a literal
-            return mm.group()
-        ident = mm.group(2) or mm.group(3)
-        if ident not in macros:
-            used_unknown = True
-        return "1" if ident in macros else "0"
-
-    expr = _DEFINED_RE.sub(_defined, rest)
-
-    def _subst_ident(mm):
-        nonlocal used_unknown
-        if mm.group(1) is not None:  # a literal, without its prefix
-            return mm.group(1)
-        ident = mm.group()
-        macro = macros.get(ident)
-        if macro is not None and not macro.func_like:
-            return macro.body if macro.body else "1"
+        defined, name = mm.group(1) or mm.group(2), mm.group(4)
+        if defined is not None:
+            if defined in macros:
+                return "1"
+        elif name is None:  # a number, or a literal without its prefix
+            return mm.group(3) or mm.group()
+        else:
+            macro = macros.get(name)
+            if macro is not None and not macro.func_like:
+                return macro.body if macro.body else "1"
         used_unknown = True
         return "0"
 
-    expr = _GUARD_NAME_RE.sub(_subst_ident, expr)
+    expr = _GUARD_RE.sub(_subst, rest)
     try:
         value = _fold(parse_expression(expr))
     except (CLexError, CParseError, ValueError, ZeroDivisionError) as exc:
@@ -297,10 +297,10 @@ def _c_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
-# a char constant the fold reads: one character, an octal escape, or a
-# simple escape, whose value is in _SIMPLE_ESCAPES
+# a char constant the fold reads: one character, an octal or hex escape,
+# or a simple escape, whose value is in _SIMPLE_ESCAPES
 _CHAR_CONSTANT_RE = re.compile(
-    r"""'(?:([^'\\])|\\([0-7]{1,3})|\\(['"?\\abfnrtv]))'"""
+    r"""'(?:([^'\\])|\\([0-7]{1,3})|\\x([0-9a-fA-F]+)|\\(['"?\\abfnrtv]))'"""
 )
 _SIMPLE_ESCAPES = {
     "'": 39, '"': 34, "?": 63, "\\": 92,
@@ -312,11 +312,13 @@ def _char_value(text: str) -> int:
     m = _CHAR_CONSTANT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"char constant {text} is not one character or escape")
-    plain, octal, simple = m.groups()
+    plain, octal, hexa, simple = m.groups()
     if plain is not None:
         value = ord(plain)
     elif octal is not None:
         value = int(octal, 8)
+    elif hexa is not None:
+        value = int(hexa, 16)
     else:
         value = _SIMPLE_ESCAPES[simple]
     if value > 127:

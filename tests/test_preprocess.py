@@ -134,6 +134,7 @@ GUARDS = [
     ("'\\n' == 10", True, False),
     ("L'a' == 97", True, False),  # a prefix names no macro
     ("'\\0'", False, False),
+    ("'\\x41' == 65 && '\\x7f' == 127 && '\\x041' == 65", True, False),  # hex
     # a parenthesis and the operand in it are a level each, the outer
     # operand one more
     (_parenthesized((MAX_NESTING - 1) // 2), True, False),  # at the cap
@@ -163,6 +164,11 @@ GUARD_NOTES = [
     ("'ab'", "is unsupported (char constant 'ab' is not one character or escape)"),
     ("'\\q'", "is unsupported (char constant '\\q' is not one character or escape)"),
     ("'\\7' + 'é'", "is unsupported (char constant 'é' is past ASCII)"),
+    ("'\\x80'", "is unsupported (char constant '\\x80' is past ASCII)"),
+    (
+        "'\\x41\\x42'",
+        "is unsupported (char constant '\\x41\\x42' is not one character or escape)",
+    ),
 ]
 
 
@@ -212,3 +218,18 @@ def test_multi_parameter_macro_left_alone_with_note():
 def test_strings_are_opaque_to_expansion():
     src = '#define Hi 1\ns = "Hi there";\n'
     assert 's = "Hi there";' in expanded(src)
+
+
+# (definitions, line, line after expansion): a literal, with its prefix, and
+# a preprocessing number are whole words that name no macro
+UNEXPANDED = [
+    ("#define UL 5\n#define x1F 7\n", "long x = 1UL + 0x1F;", "long x = 1UL + 0x1F;"),
+    ('#define MSG "MSG"\n', "s = MSG;", 's = "MSG";'),
+    ("#define N 2\n", 's = u8"N" L"N" + N;', 's = u8"N" L"N" + 2;'),
+    ("#define E 9\n", "d = 1.5e+E + .5E;", "d = 1.5e+E + .5E;"),
+]
+
+
+def test_literals_and_numbers_name_no_macro():
+    for defines, line, after in UNEXPANDED:
+        assert expanded(f"{defines}{line}\n").split("\n")[-2] == after, line
