@@ -15,17 +15,20 @@ from .header_gen import (
     C_INT64,
     C_INTNAT,
     CAML_VALUE,
+    PARAM_SPELLING,
     prototypes_for,
 )
 
 LOCK_NAME = "__VERIFIER_ocaml_runtime_lock"
 
+# the nondeterministic source of each parameter category, in the order the
+# harness declares them; PARAM_SPELLING spells their C return types
 NONDET = {
-    CAML_VALUE: ("__VERIFIER_nondet_value", "value"),
-    C_DOUBLE: ("__VERIFIER_nondet_double", "double"),
-    C_INT32: ("__VERIFIER_nondet_int32", "int32_t"),
-    C_INT64: ("__VERIFIER_nondet_int64", "int64_t"),
-    C_INTNAT: ("__VERIFIER_nondet_intnat", "intnat"),
+    CAML_VALUE: "__VERIFIER_nondet_value",
+    C_DOUBLE: "__VERIFIER_nondet_double",
+    C_INT32: "__VERIFIER_nondet_int32",
+    C_INT64: "__VERIFIER_nondet_int64",
+    C_INTNAT: "__VERIFIER_nondet_intnat",
 }
 
 _PRELUDE = (
@@ -44,11 +47,11 @@ def _caller(decl, proto) -> list[str]:
         lines.append(f"    value argv[{decl.arity}];")
         lines.append("    (void) arg;")
         for i in range(decl.arity):
-            lines.append(f"    argv[{i}] = {NONDET[CAML_VALUE][0]}();")
+            lines.append(f"    argv[{i}] = {NONDET[CAML_VALUE]}();")
         call = f"{name}(argv, {decl.arity})"
     else:
         lines.append("    (void) arg;")
-        args = ", ".join(f"{NONDET[p][0]}()" for p in proto.params)
+        args = ", ".join(f"{NONDET[p]}()" for p in proto.params)
         call = f"{name}({args})"
     lines.append(f"    pthread_mutex_lock(&{LOCK_NAME});")
     lines.append(f"    {call};")
@@ -75,10 +78,9 @@ def generate_main(decls) -> str:
                     used_kinds.add(p)
 
     out = [_PRELUDE, "\n"]
-    for kind in (CAML_VALUE, C_DOUBLE, C_INT32, C_INT64, C_INTNAT):
+    for kind, fn in NONDET.items():
         if kind in used_kinds:
-            fn, ctype = NONDET[kind]
-            out.append(f"extern {ctype} {fn}(void);\n")
+            out.append(f"extern {PARAM_SPELLING[kind]} {fn}(void);\n")
     out.append("\n")
     out.append(f"pthread_mutex_t {LOCK_NAME} = PTHREAD_MUTEX_INITIALIZER;\n")
 
