@@ -1,5 +1,6 @@
 """Lexer and recursive-descent parser for the stub C subset."""
 
+import re
 import string
 
 import pytest
@@ -93,7 +94,7 @@ TOKEN_OR_BLANK = st.one_of(
         fullmatch=True,
     ),
     st.from_regex(r'"([^"\\\n]|\\[^\n]){0,5}"', fullmatch=True),
-    st.from_regex(r"'([^'\\\n]|\\[^\n])'", fullmatch=True),
+    st.from_regex(r"'([^'\\\n]|\\[^\n]){1,3}'", fullmatch=True),
     st.sampled_from(PUNCTUATORS),
     st.sampled_from([" ", "  ", "\t", "\n", "\r", "\f", "\v"]),
 )
@@ -109,9 +110,7 @@ def _opens_a_literal(rest: str) -> bool:
     """Whether `rest`, the remainder of a line from a quote on, begins with
     a complete string or char literal."""
     if rest[0] == "'":
-        if rest[1:2] == "\\":
-            return rest[3:4] == "'"
-        return rest[1:2] not in ("", "'") and rest[2:3] == "'"
+        return re.match(r"'(?:\\.|[^'\\\n])+'", rest) is not None
     i = 1
     while i < len(rest):
         if rest[i] == "\\":
