@@ -1,7 +1,8 @@
 """AST shapes for the C stub subset, and the ops the parser attaches.
 
 Every node but a type and the unit derives from `_At` and carries the
-(line, col) of its introducing token, passed by keyword.  Statement
+(line, col) of its introducing token as its first two fields, so the
+parser builds each node with one positional call.  Statement
 bodies are plain Python lists; there is no separate Block node.  The
 analyses never walk expression trees themselves: while it parses a
 statement-level expression, the parser appends the flat ops its nodes
@@ -31,8 +32,8 @@ _node = dataclass(slots=True, repr=False, eq=False)
 
 @_node
 class _At(_Node):
-    line: int = field(default=0, kw_only=True)
-    col: int = field(default=0, kw_only=True)
+    line: int
+    col: int
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ class _Parser:
                 ops = (*self.ops, (ASSIGN, name.text, "=", init, name))
             self.locals.append((name.text, ctype))
             decls.append(
-                nodes.VarDecl(name.text, ctype, init, ops, line=name.line, col=name.col)
+                nodes.VarDecl(name.line, name.col, name.text, ctype, init, ops)
             )
             if not self.accept(","):
                 return decls
@@ -372,15 +372,15 @@ class _Parser:
             )
             return
         fn = nodes.StubFunction(
-            name=name_tok.text,
-            params=params,
-            return_type=ret,
-            is_camlprim=is_camlprim,
-            body=body,
-            locals=self.locals,
-            file=self.file,
-            line=name_tok.line,
-            col=name_tok.col,
+            name_tok.line,
+            name_tok.col,
+            name_tok.text,
+            params,
+            ret,
+            is_camlprim,
+            body,
+            self.locals,
+            self.file,
         )
         unit.functions.append(fn)
 
@@ -457,7 +457,7 @@ class _Parser:
             for arg in expr.args:
                 if isinstance(arg, nodes.Name):
                     self.locals.append((arg.ident, nodes.CType("value")))
-        return nodes.ExprStmt(expr, ops, line=tok.line, col=tok.col)
+        return nodes.ExprStmt(tok.line, tok.col, expr, ops)
 
     # Each statement that a keyword starts is parsed by a method of its own
     # that takes the keyword's token, already consumed.
@@ -483,21 +483,21 @@ class _Parser:
                 break
             self.pos += 1
         for cond, then, ops, tok in reversed(links):
-            stmt = nodes.If(cond, then, els, ops, line=tok.line, col=tok.col)
+            stmt = nodes.If(tok.line, tok.col, cond, then, els, ops)
             els = [stmt]
         return stmt
 
     def parse_while(self, tok):
         cond, ops = self.condition()
         body = self.parse_stmt()
-        return nodes.While(cond, body, ops, line=tok.line, col=tok.col)
+        return nodes.While(tok.line, tok.col, cond, body, ops)
 
     def parse_do(self, tok):
         body = self.parse_stmt()
         self.expect("while")
         cond, ops = self.condition()
         self.expect(";")
-        return nodes.DoWhile(body, cond, ops, line=tok.line, col=tok.col)
+        return nodes.DoWhile(tok.line, tok.col, body, cond, ops)
 
     def parse_for(self, tok):
         self.expect("(")
@@ -508,31 +508,29 @@ class _Parser:
         step = None
         if not self.at(")"):
             expr, step_ops = self.statement_expr()
-            step = nodes.ExprStmt(expr, step_ops, line=expr.line, col=expr.col)
+            step = nodes.ExprStmt(expr.line, expr.col, expr, step_ops)
         self.expect(")")
         body = self.parse_stmt()
-        return nodes.For(init, cond, step, body, ops, line=tok.line, col=tok.col)
+        return nodes.For(tok.line, tok.col, init, cond, step, body, ops)
 
     def parse_return(self, tok):
         expr, ops = (None, ()) if self.at(";") else self.statement_expr()
         self.expect(";")
-        return nodes.Return(expr, ops, line=tok.line, col=tok.col)
+        return nodes.Return(tok.line, tok.col, expr, ops)
 
     def parse_break(self, tok):
         self.expect(";")
-        return nodes.Break(line=tok.line, col=tok.col)
+        return nodes.Break(tok.line, tok.col)
 
     def parse_continue(self, tok):
         self.expect(";")
-        return nodes.Continue(line=tok.line, col=tok.col)
+        return nodes.Continue(tok.line, tok.col)
 
     def parse_goto(self, tok):
         label = self.take()
         self.accept(";")
         self.warn("goto is outside the analyzed subset", tok)
-        return nodes.Opaque(
-            text=f"goto {label.text}", reason="goto", line=tok.line, col=tok.col
-        )
+        return nodes.Opaque(tok.line, tok.col, f"goto {label.text}", "goto")
 
     def parse_asm(self, tok):
         while self.peek().text in ("volatile", "__volatile__", "inline", "goto"):
@@ -540,7 +538,7 @@ class _Parser:
         if self.at("("):
             self.skip_balanced("(", ")")
         self.accept(";")
-        return nodes.Opaque(text="asm", reason="inline asm", line=tok.line, col=tok.col)
+        return nodes.Opaque(tok.line, tok.col, "asm", "inline asm")
 
     def statement_expr(self):
         """Parse a statement-level expression; returns it with its ops."""
@@ -574,7 +572,7 @@ class _Parser:
                     self.expect(":")
                     # labels with no statement between them share one case
                     if current is None or current.body:
-                        current = nodes.SwitchCase(line=lab_tok.line, col=lab_tok.col)
+                        current = nodes.SwitchCase(lab_tok.line, lab_tok.col)
                         cases.append(current)
                     current.labels.append(label)
                     continue
@@ -585,7 +583,7 @@ class _Parser:
                     )
                 current.body.extend(self.parse_stmt())
             self.expect("}")
-            return nodes.Switch(subject, cases, ops, line=tok.line, col=tok.col)
+            return nodes.Switch(tok.line, tok.col, subject, cases, ops)
         finally:
             self.depth = depth
 
@@ -633,13 +631,13 @@ class _Parser:
         tok = self.peek()
         _, base = self.specifiers("declaration")
         decls = self.declarators(base, *self.declarator(base))
-        return nodes.DeclStmt(decls, line=tok.line, col=tok.col)
+        return nodes.DeclStmt(tok.line, tok.col, decls)
 
     def parse_initializer(self):
         if self.at("{"):
             tok = self.peek()
             inits = self.parse_brace_list()
-            return nodes.CompoundLit(None, inits, line=tok.line, col=tok.col)
+            return nodes.CompoundLit(tok.line, tok.col, None, inits)
         return self.parse_expr()
 
     def parse_brace_list(self) -> list:
@@ -697,7 +695,7 @@ class _Parser:
                     self.pos += 1
                     ctype = self.parse_type_name()
                     self.expect(")")
-                    left = nodes.SizeofType(ctype, line=tok.line, col=tok.col)
+                    left = nodes.SizeofType(tok.line, tok.col, ctype)
                     break
                 prefixes.append(tok)
                 tok = tokens[self.pos]
@@ -707,12 +705,10 @@ class _Parser:
                 kind = tok.kind
                 if kind == "ident":
                     self.pos += 1
-                    left = nodes.Name(text, line=tok.line, col=tok.col)
+                    left = nodes.Name(tok.line, tok.col, text)
                 elif kind == "num":
                     self.pos += 1
-                    left = nodes.Num(
-                        text, _num_value(text), line=tok.line, col=tok.col
-                    )
+                    left = nodes.Num(tok.line, tok.col, text, _num_value(text))
                 else:
                     left = self.parse_primary()
                 while True:
@@ -730,30 +726,28 @@ class _Parser:
                                 if not self.accept(","):
                                     break
                         self.expect(")")
-                        node = nodes.Call(left, args, line=tok.line, col=tok.col)
+                        node = nodes.Call(tok.line, tok.col, left, args)
                         if isinstance(left, nodes.Name):
                             self.ops.append((CALL, left.ident, node))
                     elif text == "[":
                         index = self.parse_expr()
                         self.expect("]")
-                        node = nodes.Index(left, index, line=tok.line, col=tok.col)
+                        node = nodes.Index(tok.line, tok.col, left, index)
                         self.ops.append((DEREF, left, node))
                     elif text == "." or text == "->":
                         name = self.take()
                         arrow = text == "->"
-                        node = nodes.Member(
-                            left, name.text, arrow, line=tok.line, col=tok.col
-                        )
+                        node = nodes.Member(tok.line, tok.col, left, name.text, arrow)
                         if arrow:
                             self.ops.append((DEREF, left, node))
                     else:
                         if isinstance(left, nodes.Name):
                             self.ops.append((BUMP, left.ident))
-                        node = nodes.Unary(text, left, False, line=tok.line, col=tok.col)
+                        node = nodes.Unary(tok.line, tok.col, text, left, False)
                     left = node
             for tok in reversed(prefixes):
                 op = tok.text
-                node = nodes.Unary(op, left, True, line=tok.line, col=tok.col)
+                node = nodes.Unary(tok.line, tok.col, op, left, True)
                 if op == "*":
                     self.ops.append((DEREF, left, node))
                 elif isinstance(left, nodes.Name):
@@ -772,9 +766,7 @@ class _Parser:
                 self.nest(tok)
                 if prec == _ASSIGN:
                     right = self.parse_expr(_ASSIGN)
-                    node = nodes.Assign(
-                        left, right, tok.text, line=tok.line, col=tok.col
-                    )
+                    node = nodes.Assign(tok.line, tok.col, left, right, tok.text)
                     if isinstance(left, nodes.Name):
                         self.ops.append((ASSIGN, left.ident, tok.text, right, node))
                     left = node
@@ -782,12 +774,10 @@ class _Parser:
                     then = self.parse_expr()
                     self.expect(":")
                     els = self.parse_expr(_CONDITIONAL)
-                    left = nodes.Ternary(left, then, els, line=tok.line, col=tok.col)
+                    left = nodes.Ternary(tok.line, tok.col, left, then, els)
                 else:
                     right = self.parse_expr(prec + 1)
-                    left = nodes.Binary(
-                        tok.text, left, right, line=tok.line, col=tok.col
-                    )
+                    left = nodes.Binary(tok.line, tok.col, tok.text, left, right)
         finally:
             self.depth = depth
 
@@ -822,10 +812,10 @@ class _Parser:
             text = tok.text
             while self.peek().kind == "str":  # adjacent literals concatenate
                 text += " " + self.take().text
-            return nodes.StrLit(text, line=tok.line, col=tok.col)
+            return nodes.StrLit(tok.line, tok.col, text)
         if tok.kind == "char":
             self.take()
-            return nodes.CharLit(tok.text, line=tok.line, col=tok.col)
+            return nodes.CharLit(tok.line, tok.col, tok.text)
         if tok.text != "(":
             raise CParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
         depth = self.nest(tok)
@@ -836,9 +826,9 @@ class _Parser:
                 self.expect(")")
                 if self.at("{"):
                     inits = self.parse_brace_list()
-                    return nodes.CompoundLit(ctype, inits, line=tok.line, col=tok.col)
+                    return nodes.CompoundLit(tok.line, tok.col, ctype, inits)
                 operand = self.parse_expr(_UNARY)
-                return nodes.Cast(ctype, operand, line=tok.line, col=tok.col)
+                return nodes.Cast(tok.line, tok.col, ctype, operand)
             self.take()
             expr = self.parse_expr()
             self.expect(")")

@@ -95,13 +95,14 @@ def preprocess_local(source_text: str, file_name: str = "<memory>") -> Preproces
 
     result = PreprocessResult(text="")
     macros: dict[str, MacroDef] = {}
-    # conditional stack entries: [active, any_branch_taken, saw_else]
+    # conditional stack entries: [active, any_branch_taken, saw_else]; a
+    # level is active only under active parents, so the top says it all
     stack: list[list] = []
     out: list[str] = []
 
     for lineno, line in enumerate(lines, start=1):
         m = _DIRECTIVE_RE.match(line)
-        active = all(s[0] for s in stack)
+        active = not stack or stack[-1][0]
         if m:
             _directive(
                 m.group(1), m.group(2), lineno, active, stack, macros, result, file_name
@@ -124,7 +125,6 @@ def preprocess_local(source_text: str, file_name: str = "<memory>") -> Preproces
 
 
 def _directive(name, rest, lineno, active, stack, macros, result, file_name):
-    parent_active = all(s[0] for s in stack)
     if name == "define" and active:
         _define(rest, lineno, macros, result, file_name)
     elif name == "undef" and active:
@@ -133,14 +133,14 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
     elif name in ("if", "ifdef", "ifndef", "elif"):
         if name != "elif":
             # under a dead parent the whole region is dead: count its
-            # branch as taken already
-            stack.append([False, not parent_active, False])
+            # branch as taken already, so no #elif or #else revives it
+            stack.append([False, not active, False])
         elif not stack:
             raise PreprocessError("#elif without #if", lineno)
         elif stack[-1][2]:
             raise PreprocessError("#elif after #else", lineno)
         state = stack[-1]
-        if state[1] or not all(s[0] for s in stack[:-1]):
+        if state[1]:
             state[0] = False
             return
         value, why = _guard(name, rest, macros)
@@ -155,7 +155,7 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
         if state[2]:
             raise PreprocessError("duplicate #else", lineno)
         state[2] = True
-        state[0] = (not state[1]) and all(s[0] for s in stack[:-1])
+        state[0] = not state[1]
         state[1] = True
     elif name == "endif":
         if not stack:

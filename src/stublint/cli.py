@@ -159,11 +159,12 @@ _REQUIRES_LOCK = frozenset({"requires_lock"})
 
 def _unit_table(unit, base: SummaryTable) -> SummaryTable:
     """Stub-calls-stub: a CAMLprim defined here needs the lock like any
-    runtime entry point, unless a summary already says otherwise."""
+    runtime entry point, unless a summary line names it, even one with
+    no effects."""
     own = {
         fn.name: _REQUIRES_LOCK
         for fn in unit.functions
-        if fn.is_camlprim and not base.lookup(fn.name)
+        if fn.is_camlprim and base.lookup(fn.name, None) is None
     }
     return SummaryTable({**base.exact, **own}, base.prefix)
 

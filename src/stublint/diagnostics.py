@@ -42,7 +42,7 @@ RULES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Diagnostic:
     rule_id: str
     severity: str

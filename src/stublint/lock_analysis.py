@@ -60,8 +60,30 @@ EFFECT_NAMES = frozenset(
     }
 )
 
-# Functions that never return to the stub even without a summary saying so.
-NORETURN_BUILTINS = frozenset({"caml_failwith", "caml_invalid_argument"})
+# Functions that never return to the stub even without a summary saying so:
+# the raise helpers `caml/fail.h` marks CAMLnoreturn.  `caml_raise_if_exception`
+# returns when its argument is not an exception, so it is not one of them.
+NORETURN_BUILTINS = frozenset(
+    {
+        "caml_failwith",
+        "caml_failwith_value",
+        "caml_invalid_argument",
+        "caml_invalid_argument_value",
+        "caml_raise",
+        "caml_raise_constant",
+        "caml_raise_with_arg",
+        "caml_raise_with_args",
+        "caml_raise_with_string",
+        "caml_raise_out_of_memory",
+        "caml_raise_stack_overflow",
+        "caml_raise_sys_error",
+        "caml_raise_end_of_file",
+        "caml_raise_zero_divide",
+        "caml_raise_not_found",
+        "caml_raise_sys_blocked_io",
+        "caml_array_bound_error",
+    }
+)
 
 BUILTIN_SUMMARIES = """\
 # Preloaded model of the OCaml runtime.
@@ -80,7 +102,7 @@ class SummaryError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SummaryEntry:
     pattern: str
     is_prefix: bool
@@ -94,10 +116,10 @@ class SummaryTable:
     exact: dict[str, frozenset[str]] = field(default_factory=dict)
     prefix: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def lookup(self, name: str) -> frozenset[str]:
-        """Effects for a callee: exact match first, then longest prefix.
-        A runtime macro (`Field`, `CAMLparam1`, ...) has none, whatever
-        the summaries say."""
+    def lookup(self, name: str, default=frozenset()) -> frozenset[str]:
+        """Effects for a callee: exact match first, then longest prefix,
+        and `default` when no line matches.  A runtime macro (`Field`,
+        `CAMLparam1`, ...) has none, whatever the summaries say."""
         if is_macro_name(name):
             return frozenset()
         hit = self.exact.get(name)
@@ -109,7 +131,7 @@ class SummaryTable:
             if len(pattern) > best_len and name.startswith(pattern):
                 best = effects
                 best_len = len(pattern)
-        return best if best is not None else frozenset()
+        return best if best is not None else default
 
     def noreturn(self, name: str) -> bool:
         return name in NORETURN_BUILTINS or "noreturn" in self.lookup(name)

@@ -81,7 +81,7 @@ _OPEN = {"(": ")", "[": "]", "<": ">"}
 _CLOSE = {")", "]", ">"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExternalDecl:
     ocaml_name: str
     byte_name: str
@@ -92,7 +92,7 @@ class ExternalDecl:
     source_loc: tuple[str, int, int]  # file, 1-based line, 1-based column
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MlParseError:
     file: str
     line: int

@@ -138,7 +138,7 @@ def fact_of(expr, env, derive_stale: bool = False):
 # -- dataflow ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DerefEvent:
     kind: str  # "value_macro_deref", "explicit_deref", or "runtime_call"
     subject: str

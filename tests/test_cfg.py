@@ -187,6 +187,34 @@ def test_goto_keeps_analysis_going_with_fallthrough(parse_c):
     assert opaque.succs  # fallthrough edge, not a dead end
 
 
+def test_the_path_ends_at_a_raise(parse_c):
+    src = (
+        "value f(value a)\n{\n"
+        "    if (Int_val(a) < 0)\n"
+        "        caml_raise_not_found();\n"
+        "    a = h(a);\n"
+        "    return a;\n}\n"
+    )
+    cfg = cfg_of(parse_c, src)
+    raise_node = next(
+        n
+        for n in cfg.statement_nodes()
+        if type(n.stmt).__name__ == "ExprStmt" and "caml_raise" in repr(n.stmt)
+    )
+    assert raise_node.succs == [EXIT]
+    assert not cfg.unreachable()  # the false branch still reaches h
+
+
+def test_raise_if_exception_may_return(parse_c):
+    src = "value f(value a) { caml_raise_if_exception(a); a = h(a); return a; }"
+    cfg = cfg_of(parse_c, src)
+    maybe = next(
+        n for n in cfg.statement_nodes() if "caml_raise_if_exception" in repr(n.stmt)
+    )
+    assert maybe.succs != [EXIT]
+    assert not cfg.unreachable()
+
+
 def test_noreturn_hook_is_optional(parse_c):
     unit = parse_c("value f(value a) { caml_failwith(\"x\"); return a; }")
     cfg = build_cfg(unit.functions[0])  # without the hook: falls through

@@ -177,6 +177,39 @@ def test_summaries_never_apply_to_runtime_macros(parse_c, lint_c):
     assert [f.split(": ")[2] for f in found] == ["VALUE_DEREF_UNLOCKED"]
 
 
+# a CAMLprim defined in the unit, called with the lock released
+CALLS_OWN_STUB = (
+    "CAMLprim value g(value a)\n{\n    CAMLparam1(a);\n    CAMLreturn(a);\n}\n\n"
+    "CAMLprim value f(value a)\n{\n    CAMLparam1(a);\n"
+    "    caml_enter_blocking_section();\n"
+    "    g(a);\n"
+    "    caml_leave_blocking_section();\n"
+    "    CAMLreturn(a);\n}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "summaries, rules",
+    [
+        (None, ["RUNTIME_CALL_UNLOCKED"]),
+        ("g:\n", []),
+        ("g: no_lock_needed\n", []),
+        ("g*:\n", []),
+    ],
+)
+def test_any_summary_line_overrides_the_own_camlprim_default(lint_c, summaries, rules):
+    # a same-file CAMLprim needs the lock unless a line names it, even a
+    # line with no effects
+    assert [d.rule_id for d in lint_c(CALLS_OWN_STUB, summaries)] == rules
+
+
+def test_lookup_default_only_when_no_line_matches():
+    table = load_summaries("g:\nh*:\n")
+    assert table.lookup("g", None) == table.lookup("h1", None) == frozenset()
+    assert table.lookup("k", None) is None
+    assert table.lookup("k") == frozenset()
+
+
 def test_comments_and_blanks_are_skipped():
     entries = parse_summary_lines("# header\n\nf: may_gc  # trailing\n")
     assert len(entries) == 1

@@ -198,6 +198,25 @@ def test_elif_guard_reports_its_own_note():
     ]
 
 
+# (source, lines kept): under a dead parent a region stays dead, whatever
+# its own `#elif` or `#else` says, and its guards give no NOTE
+DEAD_PARENT = [
+    ("#if 0\n#if 0\na;\n#elif 1\nb;\n#endif\n#endif\n", []),
+    ("#if 0\n#if 0\na;\n#else\nb;\n#endif\n#endif\n", []),
+    ("#if 0\n#if 1\n#if 1\na;\n#endif\n#else\nb;\n#endif\n#endif\n", []),
+    ("#if 1\n#else\n#if 0\n#elif X\nb;\n#endif\n#endif\n", []),
+    ("#if 1\n#if 0\na;\n#elif 1\nb;\n#else\nc;\n#endif\n#endif\n", ["b;"]),
+    ("#if 0\n#elif 1\n#if 0\na;\n#else\nb;\n#endif\n#endif\n", ["b;"]),
+]
+
+
+def test_nothing_revives_a_region_under_a_dead_parent():
+    for src, kept in DEAD_PARENT:
+        result = preprocess_local(src, "t.c")
+        assert [line for line in result.text.split("\n") if line] == kept, src
+        assert result.notes == [], src
+
+
 def test_undef_removes_macro():
     src = "#define N 1\n#undef N\nx = N;\n"
     assert "x = N;" in expanded(src)
