@@ -14,6 +14,7 @@ import sys
 from collections.abc import Iterable
 
 from . import harness_gen, header_gen, ml_frontend
+from .analysis import solve_function
 from .c_frontend import (
     CLexError,
     PreprocessError,
@@ -22,16 +23,9 @@ from .c_frontend import (
     preprocess_local,
 )
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
-from .lock_analysis import (
-    SummaryError,
-    SummaryTable,
-    collect_lock_diagnostics,
-    load_summaries,
-    solve,
-)
-from .naked_const import check_naked, solve_consts
+from .lock_analysis import SummaryError, SummaryTable, load_summaries
 from .sarif import sarif
-from .value_safety import check_camlparam, check_deref_safety, track_values
+from .value_safety import check_camlparam
 
 DEFAULT_SUMMARIES = "stublint-summaries.txt"
 
@@ -174,13 +168,8 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
     diags = list(unit.diagnostics)
     for fn in unit.functions:
         cfg = build_cfg(fn, is_noreturn=table.noreturn)
-        lockmap = solve(cfg, table)
-        diags.extend(collect_lock_diagnostics(cfg, lockmap, table))
-        _facts, events, notes = track_values(cfg, lockmap, table)
-        diags.extend(check_deref_safety(events, lockmap))
-        diags.extend(notes)
+        diags.extend(solve_function(cfg, table).found)
         diags.extend(check_camlparam(fn))
-        diags.extend(check_naked(cfg, solve_consts(cfg)))
     return diags
 
 

@@ -17,6 +17,13 @@ solver keeps, per block, only what that last visit appended.
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
+
+
+class Fixpoint(NamedTuple):
+    heads: list
+    pops: int
+    found: list
 
 
 def forward_solve(cfg, init, step, join, bottom, fresh):
@@ -26,11 +33,11 @@ def forward_solve(cfg, init, step, join, bottom, fresh):
     step(node, state, found) maps the state at a node's entry to the state
     after it and appends what it finds to `found`; it must be monotone and
     may update `state` in place, since each block visit starts from
-    fresh(head state).  Returns (heads, pops, found): heads[block.id] is the
-    state at the block's head (bottom for unreached blocks), pops counts
-    block visits, which callers can bound-check against
-    |blocks| * (lattice height + 1), and found lists, block by block in
-    block order, what each reached block's last visit appended.
+    fresh(head state).  Returns the Fixpoint (heads, pops, found):
+    heads[block.id] is the state at the block's head (bottom for unreached
+    blocks), pops counts block visits, which callers can bound-check
+    against |blocks| * (lattice height + 1), and found lists, block by
+    block in block order, what each reached block's last visit appended.
     """
     blocks = cfg.blocks
     heads = [bottom] * len(blocks)
@@ -57,4 +64,4 @@ def forward_solve(cfg, init, step, join, bottom, fresh):
                 if not queued[succ]:
                     queued[succ] = True
                     queue.append(succ)
-    return heads, pops, [item for found in last for item in found]
+    return Fixpoint(heads, pops, [item for found in last for item in found])

@@ -6,9 +6,10 @@ takes it back.  Everything else the runtime does is described by summaries,
 either built in or loaded from a plain-text file, so no runtime headers are
 needed.  A summary never applies to a runtime macro (`intrinsics`).
 
-The analysis is the lock lattice plus one node step for `forward_solve`:
-the step records the node's entry state, then moves the state call by call
-and reports each enter/leave the state before it does not match.
+The analysis is the lock lattice plus `step_call`, which moves the state
+over one call and names the finding for an enter or leave that the state
+before it does not match.  `analysis.solve_function` runs it as the lock
+component of the one product solve per function.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .c_frontend.intrinsics import ENTER_BLOCKING, LEAVE_BLOCKING, is_macro_name
-from .c_frontend.nodes import CALL
-from .dataflow import forward_solve
-from .diagnostics import ERROR, WARNING, Diagnostic
+from .diagnostics import ERROR, WARNING
 
 
 class LockState(enum.Enum):
@@ -211,50 +210,16 @@ def step_call(name: str, state: LockState, table: SummaryTable):
     return state, None
 
 
-@dataclass
-class LockMap:
-    """The lock fixpoint: the state at each node's entry, the enter/leave
-    findings, and the solver's block visits."""
-
-    states: list[LockState]
-    pops: int
-    diags: list[Diagnostic]
-
-    def at(self, node_id: int) -> LockState:
-        return self.states[node_id]
+# -- shims for perfbench/spans.py over analysis.solve_function; ROADMAP item 1
+# deletes them.  Each is the product solve or an empty result, never a second
+# analysis.
 
 
-def solve(cfg, table: SummaryTable) -> LockMap:
-    """Run the lock fixpoint, recording each node's entry state and the
-    enter/leave balance findings as a block's last visit saw them.
+def solve(cfg, table: SummaryTable):
+    from .analysis import solve_function  # analysis imports this module
 
-    A finding sees the state left by the calls before it in the same node.
-    Calls made while the lock is released are a value_safety concern
-    (RUNTIME_CALL_UNLOCKED rides along with the dereference events); this
-    only reports mismatched blocking-section transitions.
-    """
-    states = [LockState.BOTTOM] * len(cfg.nodes)
-    file = cfg.fn.file
-
-    def step(node, state, found):
-        states[node.id] = state
-        for op in node.ops:
-            if op[0] == CALL:
-                state, finding = step_call(op[1], state, table)
-                if finding is not None:
-                    rule, severity, message = finding
-                    call = op[2]
-                    found.append(
-                        Diagnostic(rule, severity, file, call.line, call.col, message)
-                    )
-        return state
-
-    _heads, pops, diags = forward_solve(
-        cfg, LockState.HELD, step, join_lock, LockState.BOTTOM, lambda state: state
-    )
-    return LockMap(states, pops, diags)
+    return solve_function(cfg, table)
 
 
-def collect_lock_diagnostics(cfg, lockmap: LockMap, table: SummaryTable):
-    """Enter/leave balance findings; `solve` collected them."""
-    return lockmap.diags
+def collect_lock_diagnostics(cfg, fixpoint, table: SummaryTable):
+    return fixpoint.found

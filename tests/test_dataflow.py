@@ -92,13 +92,24 @@ BRANCHY = st.lists(
 )
 
 
+# Heights of the head lattices over BRANCHY's variables `a` (a value
+# parameter) and `x`.  Lock: bottom, then held or released, then unknown.
+# Value facts: bottom, then per variable VALUE -> plain or heap -> stale
+# heap -> plain.  Constants: bottom, then per variable known -> unknown.
+LOCK_HEIGHT = 2
+VALUE_HEIGHT = 1 + 2 * 2
+CONST_HEIGHT = 1 + 2
+PRODUCT_HEIGHT = LOCK_HEIGHT + VALUE_HEIGHT + CONST_HEIGHT
+
+
 @given(BRANCHY)
 def test_pop_budget_tracks_lattice_height(stmts):
-    """Monotone transfer over a height-2 lattice: every block is visited at
-    most height+1 times, so pops never exceed 3x the block count."""
-    from stublint.lock_analysis import load_summaries, solve
+    """Monotone transfer over the product lattice: a block is queued again
+    only when its head rises, so it is visited at most height+1 times."""
+    from stublint.analysis import solve_function
+    from stublint.lock_analysis import load_summaries
 
     src = "value f(value a)\n{\n" + "\n".join(stmts) + "\nreturn a;\n}\n"
     cfg = cfg_from(src)
-    lockmap = solve(cfg, load_summaries())
-    assert lockmap.pops <= 3 * len(cfg.blocks)
+    pops = solve_function(cfg, load_summaries()).pops
+    assert pops <= len(cfg.blocks) * (PRODUCT_HEIGHT + 1)

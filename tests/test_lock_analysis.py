@@ -4,17 +4,17 @@ import itertools
 
 import pytest
 
+from stublint.analysis import solve_function
 from stublint.c_frontend.cfg import build_cfg
+from stublint.c_frontend.nodes import CALL
 from stublint.lock_analysis import (
     LOCK_LATTICE_HEIGHT,
     LockState,
     SummaryError,
-    collect_lock_diagnostics,
     join_lock,
     load_summaries,
     lock_leq,
     parse_summary_lines,
-    solve,
     step_call,
 )
 
@@ -235,16 +235,36 @@ def test_missing_colon_rejected():
 # -- fixpoint over real control flow -------------------------------------------
 
 
-def states_by_call(parse_c, src, summaries=None):
-    """Map each call statement's spelled name to its IN lock state."""
+def solved(parse_c, src, summaries=None):
     unit = parse_c(src)
     table = load_summaries(summaries)
     cfg = build_cfg(unit.functions[0], is_noreturn=table.noreturn)
-    lockmap = solve(cfg, table)
+    return cfg, table, solve_function(cfg, table)
+
+
+def lock_at(cfg, heads, node, table):
+    """The lock state at `node`'s entry: its block's head, moved by
+    step_call over the calls of the nodes before it in the block."""
+    block = next(b for b in cfg.blocks if any(n is node for n in b.nodes))
+    state = heads[block.id][0]
+    for prior in block.nodes[: [n.id for n in block.nodes].index(node.id)]:
+        for op in prior.ops:
+            if op[0] == CALL:
+                state = step_call(op[1], state, table)[0]
+    return state
+
+
+def states_by_call(parse_c, src, summaries=None):
+    """Map each statement's repr to its IN lock state."""
+    cfg, table, fixpoint = solved(parse_c, src, summaries)
     out = {}
     for node in cfg.statement_nodes():
-        out[repr(node.stmt)] = lockmap.at(node.id)
-    return cfg, lockmap, out
+        out[repr(node.stmt)] = lock_at(cfg, fixpoint.heads, node, table)
+    return cfg, table, fixpoint, out
+
+
+def lock_findings(fixpoint):
+    return [d for d in fixpoint.found if d.rule_id == "UNBALANCED_LOCK"]
 
 
 def test_straight_line_blocking_section(parse_c):
@@ -255,11 +275,10 @@ def test_straight_line_blocking_section(parse_c):
         "    caml_leave_blocking_section();\n"
         "    CAMLreturn(a);\n}\n"
     )
-    cfg, lockmap, states = states_by_call(parse_c, src)
+    cfg, table, fixpoint, states = states_by_call(parse_c, src)
     assert [states[k] for k in sorted(states, key=lambda r: "slow_io" in r)][-1] is R
-    assert lockmap.at(cfg.exit.id) is H
-    diags = collect_lock_diagnostics(cfg, lockmap, load_summaries())
-    assert diags == []
+    assert lock_at(cfg, fixpoint.heads, cfg.exit, table) is H
+    assert fixpoint.found == []
 
 
 def test_one_armed_release_joins_to_unknown(parse_c):
@@ -270,7 +289,7 @@ def test_one_armed_release_joins_to_unknown(parse_c):
         "    probe();\n"
         "    CAMLreturn(a);\n}\n"
     )
-    _, _, states = states_by_call(parse_c, src)
+    *_, states = states_by_call(parse_c, src)
     probe = next(v for k, v in states.items() if "probe" in k and "If" not in k)
     assert probe is U
 
@@ -283,22 +302,24 @@ def test_double_enter_is_flagged(parse_c):
         "    caml_leave_blocking_section();\n"
         "    CAMLreturn(a);\n}\n"
     )
-    unit = parse_c(src)
-    table = load_summaries()
-    cfg = build_cfg(unit.functions[0], is_noreturn=table.noreturn)
-    diags = collect_lock_diagnostics(cfg, solve(cfg, table), table)
-    assert [(d.rule_id, d.severity, d.line) for d in diags] == [
+    _, _, fixpoint = solved(parse_c, src)
+    assert [(d.rule_id, d.severity, d.line) for d in lock_findings(fixpoint)] == [
         ("UNBALANCED_LOCK", "error", 4)
     ]
 
 
 def test_leave_while_held_is_flagged(parse_c):
     src = "value f(value a)\n{\n    caml_leave_blocking_section();\n    CAMLreturn(a);\n}\n"
-    unit = parse_c(src)
-    table = load_summaries()
-    cfg = build_cfg(unit.functions[0], is_noreturn=table.noreturn)
-    diags = collect_lock_diagnostics(cfg, solve(cfg, table), table)
-    assert [(d.rule_id, d.severity) for d in diags] == [("UNBALANCED_LOCK", "error")]
+    _, _, fixpoint = solved(parse_c, src)
+    assert [(d.rule_id, d.severity) for d in lock_findings(fixpoint)] == [
+        ("UNBALANCED_LOCK", "error")
+    ]
+
+
+# Heights of the head lattices over the one variable `a` (a value
+# parameter): lock 2; value facts, bottom then VALUE -> plain; constants,
+# bottom then known -> unknown.
+PRODUCT_HEIGHT = 2 + (1 + 1) + (1 + 1)
 
 
 def test_loop_reaches_fixpoint_within_pop_budget(parse_c):
@@ -311,12 +332,9 @@ def test_loop_reaches_fixpoint_within_pop_budget(parse_c):
         "    }\n"
         "    CAMLreturn(a);\n}\n"
     )
-    unit = parse_c(src)
-    table = load_summaries()
-    cfg = build_cfg(unit.functions[0], is_noreturn=table.noreturn)
-    lockmap = solve(cfg, table)
-    assert lockmap.pops <= 3 * len(cfg.nodes)
-    assert lockmap.at(cfg.exit.id) is H
+    cfg, table, fixpoint = solved(parse_c, src)
+    assert fixpoint.pops <= len(cfg.blocks) * (PRODUCT_HEIGHT + 1)
+    assert lock_at(cfg, fixpoint.heads, cfg.exit, table) is H
 
 
 def test_unreachable_node_stays_bottom(parse_c):
@@ -325,12 +343,9 @@ def test_unreachable_node_stays_bottom(parse_c):
         "    CAMLreturn(a);\n"
         "    probe();\n}\n"
     )
-    unit = parse_c(src)
-    table = load_summaries()
-    cfg = build_cfg(unit.functions[0], is_noreturn=table.noreturn)
-    lockmap = solve(cfg, table)
+    cfg, table, fixpoint = solved(parse_c, src)
     probe = next(n for n in cfg.statement_nodes() if "probe" in repr(n.stmt))
-    assert lockmap.at(probe.id) is B
+    assert lock_at(cfg, fixpoint.heads, probe, table) is B
 
 
 def test_labelled_block_cannot_be_skipped(lint_c):

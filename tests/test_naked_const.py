@@ -117,11 +117,12 @@ def test_octal_literals_are_octal(lint_c):
 @given(st.integers(min_value=0, max_value=4095))
 def test_literal_parity_decides(k):
     # tiny inline mirror of the corpus-scale oracle
+    from stublint.analysis import solve_function
     from stublint.c_frontend.parser import parse_unit
     from stublint.c_frontend.cfg import build_cfg
-    from stublint.naked_const import check_naked, solve_consts
+    from stublint.lock_analysis import load_summaries
 
     src = f"value f(value a)\n{{\n    value v;\n    v = {k};\n    return a;\n}}\n"
     cfg = build_cfg(parse_unit(src, "gen.c").functions[0])
-    diags = check_naked(cfg, solve_consts(cfg))
+    diags = solve_function(cfg, load_summaries()).found
     assert bool(diags) == (k % 2 == 0)
