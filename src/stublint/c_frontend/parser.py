@@ -702,6 +702,7 @@ class _Parser:
                 self.nest(tok)
                 text = tok.text
             else:  # the loop ended at the primary
+                start = tok  # where a call of what follows is reported
                 kind = tok.kind
                 if kind == "ident":
                     self.pos += 1
@@ -726,7 +727,7 @@ class _Parser:
                                 if not self.accept(","):
                                     break
                         self.expect(")")
-                        node = nodes.Call(tok.line, tok.col, left, args)
+                        node = nodes.Call(start.line, start.col, left, args)
                         if isinstance(left, nodes.Name):
                             self.ops.append((CALL, left.ident, node))
                     elif text == "[":

@@ -306,12 +306,12 @@ def _show(op):
 
 
 # Each statement, on line 4 from column 5, against the ops of the nodes it
-# makes, in node order.  Ops come children before parents, operands left to
+# makes, in node order.  A call is at the first token of its callee.  Ops come children before parents, operands left to
 # right, so an inner call or assignment precedes the outer one.  The global
 # initializer on line 1 and the `case` label give no op.
 OP_TABLE = [
     ("v = (n = 2);", [["assign n = 2 4:12", "assign v = (n=2) 4:7"]]),
-    ("f(g(x));", [["call g 4:8", "call f 4:6"]]),
+    ("f(g(x));", [["call g 4:7", "call f 4:5"]]),
     ("*p = q->r[i];", [["deref p 4:5", "deref q 4:11", "deref q->r 4:14"]]),
     ("&x;", [["addr x 4:5"]]),
     ("x++;", [["bump x"]]),
@@ -321,24 +321,24 @@ OP_TABLE = [
     # init, condition, step (its own node), body
     (
         "for (i = 0; i < n; i++) g(&i);",
-        [["assign i = 0 4:12"], [], ["bump i"], ["addr i 4:31", "call g 4:30"]],
+        [["assign i = 0 4:12"], [], ["bump i"], ["addr i 4:31", "call g 4:29"]],
     ),
     # each initialized declarator ends with its own store, at its name
     (
         "value v = f(), w = v;",
-        [["call f 4:16", "assign v = f() 4:11"], ["assign w = v 4:20"]],
+        [["call f 4:15", "assign v = f() 4:11"], ["assign w = v 4:20"]],
     ),
-    ("switch (k()) { case f(2): g(); }", [["call k 4:14"], ["call g 4:32"]]),
-    ("return s.t + g(x);", [["call g 4:19"]]),
+    ("switch (k()) { case f(2): g(); }", [["call k 4:13"], ["call g 4:31"]]),
+    ("return s.t + g(x);", [["call g 4:18"]]),
     (
         "if (p(x)) h(y); else while (*q) q++;",
-        [["call p 4:10"], ["call h 4:16"], ["deref q 4:33"], ["bump q"]],
+        [["call p 4:9"], ["call h 4:15"], ["deref q 4:33"], ["bump q"]],
     ),
     # the condition's node is made before the body's
     ("do x += 1; while (x--);", [["bump x"], ["assign x += 1 4:10"]]),
     (
         "n = (value) {f(1), g(2)};",
-        [["call f 4:19", "call g 4:25", "assign n = CompoundLit 4:7"]],
+        [["call f 4:18", "call g 4:24", "assign n = CompoundLit 4:7"]],
     ),
     # postfix operators bind before the prefix ones around them, and
     # prefix operators apply innermost first
@@ -346,7 +346,7 @@ OP_TABLE = [
         "*p++ = -f(x)[i]->g;",
         [
             [
-                "bump p", "deref Unary 4:5", "call f 4:14", "deref f() 4:17",
+                "bump p", "deref Unary 4:5", "call f 4:13", "deref f() 4:17",
                 "deref f()[] 4:20",
             ]
         ],
@@ -356,7 +356,7 @@ OP_TABLE = [
         [
             [
                 "deref p 4:9", "deref p->q 4:12", "deref Unary 4:7",
-                "addr y 4:24", "call g 4:23", "deref g()() 4:30",
+                "addr y 4:24", "call g 4:22", "deref g()() 4:30",
                 "deref g()()->h 4:21",
             ]
         ],

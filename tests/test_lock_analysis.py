@@ -203,6 +203,15 @@ def test_any_summary_line_overrides_the_own_camlprim_default(lint_c, summaries, 
     assert [d.rule_id for d in lint_c(CALLS_OWN_STUB, summaries)] == rules
 
 
+def test_findings_on_a_call_point_at_the_callee(lint_c):
+    # the callee's first token, not the `(` after it
+    calls = [(d.rule_id, d.line, d.column) for d in lint_c(CALLS_OWN_STUB)]
+    assert calls == [("RUNTIME_CALL_UNLOCKED", 11, 5)]
+    deref = CALLS_OWN_STUB.replace("    g(a);\n", "    Field(a, 0);\n")
+    found = [(d.rule_id, d.line, d.column) for d in lint_c(deref)]
+    assert found == [("VALUE_DEREF_UNLOCKED", 11, 5)]
+
+
 def test_lookup_default_only_when_no_line_matches():
     table = load_summaries("g:\nh*:\n")
     assert table.lookup("g", None) == table.lookup("h1", None) == frozenset()
@@ -380,7 +389,7 @@ def test_loop_findings_come_from_the_fixpoint_state(run_main, tmp_path):
     )
     code, out, _ = run_main(str(stub))
     assert [line.split(": ", 3)[:3] for line in out.splitlines()] == [
-        [f"{stub}:7:10", "warning", "VALUE_DEREF_UNLOCKED"],
-        [f"{stub}:8:32", "warning", "UNBALANCED_LOCK"],
+        [f"{stub}:7:5", "warning", "VALUE_DEREF_UNLOCKED"],
+        [f"{stub}:8:5", "warning", "UNBALANCED_LOCK"],
     ]
     assert code == 0
