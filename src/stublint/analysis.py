@@ -14,7 +14,8 @@ node's entry, with the lock state at hand: an enter or leave the lock state
 does not match, as the calls before it in the node left it; a runtime call
 or a dereference of an OCaml value while the lock is not held, or of a
 pointer the GC may have moved; the address of a value escaping; an even
-constant stored into a value.  Then it applies the node.
+constant stored into a value; a CAMLprim returning to OCaml while the lock
+is not held.  Then it applies the node.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from .c_frontend import nodes as ast
 from .c_frontend.intrinsics import (
     ALLOC_CALLS,
+    CAMLRETURN,
     ENTER_BLOCKING,
     FIELD_READ,
     FIELD_WRITE,
@@ -64,6 +66,22 @@ _UNLOCKED = {
 }
 
 
+# The finding for a stub that returns to OCaml in a lock state that is not
+# held: severity and message.
+_RETURN_UNLOCKED = {
+    LockState.RELEASED: (ERROR, "'{}' returns to OCaml without the runtime lock"),
+    LockState.UNKNOWN: (WARNING, "'{}' may return to OCaml without the runtime lock"),
+}
+
+
+def _returns(stmt) -> bool:
+    """A `return` or a statement-level CAMLreturn*, not a noreturn call."""
+    if isinstance(stmt, ast.Return):
+        return True
+    expr = stmt.expr if isinstance(stmt, ast.ExprStmt) else None
+    return isinstance(expr, ast.Call) and expr.callee in CAMLRETURN
+
+
 def _sketch(expr) -> str:
     if isinstance(expr, ast.Name):
         return expr.ident
@@ -88,9 +106,10 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
     """Solve the product state over the function's blocks.  Its findings
     are what each reached block's last visit judged; its heads are
     (lock, value facts, constants), BOTTOM for unreached blocks."""
-    file = cfg.fn.file
+    fn = cfg.fn
+    file = fn.file
     lookup = table.lookup
-    values = value_vars(cfg.fn)
+    values = value_vars(fn)
 
     def report(found, where, rule, severity, message):
         found.append(Diagnostic(rule, severity, file, where.line, where.col, message))
@@ -142,6 +161,9 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 report(found, where, rule, severity, message.format(_sketch(operand)))
 
         stmt = node.stmt
+        if lock is not LockState.HELD and fn.is_camlprim and _returns(stmt):
+            severity, message = _RETURN_UNLOCKED[lock]
+            report(found, stmt, "UNBALANCED_LOCK", severity, message.format(fn.name))
         stores = ops
         if isinstance(stmt, ast.VarDecl):
             # only the declaration's own store, and only into a value
@@ -191,5 +213,5 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 consts.pop(name, None)
         return lock, env, consts
 
-    init = (LockState.HELD, initial_facts(cfg.fn), {})
+    init = (LockState.HELD, initial_facts(fn), {})
     return forward_solve(cfg, init, step, join, BOTTOM, fresh)

@@ -35,7 +35,8 @@ RULES = {
     "NAKED_POINTER": "even constant stored into a value; the garbage"
     " collector would follow it as a pointer",
     "UNBALANCED_LOCK": "blocking-section enter/leave does not match the lock"
-    " state at this point",
+    " state at this point, or a stub returns to OCaml without the runtime"
+    " lock",
     "UNSUPPORTED_CONSTRUCT": "construct outside the analyzed C or OCaml"
     " subset",
     "NOTE": "informational note",

@@ -30,6 +30,7 @@ BUGGY = [
     "custom_deref",
     "stale_abstract_ptr",
     "tag_cons_store",
+    "return_unlocked",
 ]
 FIXED = [
     "arity_ok",
@@ -37,6 +38,7 @@ FIXED = [
     "custom_deref_fixed",
     "abstract_store_fixed",
     "emptylist_ok",
+    "return_unlocked_fixed",
 ]
 
 

@@ -1,6 +1,7 @@
 """Runtime-lock lattice, function summaries and the must-lock fixpoint."""
 
 import itertools
+import textwrap
 
 import pytest
 
@@ -212,6 +213,47 @@ def test_findings_on_a_call_point_at_the_callee(lint_c):
     assert found == [("VALUE_DEREF_UNLOCKED", 11, 5)]
 
 
+@pytest.mark.parametrize(
+    "head, body, want",
+    [
+        # released on every path: an error at the CAMLreturn
+        (
+            "CAMLprim value f(value a)",
+            "CAMLparam1(a);\ncaml_enter_blocking_section();\nCAMLreturn(Val_unit);",
+            [("UNBALANCED_LOCK", "error", 5)],
+        ),
+        # released on one path: a warning at the return
+        (
+            "value f(value a)",
+            "if (Int_val(a))\n    caml_enter_blocking_section();\nreturn a;",
+            [("UNBALANCED_LOCK", "warning", 5)],
+        ),
+        # taken back before the return
+        (
+            "CAMLprim value f(value a)",
+            "caml_enter_blocking_section();\ncaml_leave_blocking_section();\nreturn a;",
+            [],
+        ),
+        # a raise is not a return; calling it unlocked is its own finding
+        (
+            "CAMLprim value f(value a)",
+            "caml_enter_blocking_section();\ncaml_failwith(\"f\");",
+            [("RUNTIME_CALL_UNLOCKED", "error", 4)],
+        ),
+        # a C helper does not return to OCaml
+        ("static int h(int n)", "caml_enter_blocking_section();\nreturn n;", []),
+    ],
+)
+def test_returning_to_ocaml_needs_the_lock(lint_c, head, body, want):
+    src = head + "\n{\n" + textwrap.indent(body, "    ") + "\n}\n"
+    found = [
+        (d.rule_id, d.severity, d.line)
+        for d in lint_c(src)
+        if d.rule_id in ("UNBALANCED_LOCK", "RUNTIME_CALL_UNLOCKED")
+    ]
+    assert found == want
+
+
 def test_lookup_default_only_when_no_line_matches():
     table = load_summaries("g:\nh*:\n")
     assert table.lookup("g", None) == table.lookup("h1", None) == frozenset()
@@ -391,5 +433,7 @@ def test_loop_findings_come_from_the_fixpoint_state(run_main, tmp_path):
     assert [line.split(": ", 3)[:3] for line in out.splitlines()] == [
         [f"{stub}:7:5", "warning", "VALUE_DEREF_UNLOCKED"],
         [f"{stub}:8:5", "warning", "UNBALANCED_LOCK"],
+        # when the loop runs no iteration, the stub returns with the lock out
+        [f"{stub}:10:5", "warning", "UNBALANCED_LOCK"],
     ]
     assert code == 0
