@@ -34,7 +34,15 @@ from .dataflow import Fixpoint, forward_solve
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic
 from .lock_analysis import LockState, SummaryTable, join_lock, step_call
 from .naked_const import eval_const, join_const_env, value_vars
-from .value_safety import PLAIN, fact_of, heap, initial_facts, is_heap, is_tracked, join_env
+from .value_safety import (
+    PLAIN,
+    fact_of,
+    heap,
+    initial_facts,
+    is_heap,
+    is_tracked,
+    join_env,
+)
 
 BOTTOM = (LockState.BOTTOM, None, None)
 
