@@ -27,6 +27,7 @@ from .c_frontend.intrinsics import (
     ENTER_BLOCKING,
     FIELD_READ,
     FIELD_WRITE,
+    MACRO_NAMES,
     STRING_DEREF,
 )
 from .c_frontend.nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
@@ -45,6 +46,9 @@ from .value_safety import (
 )
 
 BOTTOM = (LockState.BOTTOM, None, None)
+
+# Runtime macros that read or write the block their first argument names.
+_DEREF_MACROS = frozenset({FIELD_READ, FIELD_WRITE}) | STRING_DEREF
 
 
 def join(a, b):
@@ -131,20 +135,21 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
             kind = op[0]
             if kind == CALL:
                 name, where = op[1], op[2]
-                lock, unbalanced = step_call(name, lock, table)
-                if unbalanced is not None:
-                    report(found, where, *unbalanced)
-                if name == FIELD_READ or name == FIELD_WRITE or name in STRING_DEREF:
+                if name in _DEREF_MACROS:
                     if not where.args:
                         continue
                     operand = where.args[0]
+                elif name in MACRO_NAMES:
+                    continue  # no summary applies: neither lock nor GC moves
                 else:
+                    lock, unbalanced = step_call(name, lock, table)
+                    if unbalanced is not None:
+                        report(found, where, *unbalanced)
                     effects = lookup(name)
                     if name == ENTER_BLOCKING or "may_gc" in effects:
                         gc_point = True
-                    unlocked = _UNLOCKED.get((True, entry))
-                    if unlocked is not None and "requires_lock" in effects:
-                        rule, severity, message = unlocked
+                    if entry is not LockState.HELD and "requires_lock" in effects:
+                        rule, severity, message = _UNLOCKED[True, entry]
                         report(found, where, rule, severity, message.format(name))
                     continue
             elif kind == DEREF:
@@ -172,6 +177,8 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
         if lock is not LockState.HELD and fn.is_camlprim and _returns(stmt):
             severity, message = _RETURN_UNLOCKED[lock]
             report(found, stmt, "UNBALANCED_LOCK", severity, message.format(fn.name))
+        if not ops and not isinstance(stmt, ast.Opaque):
+            return state
         stores = ops
         if isinstance(stmt, ast.VarDecl):
             # only the declaration's own store, and only into a value

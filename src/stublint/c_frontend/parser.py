@@ -702,7 +702,7 @@ class _Parser:
                 self.nest(tok)
                 text = tok.text
             else:  # the loop ended at the primary
-                start = tok  # where a call of what follows is reported
+                start = tok  # a call below is reported at its callee, here
                 kind = tok.kind
                 if kind == "ident":
                     self.pos += 1
