@@ -8,7 +8,7 @@ visit takes one `fresh` copy of the head state and passes it through the
 step of each of the block's nodes in order; a step may update that copy in
 place and returns the state after its node.
 
-A step also appends what it finds at its node (findings, events, notes) to
+A step also appends what it finds at its node (findings and notes) to
 a list.  A block is queued again whenever its head state changes, so the
 last visit of every reached block starts from its fixpoint head state; the
 solver keeps, per block, only what that last visit appended.

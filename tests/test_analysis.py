@@ -11,7 +11,10 @@ THREE_STUBS = (
     "value f(value a)\n{\n    CAMLparam1(a);\n    CAMLreturn(a);\n}\n"
     "value g(value a)\n{\n"
     "    CAMLparam1(a);\n"
-    "    while (p()) { caml_enter_blocking_section(); caml_leave_blocking_section(); }\n"
+    "    while (p()) {\n"
+    "        caml_enter_blocking_section();\n"
+    "        caml_leave_blocking_section();\n"
+    "    }\n"
     "    CAMLreturn(a);\n}\n"
     "static int h(int n)\n{\n    return n + 1;\n}\n"
 )

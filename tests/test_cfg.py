@@ -306,9 +306,10 @@ def _show(op):
 
 
 # Each statement, on line 4 from column 5, against the ops of the nodes it
-# makes, in node order.  A call is at the first token of its callee.  Ops come children before parents, operands left to
-# right, so an inner call or assignment precedes the outer one.  The global
-# initializer on line 1 and the `case` label give no op.
+# makes, in node order.  Ops come children before parents, operands left to
+# right, so an inner call or assignment precedes the outer one.  A call is
+# at the first token of its callee.  The global initializer on line 1 and
+# the `case` label give no op.
 OP_TABLE = [
     ("v = (n = 2);", [["assign n = 2 4:12", "assign v = (n=2) 4:7"]]),
     ("f(g(x));", [["call g 4:7", "call f 4:5"]]),
