@@ -1,14 +1,16 @@
 """Pragmatic frontend for the C subset that stub files actually use.
 
-Pipeline: preprocess_local (one-level macro expansion, line grid preserved)
--> lex -> parse_unit -> build_cfg.  Anything outside the subset degrades to
-an opaque node or an UNSUPPORTED_CONSTRUCT diagnostic instead of a silent
+Pipeline: preprocess_local, which lexes the text as read from disk once and
+runs the directives and a one-level macro expansion over its tokens, each
+at its line and column on disk -> parse_tokens -> build_cfg.  `parse_unit`
+is the first two in one call.  Anything outside the subset degrades to an
+opaque node or an UNSUPPORTED_CONSTRUCT diagnostic instead of a silent
 misparse.
 """
 
 from .preprocess import PreprocessError, PreprocessResult, preprocess_local
 from .lexer import CLexError, Token, lex
-from .parser import CParseError, parse_unit
+from .parser import CParseError, parse_tokens, parse_unit
 from .cfg import Cfg, Node, build_cfg
 from .nodes import StubFunction, StubUnit
 
@@ -20,6 +22,7 @@ __all__ = [
     "Token",
     "lex",
     "CParseError",
+    "parse_tokens",
     "parse_unit",
     "Cfg",
     "Node",

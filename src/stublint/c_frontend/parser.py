@@ -851,16 +851,24 @@ def _num_value(text: str):
             return None
 
 
-def parse_unit(preprocessed_text: str, file_name: str) -> nodes.StubUnit:
-    """Parse one preprocessed translation unit."""
-    tokens = lex(preprocessed_text)
+def parse_tokens(tokens: list[Token], file_name: str) -> nodes.StubUnit:
+    """Parse one preprocessed translation unit, given as its tokens; the
+    list becomes the parser's."""
     return _Parser(tokens, file_name).parse_unit()
 
 
-def parse_expression(text: str):
-    """Parse all of `text` as one expression.  Raises CLexError or
-    CParseError when it is not one."""
-    parser = _Parser(lex(text), "<expression>")
+def parse_unit(source: str, file_name: str) -> nodes.StubUnit:
+    """Preprocess and parse one translation unit.  The notes of
+    preprocessing are left out: `preprocess_local` gives them."""
+    from .preprocess import preprocess_local  # which imports this module
+
+    return parse_tokens(preprocess_local(source, file_name).tokens, file_name)
+
+
+def parse_expression(source: str | list[Token]):
+    """Parse all of `source`, a text or its tokens, as one expression.
+    Raises CLexError or CParseError when it is not one."""
+    parser = _Parser(lex(source) if isinstance(source, str) else source, "<expression>")
     expr = parser.parse_expr()
     if not parser.eof():
         tok = parser.peek()

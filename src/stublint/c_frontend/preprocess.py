@@ -1,8 +1,18 @@
-"""One-level textual preprocessing for stub sources.
+"""One-level preprocessing of stub sources, over tokens.
 
-Supports what stub files actually contain: object-like and one-argument
-function-like `#define`s (expanded a single level, never rescanned),
-`#include` lines (removed, never expanded) and conditional blocks.
+This is phase 4 of C99 5.1.1.2, run over the tokens that `scan` makes in
+phases 1 to 3.  It supports what stub files actually contain: object-like
+and one-argument function-like `#define`s (expanded a single level, never
+rescanned), `#include` lines (dropped, never expanded) and conditional
+blocks.  A macro with more than one parameter is left alone, with a note,
+so its uses are analyzed as ordinary calls.
+
+An expanded token takes the line and column of the macro's name at the
+use site, as Clang's expansion locations do; every other token keeps its
+place on disk.  Only an identifier names a macro: a literal, with its
+prefix, and a preprocessing number are tokens of their own, so `1UL`,
+`0x1F` and `L"N"` hold no macro use.  A bad token is an error only where
+it is kept.
 
 An `#if`/`#elif` guard has its local macros substituted, is parsed by the C
 parser's `parse_expression` and folded over integer and char constants as
@@ -16,29 +26,20 @@ shift by a count outside 0..63, a division by zero, nesting past the
 parser's cap, a non-integer operand) is false, and its note says why;
 `#if 0` is elided silently.
 
-String and char literals are recognised by one pattern, `_LITERAL`, which
-comment stripping skips.  The words of a line are recognised by one more,
-`_WORD_RE`: a literal, a preprocessing number or an identifier.  Macro
-expansion, parameter substitution, the self-reference check of `#define`
-and guard evaluation replace only identifiers, so a comment marker or a
-macro name inside a literal, and the `UL` of `1UL` or the `x1F` of `0x1F`,
-are left alone.
-
-The line grid is kept intact: every directive line, every consumed
-continuation line and every line of a dropped branch is replaced by a blank
-line, and a block comment is blanked to spaces of its own width, newlines
-kept.  Line numbers match the file on disk, and so do columns on a line
-that has no macro use and no continuation.
+The tokens of a file with no directive and no bad character go to the
+parser as `scan` made them; otherwise each run of tokens between two
+directives is copied as one slice, unless it uses a macro.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+import operator
 
 from ..diagnostics import NOTE, Diagnostic
 from . import nodes
-from .lexer import CLexError
+from .lexer import TOKEN_RE, CLexError, Token, bad_token, scan
 from .parser import CParseError, parse_expression
 
 
@@ -50,86 +51,94 @@ class PreprocessError(Exception):
 
 @dataclass
 class MacroDef:
-    name: str
-    body: str
+    body: list[Token]
     param: str | None = None
     func_like: bool = False
     expandable: bool = True
+    bad: Token | None = None  # a bad token of the body, an error where used
 
 
 @dataclass
 class PreprocessResult:
+    # the source as given; only perfbench's traced replay reads it, and it
+    # goes with that replay (ROADMAP item 1)
     text: str
+    tokens: list[Token] = field(default_factory=list)
     notes: list[Diagnostic] = field(default_factory=list)
 
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-# A string or char literal.  A backslash escapes any next character, line
-# ends included; a literal left open ends before the newline or at the end
-# of the text.
-_LITERAL = r""""(?:[^"\\\n]|\\[\s\S]?)*"?|'(?:[^'\\\n]|\\[\s\S]?)*'?"""
-_COMMENT_RE = re.compile(rf"{_LITERAL}|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)")
-_PAREN_RE = re.compile(rf"{_LITERAL}|[()]")
-_ARGS_OPEN_RE = re.compile(r"[ \t]*\(")
-# A word of a line: a literal with its optional encoding prefix (group 1 is
-# the literal without it), a preprocessing number (C99 6.4.8, so `1UL` and
-# `0x1F` are one word each) or an identifier (group 2).  Only an identifier
-# can name a macro.
-_WORD = (
-    rf"(?:u8|[LuU])?({_LITERAL})"
-    r"|\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*"
-    rf"|({_IDENT})"
-)
-_WORD_RE = re.compile(_WORD)
-# a guard's words, and `defined X` or `defined(X)` as one (group 1 or 2
-# names X; the word's groups follow as 3 and 4)
-_GUARD_RE = re.compile(rf"defined\b\s*(?:\(\s*({_IDENT})\s*\)|({_IDENT}))|{_WORD}")
-_DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*?)\s*$")
-_DEFINE_RE = re.compile(r"^([A-Za-z_]\w*)(\()?")
+_text = operator.itemgetter(1)
+_new_tuple = tuple.__new__
+_ONE = Token("num", "1", 0, 0)
+_ZERO = Token("num", "0", 0, 0)
 
 
 def preprocess_local(source_text: str, file_name: str = "<memory>") -> PreprocessResult:
-    lines = _splice_continuations(source_text)
-    text = _strip_comments("\n".join(lines))
-    lines = text.split("\n")
+    tokens, marks = scan(source_text)
+    result = PreprocessResult(source_text, tokens)
+    if not marks:
+        return result
 
-    result = PreprocessResult(text="")
+    def note(line, message):
+        result.notes.append(Diagnostic("NOTE", NOTE, file_name, line, 1, message))
+
     macros: dict[str, MacroDef] = {}
     # conditional stack entries: [active, any_branch_taken, saw_else]; a
     # level is active only under active parents, so the top says it all
     stack: list[list] = []
-    out: list[str] = []
-
-    for lineno, line in enumerate(lines, start=1):
-        m = _DIRECTIVE_RE.match(line)
+    out: list[Token] = []
+    pos = 0  # tokens[:pos] are handled
+    for i in marks:
         active = not stack or stack[-1][0]
-        if m:
-            _directive(
-                m.group(1), m.group(2), lineno, active, stack, macros, result, file_name
-            )
-            out.append("")
-            continue
-        if not active:
-            out.append("")
-            continue
-        out.append(_expand_line(line, macros))
-
+        if active:
+            _expand(tokens, pos, i, macros, out)
+        pos = i + 1
+        if tokens[i].kind == "dir":
+            _directive(tokens[i], active, stack, macros, note)
+        elif active:
+            raise bad_token(tokens[i])
     if stack:
-        raise PreprocessError("unterminated conditional block", len(lines))
-    result.text = "\n".join(out)
+        lines = source_text.count("\n") + 1
+        raise PreprocessError("unterminated conditional block", lines)
+    _expand(tokens, pos, len(tokens), macros, out)
+    result.tokens = out
     return result
+
+
+def _spell(toks: list[Token]) -> str:
+    """The text of a directive's tokens, spaced as on disk; one blank
+    stands for a line break."""
+    text = ""
+    for prev, tok in zip([None, *toks], toks):
+        if prev is not None:
+            gap = tok.col - prev.col - len(prev.text)
+            text += " " * (gap if tok.line == prev.line else 1)
+        text += tok.text
+    return text
 
 
 # ---------------------------------------------------------------------------
 # Directives
 
 
-def _directive(name, rest, lineno, active, stack, macros, result, file_name):
-    if name == "define" and active:
-        _define(rest, lineno, macros, result, file_name)
-    elif name == "undef" and active:
-        ident = rest.strip()
-        macros.pop(ident, None)
+_DIRECTIVES = frozenset(
+    {"define", "undef", "if", "ifdef", "ifndef", "elif", "else", "endif"}
+)
+
+
+def _directive(tok, active, stack, macros, note):
+    lineno = tok.line
+    first = TOKEN_RE.match(tok.text, 1)
+    while first.lastgroup == "comment":
+        first = TOKEN_RE.match(tok.text, first.end())
+    name = first["ident"]  # None for the null directive, a lone `#`
+    if name not in _DIRECTIVES or not active and name in ("define", "undef"):
+        return  # #include, #pragma, #error in a dead branch, ... just vanish
+    rest = scan(tok.text[first.end() :])[0]
+    if name == "define":
+        _define(rest, lineno, macros, note)
+    elif name == "undef":
+        macros.pop(_spell(rest), None)
     elif name in ("if", "ifdef", "ifndef", "elif"):
         if name != "elif":
             # under a dead parent the whole region is dead: count its
@@ -145,62 +154,85 @@ def _directive(name, rest, lineno, active, stack, macros, result, file_name):
             return
         value, why = _guard(name, rest, macros)
         if why is not None:
-            message = f"conditional '#{name} {rest}' {why}"
-            result.notes.append(Diagnostic("NOTE", NOTE, file_name, lineno, 1, message))
+            note(lineno, f"conditional '#{name} {_spell(rest)}' {why}")
         state[0] = state[1] = bool(value)
+    elif not stack:
+        raise PreprocessError(f"#{name} without #if", lineno)
     elif name == "else":
-        if not stack:
-            raise PreprocessError("#else without #if", lineno)
         state = stack[-1]
         if state[2]:
             raise PreprocessError("duplicate #else", lineno)
-        state[2] = True
-        state[0] = not state[1]
-        state[1] = True
-    elif name == "endif":
-        if not stack:
-            raise PreprocessError("#endif without #if", lineno)
+        state[:] = [not state[1], True, True]
+    else:
         stack.pop()
-    # other directives (#pragma, #error in a dead branch, ...) just vanish
 
 
-def _define(rest, lineno, macros, result, file_name):
-    m = _DEFINE_RE.match(rest)
-    if not m:
+def _define(rest, lineno, macros, note):
+    if not rest or rest[0].kind != "ident":
         raise PreprocessError("malformed #define", lineno)
-    name = m.group(1)
-    if m.group(2):  # function-like: '(' immediately after the name
-        close = rest.find(")", m.end(1))
-        if close < 0:
+    name_tok, body = rest[0], rest[1:]
+    name = name_tok.text
+    macro = MacroDef(body)
+    if body and body[0][1:] == ("(", name_tok.line, name_tok.col + len(name)):
+        # function-like: '(' immediately after the name
+        close = next((i for i, tok in enumerate(body) if tok.text == ")"), 0)
+        if not close:
             raise PreprocessError(f"malformed #define {name}", lineno)
-        params = [p.strip() for p in rest[m.end(1) + 1 : close].split(",")]
+        params = [p.strip() for p in _spell(body[1:close]).split(",")]
         params = [p for p in params if p]
-        body = rest[close + 1 :].strip()
+        macro = MacroDef(body[close + 1 :], params[0] if params else None, True)
         if len(params) > 1:
-            macros[name] = MacroDef(
-                name, body, param=None, func_like=True, expandable=False
-            )
-            result.notes.append(
-                Diagnostic(
-                    "NOTE",
-                    NOTE,
-                    file_name,
-                    lineno,
-                    1,
-                    f"macro '{name}' takes {len(params)} parameters; only"
-                    " one-parameter macros are expanded, uses are analyzed"
-                    " as ordinary calls",
-                )
+            macro.expandable = False
+            macros[name] = macro
+            note(
+                lineno,
+                f"macro '{name}' takes {len(params)} parameters; only one-parameter"
+                " macros are expanded, uses are analyzed as ordinary calls",
             )
             return
-        param = params[0] if params else None
-        macro = MacroDef(name, body, param=param, func_like=True)
-    else:
-        body = rest[m.end(1) :].strip()
-        macro = MacroDef(name, body)
-    if any(m.group(2) == name for m in _WORD_RE.finditer(macro.body)):
+    if any(tok.kind == "ident" and tok.text == name for tok in macro.body):
         raise PreprocessError(f"recursive macro '{name}'", lineno)
+    macro.bad = next((tok for tok in macro.body if tok.kind == "bad"), None)
     macros[name] = macro
+
+
+# ---------------------------------------------------------------------------
+# Expansion
+
+
+def _expand(tokens, start, end, macros, out):
+    """Append `tokens[start:end]` to `out`, each macro use replaced by the
+    macro's body, one level, never rescanned."""
+    if not macros or macros.keys().isdisjoint(map(_text, tokens[start:end])):
+        out += tokens[start:end]
+        return
+    copied = i = start  # tokens[start:copied] are in out
+    while i < end:
+        at, use = i, tokens[i]
+        i += 1
+        macro = macros.get(use.text)
+        if macro is None or not macro.expandable:
+            continue
+        body = macro.body
+        if macro.func_like:
+            if i == end or tokens[i].text != "(":
+                continue  # function-like name without arguments
+            depth = 0
+            for close in range(i, end):
+                depth += {"(": 1, ")": -1}.get(tokens[close].text, 0)
+                if depth == 0:
+                    break
+            else:
+                continue  # the argument list is not closed before `end`
+            arg, param = tokens[i + 1 : close], ("ident", macro.param)
+            body = [t for tok in body for t in (arg if tok[:2] == param else (tok,))]
+            i = close + 1
+        if macro.bad is not None:
+            raise bad_token(macro.bad._replace(line=use.line, col=use.col))
+        out += tokens[copied:at]
+        out += [_new_tuple(Token, (tok[0], tok[1], use.line, use.col)) for tok in body]
+        copied = i
+    out += tokens[copied:end]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +245,7 @@ _UNKNOWN_MACROS = (
 )
 
 
-def _guard(kind, rest, macros):
+def _guard(kind, toks, macros):
     """Evaluate a conditional guard.
 
     Returns (value, why).  Identifiers with no local definition count as
@@ -222,29 +254,31 @@ def _guard(kind, rest, macros):
     none, why it is unsupported, in which case it is false.
     """
     if kind == "ifdef" or kind == "ifndef":
-        known = rest.strip() in macros
-        value = known if kind == "ifdef" else not known
-        return int(value), (None if known else _UNKNOWN_MACROS)
+        known = _spell(toks) in macros
+        return int(known == (kind == "ifdef")), (None if known else _UNKNOWN_MACROS)
 
     used_unknown = False
-
-    def _subst(mm):
-        nonlocal used_unknown
-        defined, name = mm.group(1) or mm.group(2), mm.group(4)
-        if defined is not None:
-            if defined in macros:
-                return "1"
-        elif name is None:  # a number, or a literal without its prefix
-            return mm.group(3) or mm.group()
+    expr = []
+    i = 0
+    while i < len(toks):
+        tok = toks[i]
+        i += 1
+        macro = macros.get(tok.text)
+        if tok.kind != "ident":
+            expr.append(tok)
+        elif tok.text == "defined" and (found := _defined_operand(toks, i)):
+            operand, i = found
+            used_unknown |= operand not in macros
+            expr.append(_ONE if operand in macros else _ZERO)
+        elif macro is not None and not macro.func_like:
+            expr += macro.body or [_ONE]
         else:
-            macro = macros.get(name)
-            if macro is not None and not macro.func_like:
-                return macro.body if macro.body else "1"
-        used_unknown = True
-        return "0"
-
-    expr = _GUARD_RE.sub(_subst, rest)
+            used_unknown = True
+            expr.append(_ZERO)
     try:
+        bad = next((tok for tok in expr if tok.kind == "bad"), None)
+        if bad is not None:
+            raise bad_token(bad)
         value = _fold(parse_expression(expr))
     except (CLexError, CParseError, ValueError, ZeroDivisionError) as exc:
         if used_unknown:
@@ -257,29 +291,28 @@ def _guard(kind, rest, macros):
     return value, (_UNKNOWN_MACROS if used_unknown else None)
 
 
+def _defined_operand(toks, i):
+    """The name that `defined X` or `defined(X)` asks about, with `toks[i]`
+    just after the `defined`, and the index past it; None if neither."""
+    paren = [tok.text for tok in toks[i : i + 3 : 2]] == ["(", ")"]
+    operand = toks[i + paren : i + paren + 1]
+    if operand and operand[0].kind == "ident":
+        return operand[0].text, i + 1 + 2 * paren
+    return None
+
+
 _GUARD_OPS = {
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "&": lambda a, b: a & b,
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "<": lambda a, b: int(a < b),
-    ">": lambda a, b: int(a > b),
-    "<=": lambda a, b: int(a <= b),
-    ">=": lambda a, b: int(a >= b),
-    "<<": lambda a, b: a << _shift_count(b),
-    ">>": lambda a, b: a >> _shift_count(b),
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: _c_div(a, b),
-    "%": lambda a, b: a - b * _c_div(a, b),
+    "|": operator.or_, "^": operator.xor, "&": operator.and_,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b), ">": lambda a, b: int(a > b),
+    "<=": lambda a, b: int(a <= b), ">=": lambda a, b: int(a >= b),
+    "<<": lambda a, b: a << _shift_count(b), ">>": lambda a, b: a >> _shift_count(b),
+    "/": lambda a, b: _c_div(a, b), "%": lambda a, b: a - b * _c_div(a, b),
 }
 _GUARD_PREFIX_OPS = {
-    "!": lambda x: int(not x),
-    "~": lambda x: ~x,
-    "-": lambda x: -x,
-    "+": lambda x: x,
+    "!": lambda x: int(not x), "~": operator.invert,
+    "-": operator.neg, "+": operator.pos,
 }
 
 
@@ -300,7 +333,7 @@ def _c_div(a: int, b: int) -> int:
 # a char constant the fold reads: one character, an octal or hex escape,
 # or a simple escape, whose value is in _SIMPLE_ESCAPES
 _CHAR_CONSTANT_RE = re.compile(
-    r"""'(?:([^'\\])|\\([0-7]{1,3})|\\x([0-9a-fA-F]+)|\\(['"?\\abfnrtv]))'"""
+    r"""[LuU]?'(?:([^'\\])|\\([0-7]{1,3})|\\x([0-9a-fA-F]+)|\\(['"?\\abfnrtv]))'"""
 )
 _SIMPLE_ESCAPES = {
     "'": 39, '"': 34, "?": 63, "\\": 92,
@@ -348,80 +381,3 @@ def _fold(expr) -> int:
     if isinstance(expr, nodes.Ternary):
         return _fold(expr.then if _fold(expr.cond) else expr.els)
     raise ValueError("not an integer constant expression")
-
-
-# ---------------------------------------------------------------------------
-# Line splicing, comments, expansion
-
-
-def _splice_continuations(text: str) -> list[str]:
-    lines = text.split("\n")
-    out: list[str] = []
-    i = 0
-    while i < len(lines):
-        cur = lines[i]
-        consumed = 0
-        while cur.endswith("\\"):
-            if i + consumed + 1 >= len(lines):
-                raise PreprocessError(
-                    "backslash-newline at end of file", i + consumed + 1
-                )
-            consumed += 1
-            cur = cur[:-1] + lines[i + consumed]
-        out.append(cur)
-        out.extend([""] * consumed)
-        i += consumed + 1
-    return out
-
-
-def _strip_comments(text: str) -> str:
-    return _COMMENT_RE.sub(_blank_comment, text)
-
-
-def _blank_comment(m: re.Match) -> str:
-    text = m.group()
-    if text[0] != "/":  # a literal: comment markers inside it are text
-        return text
-    if text[1] == "/":
-        return ""
-    # a block comment keeps its width, so later columns match the disk
-    return "\n".join(" " * len(part) for part in text.split("\n"))
-
-
-def _expand_line(line: str, macros: dict[str, MacroDef]) -> str:
-    """Expand macro uses in one line, one level, never rescanning output."""
-    if not macros:
-        return line
-    out = []
-    copied = pos = 0  # line[:copied] is in out; scanning resumes at pos
-    while m := _WORD_RE.search(line, pos):
-        pos = m.end()
-        macro = macros.get(m.group())  # a literal never names a macro
-        if macro is None or not macro.expandable:
-            continue
-        text = macro.body
-        if macro.func_like:
-            args = _ARGS_OPEN_RE.match(line, pos)
-            if not args:
-                continue  # function-like name without arguments
-            depth = 0
-            for paren in _PAREN_RE.finditer(line, args.end() - 1):
-                if paren.group() == "(":
-                    depth += 1
-                elif paren.group() == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-            else:
-                continue  # argument list is not closed on this line
-            arg = line[args.end() : paren.start()].strip()
-            text = _subst_param(macro.body, macro.param, arg)
-            pos = paren.end()
-        out += (line[copied : m.start()], text)
-        copied = pos
-    out.append(line[copied:])
-    return "".join(out)
-
-
-def _subst_param(body: str, param: str | None, arg: str) -> str:
-    return _WORD_RE.sub(lambda m: arg if m.group() == param else m.group(), body)

@@ -19,7 +19,7 @@ from .c_frontend import (
     CLexError,
     PreprocessError,
     build_cfg,
-    parse_unit,
+    parse_tokens,
     preprocess_local,
 )
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
@@ -245,7 +245,7 @@ def run(
         text = _read(path)
         try:
             pre = preprocess_local(text, path)
-            units.append(parse_unit(pre.text, path))
+            units.append(parse_tokens(pre.tokens, path))
         except (PreprocessError, CLexError) as exc:
             raise FatalError(f"{path}: {exc}") from exc
         diags.extend(pre.notes)

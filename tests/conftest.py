@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from stublint.c_frontend.parser import parse_unit
+from stublint.c_frontend.parser import parse_tokens
 from stublint.c_frontend.preprocess import preprocess_local
 from stublint.cli import analyze_unit, main
 from stublint.lock_analysis import load_summaries
@@ -43,7 +43,7 @@ def lint_c():
     def go(source: str, summaries: str | None = None, file_name: str = "test.c"):
         table = load_summaries(summaries)
         pre = preprocess_local(source, file_name)
-        unit = parse_unit(pre.text, file_name)
+        unit = parse_tokens(pre.tokens, file_name)
         return analyze_unit(unit, table) + list(pre.notes)
 
     return go
@@ -55,7 +55,7 @@ def parse_c():
 
     def go(source: str, file_name: str = "test.c"):
         pre = preprocess_local(source, file_name)
-        return parse_unit(pre.text, file_name)
+        return parse_tokens(pre.tokens, file_name)
 
     return go
 

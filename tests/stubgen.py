@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import sys
 
-from stublint.c_frontend import parse_unit, preprocess_local
+from stublint.c_frontend import parse_tokens, preprocess_local
 from stublint.cli import analyze_unit
 from stublint.diagnostics import normalize
 from stublint.lock_analysis import load_summaries
@@ -324,7 +324,7 @@ def stubs(seed: int = GOLDEN_SEED, count: int = GOLDEN_STUBS) -> list[tuple[str,
 def findings(file_name: str, source: str, table) -> list[str]:
     """Normalized findings of one stub file, rendered one per line."""
     pre = preprocess_local(source, file_name)
-    unit = parse_unit(pre.text, file_name)
+    unit = parse_tokens(pre.tokens, file_name)
     diags = analyze_unit(unit, table) + list(pre.notes)
     return [diag.render() for diag in normalize(diags)]
 

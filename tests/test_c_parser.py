@@ -97,6 +97,8 @@ TOKEN_OR_BLANK = st.one_of(
     st.from_regex(r"'([^'\\\n]|\\[^\n]){1,3}'", fullmatch=True),
     st.sampled_from(PUNCTUATORS),
     st.sampled_from([" ", "  ", "\t", "\n", "\r", "\f", "\v"]),
+    # comments, a splice, and the `#` that opens a directive line
+    st.sampled_from(["/* c */", "/* a\nb */", "// c", "\\\n", "\n#"]),
 )
 STRAY = st.sampled_from(["@", "$", "`", "#", "\\", '"', "'", "\x00", "\xa0", "é"])
 # about one piece in sixteen is a stray byte, so that many soups lex
@@ -104,6 +106,10 @@ SOUP = st.lists(
     st.integers(0, 15).flatmap(lambda k: STRAY if k == 0 else TOKEN_OR_BLANK),
     max_size=40,
 ).map("".join)
+
+# what may lie between two tokens: blanks, line ends and comments, the last
+# of which may run to the end of the text
+GAP_RE = re.compile(r"(?:\s|//[^\n]*|/\*[\s\S]*?\*/)*(?:/\*[\s\S]*)?")
 
 
 def _opens_a_literal(rest: str) -> bool:
@@ -122,6 +128,23 @@ def _opens_a_literal(rest: str) -> bool:
     return False
 
 
+def _spliced(text: str):
+    """`text` with its backslash-newline splices taken out, and the offset
+    in that of each (line, column) on disk that it keeps."""
+    kept, offset = [], {}
+    line = col = 1
+    i = 0
+    while i < len(text):
+        if text.startswith("\\\n", i):
+            line, col, i = line + 1, 1, i + 2
+            continue
+        offset[line, col] = len(kept)
+        kept.append(text[i])
+        line, col = (line + 1, 1) if text[i] == "\n" else (line, col + 1)
+        i += 1
+    return "".join(kept), offset
+
+
 @given(SOUP)
 def test_lexer_positions_cover_the_input(text):
     lines = text.split("\n")
@@ -133,19 +156,16 @@ def test_lexer_positions_cover_the_input(text):
         if rest[0] in "\"'":
             assert not _opens_a_literal(rest)
         return
-    starts = [(t.line, t.col) for t in toks]
-    assert starts == sorted(set(starts))
-    covered = set()
+    # each token is the text at its place on disk, splices taken out, and
+    # what lies between two tokens holds no token
+    spliced, offset = _spliced(text)
+    end = 0
     for t in toks:
-        assert lines[t.line - 1][t.col - 1 : t.col - 1 + len(t.text)] == t.text
-        covered.update((t.line, t.col + i) for i in range(len(t.text)))
-    assert len(covered) == sum(len(t.text) for t in toks)
-    assert covered >= {
-        (n, col)
-        for n, line in enumerate(lines, start=1)
-        for col, ch in enumerate(line, start=1)
-        if ch not in BLANKS
-    }
+        start = offset[t.line, t.col]
+        assert spliced.startswith(t.text, start)
+        assert start >= end and GAP_RE.fullmatch(spliced[end:start]), t
+        end = start + len(t.text)
+    assert GAP_RE.fullmatch(spliced[end:])
 
 
 # -- declarations and functions ---------------------------------------------

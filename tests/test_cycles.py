@@ -14,7 +14,7 @@ from collections import Counter
 from conftest import CORPUS
 from stubgen import stubs
 
-from stublint.c_frontend.parser import parse_unit
+from stublint.c_frontend.parser import parse_tokens
 from stublint.c_frontend.preprocess import preprocess_local
 from stublint.cli import analyze_unit
 from stublint.lock_analysis import load_summaries
@@ -44,7 +44,7 @@ def test_pipeline_leaves_no_cyclic_garbage():
     try:
         for name, source in _sources():
             pre = preprocess_local(source, name)
-            analyze_unit(parse_unit(pre.text, name), table)
+            analyze_unit(parse_tokens(pre.tokens, name), table)
         gc.collect()
         garbage = list(gc.garbage)
     finally:

@@ -6,13 +6,29 @@ from stublint.c_frontend.parser import MAX_NESTING
 from stublint.c_frontend.preprocess import PreprocessError, preprocess_local
 
 
-def expanded(source):
-    return preprocess_local(source, "t.c").text
+def placed(source):
+    """(text, line, col) of each token the parser gets."""
+    return [(t.text, t.line, t.col) for t in preprocess_local(source, "t.c").tokens]
+
+
+def kept_lines(source):
+    """The lines the parser gets tokens from, each token at its column;
+    the tokens of an expansion, which share the column of the macro's name,
+    follow one another unspaced."""
+    lines = {}
+    for text, line, col in placed(source):
+        kept = lines.get(line, "")
+        lines[line] = kept + " " * (col - 1 - len(kept)) + text
+    return lines
 
 
 def test_cast_style_macro_expands_in_place():
+    # every token of an expansion sits at the macro's name on disk
     src = "#define _H(__h) ((xenevtchn_handle *)(__h))\nx = _H(xce);\n"
-    assert "x = ((xenevtchn_handle *)(xce));" in expanded(src)
+    body = ["(", "(", "xenevtchn_handle", "*", ")", "(", "xce", ")", ")"]
+    assert placed(src) == [
+        ("x", 2, 1), ("=", 2, 3), *[(text, 2, 5) for text in body], (";", 2, 12)
+    ]
 
 
 def test_deref_style_macro_expands_in_place():
@@ -20,18 +36,21 @@ def test_deref_style_macro_expands_in_place():
         "#define _H(__h) (*((xenevtchn_handle **)Data_custom_val(__h)))\n"
         "_H(result) = xce;\n"
     )
-    assert "(*((xenevtchn_handle **)Data_custom_val(result))) = xce;" in expanded(src)
+    body = "( * ( ( xenevtchn_handle * * ) Data_custom_val ( result ) ) )".split()
+    assert placed(src) == [
+        *[(text, 2, 1) for text in body], ("=", 2, 12), ("xce", 2, 14), (";", 2, 17)
+    ]
 
 
 def test_object_like_macro():
     src = "#define LEN 16\nn = LEN;\n"
-    assert "n = 16;" in expanded(src)
+    assert placed(src) == [("n", 2, 1), ("=", 2, 3), ("16", 2, 5), (";", 2, 8)]
 
 
 def test_expansion_is_single_level():
     # one level, no rescan: mutually referential macros cannot loop
     src = "#define A B\n#define B A\nx = A;\n"
-    assert "x = B;" in expanded(src)
+    assert kept_lines(src) == {3: "x = B;"}
 
 
 def test_self_recursive_define_is_rejected():
@@ -47,22 +66,22 @@ def test_line_numbers_survive():
         "#define FOUR 4\n"
         "int x = FOUR;\n"
     )
-    result = preprocess_local(src, "t.c")
-    lines = result.text.split("\n")
-    assert len(lines) == len(src.split("\n"))
-    assert lines[4] == "int x = 4;"
+    assert placed(src) == [
+        ("int", 5, 1), ("x", 5, 5), ("=", 5, 7), ("4", 5, 9), (";", 5, 13)
+    ]
 
 
 def test_continuations_keep_following_lines_in_place():
     src = "#define TWO \\\n 2\nint x = TWO;\n"
-    lines = preprocess_local(src, "t.c").text.split("\n")
-    assert len(lines) == len(src.split("\n"))
-    assert lines[2] == "int x = 2;"
+    assert placed(src) == [
+        ("int", 3, 1), ("x", 3, 5), ("=", 3, 7), ("2", 3, 9), (";", 3, 12)
+    ]
 
 
 def test_includes_are_recorded_not_expanded():
-    result = preprocess_local("#include <caml/mlvalues.h>\nint x;\n", "t.c")
-    assert "include" not in result.text
+    assert placed("#include <caml/mlvalues.h>\nint x;\n") == [
+        ("int", 2, 1), ("x", 2, 5), (";", 2, 6)
+    ]
 
 
 def test_ifdef_selects_defined_branch():
@@ -74,16 +93,13 @@ def test_ifdef_selects_defined_branch():
         "int no;\n"
         "#endif\n"
     )
-    text = expanded(src)
-    assert "int yes;" in text
-    assert "int no;" not in text
+    assert kept_lines(src) == {3: "int yes;"}
 
 
 def test_unknown_guard_takes_undefined_branch_with_note():
     src = "#ifdef CAML_INTERNALS\nint hidden;\n#else\nint shown;\n#endif\n"
     result = preprocess_local(src, "t.c")
-    assert "int shown;" in result.text
-    assert "int hidden;" not in result.text
+    assert kept_lines(src) == {4: "int shown;"}
     assert any(d.rule_id == "NOTE" for d in result.notes)
 
 
@@ -177,13 +193,13 @@ def test_if_expression_guard():
         src = f"#define VER 5\n#if {guard}\nint yes;\n#endif\n"
         result = preprocess_local(src, "t.c")
         notes = [d.rule_id for d in result.notes]
-        assert ("int yes;" in result.text, notes) == (
-            taken, ["NOTE"] if note else []
+        assert (kept_lines(src), notes) == (
+            {3: "int yes;"} if taken else {}, ["NOTE"] if note else []
         ), guard
     for guard, why in GUARD_NOTES:
         src = f"#if {guard}\nint yes;\n#endif\n"
         result = preprocess_local(src, "t.c")
-        assert "int yes;" not in result.text, guard
+        assert result.tokens == [], guard
         [note] = result.notes
         assert note.message.startswith(f"conditional '#if {guard}' {why}"), guard
 
@@ -191,8 +207,7 @@ def test_if_expression_guard():
 def test_elif_guard_reports_its_own_note():
     src = "#if 0\nint a;\n#elif X\nint b;\n#else\nint c;\n#endif\n"
     result = preprocess_local(src, "t.c")
-    assert "int c;" in result.text
-    assert "int a;" not in result.text and "int b;" not in result.text
+    assert kept_lines(src) == {6: "int c;"}
     assert [d.message.split(" depends")[0] for d in result.notes] == [
         "conditional '#elif X'"
     ]
@@ -213,13 +228,13 @@ DEAD_PARENT = [
 def test_nothing_revives_a_region_under_a_dead_parent():
     for src, kept in DEAD_PARENT:
         result = preprocess_local(src, "t.c")
-        assert [line for line in result.text.split("\n") if line] == kept, src
+        assert list(kept_lines(src).values()) == kept, src
         assert result.notes == [], src
 
 
 def test_undef_removes_macro():
     src = "#define N 1\n#undef N\nx = N;\n"
-    assert "x = N;" in expanded(src)
+    assert kept_lines(src) == {3: "x = N;"}
 
 
 def test_unbalanced_endif_is_fatal():
@@ -230,13 +245,13 @@ def test_unbalanced_endif_is_fatal():
 def test_multi_parameter_macro_left_alone_with_note():
     src = "#define MAX(a, b) ((a) > (b) ? (a) : (b))\nx = MAX(1, 2);\n"
     result = preprocess_local(src, "t.c")
-    assert "x = MAX(1, 2);" in result.text
+    assert kept_lines(src) == {2: "x = MAX(1, 2);"}
     assert any("MAX" in d.message for d in result.notes)
 
 
 def test_strings_are_opaque_to_expansion():
     src = '#define Hi 1\ns = "Hi there";\n'
-    assert 's = "Hi there";' in expanded(src)
+    assert kept_lines(src) == {2: 's = "Hi there";'}
 
 
 # (definitions, line, line after expansion): a literal, with its prefix, and
@@ -251,4 +266,5 @@ UNEXPANDED = [
 
 def test_literals_and_numbers_name_no_macro():
     for defines, line, after in UNEXPANDED:
-        assert expanded(f"{defines}{line}\n").split("\n")[-2] == after, line
+        src = f"{defines}{line}\n"
+        assert list(kept_lines(src).values()) == [after], line
