@@ -353,7 +353,8 @@ class _Parser:
 
     def parse_function_tail(self, unit, quals, name_tok, ret):
         params = self.parse_params()
-        is_camlprim = "CAMLprim" in quals or ret.is_value
+        # a static function is never an external's symbol
+        is_camlprim = "CAMLprim" in quals or ret.is_value and "static" not in quals
         if self.accept(";"):  # a prototype: consumed, not recorded
             return
         brace = self.peek()

@@ -254,6 +254,21 @@ def test_returning_to_ocaml_needs_the_lock(lint_c, head, body, want):
     assert found == want
 
 
+def test_a_static_value_helper_is_no_primitive(lint_c):
+    # only `CAMLprim` makes a static function a primitive: the helper is
+    # neither checked for CAMLparam nor for the lock it returns with
+    body = "(value a)\n{\n    caml_enter_blocking_section();\n    return a;\n}\n"
+    rules = ["MISSING_CAMLPARAM", "UNBALANCED_LOCK"]
+    for head, want in [
+        ("static value f", []),
+        ("static inline value f", []),
+        ("value f", rules),
+        ("CAMLprim static value f", rules),
+    ]:
+        found = sorted(d.rule_id for d in lint_c(head + body) if d.rule_id in rules)
+        assert found == want, head
+
+
 def test_lookup_default_only_when_no_line_matches():
     table = load_summaries("g:\nh*:\n")
     assert table.lookup("g", None) == table.lookup("h1", None) == frozenset()
