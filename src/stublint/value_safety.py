@@ -22,6 +22,7 @@ from .c_frontend.intrinsics import (
     CAMLXPARAM,
     DATA_DERIVE,
     FIELD_READ,
+    STRING_DEREF,
 )
 from .diagnostics import WARNING, Diagnostic
 
@@ -72,10 +73,10 @@ def initial_facts(fn: ast.StubFunction) -> dict:
 def fact_of(expr, env, derive_stale: bool = False):
     """Classify an expression.
 
-    derive_stale marks fresh derivations (Data_*_val, value-to-pointer
-    casts) as already stale; the node step sets it when the lock is not
-    definitely held, because the GC may move the block between computing
-    the address and any later use.  A judged operand always classifies with
+    derive_stale marks fresh derivations (Data_*_val, String_val,
+    Bytes_val, value-to-pointer casts) as already stale; the node step sets
+    it when the lock is not definitely held, because the GC may move the
+    block between computing the address and any later use.  A judged operand always classifies with
     derive_stale=False: within a single expression there is no such window,
     so an unlocked inline dereference stays a lock finding, not a stale one.
     """
@@ -85,7 +86,7 @@ def fact_of(expr, env, derive_stale: bool = False):
         return env.get(expr.ident, PLAIN)
     if isinstance(expr, ast.Call):
         name = expr.callee
-        if name in DATA_DERIVE:
+        if name in DATA_DERIVE or name in STRING_DEREF:
             return heap(derive_stale)
         if name == FIELD_READ:
             return VALUE

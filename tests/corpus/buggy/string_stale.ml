@@ -1,0 +1,1 @@
+external string_head : string -> bytes = "stub_string_head"

@@ -31,6 +31,7 @@ BUGGY = [
     "stale_abstract_ptr",
     "tag_cons_store",
     "return_unlocked",
+    "string_stale",
 ]
 FIXED = [
     "arity_ok",
@@ -39,6 +40,7 @@ FIXED = [
     "abstract_store_fixed",
     "emptylist_ok",
     "return_unlocked_fixed",
+    "string_stale_fixed",
 ]
 
 
