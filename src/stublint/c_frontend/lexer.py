@@ -41,6 +41,11 @@ class Token(NamedTuple):
     col: int
 
 
+# A string or char literal, with its prefix; a prefix that no complete
+# literal follows is an identifier.
+_STR = r'(?:u8|[LuU])?"(?:\\.|[^"\\\n])*"'
+_CHAR = r"""[LuU]?'(?:\\.|[^'\\\n])+'"""
+
 # Blanks come before every token.  A comment is a match of its own, as is a
 # directive line, which runs to its end, over a comment that spans lines,
 # and in whose literals a comment marker is text.
@@ -48,12 +53,12 @@ TOKEN_RE = re.compile(
     r"""
     [\ \t\r\f\v]*
     (?:
-      (?P<ident>(?!u8"|[LuU]["'])[A-Za-z_][A-Za-z0-9_]*)
+      (?P<ident>(?!LITERAL)[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>[(),;{}\[\]?:~]|->|\+\+|--|<<=|>>=|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=
+        |\*=|/=|%=|&=|\|=|\^=|\.\.\.|/(?![/*])|\.(?![0-9])|[-+*%&|^!<>=])
     | (?P<num>\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*)
-    | (?P<str>(?:u8|[LuU])?"(?:\\.|[^"\\\n])*")
-    | (?P<char>[LuU]?'(?:\\.|[^'\\\n])+')
-    | (?P<punct>->|\+\+|--|<<=|>>=|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=
-        |%=|&=|\|=|\^=|\.\.\.|/(?![/*])|[-+*%&|^!~<>=?:;,.(){}\[\]])
+    | (?P<str>STR)
+    | (?P<char>CHAR)
     | (?P<nl>\n)
     | (?P<comment>//[^\n]*|/\*[^*]*\*+(?:[^*/][^*]*\*+)*/|/\*[\s\S]*)
     | (?P<hash>\#(?:[^\n"'/]+|"(?:\\.|[^"\\\n])*"?|'(?:\\.|[^'\\\n])*'?|//[^\n]*
@@ -61,7 +66,7 @@ TOKEN_RE = re.compile(
     | (?P<bad>.)
     | (?P<end>\Z)
     )
-    """,
+    """.replace("LITERAL", "STR|CHAR").replace("STR", _STR).replace("CHAR", _CHAR),
     re.VERBOSE,
 )
 
@@ -71,8 +76,10 @@ TOKEN_RE = re.compile(
 _new_tuple = tuple.__new__
 
 # the token kinds by the number of their group, which a match gives as
-# `lastindex` more cheaply than the name, as `lastgroup`
-_KINDS = (None, "ident", "num", "str", "char", "punct")
+# `lastindex` more cheaply than the name, as `lastgroup`.  The commonest
+# come first, and a punctuator that is never the start of a longer one
+# first among them: an alternative costs a try for every token before it.
+_KINDS = (None, "ident", "punct", "num", "str", "char")
 _GROUPS = ("nl", "comment", "hash", "end")
 _NL, _COMMENT, _HASH, _END = map(TOKEN_RE.groupindex.get, _GROUPS)
 

@@ -33,9 +33,9 @@ directives is copied as one slice, unless it uses a macro.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-import operator
 
 from ..diagnostics import NOTE, Diagnostic
 from . import nodes
@@ -127,7 +127,6 @@ _DIRECTIVES = frozenset(
 
 
 def _directive(tok, active, stack, macros, note):
-    lineno = tok.line
     first = TOKEN_RE.match(tok.text, 1)
     while first.lastgroup == "comment":
         first = TOKEN_RE.match(tok.text, first.end())
@@ -136,7 +135,7 @@ def _directive(tok, active, stack, macros, note):
         return  # #include, #pragma, #error in a dead branch, ... just vanish
     rest = scan(tok.text[first.end() :])[0]
     if name == "define":
-        _define(rest, lineno, macros, note)
+        _define(rest, tok.line, macros, note)
     elif name == "undef":
         macros.pop(_spell(rest), None)
     elif name in ("if", "ifdef", "ifndef", "elif"):
@@ -145,23 +144,23 @@ def _directive(tok, active, stack, macros, note):
             # branch as taken already, so no #elif or #else revives it
             stack.append([False, not active, False])
         elif not stack:
-            raise PreprocessError("#elif without #if", lineno)
+            raise PreprocessError("#elif without #if", tok.line)
         elif stack[-1][2]:
-            raise PreprocessError("#elif after #else", lineno)
+            raise PreprocessError("#elif after #else", tok.line)
         state = stack[-1]
         if state[1]:
             state[0] = False
             return
         value, why = _guard(name, rest, macros)
         if why is not None:
-            note(lineno, f"conditional '#{name} {_spell(rest)}' {why}")
+            note(tok.line, f"conditional '#{name} {_spell(rest)}' {why}")
         state[0] = state[1] = bool(value)
     elif not stack:
-        raise PreprocessError(f"#{name} without #if", lineno)
+        raise PreprocessError(f"#{name} without #if", tok.line)
     elif name == "else":
         state = stack[-1]
         if state[2]:
-            raise PreprocessError("duplicate #else", lineno)
+            raise PreprocessError("duplicate #else", tok.line)
         state[:] = [not state[1], True, True]
     else:
         stack.pop()

@@ -62,6 +62,18 @@ def test_lexer_char_constants_of_escapes_and_several_characters():
     ]
 
 
+def test_lexer_reads_literal_prefixes_and_preprocessing_numbers_whole():
+    toks = lex("s = L\"x\" u8\"y\" + U'a' + Ux + 1.5e+E + 0x1Fu;")
+    assert [(t.kind, t.text) for t in toks if t.text not in "s=+;"] == [
+        ("str", 'L"x"'), ("str", 'u8"y"'), ("char", "U'a'"), ("ident", "Ux"),
+        ("num", "1.5e+E"), ("num", "0x1Fu"),
+    ]
+    # a prefix that no complete literal follows is a name
+    with pytest.raises(CLexError) as exc:
+        lex('x = U"')
+    assert (exc.value.line, exc.value.col) == (1, 6)
+
+
 def test_lexer_two_char_operators_are_single_tokens():
     texts = [t.text for t in lex("a == b && c -> d >>= e")]
     for op in ("==", "&&", "->", ">>="):
