@@ -7,14 +7,13 @@ prefix (`L'a'`, `u8"s"`), and a number is a preprocessing number (C99
 6.4.8), so `1UL`, `0x1F` and `1.5e+E` are one token each.
 
 One master pattern is run with `finditer` over the whole text.  Every
-match is the blanks and one-line comments before a token followed by one
-of: a token, a newline (which starts the next line: its number and the
-offset columns count from), a comment that spans lines, a `#`, a `bad`
-character that starts no token, or the end of the text.  A `#` that is the
-first token of its line opens a directive line, which the next newline
-closes; any other `#` is bad.  A bad character is a token too, of kind
-`bad`, so that one in a group that `#if` drops is never an error: the
-preprocessor raises on it only when it keeps it.
+match is the blanks before a token followed by one of: a token, a newline
+(which starts the next line: its number and the offset columns count
+from), a comment, a `#` and the rest of its line, a `bad` character that
+starts no token, or the end of the text.  A `#` that is the first token of
+its line makes its line one token of kind `dir`; any other `#` is bad.  A
+bad character is a token too, so that one in a group that `#if` drops is
+never an error: the preprocessor raises on it only when it keeps it.
 
 A text with splices is scanned with them taken out, and the positions are
 then mapped back to the disk through the columns where each one was cut.
