@@ -9,13 +9,14 @@ to mark a fresh derivation stale when the lock is not held, and that only
 rises with the lock.  So the product fixpoint is each component's own
 fixpoint, and a block's last visit sees all three at theirs.
 
-One node step first judges each of the node's ops against the state at the
-node's entry, with the lock state at hand: an enter or leave the lock state
-does not match, as the calls before it in the node left it; a runtime call
+One statement step first judges each of the statement's ops against the
+state at the statement's entry, with the lock state at hand: an enter or
+leave the lock state does not match, as the calls before it in the
+statement left it; a runtime call
 or a dereference of an OCaml value while the lock is not held, or of a
 pointer the GC may have moved; the address of a value escaping; an even
 constant stored into a value; a CAMLprim returning to OCaml while the lock
-is not held.  Then it applies the node.
+is not held.  Then it applies the statement.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
     def report(found, where, rule, severity, message):
         found.append(Diagnostic(rule, severity, file, where.line, where.col, message))
 
-    def step(node, state, found):
+    def step(stmt, state, found):
         entry, env, consts = state
         lock = entry
-        ops = node.ops
+        ops = stmt.ops
         gc_point = False
         for op in ops:
             kind = op[0]
@@ -173,7 +174,6 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 rule, severity, message = _UNLOCKED[False, entry]
                 report(found, where, rule, severity, message.format(_sketch(operand)))
 
-        stmt = node.stmt
         if lock is not LockState.HELD and fn.is_camlprim and _returns(stmt):
             severity, message = _RETURN_UNLOCKED[lock]
             report(found, stmt, "UNBALANCED_LOCK", severity, message.format(fn.name))
@@ -197,7 +197,8 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 )
                 report(found, op[4], "NAKED_POINTER", ERROR, message)
 
-        # a GC point makes heap facts stale before any store in the node lands
+        # a GC point makes heap facts stale before any store in the statement
+        # lands
         if gc_point:
             for name, fact in env.items():
                 if is_heap(fact):

@@ -2,16 +2,17 @@
 
 Pipeline: preprocess_local, which lexes the text as read from disk once and
 runs the directives and a one-level macro expansion over its tokens, each
-at its line and column on disk -> parse_tokens -> build_cfg.  `parse_unit`
-is the first two in one call.  Anything outside the subset degrades to an
-opaque node or an UNSUPPORTED_CONSTRUCT diagnostic instead of a silent
+at its line and column on disk -> parse_tokens -> build_cfg, which lowers
+each function straight into basic blocks of statements.  `parse_unit` is
+the first two in one call.  Anything outside the subset degrades to an
+opaque statement or an UNSUPPORTED_CONSTRUCT diagnostic instead of a silent
 misparse.
 """
 
 from .preprocess import PreprocessError, PreprocessResult, preprocess_local
 from .lexer import CLexError, Token, lex
 from .parser import CParseError, parse_tokens, parse_unit
-from .cfg import Cfg, Node, build_cfg
+from .cfg import Cfg, build_cfg
 from .nodes import StubFunction, StubUnit
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "parse_tokens",
     "parse_unit",
     "Cfg",
-    "Node",
     "build_cfg",
     "StubFunction",
     "StubUnit",

@@ -1,19 +1,19 @@
 """Intraprocedural control-flow graph over parsed stub bodies.
 
-One node per executed statement.  Declarations without an initializer do
-not execute anything, so they get no node.  `return`, `CAMLreturn`, and
-calls to noreturn functions edge straight to the synthetic exit.
+The builder lowers each function straight into basic blocks (Allen 1970):
+maximal runs of executed statements in which each statement is the only
+successor of the one before and has no other predecessor.  A block holds
+its statements in order and the ids of its successor blocks.  Declarations
+without an initializer execute nothing and are in no block.  `return`,
+`CAMLreturn`, and calls to noreturn functions end their block with an edge
+to the exit.  Block 0 starts at the entry and may hold statements; the exit
+is block 1 and holds none.
 
-Each node carries the ops the parser attached to its statement (see
-nodes, "Ops"): the calls, assignments, address-takings, increments and
+Each statement carries the ops the parser attached to it (see nodes,
+"Ops"): the calls, assignments, address-takings, increments and
 dereferences its own expressions perform, children before parents.  The
 lock, value and constant analyses read those ops and nothing else of the
-expression tree.  Entry and exit have no ops.
-
-The nodes are grouped into basic blocks (Allen 1970): maximal runs in which
-each node is the only successor of the one before and has no other
-predecessor.  The solver keeps states only at block heads.  Block 0 starts
-at the entry, and the exit always heads a block of its own.
+expression tree, and the solver keeps states only at block heads.
 """
 
 from __future__ import annotations
@@ -28,111 +28,95 @@ EXIT = 1
 
 
 @dataclass(slots=True)
-class Node:
-    id: int
-    kind: str  # "entry", "exit", or "stmt"
-    stmt: object
-    ops: tuple = ()
-    succs: list[int] = field(default_factory=list)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<node {self.id} {self.kind} -> {self.succs}>"
-
-
-@dataclass(slots=True)
 class Block:
     id: int
-    nodes: list[Node]
+    stmts: list = field(default_factory=list)
     succs: list[int] = field(default_factory=list)  # block ids
 
 
 @dataclass(slots=True)
 class Cfg:
     fn: ast.StubFunction
-    nodes: list[Node]
     blocks: list[Block]
 
+    # shim for perfbench/spans.py, which counts the statements plus entry
+    # and exit as `c_frontend.cfg_nodes`; ROADMAP item 1 deletes it
     @property
-    def entry(self) -> Node:
-        return self.nodes[ENTRY]
-
-    @property
-    def exit(self) -> Node:
-        return self.nodes[EXIT]
-
-    def statement_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == "stmt"]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(n.id, s) for n in self.nodes for s in n.succs]
-
-    def unreachable(self) -> list[int]:
-        seen = {ENTRY}
-        work = [ENTRY]
-        while work:
-            for succ in self.nodes[work.pop()].succs:
-                if succ not in seen:
-                    seen.add(succ)
-                    work.append(succ)
-        return [n.id for n in self.statement_nodes() if n.id not in seen]
+    def nodes(self) -> range:
+        return range(2 + sum(len(block.stmts) for block in self.blocks))
 
 
-def _basic_blocks(nodes: list[Node]) -> list[Block]:
-    preds = [0] * len(nodes)
-    for node in nodes:
-        for succ in node.succs:
-            preds[succ] += 1
-    preds[EXIT] = 0  # so the exit heads a block of its own
-    # follows[n] is the node that continues n's block, or -1
-    follows = [
-        node.succs[0] if len(node.succs) == 1 and preds[node.succs[0]] == 1 else -1
-        for node in nodes
-    ]
-    inner = set(follows)
-    block_of = [-1] * len(nodes)
-    blocks: list[Block] = []
-    # heads first; a cycle of inner nodes, which no head reaches, is cut anywhere
-    for start in [n for n in nodes if n.id not in inner] + nodes:
-        nid = start.id
-        if block_of[nid] < 0:
-            block = Block(len(blocks), [])
-            blocks.append(block)
-            while nid >= 0 and block_of[nid] < 0:
-                block_of[nid] = block.id
-                block.nodes.append(nodes[nid])
-                nid = follows[nid]
-    for block in blocks:
-        block.succs = [block_of[succ] for succ in block.nodes[-1].succs]
-    return blocks
+def _empty(stmts) -> bool:
+    """Whether lowering `stmts` places no statement: it holds declarations
+    without initializers only."""
+    return all(
+        isinstance(s, ast.DeclStmt) and all(d.init is None for d in s.decls)
+        for s in stmts
+    )
 
 
 class _Builder:
+    """Lowers statements in order.  A frontier is the list of blocks whose
+    ends flow into the next statement placed."""
+
     def __init__(self, fn: ast.StubFunction, is_noreturn):
         self.fn = fn
         self.is_noreturn = is_noreturn or (lambda name: False)
-        self.nodes = [Node(ENTRY, "entry", None), Node(EXIT, "exit", None)]
+        self.blocks = [Block(ENTRY), Block(EXIT)]
+        self.branches: set[int] = set()  # blocks that end in a branch
+        self.head_next = False  # the next statement heads a block
         self.break_stack: list[list[int]] = []
         self.continue_stack: list[list[int]] = []
 
-    def new_node(self, stmt, frontier: list[int]) -> int:
-        """A node for `stmt`, with its ops, entered from `frontier`."""
-        nid = len(self.nodes)
-        self.nodes.append(Node(nid, "stmt", stmt, getattr(stmt, "ops", ())))
-        self.connect(frontier, nid)
-        return nid
-
-    def add_edge(self, src: int, dst: int):
-        if dst not in self.nodes[src].succs:
-            self.nodes[src].succs.append(dst)
+    def place(self, stmt, frontier: list[int]) -> int:
+        """Put `stmt`, entered from `frontier`, at the end of the one block
+        that alone enters it, or else at the head of a new block; returns
+        its block."""
+        if frontier and not self.head_next:
+            bid = frontier[0]
+            block = self.blocks[bid]
+            if (
+                not block.succs
+                and bid not in self.branches
+                and frontier.count(bid) == len(frontier)
+            ):
+                block.stmts.append(stmt)
+                return bid
+        self.head_next = False
+        bid = len(self.blocks)
+        self.blocks.append(Block(bid, [stmt]))
+        self.connect(frontier, bid)
+        return bid
 
     def connect(self, frontier: list[int], target: int):
+        blocks = self.blocks
         for src in frontier:
-            self.add_edge(src, target)
+            succs = blocks[src].succs
+            if target not in succs:
+                succs.append(target)
+
+    def head(self, bid: int, index: int, *pending: list[int]) -> int:
+        """Make the statement at `index` of block `bid` head a block, which
+        it returns.  A loop head is placed before its back edges are known:
+        if it joined a block, the block is split before it here.  The tail
+        takes the block's end along, so `pending` frontiers that name `bid`
+        name the tail instead."""
+        if index == 0 and bid != ENTRY:
+            return bid
+        block = self.blocks[bid]
+        tail = len(self.blocks)
+        self.blocks.append(Block(tail, block.stmts[index:], block.succs))
+        del block.stmts[index:]
+        block.succs = [tail]
+        if bid in self.branches:
+            self.branches.add(tail)
+        for frontier in pending:
+            frontier[:] = [tail if b == bid else b for b in frontier]
+        return tail
 
     def build(self) -> Cfg:
-        frontier = self.lower_list(self.fn.body, [ENTRY])
-        self.connect(frontier, EXIT)
-        return Cfg(self.fn, self.nodes, _basic_blocks(self.nodes))
+        self.connect(self.lower_list(self.fn.body, [ENTRY]), EXIT)
+        return Cfg(self.fn, self.blocks)
 
     def lower_list(self, stmts, frontier: list[int]) -> list[int]:
         for stmt in stmts:
@@ -143,84 +127,106 @@ class _Builder:
         if isinstance(stmt, ast.DeclStmt):
             for decl in stmt.decls:
                 if decl.init is not None:
-                    frontier = [self.new_node(decl, frontier)]
+                    frontier = [self.place(decl, frontier)]
             return frontier
-        if isinstance(stmt, ast.For) and stmt.init is not None:
-            frontier = self.lower(stmt.init, frontier)
-        # the node that evaluates the statement's own expression; control
-        # enters a do-while at its body, not at its condition
-        nid = self.new_node(stmt, [] if isinstance(stmt, ast.DoWhile) else frontier)
+        if isinstance(stmt, ast.DoWhile):
+            # control enters a do-while at its body, which the condition
+            # loops back to, so the body's first statement heads a block;
+            # the condition is placed after the body
+            head = len(self.blocks)
+            self.head_next = True
+        else:
+            if isinstance(stmt, ast.For) and stmt.init is not None:
+                frontier = self.lower(stmt.init, frontier)
+            bid = self.place(stmt, frontier)
 
         if isinstance(stmt, ast.ExprStmt):
             if self._terminates(stmt.expr):
-                self.add_edge(nid, EXIT)
+                self.connect([bid], EXIT)
                 return []
-            return [nid]
+            return [bid]
 
         if isinstance(stmt, ast.Return):
-            self.add_edge(nid, EXIT)
+            self.connect([bid], EXIT)
             return []
 
         if isinstance(stmt, ast.If):
             # an `else if` chain is lowered in this loop: a lone If in the
-            # `els` gets its node here, as `lower` would give it one
+            # `els` is placed here, as `lower` would place it.  A condition
+            # whose two arms place nothing has one successor: no branch.
             out = []
             while True:
-                out += self.lower_list(stmt.then, [nid])
+                if not (_empty(stmt.then) and _empty(stmt.els or ())):
+                    self.branches.add(bid)
+                out += self.lower_list(stmt.then, [bid])
                 els = stmt.els
                 if els is None:
-                    return out + [nid]
+                    return out + [bid]
                 if len(els) != 1 or not isinstance(els[0], ast.If):
-                    return out + self.lower_list(els, [nid])
+                    return out + self.lower_list(els, [bid])
                 stmt = els[0]
-                nid = self.new_node(stmt, [nid])
+                bid = self.place(stmt, [bid])
 
         if isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
-            step = None  # a `for` step is its own node, made before the body
-            if isinstance(stmt, ast.For) and stmt.step is not None:
-                step = self.new_node(stmt.step, [])
-            head = len(self.nodes)
+            do_while = isinstance(stmt, ast.DoWhile)
+            if not do_while:
+                # a head that joined a block is split off it below, once
+                # its back edges are known
+                index = len(self.blocks[bid].stmts) - 1
+                if stmt.cond is not None:  # for(;;) has one successor
+                    self.branches.add(bid)
+                frontier = [bid]
             breaks: list[int] = []
             continues: list[int] = []
             self.break_stack.append(breaks)
             self.continue_stack.append(continues)
-            if isinstance(stmt, ast.DoWhile):
-                body_out = self.lower_list(stmt.body, frontier)
-                # the condition loops back to the body's first node
-                self.add_edge(nid, head if head < len(self.nodes) else nid)
-            else:
-                body_out = self.lower_list(stmt.body, [nid])
+            back = self.lower_list(stmt.body, frontier) + continues
             self.break_stack.pop()
             self.continue_stack.pop()
-            self.connect(body_out + continues, nid if step is None else step)
-            if step is not None:
-                self.add_edge(step, nid)
-            if isinstance(stmt, ast.For) and stmt.cond is None:
+            if do_while:
+                bid = self.place(stmt, back)
+                self.branches.add(bid)
+                self.connect([bid], head)
+                return [bid] + breaks
+            if isinstance(stmt, ast.For) and stmt.step is not None:
+                back = [self.place(stmt.step, back)]
+            if back:
+                bid = self.head(bid, index, back, breaks)
+                self.connect(back, bid)
+            if stmt.cond is None:
                 return breaks  # for(;;) never falls out of the loop
-            return [nid] + breaks
+            return [bid] + breaks
 
         if isinstance(stmt, ast.Switch):
+            # the subject enters each case body that places a statement,
+            # and what follows the switch if no default catches it or the
+            # last case body places nothing
+            cases = stmt.cases
+            default = any(None in case.labels for case in cases)
+            exits = not default or _empty(cases[-1].body)
+            if sum(not _empty(case.body) for case in cases) + exits > 1:
+                self.branches.add(bid)
             breaks = []
             self.break_stack.append(breaks)
             fall: list[int] = []
-            for case in stmt.cases:
-                fall = self.lower_list(case.body, [nid] + fall)
+            for case in cases:
+                fall = self.lower_list(case.body, [bid] + fall)
             self.break_stack.pop()
-            if any(None in case.labels for case in stmt.cases):  # a default
+            if default:
                 return breaks + fall
-            return breaks + fall + [nid]
+            return breaks + fall + [bid]
 
         if isinstance(stmt, (ast.Break, ast.Continue)):
             is_break = isinstance(stmt, ast.Break)
             stack = self.break_stack if is_break else self.continue_stack
             if stack:
-                stack[-1].append(nid)
+                stack[-1].append(bid)
             else:
-                self.add_edge(nid, EXIT)
+                self.connect([bid], EXIT)
             return []
 
         # an opaque statement, or anything unexpected, falls through
-        return [nid]
+        return [bid]
 
     def _terminates(self, expr) -> bool:
         """Statement-level calls that never return to the caller."""

@@ -6,8 +6,8 @@ parser builds each node with one positional call.  Statement
 bodies are plain Python lists; there is no separate Block node.  The
 analyses never walk expression trees themselves: while it parses a
 statement-level expression, the parser appends the flat ops its nodes
-perform to that statement's `ops` (see "Ops" below), and each CFG node
-hands those ops on.
+perform to that statement's `ops` (see "Ops" below), and the CFG hands
+each statement, ops and all, to the analyses.
 
 The classes are slotted dataclasses without generated `__eq__` or
 `__repr__`: nothing compares nodes, and one `__repr__` on the base serves
@@ -222,12 +222,12 @@ class Return(_At):
 
 @_node
 class Break(_At):
-    pass
+    ops: tuple = ()
 
 
 @_node
 class Continue(_At):
-    pass
+    ops: tuple = ()
 
 
 @_node
@@ -240,6 +240,7 @@ class Opaque(_At):
 
     text: str = ""
     reason: str = ""
+    ops: tuple = ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Worklist solver for forward dataflow problems over a Cfg's basic blocks.
 
 The solver is agnostic to the state type: callers supply the join, the
-bottom element, a node step and a `fresh` copy function.  States are
+bottom element, a statement step and a `fresh` copy function.  States are
 compared with `==`, so any value type with structural equality works
 (enums, dicts, tuples).  It keeps a state only at each block head.  A block
 visit takes one `fresh` copy of the head state and passes it through the
-step of each of the block's nodes in order; a step may update that copy in
-place and returns the state after its node.
+step of each of the block's statements in order; a step may update that
+copy in place and returns the state after its statement.
 
-A step also appends what it finds at its node (findings and notes) to
+A step also appends what it finds at its statement (findings and notes) to
 a list.  A block is queued again whenever its head state changes, so the
 last visit of every reached block starts from its fixpoint head state; the
 solver keeps, per block, only what that last visit appended.
@@ -29,9 +29,9 @@ class Fixpoint(NamedTuple):
 def forward_solve(cfg, init, step, join, bottom, fresh):
     """Compute the fixpoint of a forward problem.
 
-    init is the state at the head of block 0, where the entry node is.
-    step(node, state, found) maps the state at a node's entry to the state
-    after it and appends what it finds to `found`; it must be monotone and
+    init is the state at the head of block 0, where the function is
+    entered.  step(stmt, state, found) maps the state at a statement's
+    entry to the state after it and appends what it finds to `found`; it must be monotone and
     may update `state` in place, since each block visit starts from
     fresh(head state).  Returns the Fixpoint (heads, pops, found):
     heads[block.id] is the state at the block's head (bottom for unreached
@@ -54,8 +54,8 @@ def forward_solve(cfg, init, step, join, bottom, fresh):
         block = blocks[bid]
         state = fresh(heads[bid])
         found: list = []
-        for node in block.nodes:
-            state = step(node, state, found)
+        for stmt in block.stmts:
+            state = step(stmt, state, found)
         last[bid] = found
         for succ in block.succs:
             merged = join(heads[succ], state)

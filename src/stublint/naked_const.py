@@ -8,8 +8,8 @@ alone, since the check cannot show absence of naked pointers anyway.
 
 The propagation is an environment lattice plus `eval_const`, the constant
 component of the one product solve per function (`analysis`), which judges
-a node's stores into values against the constants at the node's entry and
-then applies them.
+a statement's stores into values against the constants at the statement's
+entry and then applies them.
 """
 
 from __future__ import annotations

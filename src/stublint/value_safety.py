@@ -8,9 +8,9 @@ Per variable and program point one of three facts:
                 possibly_stale bit that flips once a GC opportunity passes
 
 The facts are an environment lattice plus `fact_of`, the value component
-of the one product solve per function (`analysis`).  Its node step judges
-each dereference and runtime call against the facts and the lock state at
-the node's entry, as it meets them.
+of the one product solve per function (`analysis`).  Its statement step
+judges each dereference and runtime call against the facts and the lock
+state at the statement's entry, as it meets them.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def fact_of(expr, env, derive_stale: bool = False):
     """Classify an expression.
 
     derive_stale marks fresh derivations (Data_*_val, String_val,
-    Bytes_val, value-to-pointer casts) as already stale; the node step sets
-    it when the lock is not definitely held, because the GC may move the
+    Bytes_val, value-to-pointer casts) as already stale; the statement step
+    sets it when the lock is not definitely held, because the GC may move the
     block between computing the address and any later use.  A judged operand always classifies with
     derive_stale=False: within a single expression there is no such window,
     so an unlocked inline dereference stays a lock finding, not a stale one.

@@ -1,10 +1,13 @@
-"""Shared fixtures: corpus paths and an in-memory analysis pipeline."""
+"""Shared fixtures: corpus paths, an in-memory analysis pipeline, and a
+statement-level view of a CFG."""
 
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+from stublint.c_frontend.cfg import ENTRY, EXIT
 from stublint.c_frontend.parser import parse_tokens
 from stublint.c_frontend.preprocess import preprocess_local
 from stublint.cli import analyze_unit, main
@@ -78,3 +81,72 @@ def errors_of(diags):
 
 def rules_of(diags):
     return sorted({d.rule_id for d in diags})
+
+
+@dataclass(eq=False)
+class StmtNode:
+    id: int
+    kind: str  # "entry", "exit" or "stmt"
+    stmt: object = None
+    succs: list[int] = field(default_factory=list)
+
+    @property
+    def ops(self) -> tuple:
+        return () if self.stmt is None else self.stmt.ops
+
+
+@dataclass(eq=False)
+class ViewBlock:
+    id: int
+    nodes: list[StmtNode]
+    succs: list[int]
+
+
+class StatementGraph:
+    """A statement-level view of a Cfg: one node per placed statement, plus
+    the synthetic entry, which heads block 0, and exit, which is block 1.
+    Entry and exit are nodes 0 and 1, and the statements follow in source
+    order.  A statement's successor is the next statement of its block, or
+    else the first node of each successor block."""
+
+    def __init__(self, cfg):
+        self.fn = cfg.fn
+        self.entry = StmtNode(ENTRY, "entry")
+        self.exit = StmtNode(EXIT, "exit")
+        self.blocks = []
+        for block in cfg.blocks:
+            nodes = [StmtNode(-1, "stmt", stmt) for stmt in block.stmts]
+            if block.id == ENTRY:
+                nodes.insert(0, self.entry)
+            if block.id == EXIT:
+                assert not nodes
+                nodes = [self.exit]
+            assert nodes, "a block other than the entry's holds no statement"
+            self.blocks.append(ViewBlock(block.id, nodes, block.succs))
+        stmts = sorted(
+            (n for b in self.blocks for n in b.nodes if n.kind == "stmt"),
+            key=lambda n: (n.stmt.line, n.stmt.col),
+        )
+        for number, node in enumerate(stmts, start=2):
+            node.id = number
+        self.nodes = [self.entry, self.exit, *stmts]
+        for block in self.blocks:
+            for node, nxt in zip(block.nodes, block.nodes[1:]):
+                node.succs.append(nxt.id)
+            block.nodes[-1].succs += [self.blocks[s].nodes[0].id for s in block.succs]
+
+    def statement_nodes(self) -> list[StmtNode]:
+        return self.nodes[2:]
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(n.id, s) for n in self.nodes for s in n.succs]
+
+    def unreachable(self) -> list[int]:
+        seen = {ENTRY}
+        work = [ENTRY]
+        while work:
+            for succ in self.nodes[work.pop()].succs:
+                if succ not in seen:
+                    seen.add(succ)
+                    work.append(succ)
+        return [n.id for n in self.statement_nodes() if n.id not in seen]

@@ -1,6 +1,8 @@
 """The one product solve per function: lock state, value facts and
 constants under one forward_solve call."""
 
+from conftest import StatementGraph
+
 import stublint.analysis
 from stublint.analysis import BOTTOM, solve_function
 from stublint.c_frontend.cfg import build_cfg
@@ -43,6 +45,7 @@ def test_unreached_blocks_keep_bottom_in_every_component(parse_c):
     )
     cfg = build_cfg(parse_c(src).functions[0])
     heads = solve_function(cfg, load_summaries()).heads
+    cfg = StatementGraph(cfg)
     dead = {n.id for n in cfg.statement_nodes() if n.stmt.line > 4}
     blocks = {b.id for b in cfg.blocks for n in b.nodes if n.id in dead}
     assert blocks

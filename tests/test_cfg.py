@@ -1,5 +1,6 @@
 """Control-flow graph construction over the parsed stub subset."""
 
+from conftest import StatementGraph
 from hypothesis import given, strategies as st
 
 from stublint.c_frontend.cfg import ENTRY, EXIT, build_cfg
@@ -12,7 +13,7 @@ def cfg_of(parse_c, src, name=None):
     unit = parse_c(src)
     fns = unit.functions if name is None else [f for f in unit.functions if f.name == name]
     assert fns, "no function parsed"
-    return build_cfg(fns[0], is_noreturn=NORETURN)
+    return StatementGraph(build_cfg(fns[0], is_noreturn=NORETURN))
 
 
 NOTIFY = """\
@@ -81,7 +82,7 @@ def test_straight_line_has_k_nodes_and_k_plus_one_edges(k):
 
     body = "".join(f"    x = {i};\n" for i in range(k))
     unit = parse_unit("value f(value a)\n{\n" + body + "}\n", "gen.c")
-    cfg = build_cfg(unit.functions[0])
+    cfg = StatementGraph(build_cfg(unit.functions[0]))
     assert len(cfg.statement_nodes()) == k
     assert len(cfg.edges()) == k + 1
 
@@ -217,7 +218,8 @@ def test_raise_if_exception_may_return(parse_c):
 
 def test_noreturn_hook_is_optional(parse_c):
     unit = parse_c("value f(value a) { caml_failwith(\"x\"); return a; }")
-    cfg = build_cfg(unit.functions[0])  # without the hook: falls through
+    # without the hook: falls through
+    cfg = StatementGraph(build_cfg(unit.functions[0]))
     fw = next(n for n in cfg.statement_nodes() if "caml_failwith" in repr(n.stmt))
     assert fw.succs != [EXIT]
 
@@ -247,7 +249,8 @@ def test_blocks_are_maximal_straight_runs(stmts):
     from stublint.c_frontend.parser import parse_unit
 
     src = "value f(value a)\n{\n    int i;\n" + "\n".join(stmts) + "\nreturn a;\n}\n"
-    cfg = build_cfg(parse_unit(src, "gen.c").functions[0], is_noreturn=NORETURN)
+    fn = parse_unit(src, "gen.c").functions[0]
+    cfg = StatementGraph(build_cfg(fn, is_noreturn=NORETURN))
     # every node in exactly one block; block 0 starts at the entry, and the
     # exit is alone in its block
     assert sorted(n.id for b in cfg.blocks for n in b.nodes) == list(
@@ -271,6 +274,74 @@ def test_blocks_are_maximal_straight_runs(stmts):
         if head.id not in dead and head is not cfg.exit:
             pred = preds[head.id]
             assert not (len(pred) == 1 and pred[0].succs == [head.id])
+
+
+# -- blocks: where the builder starts and continues them ----------------------
+
+
+def lowered(parse_c, body):
+    """The function `body` is the body of, its Cfg, and each statement's
+    block, keyed by the statement's id."""
+    fn = parse_c("value f(value a)\n{\n    int i;\n" + body + "\n}\n").functions[0]
+    cfg = build_cfg(fn, is_noreturn=NORETURN)
+    return fn, cfg, {id(s): b.id for b in cfg.blocks for s in b.stmts}
+
+
+def test_for_step_joins_the_bodys_last_block(parse_c):
+    fn, cfg, block_of = lowered(parse_c, "for (i = 0; i < 4; i++) { h(); k(); }")
+    loop = fn.body[-1]
+    assert block_of[id(loop.step)] == block_of[id(loop.body[-1])]
+    # the body's block loops back to the condition, which heads its own
+    step_block = cfg.blocks[block_of[id(loop.step)]]
+    assert step_block.stmts == loop.body + [loop.step]
+    assert step_block.succs == [block_of[id(loop)]]
+    assert cfg.blocks[block_of[id(loop)]].stmts == [loop]
+
+
+def test_do_while_condition_joins_the_bodys_last_block(parse_c):
+    fn, cfg, block_of = lowered(parse_c, "g(); do { h(); k(); } while (q());")
+    loop = fn.body[-1]
+    body_block = cfg.blocks[block_of[id(loop)]]
+    assert body_block.stmts == loop.body + [loop]
+    assert body_block.succs[0] == body_block.id  # the back edge
+    # a `continue` enters the condition too, so it heads a block
+    fn, cfg, block_of = lowered(
+        parse_c, "do { h(); if (p()) continue; k(); } while (q());"
+    )
+    loop = fn.body[-1]
+    assert cfg.blocks[block_of[id(loop)]].stmts == [loop]
+
+
+def test_do_while_loops_back_to_its_bodys_first_statement(parse_c):
+    # the outer body starts with an inner do-while, whose own body is the
+    # first thing the outer back edge runs again
+    fn, cfg, block_of = lowered(
+        parse_c, "do { do { h(); } while (b()); k(); } while (q());"
+    )
+    outer = fn.body[-1]
+    inner = outer.body[0]
+    first = block_of[id(inner.body[0])]
+    assert cfg.blocks[block_of[id(outer)]].succs[0] == first
+    assert cfg.blocks[block_of[id(inner)]].succs[0] == first
+
+
+def test_an_empty_if_adds_no_block(parse_c):
+    for empty in ("if (c()) {}", "if (c()) ;", "if (c()) {} else { int j; }"):
+        fn, cfg, block_of = lowered(parse_c, f"g(); {empty} h(); return a;")
+        assert [b.stmts for b in cfg.blocks] == [fn.body[1:], []], empty
+
+
+def test_node_count_is_the_statements_plus_entry_and_exit(parse_c):
+    # perfbench counts len(cfg.nodes) as c_frontend.cfg_nodes
+    for body, statements in (
+        ("int j; int k = 1; return a;", 2),
+        ("for (i = 0; i < 4; i++) h(); return a;", 5),
+        ("do { h(); } while (q()); while (p()) { if (r()) break; } return a;", 6),
+        ("return a; h(); for (;;) { k(); }", 4),
+    ):
+        _, cfg, block_of = lowered(parse_c, body)
+        assert len(block_of) == statements, body
+        assert len(cfg.nodes) == statements + 2, body
 
 
 # -- ops: what each node hands the analyses ------------------------------------

@@ -1,22 +1,21 @@
 """The forward worklist solver over basic blocks, independent of any
 particular lattice."""
 
+from conftest import StatementGraph
 from hypothesis import given, strategies as st
 
-from stublint.c_frontend.cfg import build_cfg
+from stublint.c_frontend.cfg import ENTRY, build_cfg
 from stublint.c_frontend.parser import parse_unit
 from stublint.dataflow import forward_solve
 
 
 def toy_counter(cfg):
     """Count statements along the path, capped at 9 (a finite chain).  Each
-    statement node reports (node id, count at its entry)."""
+    statement reports (statement, count at its entry)."""
 
-    def step(node, k, found):
-        if node.kind == "stmt":
-            found.append((node.id, k))
-            k = min(k + 1, 9)
-        return k
+    def step(stmt, k, found):
+        found.append((stmt, k))
+        return min(k + 1, 9)
 
     def join(a, b):
         if a is None:
@@ -33,19 +32,22 @@ def cfg_from(src):
 
 
 def head_of(cfg, heads, node):
-    """The state at the head of the block that holds `node`."""
+    """The state at the head of the block that holds `node` of the
+    statement-level view `cfg`."""
     return next(heads[b.id] for b in cfg.blocks if node in b.nodes)
 
 
 def test_straight_line_counts_statements():
     cfg = cfg_from("value f(value a) { g(); h(); k(); return a; }")
     heads, _, _ = toy_counter(cfg)
+    cfg = StatementGraph(cfg)
     assert head_of(cfg, heads, cfg.exit) == 4
 
 
 def test_unreachable_nodes_keep_bottom():
     cfg = cfg_from("value f(value a) { return a; g(); }")
     heads, _, _ = toy_counter(cfg)
+    cfg = StatementGraph(cfg)
     dead = next(n for n in cfg.statement_nodes() if "'g'" in repr(n.stmt))
     assert head_of(cfg, heads, dead) is None
 
@@ -55,6 +57,7 @@ def test_branches_join_with_the_maximum():
         "value f(value a) { if (p()) { g(); h(); } else { k(); } return a; }"
     )
     heads, _, _ = toy_counter(cfg)
+    cfg = StatementGraph(cfg)
     # longest path into exit: if + two then-statements + return
     assert head_of(cfg, heads, cfg.exit) == 4
 
@@ -62,6 +65,7 @@ def test_branches_join_with_the_maximum():
 def test_loops_reach_a_fixpoint():
     cfg = cfg_from("value f(value a) { while (p()) { g(); } return a; }")
     heads, pops, _ = toy_counter(cfg)
+    cfg = StatementGraph(cfg)
     assert head_of(cfg, heads, cfg.exit) == 9  # saturates at the chain cap
     # pops counts block visits; every reached block is visited
     assert pops >= sum(head is not None for head in heads)
@@ -70,12 +74,25 @@ def test_loops_reach_a_fixpoint():
 def test_findings_come_from_each_blocks_last_visit():
     cfg = cfg_from("value f(value a) { while (p()) { g(); } return a; }")
     heads, pops, found = toy_counter(cfg)
+    cfg = StatementGraph(cfg)
     assert pops > len(cfg.blocks)  # the loop blocks were visited again
     # every reached statement reports once, from the fixpoint head state
     reached = [n for b in cfg.blocks if heads[b.id] is not None for n in b.nodes]
-    assert [nid for nid, _ in found] == [n.id for n in reached if n.kind == "stmt"]
+    assert [s for s, _ in found] == [n.stmt for n in reached if n.kind == "stmt"]
     call = next(n for n in cfg.statement_nodes() if "'g'" in repr(n.stmt))
-    assert dict(found)[call.id] == 9
+    assert dict(found)[call.stmt] == 9
+
+
+def test_statements_after_a_return_keep_bottom_heads():
+    cfg = cfg_from(
+        "value f(value a) { g(); return a; h(); while (p()) { k(); } m(); }"
+    )
+    heads, _, found = toy_counter(cfg)
+    ret = cfg.fn.body[1]
+    dead = {b.id for b in cfg.blocks for s in b.stmts if s.col > ret.col}
+    assert len(dead) == 4 and ENTRY not in dead
+    assert all(heads[b] is None for b in dead)
+    assert [type(s).__name__ for s, _ in found] == ["ExprStmt", "Return"]
 
 
 BRANCHY = st.lists(

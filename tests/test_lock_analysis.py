@@ -4,6 +4,7 @@ import itertools
 import textwrap
 
 import pytest
+from conftest import StatementGraph
 
 from stublint.analysis import solve_function
 from stublint.c_frontend.cfg import build_cfg
@@ -171,8 +172,9 @@ def test_summaries_never_apply_to_runtime_macros(parse_c, lint_c):
     table = load_summaries(summaries)
     assert table.lookup("Store_field") == table.lookup("Field") == frozenset()
     fn = parse_c(src).functions[0]
-    plain = build_cfg(fn, is_noreturn=load_summaries().noreturn)
-    assert build_cfg(fn, is_noreturn=table.noreturn).edges() == plain.edges()
+    plain = StatementGraph(build_cfg(fn, is_noreturn=load_summaries().noreturn))
+    summarized = StatementGraph(build_cfg(fn, is_noreturn=table.noreturn))
+    assert summarized.edges() == plain.edges()
     found = [d.render() for d in lint_c(src, summaries)]
     assert found == [d.render() for d in lint_c(src)]
     assert [f.split(": ")[2] for f in found] == ["VALUE_DEREF_UNLOCKED"]
@@ -305,12 +307,13 @@ def solved(parse_c, src, summaries=None):
     unit = parse_c(src)
     table = load_summaries(summaries)
     cfg = build_cfg(unit.functions[0], is_noreturn=table.noreturn)
-    return cfg, table, solve_function(cfg, table)
+    return StatementGraph(cfg), table, solve_function(cfg, table)
 
 
 def lock_at(cfg, heads, node, table):
-    """The lock state at `node`'s entry: its block's head, moved by
-    step_call over the calls of the nodes before it in the block."""
+    """The lock state at the entry of `node` of the statement-level view
+    `cfg`: its block's head, moved by step_call over the calls of the
+    nodes before it in the block."""
     block = next(b for b in cfg.blocks if any(n is node for n in b.nodes))
     state = heads[block.id][0]
     for prior in block.nodes[: [n.id for n in block.nodes].index(node.id)]:
