@@ -79,8 +79,10 @@ def preprocess_local(source_text: str, file_name: str = "<memory>") -> Preproces
     if not marks:
         return result
 
-    def note(line, message):
-        result.notes.append(Diagnostic("NOTE", NOTE, file_name, line, 1, message))
+    def note(where, message):
+        result.notes.append(
+            Diagnostic("NOTE", NOTE, file_name, where.line, where.col, message)
+        )
 
     macros: dict[str, MacroDef] = {}
     # conditional stack entries: [active, any_branch_taken, saw_else]; a
@@ -135,7 +137,7 @@ def _directive(tok, active, stack, macros, note):
         return  # #include, #pragma, #error in a dead branch, ... just vanish
     rest = scan(tok.text[first.end() :])[0]
     if name == "define":
-        _define(rest, tok.line, macros, note)
+        _define(rest, tok, macros, note)
     elif name == "undef":
         macros.pop(_spell(rest), None)
     elif name in ("if", "ifdef", "ifndef", "elif"):
@@ -153,7 +155,7 @@ def _directive(tok, active, stack, macros, note):
             return
         value, why = _guard(name, rest, macros)
         if why is not None:
-            note(tok.line, f"conditional '#{name} {_spell(rest)}' {why}")
+            note(tok, f"conditional '#{name} {_spell(rest)}' {why}")
         state[0] = state[1] = bool(value)
     elif not stack:
         raise PreprocessError(f"#{name} without #if", tok.line)
@@ -166,9 +168,11 @@ def _directive(tok, active, stack, macros, note):
         stack.pop()
 
 
-def _define(rest, lineno, macros, note):
+def _define(rest, where, macros, note):
+    """Define the macro that `rest`, the tokens after `#define`, spell;
+    its note or error is at `where`, the directive."""
     if not rest or rest[0].kind != "ident":
-        raise PreprocessError("malformed #define", lineno)
+        raise PreprocessError("malformed #define", where.line)
     name_tok, body = rest[0], rest[1:]
     name = name_tok.text
     macro = MacroDef(body)
@@ -176,7 +180,7 @@ def _define(rest, lineno, macros, note):
         # function-like: '(' immediately after the name
         close = next((i for i, tok in enumerate(body) if tok.text == ")"), 0)
         if not close:
-            raise PreprocessError(f"malformed #define {name}", lineno)
+            raise PreprocessError(f"malformed #define {name}", where.line)
         params = [p.strip() for p in _spell(body[1:close]).split(",")]
         params = [p for p in params if p]
         macro = MacroDef(body[close + 1 :], params[0] if params else None, True)
@@ -184,13 +188,13 @@ def _define(rest, lineno, macros, note):
             macro.expandable = False
             macros[name] = macro
             note(
-                lineno,
+                where,
                 f"macro '{name}' takes {len(params)} parameters; only one-parameter"
                 " macros are expanded, uses are analyzed as ordinary calls",
             )
             return
     if any(tok.kind == "ident" and tok.text == name for tok in macro.body):
-        raise PreprocessError(f"recursive macro '{name}'", lineno)
+        raise PreprocessError(f"recursive macro '{name}'", where.line)
     macro.bad = next((tok for tok in macro.body if tok.kind == "bad"), None)
     macros[name] = macro
 

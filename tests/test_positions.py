@@ -31,7 +31,7 @@ ANCHORS = {
         "CAMLreturn",
     ],
     "UNSUPPORTED_CONSTRUCT": ["goto"],
-    # a note on a conditional is at column 1 of its directive line
+    # an escaping address, or the `#` of a directive
     "NOTE": ["&", "#"],
 }
 
@@ -47,8 +47,6 @@ def anchors(diag) -> list[str]:
 
 def points_at_anchor(diag, source: str) -> bool:
     at = source.split("\n")[diag.line - 1][diag.column - 1 :]
-    if diag.rule_id == "NOTE" and diag.column == 1:
-        at = at.lstrip()
     words = anchors(diag)
     if any(at.startswith(word) for word in words):
         return True

@@ -103,6 +103,24 @@ def test_unknown_guard_takes_undefined_branch_with_note():
     assert any(d.rule_id == "NOTE" for d in result.notes)
 
 
+def test_directive_notes_are_at_the_directives_hash():
+    src = (
+        "value f(value a)\n{\n"
+        "    #if HAVE_THREADS\n"
+        "    a = 1;\n"
+        "  # elif X\n"
+        "    #endif\n"
+        "\t#define MAX(a, b) a\n"
+        "    return a;\n}\n"
+    )
+    result = preprocess_local(src, "g.c")
+    assert [(d.line, d.column, d.message.split()[1]) for d in result.notes] == [
+        (3, 5, "'#if"),
+        (5, 3, "'#elif"),
+        (7, 2, "'MAX'"),
+    ]
+
+
 def _parenthesized(n):
     return "(" * n + "1" + ")" * n
 
