@@ -12,11 +12,11 @@ fixpoint, and a block's last visit sees all three at theirs.
 One statement step first judges each of the statement's ops against the
 state at the statement's entry, with the lock state at hand: an enter or
 leave the lock state does not match, as the calls before it in the
-statement left it; a runtime call
-or a dereference of an OCaml value while the lock is not held, or of a
-pointer the GC may have moved; the address of a value escaping; an even
-constant stored into a value; a CAMLprim returning to OCaml while the lock
-is not held.  Then it applies the statement.
+statement left it; a runtime call or a dereference of an OCaml value while
+the lock is not held, or of a pointer the GC may have moved; the address of
+a value escaping; an even constant stored into a value; a CAMLprim
+returning to OCaml while the lock is not held.  Then it applies the
+statement.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 )
                 report(found, op[4], "NAKED_POINTER", ERROR, message)
 
-        # a GC point makes heap facts stale before any store in the statement
-        # lands
+        # a GC point makes heap facts stale before the statement's stores land
         if gc_point:
             for name, fact in env.items():
                 if is_heap(fact):
