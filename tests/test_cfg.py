@@ -325,6 +325,17 @@ def test_do_while_loops_back_to_its_bodys_first_statement(parse_c):
     assert cfg.blocks[block_of[id(inner)]].succs[0] == first
 
 
+def test_a_loop_head_heads_a_block_only_when_a_back_edge_enters_it(parse_c):
+    fn, cfg, block_of = lowered(parse_c, "g(); while (p()) { h(); } return a;")
+    call, loop = fn.body[1:3]
+    assert block_of[id(call)] != block_of[id(loop)]
+    assert cfg.blocks[block_of[id(loop)]].stmts == [loop]
+    # a body that never falls through and has no `continue` gives none
+    fn, cfg, block_of = lowered(parse_c, "g(); while (p()) { return a; } h();")
+    call, loop = fn.body[1:3]
+    assert block_of[id(call)] == block_of[id(loop)]
+
+
 def test_an_empty_if_adds_no_block(parse_c):
     for empty in ("if (c()) {}", "if (c()) ;", "if (c()) {} else { int j; }"):
         fn, cfg, block_of = lowered(parse_c, f"g(); {empty} h(); return a;")
