@@ -31,9 +31,9 @@ def forward_solve(cfg, init, step, join, bottom, fresh):
 
     init is the state at the head of block 0, where the function is
     entered.  step(stmt, state, found) maps the state at a statement's
-    entry to the state after it and appends what it finds to `found`; it must be monotone and
-    may update `state` in place, since each block visit starts from
-    fresh(head state).  Returns the Fixpoint (heads, pops, found):
+    entry to the state after it and appends what it finds to `found`; it
+    must be monotone and may update `state` in place, since each block
+    visit starts from fresh(head state).  Returns the Fixpoint (heads, pops, found):
     heads[block.id] is the state at the block's head (bottom for unreached
     blocks), pops counts block visits, which callers can bound-check
     against |blocks| * (lattice height + 1), and found lists, block by

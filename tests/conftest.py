@@ -110,7 +110,6 @@ class StatementGraph:
     else the first node of each successor block."""
 
     def __init__(self, cfg):
-        self.fn = cfg.fn
         self.entry = StmtNode(ENTRY, "entry")
         self.exit = StmtNode(EXIT, "exit")
         self.blocks = []
