@@ -101,7 +101,7 @@ class _Builder:
         if it joined a block, the block is split before it here.  The tail
         takes the block's end along, so `pending` frontiers that name `bid`
         name the tail instead."""
-        if index == 0 and bid != ENTRY:
+        if index == 0 and bid != ENTRY:  # block 0 starts at the entry
             return bid
         block = self.blocks[bid]
         tail = len(self.blocks)
