@@ -2,11 +2,11 @@
 
 Pipeline: preprocess_local, which lexes the text as read from disk once and
 runs the directives and a one-level macro expansion over its tokens, each
-at its line and column on disk -> parse_tokens -> build_cfg, which lowers
-each function straight into basic blocks of statements.  `parse_unit` is
-the first two in one call.  Anything outside the subset degrades to an
-opaque statement or an UNSUPPORTED_CONSTRUCT diagnostic instead of a silent
-misparse.
+a plain (kind, text, line, col) tuple at its line and column on disk ->
+parse_tokens -> build_cfg, which lowers each function straight into basic
+blocks of statements.  `parse_unit` is the first two in one call.  Anything
+outside the subset degrades to an opaque statement or an
+UNSUPPORTED_CONSTRUCT diagnostic instead of a silent misparse.
 """
 
 from .preprocess import PreprocessError, PreprocessResult, preprocess_local

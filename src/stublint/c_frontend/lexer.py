@@ -6,6 +6,10 @@ line and column on disk where it starts.  Literals keep their encoding
 prefix (`L'a'`, `u8"s"`), and a number is a preprocessing number (C99
 6.4.8), so `1UL`, `0x1F` and `1.5e+E` are one token each.
 
+A token is the plain tuple (kind, text, line, col), one allocation each.
+The preprocessor and the parser read its fields by unpacking or through
+the index names KIND, TEXT, LINE and COL, as `ml_frontend` reads its own.
+
 One master pattern is run with `finditer` over the whole text.  Every
 match is the blanks before a token followed by one of: a token, a newline
 (which starts the next line: its number and the offset columns count
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import NamedTuple
 
 
 class CLexError(Exception):
@@ -33,11 +36,10 @@ class CLexError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "num" | "str" | "char" | "punct" | "dir" | "bad"
-    text: str
-    line: int
-    col: int
+# A token: (kind, text, line, col), where kind is "ident", "num", "str",
+# "char", "punct", "dir" or "bad"; and the position of each field
+Token = tuple[str, str, int, int]
+KIND, TEXT, LINE, COL = range(4)
 
 
 # A string or char literal, with its prefix; a prefix that no complete
@@ -69,10 +71,6 @@ TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-# builds a Token more cheaply than Token(...), whose __new__ NamedTuple
-# writes in Python
-_new_tuple = tuple.__new__
 
 # the token kinds by the number of their group, which a match gives as
 # `lastindex` more cheaply than the name, as `lastgroup`.  The commonest
@@ -106,20 +104,20 @@ def scan(text: str) -> tuple[list[Token], list[int]]:
         if k:
             if cuts[k][0] == line:
                 col -= cuts[k][1] - 1
-            tokens[i] = _new_tuple(Token, (kind, word, line + k, col))
+            tokens[i] = (kind, word, line + k, col)
     return tokens, marks
 
 
 def _scan(text: str) -> tuple[list[Token], list[int]]:
     tokens: list[Token] = []
     marks: list[int] = []
-    append, new, kinds, nl, end = tokens.append, _new_tuple, _KINDS, _NL, _END
+    append, kinds, nl, end = tokens.append, _KINDS, _NL, _END
     line = 1
     before = -1  # the offset just before the line's first column
     for m in TOKEN_RE.finditer(text):
         group = m.lastindex
         if group < nl:
-            append(new(Token, (kinds[group], m[group], line, m.start(group) - before)))
+            append((kinds[group], m[group], line, m.start(group) - before))
         elif group == nl:
             line += 1
             before = m.start(group)
@@ -128,18 +126,19 @@ def _scan(text: str) -> tuple[list[Token], list[int]]:
             if group != _COMMENT:
                 # a `#` that follows a token on its line is bad, and takes
                 # the rest of the line with it, which is dead or an error
-                first = group == _HASH and (not tokens or tokens[-1][2] != line)
+                first = group == _HASH and (not tokens or tokens[-1][LINE] != line)
                 word = m[group] if first else m[group][0]
                 marks.append(len(tokens))
                 kind = "dir" if first else "bad"
-                append(new(Token, (kind, word, line, start - before)))
+                append((kind, word, line, start - before))
             line += text.count("\n", start, stop)
             before = max(before, text.rfind("\n", start, stop))
     return tokens, marks
 
 
 def bad_token(tok: Token) -> CLexError:
-    return CLexError(f"unexpected character {tok.text!r}", tok.line, tok.col)
+    _, text, line, col = tok
+    return CLexError(f"unexpected character {text!r}", line, col)
 
 
 def lex(text: str) -> list[Token]:
@@ -147,6 +146,6 @@ def lex(text: str) -> list[Token]:
     a directive line."""
     tokens, marks = scan(text)
     for i in marks:
-        if tokens[i].kind == "bad":
+        if tokens[i][KIND] == "bad":
             raise bad_token(tokens[i])
     return tokens

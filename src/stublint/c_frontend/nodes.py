@@ -275,7 +275,7 @@ class StubUnit(_Node):
 # statements, each initializer and the `for` step have a list of their own;
 # `case` labels, global initializers and `#if` guards give no op.  An
 # initialized VarDecl's list ends with the store into the declared name,
-# placed at the name's token.
+# whose site is a Name at the declared name.
 
 CALL = "call"  # (CALL, name, call): a call whose callee is a plain name
 ASSIGN = "assign"  # (ASSIGN, name, op, value, where): `name op value`

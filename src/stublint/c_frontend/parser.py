@@ -20,6 +20,10 @@ and assignment operators by precedence climbing.  A cast's operand is
 `parse_expr(_UNARY)`.  So a name or a number costs no call of its own, and
 a call `f(x)` one for each argument.  The locals of a function are
 collected as its declarations are parsed.
+
+A token is the lexer's plain tuple, read by unpacking or through the index
+names KIND, TEXT, LINE and COL.  A node takes the line and column of the
+token that introduces it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from ..diagnostics import WARNING, Diagnostic
 from . import nodes
 from .intrinsics import CAMLLOCAL
 from .nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
-from .lexer import Token, lex
+from .lexer import COL, KIND, LINE, TEXT, Token, lex
 
 BASE_TYPE_WORDS = frozenset(
     {
@@ -99,7 +103,11 @@ class CParseError(Exception):
         self.col = col
 
 
-_EOF = Token("punct", "<eof>", 0, 0)
+def _error(message: str, tok: Token) -> CParseError:
+    return CParseError(message, tok[LINE], tok[COL])
+
+
+_EOF = ("punct", "<eof>", 0, 0)
 
 
 class _Parser:
@@ -134,19 +142,19 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos][TEXT] == text
 
     def accept(self, text: str) -> Token | None:
         tok = self.tokens[self.pos]
-        if tok.text != text:
+        if tok[TEXT] != text:
             return None
         self.pos += 1
         return tok
 
     def expect(self, text: str) -> Token:
         tok = self.tokens[self.pos]
-        if tok.text != text:
-            raise CParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok[TEXT] != text:
+            raise _error(f"expected {text!r}, found {tok[TEXT]!r}", tok)
         self.pos += 1
         return tok
 
@@ -155,9 +163,7 @@ class _Parser:
         for the caller to restore."""
         depth = self.depth
         if depth >= MAX_NESTING:
-            raise CParseError(
-                f"nested more than {MAX_NESTING} levels deep", tok.line, tok.col
-            )
+            raise _error(f"nested more than {MAX_NESTING} levels deep", tok)
         self.depth = depth + 1
         return depth
 
@@ -165,10 +171,9 @@ class _Parser:
         return self.tokens[self.pos] is _EOF
 
     def warn(self, message: str, tok: Token):
+        _, _, line, col = tok
         self.diagnostics.append(
-            Diagnostic(
-                "UNSUPPORTED_CONSTRUCT", WARNING, self.file, tok.line, tok.col, message
-            )
+            Diagnostic("UNSUPPORTED_CONSTRUCT", WARNING, self.file, line, col, message)
         )
 
     # -- type specifiers ----------------------------------------------------
@@ -181,35 +186,35 @@ class _Parser:
         base_words: list[str] = []
         while True:
             tok = self.peek()
-            if tok.kind != "ident":
+            if tok[KIND] != "ident":
                 break
-            if tok.text in QUALIFIER_WORDS:
-                quals.add(tok.text)
+            if tok[TEXT] in QUALIFIER_WORDS:
+                quals.add(tok[TEXT])
                 self.take()
                 continue
-            if tok.text in ("struct", "union", "enum"):
+            if tok[TEXT] in ("struct", "union", "enum"):
                 self.take()
                 tag = ""
-                if self.peek().kind == "ident":
-                    tag = self.take().text
+                if self.peek()[KIND] == "ident":
+                    tag = self.take()[TEXT]
                 if self.at("{"):
                     self.skip_balanced("{", "}")
-                base_words.append((tok.text + " " + tag).strip())
+                base_words.append((tok[TEXT] + " " + tag).strip())
                 break
-            if tok.text in BASE_TYPE_WORDS:
-                base_words.append(tok.text)
+            if tok[TEXT] in BASE_TYPE_WORDS:
+                base_words.append(tok[TEXT])
                 self.take()
                 # multi-word arithmetic types: unsigned long, long long, ...
-                while self.peek().kind == "ident" and self.peek().text in (
+                while self.peek()[KIND] == "ident" and self.peek()[TEXT] in (
                     "char", "short", "int", "long", "double",
                 ):
-                    base_words.append(self.take().text)
+                    base_words.append(self.take()[TEXT])
                 break
             # a lone identifier can be a typedef name, but only when the
             # token after it still looks like a declarator
             nxt = self.peek(1)
-            if nxt.text == "*" or nxt.kind == "ident":
-                base_words.append(tok.text)
+            if nxt[TEXT] == "*" or nxt[KIND] == "ident":
+                base_words.append(tok[TEXT])
                 self.take()
                 break
             break
@@ -224,7 +229,7 @@ class _Parser:
         spec = self.try_specifiers()
         if spec is None:
             tok = self.peek()
-            raise CParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+            raise _error(f"expected {what}, found {tok[TEXT]!r}", tok)
         return spec
 
     def declarator(self, base: str, named: bool = True):
@@ -233,12 +238,10 @@ class _Parser:
         be missing only when not `named`, and is then None."""
         ptrs = self.parse_pointers()
         tok = self.peek()
-        if tok.kind == "ident":
+        if tok[KIND] == "ident":
             self.take()
         elif named:
-            raise CParseError(
-                f"expected declarator, found {tok.text!r}", tok.line, tok.col
-            )
+            raise _error(f"expected declarator, found {tok[TEXT]!r}", tok)
         else:
             tok = None
         array = self.at("[")
@@ -252,18 +255,19 @@ class _Parser:
         and so on.  Each name is recorded as a local; returns the VarDecls."""
         decls = []
         while True:
+            _, ident, line, col = name
             init = None
             ops = ()
             if self.accept("="):
                 self.ops = []
                 init = self.parse_initializer()
-                # the store sits at the name's token, not at the declaration
-                # that holds these ops: an op never refers to its statement
-                ops = (*self.ops, (ASSIGN, name.text, "=", init, name))
-            self.locals.append((name.text, ctype))
-            decls.append(
-                nodes.VarDecl(name.line, name.col, name.text, ctype, init, ops)
-            )
+                # the store's site is a Name at the declared name, as for the
+                # target of an Assign, not the declaration that holds these
+                # ops: an op never refers to its statement
+                target = nodes.Name(line, col, ident)
+                ops = (*self.ops, (ASSIGN, ident, "=", init, target))
+            self.locals.append((ident, ctype))
+            decls.append(nodes.VarDecl(line, col, ident, ctype, init, ops))
             if not self.accept(","):
                 return decls
             name, ctype = self.declarator(base)
@@ -273,7 +277,7 @@ class _Parser:
         while self.at("*"):
             self.take()
             ptrs += 1
-            while self.peek().text in ("const", "volatile", "restrict"):
+            while self.peek()[TEXT] in ("const", "volatile", "restrict"):
                 self.take()
         return ptrs
 
@@ -282,12 +286,12 @@ class _Parser:
         depth = 1
         while depth and not self.eof():
             t = self.take()
-            if t.text == open_tok:
+            if t[TEXT] == open_tok:
                 depth += 1
-            elif t.text == close_tok:
+            elif t[TEXT] == close_tok:
                 depth -= 1
         if depth:
-            raise CParseError(f"unbalanced {open_tok!r}", tok.line, tok.col)
+            raise _error(f"unbalanced {open_tok!r}", tok)
 
     # -- top level ------------------------------------------------------
 
@@ -311,20 +315,20 @@ class _Parser:
         depth = 0
         while not self.eof():
             t = self.take()
-            if t.text == "{":
+            if t[TEXT] == "{":
                 depth += 1
-            elif t.text == "}":
+            elif t[TEXT] == "}":
                 if depth <= 1:
                     return
                 depth -= 1
-            elif t.text == ";" and depth == 0:
+            elif t[TEXT] == ";" and depth == 0:
                 return
 
     def top_level_item(self, unit: nodes.StubUnit):
         if self.accept(";"):
             return
         tok = self.peek()
-        if tok.text == "typedef":
+        if tok[TEXT] == "typedef":
             self.take()
             while not self.eof() and not self.at(";"):
                 if self.at("{"):
@@ -335,9 +339,7 @@ class _Parser:
             return
         spec = self.try_specifiers()
         if spec is None:
-            raise CParseError(
-                f"cannot parse top-level token {tok.text!r}", tok.line, tok.col
-            )
+            raise _error(f"cannot parse top-level token {tok[TEXT]!r}", tok)
         quals, base = spec
         if self.accept(";"):  # bare struct/enum definition
             return
@@ -358,10 +360,8 @@ class _Parser:
         if self.accept(";"):  # a prototype: consumed, not recorded
             return
         brace = self.peek()
-        if brace.text != "{":
-            raise CParseError(
-                f"expected function body, found {brace.text!r}", brace.line, brace.col
-            )
+        if brace[TEXT] != "{":
+            raise _error(f"expected function body, found {brace[TEXT]!r}", brace)
         body_start = self.pos
         try:
             body = self.parse_block()
@@ -369,13 +369,13 @@ class _Parser:
             self.pos = body_start
             self.skip_balanced("{", "}")
             self.warn(
-                f"could not parse body of '{name_tok.text}': {exc.args[0]}", name_tok
+                f"could not parse body of '{name_tok[TEXT]}': {exc.args[0]}", name_tok
             )
             return
         fn = nodes.StubFunction(
-            name_tok.line,
-            name_tok.col,
-            name_tok.text,
+            name_tok[LINE],
+            name_tok[COL],
+            name_tok[TEXT],
             params,
             ret,
             is_camlprim,
@@ -389,7 +389,7 @@ class _Parser:
         self.expect("(")
         if self.accept(")"):
             return []
-        if self.at("void") and self.peek(1).text == ")":
+        if self.at("void") and self.peek(1)[TEXT] == ")":
             self.take()
             self.take()
             return []
@@ -398,7 +398,7 @@ class _Parser:
             _, base = self.specifiers("parameter type")
             # a parameter may be unnamed: `value *`, `int []`
             name_tok, ctype = self.declarator(base, named=False)
-            params.append((name_tok.text if name_tok else "", ctype))
+            params.append((name_tok[TEXT] if name_tok else "", ctype))
             if not self.accept(","):
                 break
         self.expect(")")
@@ -410,9 +410,9 @@ class _Parser:
         self.expect("{")
         tokens = self.tokens
         stmts: list = []
-        while (tok := tokens[self.pos]).text != "}":
+        while (tok := tokens[self.pos])[TEXT] != "}":
             if tok is _EOF:
-                raise CParseError("unbalanced '{'", tok.line, tok.col)
+                raise _error("unbalanced '{'", tok)
             stmts.extend(self.parse_stmt())
         self.pos += 1
         return stmts
@@ -428,15 +428,15 @@ class _Parser:
             # a label: an identifier before a colon (a name that is not the
             # last token has one after it)
             while (
-                tok.kind == "ident"
-                and tokens[self.pos + 1].text == ":"
-                and tok.text not in ("default", "case")
+                tok[KIND] == "ident"
+                and tokens[self.pos + 1][TEXT] == ":"
+                and tok[TEXT] not in ("default", "case")
             ):
                 self.pos += 2
                 tok = tokens[self.pos]
-            if tok.text == "{":
+            if tok[TEXT] == "{":
                 return self.parse_block()
-            keyword = self.STATEMENT_KEYWORDS.get(tok.text)
+            keyword = self.STATEMENT_KEYWORDS.get(tok[TEXT])
             if keyword is not None:
                 self.pos += 1
                 stmt = keyword(self, tok)
@@ -458,7 +458,7 @@ class _Parser:
             for arg in expr.args:
                 if isinstance(arg, nodes.Name):
                     self.locals.append((arg.ident, nodes.CType("value")))
-        return nodes.ExprStmt(tok.line, tok.col, expr, ops)
+        return nodes.ExprStmt(tok[LINE], tok[COL], expr, ops)
 
     # Each statement that a keyword starts is parsed by a method of its own
     # that takes the keyword's token, already consumed.
@@ -479,26 +479,26 @@ class _Parser:
             if not self.accept("else"):
                 break
             tok = self.tokens[self.pos]
-            if tok.text != "if" or self.tokens[self.pos + 1].text == ":":
+            if tok[TEXT] != "if" or self.tokens[self.pos + 1][TEXT] == ":":
                 els = self.parse_stmt()  # `if:` would be a label
                 break
             self.pos += 1
         for cond, then, ops, tok in reversed(links):
-            stmt = nodes.If(tok.line, tok.col, cond, then, els, ops)
+            stmt = nodes.If(tok[LINE], tok[COL], cond, then, els, ops)
             els = [stmt]
         return stmt
 
     def parse_while(self, tok):
         cond, ops = self.condition()
         body = self.parse_stmt()
-        return nodes.While(tok.line, tok.col, cond, body, ops)
+        return nodes.While(tok[LINE], tok[COL], cond, body, ops)
 
     def parse_do(self, tok):
         body = self.parse_stmt()
         self.expect("while")
         cond, ops = self.condition()
         self.expect(";")
-        return nodes.DoWhile(tok.line, tok.col, body, cond, ops)
+        return nodes.DoWhile(tok[LINE], tok[COL], body, cond, ops)
 
     def parse_for(self, tok):
         self.expect("(")
@@ -512,34 +512,34 @@ class _Parser:
             step = nodes.ExprStmt(expr.line, expr.col, expr, step_ops)
         self.expect(")")
         body = self.parse_stmt()
-        return nodes.For(tok.line, tok.col, init, cond, step, body, ops)
+        return nodes.For(tok[LINE], tok[COL], init, cond, step, body, ops)
 
     def parse_return(self, tok):
         expr, ops = (None, ()) if self.at(";") else self.statement_expr()
         self.expect(";")
-        return nodes.Return(tok.line, tok.col, expr, ops)
+        return nodes.Return(tok[LINE], tok[COL], expr, ops)
 
     def parse_break(self, tok):
         self.expect(";")
-        return nodes.Break(tok.line, tok.col)
+        return nodes.Break(tok[LINE], tok[COL])
 
     def parse_continue(self, tok):
         self.expect(";")
-        return nodes.Continue(tok.line, tok.col)
+        return nodes.Continue(tok[LINE], tok[COL])
 
     def parse_goto(self, tok):
         label = self.take()
         self.accept(";")
         self.warn("goto is outside the analyzed subset", tok)
-        return nodes.Opaque(tok.line, tok.col, f"goto {label.text}", "goto")
+        return nodes.Opaque(tok[LINE], tok[COL], f"goto {label[TEXT]}", "goto")
 
     def parse_asm(self, tok):
-        while self.peek().text in ("volatile", "__volatile__", "inline", "goto"):
+        while self.peek()[TEXT] in ("volatile", "__volatile__", "inline", "goto"):
             self.take()
         if self.at("("):
             self.skip_balanced("(", ")")
         self.accept(";")
-        return nodes.Opaque(tok.line, tok.col, "asm", "inline asm")
+        return nodes.Opaque(tok[LINE], tok[COL], "asm", "inline asm")
 
     def statement_expr(self):
         """Parse a statement-level expression; returns it with its ops."""
@@ -565,26 +565,23 @@ class _Parser:
             current: nodes.SwitchCase | None = None
             while not self.at("}"):
                 if self.eof():
-                    raise CParseError("unbalanced '{' in switch", tok.line, tok.col)
+                    raise _error("unbalanced '{' in switch", tok)
                 lab_tok = self.peek()
-                if lab_tok.text in ("case", "default"):
+                if lab_tok[TEXT] in ("case", "default"):
                     self.take()
-                    label = self.parse_expr() if lab_tok.text == "case" else None
+                    label = self.parse_expr() if lab_tok[TEXT] == "case" else None
                     self.expect(":")
                     # labels with no statement between them share one case
                     if current is None or current.body:
-                        current = nodes.SwitchCase(lab_tok.line, lab_tok.col)
+                        current = nodes.SwitchCase(lab_tok[LINE], lab_tok[COL])
                         cases.append(current)
                     current.labels.append(label)
                     continue
                 if current is None:
-                    t = self.peek()
-                    raise CParseError(
-                        "statement before first case label", t.line, t.col
-                    )
+                    raise _error("statement before first case label", lab_tok)
                 current.body.extend(self.parse_stmt())
             self.expect("}")
-            return nodes.Switch(tok.line, tok.col, subject, cases, ops)
+            return nodes.Switch(tok[LINE], tok[COL], subject, cases, ops)
         finally:
             self.depth = depth
 
@@ -606,22 +603,22 @@ class _Parser:
         tokens = self.tokens
         pos = self.pos
         tok = tokens[pos]
-        if tok.kind != "ident":
+        if tok[KIND] != "ident":
             return False
-        if tok.text in QUALIFIER_WORDS or tok.text in BASE_TYPE_WORDS:
+        if tok[TEXT] in QUALIFIER_WORDS or tok[TEXT] in BASE_TYPE_WORDS:
             return True
-        if tok.text in ("struct", "union", "enum"):
+        if tok[TEXT] in ("struct", "union", "enum"):
             return True
         nxt = tokens[pos + 1]
-        if nxt.kind == "ident":
+        if nxt[KIND] == "ident":
             return True  # "xc_interface xch"
-        if nxt.text == "*":
+        if nxt[TEXT] == "*":
             # "T *p;" vs "a * b;": scan stars, require ident then a
             # declarator-ish continuation
             j = pos + 1
-            while tokens[j].text == "*":
+            while tokens[j][TEXT] == "*":
                 j += 1
-            if tokens[j].kind == "ident" and tokens[j + 1].text in (
+            if tokens[j][KIND] == "ident" and tokens[j + 1][TEXT] in (
                 ";", "=", ",", "[", ")",
             ):
                 return True
@@ -632,13 +629,13 @@ class _Parser:
         tok = self.peek()
         _, base = self.specifiers("declaration")
         decls = self.declarators(base, *self.declarator(base))
-        return nodes.DeclStmt(tok.line, tok.col, decls)
+        return nodes.DeclStmt(tok[LINE], tok[COL], decls)
 
     def parse_initializer(self):
         if self.at("{"):
             tok = self.peek()
             inits = self.parse_brace_list()
-            return nodes.CompoundLit(tok.line, tok.col, None, inits)
+            return nodes.CompoundLit(tok[LINE], tok[COL], None, inits)
         return self.parse_expr()
 
     def parse_brace_list(self) -> list:
@@ -648,9 +645,9 @@ class _Parser:
             while not self.at("}"):
                 if self.eof():
                     tok = self.peek()
-                    raise CParseError("unbalanced '{'", tok.line, tok.col)
+                    raise _error("unbalanced '{'", tok)
                 # designators: .field = expr  (parsed loosely)
-                if self.at(".") and self.peek(1).kind == "ident":
+                if self.at(".") and self.peek(1)[KIND] == "ident":
                     self.take()
                     self.take()
                     self.expect("=")
@@ -683,73 +680,73 @@ class _Parser:
         try:
             tok = tokens[self.pos]
             self.nest(tok)
-            text = tok.text
+            text = tok[TEXT]
             prefixes = []
             while text in _PREFIX_OPS:
                 self.pos += 1
                 if (
                     text == "sizeof"
-                    and tokens[self.pos].text == "("
+                    and tokens[self.pos][TEXT] == "("
                     and self.is_type_ahead(1)
                 ):
                     # a type operand ends the operand: no postfix follows
                     self.pos += 1
                     ctype = self.parse_type_name()
                     self.expect(")")
-                    left = nodes.SizeofType(tok.line, tok.col, ctype)
+                    left = nodes.SizeofType(tok[LINE], tok[COL], ctype)
                     break
                 prefixes.append(tok)
                 tok = tokens[self.pos]
                 self.nest(tok)
-                text = tok.text
+                text = tok[TEXT]
             else:  # the loop ended at the primary
-                start = tok  # a call below is reported at its callee, here
-                kind = tok.kind
+                # a call below is reported at its callee, here
+                kind, _, line, col = tok
                 if kind == "ident":
                     self.pos += 1
-                    left = nodes.Name(tok.line, tok.col, text)
+                    left = nodes.Name(line, col, text)
                 elif kind == "num":
                     self.pos += 1
-                    left = nodes.Num(tok.line, tok.col, text, _num_value(text))
+                    left = nodes.Num(line, col, text, _num_value(text))
                 else:
                     left = self.parse_primary()
                 while True:
                     tok = tokens[self.pos]
-                    text = tok.text
+                    text = tok[TEXT]
                     if text not in _POSTFIX_OPS:
                         break
                     self.pos += 1
                     self.nest(tok)
                     if text == "(":
                         args = []
-                        if tokens[self.pos].text != ")":
+                        if tokens[self.pos][TEXT] != ")":
                             while True:
                                 args.append(self.parse_expr())
                                 if not self.accept(","):
                                     break
                         self.expect(")")
-                        node = nodes.Call(start.line, start.col, left, args)
+                        node = nodes.Call(line, col, left, args)
                         if isinstance(left, nodes.Name):
                             self.ops.append((CALL, left.ident, node))
                     elif text == "[":
                         index = self.parse_expr()
                         self.expect("]")
-                        node = nodes.Index(tok.line, tok.col, left, index)
+                        node = nodes.Index(tok[LINE], tok[COL], left, index)
                         self.ops.append((DEREF, left, node))
                     elif text == "." or text == "->":
-                        name = self.take()
+                        name = self.take()[TEXT]
                         arrow = text == "->"
-                        node = nodes.Member(tok.line, tok.col, left, name.text, arrow)
+                        node = nodes.Member(tok[LINE], tok[COL], left, name, arrow)
                         if arrow:
                             self.ops.append((DEREF, left, node))
                     else:
                         if isinstance(left, nodes.Name):
                             self.ops.append((BUMP, left.ident))
-                        node = nodes.Unary(tok.line, tok.col, text, left, False)
+                        node = nodes.Unary(tok[LINE], tok[COL], text, left, False)
                     left = node
             for tok in reversed(prefixes):
-                op = tok.text
-                node = nodes.Unary(tok.line, tok.col, op, left, True)
+                op = tok[TEXT]
+                node = nodes.Unary(tok[LINE], tok[COL], op, left, True)
                 if op == "*":
                     self.ops.append((DEREF, left, node))
                 elif isinstance(left, nodes.Name):
@@ -761,43 +758,43 @@ class _Parser:
             self.depth = depth
             while True:
                 tok = tokens[self.pos]
-                prec = _PREC.get(tok.text, 0)
+                prec = _PREC.get(tok[TEXT], 0)
                 if prec < min_prec:
                     return left
                 self.pos += 1
                 self.nest(tok)
                 if prec == _ASSIGN:
                     right = self.parse_expr(_ASSIGN)
-                    node = nodes.Assign(tok.line, tok.col, left, right, tok.text)
+                    node = nodes.Assign(tok[LINE], tok[COL], left, right, tok[TEXT])
                     if isinstance(left, nodes.Name):
-                        self.ops.append((ASSIGN, left.ident, tok.text, right, node))
+                        self.ops.append((ASSIGN, left.ident, tok[TEXT], right, node))
                     left = node
                 elif prec == _CONDITIONAL:
                     then = self.parse_expr()
                     self.expect(":")
                     els = self.parse_expr(_CONDITIONAL)
-                    left = nodes.Ternary(tok.line, tok.col, left, then, els)
+                    left = nodes.Ternary(tok[LINE], tok[COL], left, then, els)
                 else:
                     right = self.parse_expr(prec + 1)
-                    left = nodes.Binary(tok.line, tok.col, tok.text, left, right)
+                    left = nodes.Binary(tok[LINE], tok[COL], tok[TEXT], left, right)
         finally:
             self.depth = depth
 
     def is_type_ahead(self, offset: int) -> bool:
         tok = self.peek(offset)
-        if tok.kind != "ident":
+        if tok[KIND] != "ident":
             return False
-        if tok.text in BASE_TYPE_WORDS or tok.text in (
+        if tok[TEXT] in BASE_TYPE_WORDS or tok[TEXT] in (
             "struct", "union", "enum", "const", "volatile", "unsigned", "signed",
         ):
             return True
         j = offset + 1
         stars = 0
-        while self.peek(j).text == "*":
+        while self.peek(j)[TEXT] == "*":
             stars += 1
             j += 1
-        if self.peek(j).text == ")":
-            return stars > 0 or tok.text.endswith("_t")
+        if self.peek(j)[TEXT] == ")":
+            return stars > 0 or tok[TEXT].endswith("_t")
         return False
 
     def parse_type_name(self) -> nodes.CType:
@@ -809,17 +806,17 @@ class _Parser:
         literals, and a parenthesis, which holds an expression or the type
         of a cast or a compound literal."""
         tok = self.peek()
-        if tok.kind == "str":
+        if tok[KIND] == "str":
             self.take()
-            text = tok.text
-            while self.peek().kind == "str":  # adjacent literals concatenate
-                text += " " + self.take().text
-            return nodes.StrLit(tok.line, tok.col, text)
-        if tok.kind == "char":
+            text = tok[TEXT]
+            while self.peek()[KIND] == "str":  # adjacent literals concatenate
+                text += " " + self.take()[TEXT]
+            return nodes.StrLit(tok[LINE], tok[COL], text)
+        if tok[KIND] == "char":
             self.take()
-            return nodes.CharLit(tok.line, tok.col, tok.text)
-        if tok.text != "(":
-            raise CParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            return nodes.CharLit(tok[LINE], tok[COL], tok[TEXT])
+        if tok[TEXT] != "(":
+            raise _error(f"unexpected token {tok[TEXT]!r}", tok)
         depth = self.nest(tok)
         try:
             if self.is_type_ahead(1):
@@ -828,9 +825,9 @@ class _Parser:
                 self.expect(")")
                 if self.at("{"):
                     inits = self.parse_brace_list()
-                    return nodes.CompoundLit(tok.line, tok.col, ctype, inits)
+                    return nodes.CompoundLit(tok[LINE], tok[COL], ctype, inits)
                 operand = self.parse_expr(_UNARY)
-                return nodes.Cast(tok.line, tok.col, ctype, operand)
+                return nodes.Cast(tok[LINE], tok[COL], ctype, operand)
             self.take()
             expr = self.parse_expr()
             self.expect(")")
@@ -873,5 +870,5 @@ def parse_expression(source: str | list[Token]):
     expr = parser.parse_expr()
     if not parser.eof():
         tok = parser.peek()
-        raise CParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        raise _error(f"unexpected token {tok[TEXT]!r}", tok)
     return expr

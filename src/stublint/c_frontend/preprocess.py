@@ -28,7 +28,9 @@ parser's cap, a non-integer operand) is false, and its note says why;
 
 The tokens of a file with no directive and no bad character go to the
 parser as `scan` made them; otherwise each run of tokens between two
-directives is copied as one slice, unless it uses a macro.
+directives is copied as one slice, unless it uses a macro.  Tokens are the
+lexer's plain (kind, text, line, col) tuples, and an expanded token is a
+new one, at the use site.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 from ..diagnostics import NOTE, Diagnostic
 from . import nodes
-from .lexer import TOKEN_RE, CLexError, Token, bad_token, scan
+from .lexer import COL, KIND, LINE, TEXT, TOKEN_RE, CLexError, Token, bad_token, scan
 from .parser import CParseError, parse_expression
 
 
@@ -67,10 +69,9 @@ class PreprocessResult:
     notes: list[Diagnostic] = field(default_factory=list)
 
 
-_text = operator.itemgetter(1)
-_new_tuple = tuple.__new__
-_ONE = Token("num", "1", 0, 0)
-_ZERO = Token("num", "0", 0, 0)
+_text = operator.itemgetter(TEXT)
+_ONE = ("num", "1", 0, 0)
+_ZERO = ("num", "0", 0, 0)
 
 
 def preprocess_local(source_text: str, file_name: str = "<memory>") -> PreprocessResult:
@@ -81,7 +82,7 @@ def preprocess_local(source_text: str, file_name: str = "<memory>") -> Preproces
 
     def note(where, message):
         result.notes.append(
-            Diagnostic("NOTE", NOTE, file_name, where.line, where.col, message)
+            Diagnostic("NOTE", NOTE, file_name, where[LINE], where[COL], message)
         )
 
     macros: dict[str, MacroDef] = {}
@@ -95,7 +96,7 @@ def preprocess_local(source_text: str, file_name: str = "<memory>") -> Preproces
         if active:
             _expand(tokens, pos, i, macros, out)
         pos = i + 1
-        if tokens[i].kind == "dir":
+        if tokens[i][KIND] == "dir":
             _directive(tokens[i], active, stack, macros, note)
         elif active:
             raise bad_token(tokens[i])
@@ -113,9 +114,9 @@ def _spell(toks: list[Token]) -> str:
     text = ""
     for prev, tok in zip([None, *toks], toks):
         if prev is not None:
-            gap = tok.col - prev.col - len(prev.text)
-            text += " " * (gap if tok.line == prev.line else 1)
-        text += tok.text
+            gap = tok[COL] - prev[COL] - len(prev[TEXT])
+            text += " " * (gap if tok[LINE] == prev[LINE] else 1)
+        text += tok[TEXT]
     return text
 
 
@@ -129,13 +130,14 @@ _DIRECTIVES = frozenset(
 
 
 def _directive(tok, active, stack, macros, note):
-    first = TOKEN_RE.match(tok.text, 1)
+    _, text, line, _ = tok
+    first = TOKEN_RE.match(text, 1)
     while first.lastgroup == "comment":
-        first = TOKEN_RE.match(tok.text, first.end())
+        first = TOKEN_RE.match(text, first.end())
     name = first["ident"]  # None for the null directive, a lone `#`
     if name not in _DIRECTIVES or not active and name in ("define", "undef"):
         return  # #include, #pragma, #error in a dead branch, ... just vanish
-    rest = scan(tok.text[first.end() :])[0]
+    rest = scan(text[first.end() :])[0]
     if name == "define":
         _define(rest, tok, macros, note)
     elif name == "undef":
@@ -146,9 +148,9 @@ def _directive(tok, active, stack, macros, note):
             # branch as taken already, so no #elif or #else revives it
             stack.append([False, not active, False])
         elif not stack:
-            raise PreprocessError("#elif without #if", tok.line)
+            raise PreprocessError("#elif without #if", line)
         elif stack[-1][2]:
-            raise PreprocessError("#elif after #else", tok.line)
+            raise PreprocessError("#elif after #else", line)
         state = stack[-1]
         if state[1]:
             state[0] = False
@@ -158,11 +160,11 @@ def _directive(tok, active, stack, macros, note):
             note(tok, f"conditional '#{name} {_spell(rest)}' {why}")
         state[0] = state[1] = bool(value)
     elif not stack:
-        raise PreprocessError(f"#{name} without #if", tok.line)
+        raise PreprocessError(f"#{name} without #if", line)
     elif name == "else":
         state = stack[-1]
         if state[2]:
-            raise PreprocessError("duplicate #else", tok.line)
+            raise PreprocessError("duplicate #else", line)
         state[:] = [not state[1], True, True]
     else:
         stack.pop()
@@ -171,16 +173,15 @@ def _directive(tok, active, stack, macros, note):
 def _define(rest, where, macros, note):
     """Define the macro that `rest`, the tokens after `#define`, spell;
     its note or error is at `where`, the directive."""
-    if not rest or rest[0].kind != "ident":
-        raise PreprocessError("malformed #define", where.line)
-    name_tok, body = rest[0], rest[1:]
-    name = name_tok.text
+    if not rest or rest[0][KIND] != "ident":
+        raise PreprocessError("malformed #define", where[LINE])
+    (_, name, line, col), body = rest[0], rest[1:]
     macro = MacroDef(body)
-    if body and body[0][1:] == ("(", name_tok.line, name_tok.col + len(name)):
+    if body and body[0][TEXT:] == ("(", line, col + len(name)):
         # function-like: '(' immediately after the name
-        close = next((i for i, tok in enumerate(body) if tok.text == ")"), 0)
+        close = next((i for i, tok in enumerate(body) if tok[TEXT] == ")"), 0)
         if not close:
-            raise PreprocessError(f"malformed #define {name}", where.line)
+            raise PreprocessError(f"malformed #define {name}", where[LINE])
         params = [p.strip() for p in _spell(body[1:close]).split(",")]
         params = [p for p in params if p]
         macro = MacroDef(body[close + 1 :], params[0] if params else None, True)
@@ -193,9 +194,9 @@ def _define(rest, where, macros, note):
                 " macros are expanded, uses are analyzed as ordinary calls",
             )
             return
-    if any(tok.kind == "ident" and tok.text == name for tok in macro.body):
-        raise PreprocessError(f"recursive macro '{name}'", where.line)
-    macro.bad = next((tok for tok in macro.body if tok.kind == "bad"), None)
+    if any(kind == "ident" and text == name for kind, text, _, _ in macro.body):
+        raise PreprocessError(f"recursive macro '{name}'", where[LINE])
+    macro.bad = next((tok for tok in macro.body if tok[KIND] == "bad"), None)
     macros[name] = macro
 
 
@@ -213,16 +214,16 @@ def _expand(tokens, start, end, macros, out):
     while i < end:
         at, use = i, tokens[i]
         i += 1
-        macro = macros.get(use.text)
+        macro = macros.get(use[TEXT])
         if macro is None or not macro.expandable:
             continue
         body = macro.body
         if macro.func_like:
-            if i == end or tokens[i].text != "(":
+            if i == end or tokens[i][TEXT] != "(":
                 continue  # function-like name without arguments
             depth = 0
             for close in range(i, end):
-                depth += {"(": 1, ")": -1}.get(tokens[close].text, 0)
+                depth += {"(": 1, ")": -1}.get(tokens[close][TEXT], 0)
                 if depth == 0:
                     break
             else:
@@ -230,10 +231,11 @@ def _expand(tokens, start, end, macros, out):
             arg, param = tokens[i + 1 : close], ("ident", macro.param)
             body = [t for tok in body for t in (arg if tok[:2] == param else (tok,))]
             i = close + 1
+        _, _, line, col = use
         if macro.bad is not None:
-            raise bad_token(macro.bad._replace(line=use.line, col=use.col))
+            raise bad_token(("bad", macro.bad[TEXT], line, col))
         out += tokens[copied:at]
-        out += [_new_tuple(Token, (tok[0], tok[1], use.line, use.col)) for tok in body]
+        out += [(kind, text, line, col) for kind, text, _, _ in body]
         copied = i
     out += tokens[copied:end]
 
@@ -265,11 +267,12 @@ def _guard(kind, toks, macros):
     i = 0
     while i < len(toks):
         tok = toks[i]
+        kind, text, _, _ = tok
         i += 1
-        macro = macros.get(tok.text)
-        if tok.kind != "ident":
+        macro = macros.get(text)
+        if kind != "ident":
             expr.append(tok)
-        elif tok.text == "defined" and (found := _defined_operand(toks, i)):
+        elif text == "defined" and (found := _defined_operand(toks, i)):
             operand, i = found
             used_unknown |= operand not in macros
             expr.append(_ONE if operand in macros else _ZERO)
@@ -279,7 +282,7 @@ def _guard(kind, toks, macros):
             used_unknown = True
             expr.append(_ZERO)
     try:
-        bad = next((tok for tok in expr if tok.kind == "bad"), None)
+        bad = next((tok for tok in expr if tok[KIND] == "bad"), None)
         if bad is not None:
             raise bad_token(bad)
         value = _fold(parse_expression(expr))
@@ -297,10 +300,10 @@ def _guard(kind, toks, macros):
 def _defined_operand(toks, i):
     """The name that `defined X` or `defined(X)` asks about, with `toks[i]`
     just after the `defined`, and the index past it; None if neither."""
-    paren = [tok.text for tok in toks[i : i + 3 : 2]] == ["(", ")"]
+    paren = [tok[TEXT] for tok in toks[i : i + 3 : 2]] == ["(", ")"]
     operand = toks[i + paren : i + paren + 1]
-    if operand and operand[0].kind == "ident":
-        return operand[0].text, i + 1 + 2 * paren
+    if operand and operand[0][KIND] == "ident":
+        return operand[0][TEXT], i + 1 + 2 * paren
     return None
 
 

@@ -8,7 +8,8 @@ from stublint.c_frontend.preprocess import PreprocessError, preprocess_local
 
 def placed(source):
     """(text, line, col) of each token the parser gets."""
-    return [(t.text, t.line, t.col) for t in preprocess_local(source, "t.c").tokens]
+    tokens = preprocess_local(source, "t.c").tokens
+    return [(text, line, col) for _, text, line, col in tokens]
 
 
 def kept_lines(source):
