@@ -837,6 +837,8 @@ class _Parser:
 
 
 def _num_value(text: str):
+    if "_" in text:
+        return None  # int() and float() read `_` as a separator; C does not
     # f and F are digits in a hex literal, float suffixes elsewhere
     body = text.rstrip("uUlL" if text[:2] in ("0x", "0X") else "uUlLfF")
     try:

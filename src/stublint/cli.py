@@ -177,9 +177,13 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
 
 
 def _read(path: str) -> str:
+    """The text of `path`, without the UTF-8 byte-order mark that GCC and
+    Clang skip.  It is stripped after decoding, as `utf-8-sig` would, so
+    that a byte that cannot be decoded is still named by its offset in
+    the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise FatalError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

@@ -76,6 +76,9 @@ _TOKEN_RE = re.compile(
 _COMMENT_RE = re.compile(r"""(\(\*)|(\*\))|"(?:[^"\\]|\\[\s\S]?)*"?|""" + _CHAR)
 _NEWLINE_RE = re.compile(r"\n")
 
+# a C symbol name, which the header declares and the harness calls
+_C_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 # brackets of a type, each opener with its closer
 _OPEN = {"(": ")", "[": "]", "<": ">"}
 _CLOSE = {")", "]", ">"}
@@ -363,6 +366,13 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
             i += 1
             if depth == 0:
                 break
+
+    # a name that starts with `%` is a compiler builtin, with no C symbol
+    for symbol in strings:
+        if not symbol.startswith("%") and not _C_IDENT_RE.fullmatch(symbol):
+            message = f"C name {symbol!r} of external '{name}' is not a C identifier"
+            err(start_pos, message)
+            return i
 
     byte_name = strings[0]
     native_name = strings[1] if len(strings) > 1 else None

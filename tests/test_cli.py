@@ -128,6 +128,62 @@ def test_non_utf8_source_is_fatal_not_a_traceback(proj, run_main):
     assert "Traceback" not in err
 
 
+def test_a_byte_order_mark_counts_in_the_offset_of_a_bad_byte(tmp_path, run_main):
+    path = tmp_path / "marked.c"
+    path.write_bytes(b"\xef\xbb\xbf/* caf\xe9 */\nint x;\n")
+    code, out, err = run_main(str(path))
+    assert (code, out) == (2, "")
+    assert "(byte 9 cannot be decoded)" in err
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, run_main, corpus_summaries_path):
+    # GCC and Clang skip a UTF-8 byte-order mark, and so does stublint in
+    # every file it reads; the columns of line 1 count from after the mark
+    sources = {
+        name: (CORPUS / "buggy" / name).read_text(encoding="utf-8")
+        for name in ("custom_deref.ml", "custom_deref.c")
+    }
+    sources["one_line.c"] = BAD_C.replace("\n", " ")
+    runs = []
+    for mark in ("", "\ufeff"):
+        root = tmp_path / ("marked" if mark else "plain")
+        root.mkdir()
+        paths = []
+        for name, text in sources.items():
+            (root / name).write_text(mark + text, encoding="utf-8")
+            paths.append(str(root / name))
+        code, out, err = run_main("--summaries", corpus_summaries_path, *paths)
+        runs.append((code, out.replace(str(root), "<dir>"), err))
+    assert runs[0] == runs[1]
+    assert "one_line.c:1:" in runs[0][1] and "custom_deref.c:16:" in runs[0][1]
+
+
+def test_a_byte_order_mark_keeps_the_first_summary(tmp_path, run_main):
+    summaries = tmp_path / "s.txt"
+    summaries.write_text("\ufeffhelper: releases_lock\n", encoding="utf-8")
+    stub = tmp_path / "s.c"
+    stub.write_text(
+        "value s(value a)\n{\n    CAMLparam1(a);\n    helper();\n"
+        "    caml_leave_blocking_section();\n    CAMLreturn(a);\n}\n"
+    )
+    assert run_main(str(stub), "--summaries", str(summaries)) == (0, "", "")
+
+
+def test_an_external_whose_c_name_is_not_an_identifier_is_skipped(tmp_path, run_main):
+    ml = tmp_path / "f.ml"
+    ml.write_text('external f : int -> int = "f g"\n')
+    header, harness = tmp_path / "f.h", tmp_path / "f_harness.c"
+    _, out, err = run_main(
+        str(ml), "--header-out", str(header), "--harness-out", str(harness)
+    )
+    assert err == ""
+    assert out == (
+        f"{ml}:1:1: warning: UNSUPPORTED_CONSTRUCT: external declaration skipped:"
+        " C name 'f g' of external 'f' is not a C identifier\n"
+    )
+    assert "f g" not in header.read_text() + harness.read_text()
+
+
 def test_broken_summaries_are_fatal(proj, run_main):
     _, write = proj
     summ = write("s.txt", "f: acquires_lock, releases_lock\n")

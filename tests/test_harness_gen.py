@@ -85,6 +85,13 @@ def test_builtins_are_skipped():
     assert "__caller_" not in text
 
 
+@pytest.mark.parametrize("symbol", ["f g", "f-g", "1abc", ""])
+def test_a_c_name_that_is_not_a_c_identifier_gets_no_caller(symbol):
+    decls, errors = parse_ml_externals(f'external f : int -> int = "{symbol}"', "t.ml")
+    assert len(errors) == 1
+    assert generate_main(decls) == generate_main([])
+
+
 def test_main_spawns_all_threads_before_joining():
     src = 'external f : int -> int = "c_f"\nexternal g : int -> int = "c_g"\n'
     text = generate_main(decls_of(src))

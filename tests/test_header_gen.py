@@ -59,6 +59,13 @@ def test_compiler_builtins_have_no_c_symbol():
     assert protos == [] and diags == []
 
 
+@pytest.mark.parametrize("symbol", ["f g", "f-g", "1abc", ""])
+def test_a_c_name_that_is_not_a_c_identifier_gets_no_prototype(symbol):
+    decls, errors = parse_ml_externals(f'external f : int -> int = "{symbol}"', "t.ml")
+    assert len(errors) == 1
+    assert render_header(decls) == render_header([])
+
+
 def test_header_lists_declarations_in_input_order():
     src = (
         'external b : int -> int = "c_b"\n'

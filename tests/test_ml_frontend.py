@@ -95,6 +95,23 @@ def test_char_literals_in_comments(comment):
     assert [d.ocaml_name for d in decls] == ["f", "g"]
 
 
+# C symbol names that would make the header and the harness fail to compile
+NOT_C_IDENTIFIERS = ["f g", "f-g", "1abc", ""]
+
+
+@pytest.mark.parametrize("symbol", NOT_C_IDENTIFIERS)
+@pytest.mark.parametrize("names", ['"{}"', '"f_byte" "{}"'])
+def test_a_c_name_that_is_not_a_c_identifier_is_reported(symbol, names):
+    src = (
+        f"external f : int -> int = {names.format(symbol)}\n"
+        'external g : int -> int = "g" "%identity"\n'
+    )
+    decls, errors = parse_ml_externals(src, "t.ml")
+    assert [d.ocaml_name for d in decls] == ["g"]
+    assert [(e.line, e.column) for e in errors] == [(1, 1)]
+    assert f"{symbol!r} of external 'f' is not a C identifier" in errors[0].message
+
+
 def test_malformed_external_is_reported_and_scan_continues():
     src = (
         "external broken : int -> int\n"  # no C name at all

@@ -114,6 +114,12 @@ def test_octal_literals_are_octal(lint_c):
     assert naked_lines(lint_c, "    value v;\n    v = 011;\n") == []
 
 
+def test_an_underscore_is_no_digit_separator(lint_c):
+    # C has none, so `1_0` is no constant the fold knows
+    assert naked_lines(lint_c, "    value v;\n    v = 1_0;\n") == []
+    assert naked_lines(lint_c, "    value v;\n    v = 10;\n") == [4]
+
+
 @given(st.integers(min_value=0, max_value=4095))
 def test_literal_parity_decides(k):
     # tiny inline mirror of the corpus-scale oracle
