@@ -22,8 +22,7 @@ a call `f(x)` one for each argument.  The locals of a function are
 collected as its declarations are parsed.
 
 A token is the lexer's plain tuple, read by unpacking or through the index
-names KIND, TEXT, LINE and COL.  A node takes the line and column of the
-token that introduces it.
+names KIND, TEXT, LINE and COL.
 """
 
 from __future__ import annotations
