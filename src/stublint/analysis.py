@@ -24,7 +24,6 @@ from __future__ import annotations
 from .c_frontend import nodes as ast
 from .c_frontend.intrinsics import (
     ALLOC_CALLS,
-    CAMLRETURN,
     ENTER_BLOCKING,
     FIELD_READ,
     FIELD_WRITE,
@@ -85,14 +84,6 @@ _RETURN_UNLOCKED = {
     LockState.RELEASED: (ERROR, "'{}' returns to OCaml without the runtime lock"),
     LockState.UNKNOWN: (WARNING, "'{}' may return to OCaml without the runtime lock"),
 }
-
-
-def _returns(stmt) -> bool:
-    """A `return` or a statement-level CAMLreturn*, not a noreturn call."""
-    if isinstance(stmt, ast.Return):
-        return True
-    expr = stmt.expr if isinstance(stmt, ast.ExprStmt) else None
-    return isinstance(expr, ast.Call) and expr.callee in CAMLRETURN
 
 
 def _sketch(expr) -> str:
@@ -174,7 +165,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 rule, severity, message = _UNLOCKED[False, entry]
                 report(found, where, rule, severity, message.format(_sketch(operand)))
 
-        if lock is not LockState.HELD and fn.is_camlprim and _returns(stmt):
+        if lock is not LockState.HELD and fn.is_camlprim and isinstance(stmt, ast.Return):
             severity, message = _RETURN_UNLOCKED[lock]
             report(found, stmt, "UNBALANCED_LOCK", severity, message.format(fn.name))
         if not ops and not isinstance(stmt, ast.Opaque):

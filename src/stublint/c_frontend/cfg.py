@@ -3,11 +3,13 @@
 The builder lowers each function straight into basic blocks (Allen 1970):
 maximal runs of executed statements in which each statement is the only
 successor of the one before and has no other predecessor.  A block holds
-its statements in order and the ids of its successor blocks.  Declarations
-without an initializer execute nothing and are in no block.  `return`,
-`CAMLreturn`, and calls to noreturn functions end their block with an edge
-to the exit.  Block 0 starts at the entry and may hold statements; the exit
-is block 1 and holds none.
+its statements in order and the ids of its successor blocks.  The parser
+hands over only the statements that execute (see nodes), so each statement
+of a list is placed in exactly one block, and a list places nothing only
+when it is empty.  `return` (which covers `CAMLreturn`) and calls to
+noreturn functions end their block with an edge to the exit.  Block 0
+starts at the entry and may hold statements; the exit is block 1 and holds
+none.
 
 Each statement carries the ops the parser attached to it (see nodes,
 "Ops"): the calls, assignments, address-takings, increments and
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import nodes as ast
-from .intrinsics import CAMLRETURN
 
 ENTRY = 0
 EXIT = 1
@@ -44,15 +45,6 @@ class Cfg:
     @property
     def nodes(self) -> range:
         return range(2 + sum(len(block.stmts) for block in self.blocks))
-
-
-def _empty(stmts) -> bool:
-    """Whether lowering `stmts` places no statement: it holds declarations
-    without initializers only."""
-    return all(
-        isinstance(s, ast.DeclStmt) and all(d.init is None for d in s.decls)
-        for s in stmts
-    )
 
 
 class _Builder:
@@ -124,11 +116,6 @@ class _Builder:
         return frontier
 
     def lower(self, stmt, frontier: list[int]) -> list[int]:
-        if isinstance(stmt, ast.DeclStmt):
-            for decl in stmt.decls:
-                if decl.init is not None:
-                    frontier = [self.place(decl, frontier)]
-            return frontier
         if isinstance(stmt, ast.DoWhile):
             # control enters a do-while at its body, which the condition
             # loops back to, so the body's first statement heads a block;
@@ -136,8 +123,6 @@ class _Builder:
             head = len(self.blocks)
             self.head_next = True
         else:
-            if isinstance(stmt, ast.For) and stmt.init is not None:
-                frontier = self.lower(stmt.init, frontier)
             bid = self.place(stmt, frontier)
 
         if isinstance(stmt, ast.ExprStmt):
@@ -156,7 +141,7 @@ class _Builder:
             # whose two arms place nothing has one successor: no branch.
             out = []
             while True:
-                if not (_empty(stmt.then) and _empty(stmt.els or ())):
+                if stmt.then or stmt.els:
                     self.branches.add(bid)
                 out += self.lower_list(stmt.then, [bid])
                 els = stmt.els
@@ -203,8 +188,8 @@ class _Builder:
             # last case body places nothing
             cases = stmt.cases
             default = any(None in case.labels for case in cases)
-            exits = not default or _empty(cases[-1].body)
-            if sum(not _empty(case.body) for case in cases) + exits > 1:
+            exits = not default or not cases[-1].body
+            if sum(bool(case.body) for case in cases) + exits > 1:
                 self.branches.add(bid)
             breaks = []
             self.break_stack.append(breaks)
@@ -225,7 +210,8 @@ class _Builder:
                 self.connect([bid], EXIT)
             return []
 
-        # an opaque statement, or anything unexpected, falls through
+        # a declaration, an opaque statement, or anything unexpected, falls
+        # through
         return [bid]
 
     def _terminates(self, expr) -> bool:
@@ -233,11 +219,7 @@ class _Builder:
         if not isinstance(expr, ast.Call):
             return False
         name = expr.callee
-        if name is None:
-            return False
-        if name in CAMLRETURN:
-            return True
-        return bool(self.is_noreturn(name))
+        return name is not None and bool(self.is_noreturn(name))
 
 
 def build_cfg(fn: ast.StubFunction, is_noreturn=None) -> Cfg:

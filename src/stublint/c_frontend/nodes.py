@@ -2,8 +2,12 @@
 
 Every node but a type and the unit derives from `_At` and carries the
 (line, col) of its introducing token as its first two fields, so the
-parser builds each node with one positional call.  Statement
-bodies are plain Python lists; there is no separate Block node.  The
+parser builds each node with one positional call.  Statement bodies are
+plain Python lists; there is no separate Block node.  A list holds only
+the statements that execute, in order: a declaration gives a VarDecl for
+each declarator with an initializer and nothing else, a `for` gives its
+init statements just before the For, and a statement-level
+`CAMLreturn*(...)` call is a Return, like `return`.  The
 analyses never walk expression trees themselves: while it parses a
 statement-level expression, the parser appends the flat ops its nodes
 perform to that statement's `ops` (see "Ops" below), and the CFG hands
@@ -153,15 +157,13 @@ class CompoundLit(_At):
 
 @_node
 class VarDecl(_At):
+    """An initialized declarator; one without an initializer executes
+    nothing and is only a local of its function."""
+
     name: str
     ctype: CType
-    init: object = None
-    ops: tuple = ()  # the initializer's, then the store into `name`
-
-
-@_node
-class DeclStmt(_At):
-    decls: list[VarDecl] = field(default_factory=list)
+    init: object
+    ops: tuple  # the initializer's, then the store into `name`
 
 
 @_node
@@ -194,9 +196,10 @@ class DoWhile(_At):
 
 @_node
 class For(_At):
-    init: object = None  # DeclStmt | ExprStmt | None
+    """Its init statements come just before it in the statement list."""
+
     cond: object = None
-    step: ExprStmt | None = None
+    step: ExprStmt | Return | None = None
     body: list = field(default_factory=list)
     ops: tuple = ()  # the condition's
 
@@ -216,6 +219,9 @@ class Switch(_At):
 
 @_node
 class Return(_At):
+    """A `return`, or a statement-level `CAMLreturn*(...)` call, whose
+    `expr` is then the call."""
+
     expr: object = None
     ops: tuple = ()
 

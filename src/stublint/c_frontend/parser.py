@@ -13,13 +13,17 @@ declarator list, for a declaration statement and for globals alike.
 `condition` reads the parenthesized expression of `if`, `while`, `do` and
 `switch`.
 
-A statement is dispatched on its first token's text.  One routine,
+A statement is dispatched on its first token's text, and each statement
+routine returns the list of statements it contributes, those that execute,
+in order: a declaration gives its initialized declarators and records every
+declarator as a local, a `for` gives its init statements and then the For,
+a statement-level `CAMLreturn*(...)` call gives a Return, and `;` gives
+none.  So a body holds no declaration that executes nothing.  One routine,
 `parse_expr`, parses an expression: a loop over its prefix operators, the
 primary, a loop over its postfix operators, then the binary, conditional
 and assignment operators by precedence climbing.  A cast's operand is
 `parse_expr(_UNARY)`.  So a name or a number costs no call of its own, and
-a call `f(x)` one for each argument.  The locals of a function are
-collected as its declarations are parsed.
+a call `f(x)` one for each argument.
 
 A token is the lexer's plain tuple, read by unpacking or through the index
 names KIND, TEXT, LINE and COL.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from ..diagnostics import WARNING, Diagnostic
 from . import nodes
-from .intrinsics import CAMLLOCAL
+from .intrinsics import CAMLLOCAL, CAMLRETURN
 from .nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
 from .lexer import COL, KIND, LINE, TEXT, Token, lex
 
@@ -251,12 +255,12 @@ class _Parser:
     def declarators(self, base: str, name: Token, ctype: nodes.CType) -> list:
         """The rest of a declarator list whose first declarator is `name`
         of type `ctype`: each declarator's initializer, then `, declarator`
-        and so on.  Each name is recorded as a local; returns the VarDecls."""
+        and so on.  Each name is recorded as a local; returns the VarDecls
+        of the initialized ones, the only ones that execute."""
         decls = []
         while True:
             _, ident, line, col = name
-            init = None
-            ops = ()
+            self.locals.append((ident, ctype))
             if self.accept("="):
                 self.ops = []
                 init = self.parse_initializer()
@@ -265,8 +269,7 @@ class _Parser:
                 # ops: an op never refers to its statement
                 target = nodes.Name(line, col, ident)
                 ops = (*self.ops, (ASSIGN, ident, "=", init, target))
-            self.locals.append((ident, ctype))
-            decls.append(nodes.VarDecl(line, col, ident, ctype, init, ops))
+                decls.append(nodes.VarDecl(line, col, ident, ctype, init, ops))
             if not self.accept(","):
                 return decls
             name, ctype = self.declarator(base)
@@ -438,32 +441,35 @@ class _Parser:
             keyword = self.STATEMENT_KEYWORDS.get(tok[TEXT])
             if keyword is not None:
                 self.pos += 1
-                stmt = keyword(self, tok)
-                return [stmt] if stmt is not None else []
-            stmt = self.simple_stmt(tok)
+                return keyword(self, tok)
+            stmts = self.simple_stmt(tok)
             self.expect(";")
-            return [stmt]
+            return stmts
         finally:
             self.depth = depth
 
-    def simple_stmt(self, tok):
-        """A declaration or an expression statement up to its `;`, the
-        latter placed at `tok`; a `CAMLlocal` call declares its names as
-        locals of type value."""
+    def simple_stmt(self, tok) -> list:
+        """A declaration or an expression statement up to its `;`.  A
+        declaration gives its initialized VarDecls; an expression gives one
+        statement placed at `tok`: a Return for a `CAMLreturn*` call, else
+        an ExprStmt.  A `CAMLlocal` call declares its names as locals of
+        type value."""
         if self.starts_decl():
-            return self.parse_decl_stmt()
+            _, base = self.specifiers("declaration")
+            return self.declarators(base, *self.declarator(base))
         expr, ops = self.statement_expr()
         if isinstance(expr, nodes.Call) and expr.callee in CAMLLOCAL:
             for arg in expr.args:
                 if isinstance(arg, nodes.Name):
                     self.locals.append((arg.ident, nodes.CType("value")))
-        return nodes.ExprStmt(tok[LINE], tok[COL], expr, ops)
+        return [_expr_stmt(tok[LINE], tok[COL], expr, ops)]
 
     # Each statement that a keyword starts is parsed by a method of its own
-    # that takes the keyword's token, already consumed.
+    # that takes the keyword's token, already consumed, and returns the
+    # statements it contributes.
 
     def parse_empty(self, tok):
-        return None
+        return []
 
     def parse_if(self, tok):
         # an `else if` chain is read in this loop, so a link costs no
@@ -483,54 +489,55 @@ class _Parser:
                 break
             self.pos += 1
         for cond, then, ops, tok in reversed(links):
-            stmt = nodes.If(tok[LINE], tok[COL], cond, then, els, ops)
-            els = [stmt]
-        return stmt
+            els = [nodes.If(tok[LINE], tok[COL], cond, then, els, ops)]
+        return els
 
     def parse_while(self, tok):
         cond, ops = self.condition()
         body = self.parse_stmt()
-        return nodes.While(tok[LINE], tok[COL], cond, body, ops)
+        return [nodes.While(tok[LINE], tok[COL], cond, body, ops)]
 
     def parse_do(self, tok):
         body = self.parse_stmt()
         self.expect("while")
         cond, ops = self.condition()
         self.expect(";")
-        return nodes.DoWhile(tok[LINE], tok[COL], body, cond, ops)
+        return [nodes.DoWhile(tok[LINE], tok[COL], body, cond, ops)]
 
     def parse_for(self, tok):
+        """The init statements, then the For."""
         self.expect("(")
-        init = None if self.at(";") else self.simple_stmt(tok)
+        init = [] if self.at(";") else self.simple_stmt(tok)
         self.expect(";")
         cond, ops = (None, ()) if self.at(";") else self.statement_expr()
         self.expect(";")
         step = None
         if not self.at(")"):
             expr, step_ops = self.statement_expr()
-            step = nodes.ExprStmt(expr.line, expr.col, expr, step_ops)
+            step = _expr_stmt(expr.line, expr.col, expr, step_ops)
         self.expect(")")
         body = self.parse_stmt()
-        return nodes.For(tok[LINE], tok[COL], init, cond, step, body, ops)
+        init.append(nodes.For(tok[LINE], tok[COL], cond, step, body, ops))
+        return init
 
     def parse_return(self, tok):
         expr, ops = (None, ()) if self.at(";") else self.statement_expr()
         self.expect(";")
-        return nodes.Return(tok[LINE], tok[COL], expr, ops)
+        return [nodes.Return(tok[LINE], tok[COL], expr, ops)]
 
     def parse_break(self, tok):
         self.expect(";")
-        return nodes.Break(tok[LINE], tok[COL])
+        return [nodes.Break(tok[LINE], tok[COL])]
 
     def parse_continue(self, tok):
         self.expect(";")
-        return nodes.Continue(tok[LINE], tok[COL])
+        return [nodes.Continue(tok[LINE], tok[COL])]
 
     def parse_goto(self, tok):
         label = self.take()
         self.accept(";")
         self.warn("goto is outside the analyzed subset", tok)
-        return nodes.Opaque(tok[LINE], tok[COL], f"goto {label[TEXT]}", "goto")
+        return [nodes.Opaque(tok[LINE], tok[COL], f"goto {label[TEXT]}", "goto")]
 
     def parse_asm(self, tok):
         while self.peek()[TEXT] in ("volatile", "__volatile__", "inline", "goto"):
@@ -538,7 +545,7 @@ class _Parser:
         if self.at("("):
             self.skip_balanced("(", ")")
         self.accept(";")
-        return nodes.Opaque(tok[LINE], tok[COL], "asm", "inline asm")
+        return [nodes.Opaque(tok[LINE], tok[COL], "asm", "inline asm")]
 
     def statement_expr(self):
         """Parse a statement-level expression; returns it with its ops."""
@@ -580,7 +587,7 @@ class _Parser:
                     raise _error("statement before first case label", lab_tok)
                 current.body.extend(self.parse_stmt())
             self.expect("}")
-            return nodes.Switch(tok[LINE], tok[COL], subject, cases, ops)
+            return [nodes.Switch(tok[LINE], tok[COL], subject, cases, ops)]
         finally:
             self.depth = depth
 
@@ -622,13 +629,6 @@ class _Parser:
             ):
                 return True
         return False
-
-    def parse_decl_stmt(self):
-        """A declaration up to its `;`, which the caller expects."""
-        tok = self.peek()
-        _, base = self.specifiers("declaration")
-        decls = self.declarators(base, *self.declarator(base))
-        return nodes.DeclStmt(tok[LINE], tok[COL], decls)
 
     def parse_initializer(self):
         if self.at("{"):
@@ -833,6 +833,14 @@ class _Parser:
             return expr
         finally:
             self.depth = depth
+
+
+def _expr_stmt(line: int, col: int, expr, ops: tuple):
+    """An expression statement at (line, col), or a Return if it is a
+    `CAMLreturn*` call, which leaves the function as `return` does."""
+    if isinstance(expr, nodes.Call) and expr.callee in CAMLRETURN:
+        return nodes.Return(line, col, expr, ops)
+    return nodes.ExprStmt(line, col, expr, ops)
 
 
 def _num_value(text: str):

@@ -131,16 +131,6 @@ def fact_of(expr, env, derive_stale: bool = False):
 # -- CAMLparam registration ---------------------------------------------------
 
 
-def _first_executed_stmt(body):
-    for stmt in body:
-        if isinstance(stmt, ast.DeclStmt) and all(
-            d.init is None for d in stmt.decls
-        ):
-            continue  # storage reservation only, nothing runs
-        return stmt
-    return None
-
-
 def _camlparam_count(stmt) -> int | None:
     if isinstance(stmt, ast.ExprStmt) and isinstance(stmt.expr, ast.Call):
         name = stmt.expr.callee
@@ -156,8 +146,10 @@ def check_camlparam(fn: ast.StubFunction) -> list[Diagnostic]:
     has_value_locals = any(t.is_value for _, t in fn.locals)
     if not value_params and not has_value_locals:
         return []
-    first = _first_executed_stmt(fn.body)
-    registered = _camlparam_count(first) if first is not None else None
+    # the body holds only what executes: a declaration with no
+    # initializer is not in it, an initialized one runs before a CAMLparam
+    first = fn.body[0] if fn.body else None
+    registered = _camlparam_count(first)
     if registered is None:
         return [
             Diagnostic(

@@ -239,11 +239,14 @@ def test_declaration_heuristics(parse_c):
         "    return a;\n"
         "}\n"
     )
-    body = fn_of(parse_c(src)).body
-    kinds = [type(s).__name__ for s in body]
-    assert kinds == ["DeclStmt", "DeclStmt", "DeclStmt", "ExprStmt", "Return"]
-    assert body[0].decls[0].name == "xce"
-    assert body[0].decls[0].ctype.pointers == 1
+    fn = fn_of(parse_c(src))
+    # the declarations are read as such: each names a local, and only the
+    # initialized one executes
+    assert [name for name, _ in fn.locals] == ["xce", "domid", "rc"]
+    assert fn.locals[0][1].pointers == 1
+    kinds = [type(s).__name__ for s in fn.body]
+    assert kinds == ["VarDecl", "ExprStmt", "Return"]
+    assert fn.body[0].name == "rc"
 
 
 # -- expressions --------------------------------------------------------------
@@ -359,9 +362,13 @@ def test_control_statements_parse(parse_c):
         "    }\n"
         "    return a;\n}\n"
     )
-    body = fn_of(parse_c(src)).body
+    fn = fn_of(parse_c(src))
+    assert [name for name, _ in fn.locals] == ["i"]
+    # the `for` init is the statement just before the For, at the `for`
+    body = fn.body
     kinds = [type(s).__name__ for s in body]
-    assert kinds == ["DeclStmt", "For", "While", "DoWhile", "Switch", "Return"]
+    assert kinds == ["ExprStmt", "For", "While", "DoWhile", "Switch", "Return"]
+    assert (body[0].line, body[0].col) == (body[1].line, body[1].col)
     assert len(body[4].cases) == 2
 
 
@@ -471,7 +478,9 @@ def test_one_declarator_reading_in_a_block_a_for_init_and_a_parameter(parse_c):
     assert [(n, (t.base, t.pointers, t.array)) for n, t in fn.locals] == [
         ("q", same), ("r", same)
     ]
-    ctype = fn.body[1].init.decls[0].ctype
+    # `q` executes nothing; the `for` init's `r` comes just before the For
+    assert [type(s).__name__ for s in fn.body] == ["VarDecl", "For", "Return"]
+    ctype = fn.body[0].ctype
     assert (ctype.base, ctype.pointers, ctype.array) == same
 
 
