@@ -171,9 +171,9 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
         if not ops and not isinstance(stmt, ast.Opaque):
             return state
         stores = ops
-        if isinstance(stmt, ast.VarDecl):
-            # only the declaration's own store, and only into a value
-            stores = ops[-1:] if stmt.ctype.is_value else ()
+        if isinstance(stmt, ast.VarDecl) and not stmt.ctype.is_value:
+            # the initializer's stores; the declaration's own is no value
+            stores = ops[:-1]
         for op in stores:
             if op[0] != ASSIGN or op[2] != "=" or op[1] not in values:
                 continue

@@ -48,6 +48,9 @@ def test_val_int_encoding_is_always_odd(lint_c):
 def test_initializer_checked_like_assignment(lint_c):
     assert naked_lines(lint_c, "    value v = 2;\n") == [3]
     assert naked_lines(lint_c, "    value v = 3;\n") == []
+    # a store nested in an initializer is checked whatever the declared type
+    assert naked_lines(lint_c, "    value v;\n    int n = (v = 2);\n") == [4]
+    assert naked_lines(lint_c, "    value v;\n    int n;\n    n = (v = 2);\n") == [5]
 
 
 def test_cast_is_transparent(lint_c):
