@@ -53,9 +53,11 @@ _RESYNC = frozenset(
     {"external", "let", "type", "module", "open", "include", "val", "exception"}
 )
 
-# A char literal, as the OCaml manual's lexical conventions spell it: one
-# character other than a backslash or a quote, or one escape sequence.
-_CHAR = r"""'(?:[^\\']|\\(?:[\\'"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-3][0-7]{2}))'"""
+# An escape sequence and a char literal, as the OCaml manual's lexical
+# conventions spell them: a char literal is one character other than a
+# backslash or a quote, or one escape sequence.
+_ESCAPE = r"""\\(?:[\\'"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-3][0-7]{2})"""
+_CHAR = r"""'(?:[^\\']|""" + _ESCAPE + r""")'"""
 # One token from the current position: blanks, a comment opener, a string
 # (a backslash escapes any next character; one left open runs to the end of
 # the text), a char literal, a word, `->` or any other single character.
@@ -75,6 +77,10 @@ _TOKEN_RE = re.compile(
 # opens a string, as in OCaml's own lexer
 _COMMENT_RE = re.compile(r"""(\(\*)|(\*\))|"(?:[^"\\]|\\[\s\S]?)*"?|""" + _CHAR)
 _NEWLINE_RE = re.compile(r"\n")
+# in a string, an escape sequence or a backslash-newline and the blanks
+# that follow it
+_STRING_ESCAPE_RE = re.compile(_ESCAPE + r"|\\\r?\n[ \t]*")
+_ESCAPED = {"n": "\n", "t": "\t", "b": "\b", "r": "\r"}
 
 # a C symbol name, which the header declares and the harness calls
 _C_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -142,9 +148,23 @@ def _skip_comment(text: str, i: int) -> int:
     return len(text)  # unterminated comment swallows the rest of the file
 
 
+def _unescape(match) -> str:
+    seq = match[0][1:]
+    kind = seq[0]
+    if kind in "\r\n":
+        return ""  # a backslash-newline and the blanks after it
+    if kind == "x" or kind == "o":
+        return chr(int(seq[1:], 16 if kind == "x" else 8))
+    if kind.isdigit():
+        code = int(seq)
+        return chr(code) if code < 256 else match[0]  # no char: kept as written
+    return _ESCAPED.get(kind, kind)
+
+
 def _string_value(tok_text: str) -> str:
-    body = tok_text[1:-1]
-    return body.replace('\\"', '"').replace("\\\\", "\\")
+    """The text of a string literal, its escapes decoded; a backslash that
+    starts no escape is kept as written."""
+    return _STRING_ESCAPE_RE.sub(_unescape, tok_text[1:-1])
 
 
 # ---------------------------------------------------------------------------

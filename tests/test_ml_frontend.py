@@ -112,6 +112,21 @@ def test_a_c_name_that_is_not_a_c_identifier_is_reported(symbol, names):
     assert f"{symbol!r} of external 'f' is not a C identifier" in errors[0].message
 
 
+@pytest.mark.parametrize(
+    "literal, text",
+    [
+        (r'"\\ \" \' \ ."', '\\ " \'  .'),
+        (r'"\n\t\b\r"', "\n\t\b\r"),
+        (r'"\065\x5f\o101"', "A_A"),
+        ('"a\\\n \tb"', "ab"),  # a backslash-newline and the blanks after it
+        ('"a\\\r\nb"', "ab"),
+        (r'"\q\256\xg\o400"', r"\q\256\xg\o400"),  # no escapes: kept as written
+    ],
+)
+def test_string_escapes_are_decoded(literal, text):
+    assert ml_frontend._string_value(literal) == text
+
+
 def test_malformed_external_is_reported_and_scan_continues():
     src = (
         "external broken : int -> int\n"  # no C name at all
