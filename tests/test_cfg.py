@@ -1,8 +1,12 @@
 """Control-flow graph construction over the parsed stub subset."""
 
+from collections import Counter
+
+import stubgen
 from conftest import StatementGraph
 from hypothesis import given, strategies as st
 
+from stublint.c_frontend import parse_tokens, preprocess_local
 from stublint.c_frontend.cfg import ENTRY, EXIT, build_cfg
 from stublint.lock_analysis import load_summaries
 
@@ -341,6 +345,31 @@ def test_an_empty_if_adds_no_block(parse_c):
     for empty in ("if (c()) {}", "if (c()) ;", "if (c()) {} else { int j; }"):
         fn, cfg, block_of = lowered(parse_c, f"g(); {empty} h(); return a;")
         assert [b.stmts for b in cfg.blocks] == [fn.body, []], empty
+
+
+def _kept(stmts):
+    """Every statement the parser keeps under `stmts`: those of the lists,
+    in `then` and `els`, loop and case bodies, and each `for` step."""
+    for stmt in stmts:
+        yield stmt
+        for name in ("then", "els", "body"):
+            yield from _kept(getattr(stmt, name, None) or ())
+        for case in getattr(stmt, "cases", ()):
+            yield from _kept(case.body)
+        if getattr(stmt, "step", None) is not None:
+            yield stmt.step
+
+
+def test_every_kept_statement_is_placed_exactly_once():
+    # the parser keeps only what executes, and the builder places all of it
+    for name, source in stubgen.stubs():
+        unit = parse_tokens(preprocess_local(source, name).tokens, name)
+        for fn in unit.functions:
+            cfg = build_cfg(fn, is_noreturn=NORETURN)
+            placed = Counter(id(s) for block in cfg.blocks for s in block.stmts)
+            kept = Counter(id(s) for s in _kept(fn.body))
+            assert placed == kept, (name, fn.name)
+            assert set(placed.values()) == {1}, (name, fn.name)
 
 
 def test_node_count_is_the_statements_plus_entry_and_exit(parse_c):

@@ -274,6 +274,17 @@ def test_leading_declarations_do_not_hide_camlparam(lint_c):
     assert not [d for d in lint_c(src) if d.rule_id == "MISSING_CAMLPARAM"]
 
 
+def test_an_initialized_declaration_runs_before_camlparam(lint_c):
+    # its initializer executes, so the CAMLparam after it comes too late
+    src = (
+        "value f(value a)\n{\n"
+        "    int n = 0;\n"
+        "    CAMLparam1(a);\n"
+        "    CAMLreturn(a);\n}\n"
+    )
+    assert [d.rule_id for d in lint_c(src)] == ["MISSING_CAMLPARAM"]
+
+
 def test_camlparam_count_mismatch(lint_c):
     src = "value f(value a, value b)\n{\n    CAMLparam1(a);\n    CAMLreturn(a);\n}\n"
     diags = lint_c(src)
