@@ -50,58 +50,36 @@ def _is_argv_pair(params) -> bool:
 
 
 def _check_definition(decl, fn, proto) -> Diagnostic | None:
-    file, line, col = decl.source_loc
-    related = (
-        (file, line, col, f"external '{decl.ocaml_name}' declared here"),
-    )
     nparams = len(fn.params)
+    rule = "ARITY_MISMATCH"
     if proto.is_argv_form:
         if _is_argv_pair(fn.params):
             return None
-        return Diagnostic(
-            "ARITY_MISMATCH",
-            ERROR,
-            fn.file,
-            fn.line,
-            fn.col,
+        message = (
             f"'{fn.name}' implements an arity-{decl.arity} external and"
-            " must use the (value *argv, int argn) form",
-            related,
+            " must use the (value *argv, int argn) form"
         )
-    if nparams == 0:
-        if decl.arity == 1:
-            return Diagnostic(
-                "VOID_STUB",
-                ERROR,
-                fn.file,
-                fn.line,
-                fn.col,
-                f"'{fn.name}' takes no parameters, but OCaml always passes"
-                " an argument (unit is the value 1)",
-                related,
-            )
-        return Diagnostic(
-            "ARITY_MISMATCH",
-            ERROR,
-            fn.file,
-            fn.line,
-            fn.col,
+    elif nparams == 0 and decl.arity == 1:
+        rule = "VOID_STUB"
+        message = (
+            f"'{fn.name}' takes no parameters, but OCaml always passes"
+            " an argument (unit is the value 1)"
+        )
+    elif nparams == 0:
+        message = (
             f"'{fn.name}' takes no parameters but external"
-            f" '{decl.ocaml_name}' has arity {decl.arity}",
-            related,
+            f" '{decl.ocaml_name}' has arity {decl.arity}"
         )
-    if nparams != decl.arity:
-        return Diagnostic(
-            "ARITY_MISMATCH",
-            ERROR,
-            fn.file,
-            fn.line,
-            fn.col,
+    elif nparams != decl.arity:
+        message = (
             f"'{fn.name}' takes {nparams} parameters but external"
-            f" '{decl.ocaml_name}' has arity {decl.arity}",
-            related,
+            f" '{decl.ocaml_name}' has arity {decl.arity}"
         )
-    return None
+    else:
+        return None
+    file, line, col = decl.source_loc
+    related = ((file, line, col, f"external '{decl.ocaml_name}' declared here"),)
+    return Diagnostic(rule, ERROR, fn.file, fn.line, fn.col, message, related)
 
 
 def check_arity(decls, units) -> list[Diagnostic]:
