@@ -165,7 +165,11 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 rule, severity, message = _UNLOCKED[False, entry]
                 report(found, where, rule, severity, message.format(_sketch(operand)))
 
-        if lock is not LockState.HELD and fn.is_camlprim and isinstance(stmt, ast.Return):
+        if (
+            lock is not LockState.HELD
+            and fn.is_camlprim
+            and isinstance(stmt, ast.Return)
+        ):
             severity, message = _RETURN_UNLOCKED[lock]
             report(found, stmt, "UNBALANCED_LOCK", severity, message.format(fn.name))
         if not ops and not isinstance(stmt, ast.Opaque):

@@ -96,7 +96,7 @@ def test_char_literals_in_comments(comment):
 
 
 # C symbol names that would make the header and the harness fail to compile
-NOT_C_IDENTIFIERS = ["f g", "f-g", "1abc", ""]
+NOT_C_IDENTIFIERS = ["f g", "f-g", "1abc", "", r"a\qb"]
 
 
 @pytest.mark.parametrize("symbol", NOT_C_IDENTIFIERS)
