@@ -244,6 +244,12 @@ def test_findings_on_a_call_point_at_the_callee(lint_c):
         ),
         # a C helper does not return to OCaml
         ("static int h(int n)", "caml_enter_blocking_section();\nreturn n;", []),
+        # a CAMLreturn as a `for` step returns too
+        (
+            "CAMLprim value f(value a)",
+            "caml_enter_blocking_section();\nfor (;; CAMLreturn(a)) {}",
+            [("UNBALANCED_LOCK", "error", 4)],
+        ),
     ],
 )
 def test_returning_to_ocaml_needs_the_lock(lint_c, head, body, want):
