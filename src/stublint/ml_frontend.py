@@ -77,9 +77,9 @@ _TOKEN_RE = re.compile(
 # opens a string, as in OCaml's own lexer
 _COMMENT_RE = re.compile(r"""(\(\*)|(\*\))|"(?:[^"\\]|\\[\s\S]?)*"?|""" + _CHAR)
 _NEWLINE_RE = re.compile(r"\n")
-# in a string, an escape sequence or a backslash-newline and the blanks
-# that follow it
-_STRING_ESCAPE_RE = re.compile(_ESCAPE + r"|\\\r?\n[ \t]*")
+# in a string, an escape sequence, a Unicode one, or a backslash-newline
+# and the blanks that follow it
+_STRING_ESCAPE_RE = re.compile(_ESCAPE + r"|\\u\{[0-9a-fA-F]+\}|\\\r?\n[ \t]*")
 _ESCAPED = {"n": "\n", "t": "\t", "b": "\b", "r": "\r"}
 
 # a C symbol name, which the header declares and the harness calls
@@ -155,10 +155,13 @@ def _unescape(match) -> str:
         return ""  # a backslash-newline and the blanks after it
     if kind == "x" or kind == "o":
         return chr(int(seq[1:], 16 if kind == "x" else 8))
-    if kind.isdigit():
-        code = int(seq)
-        return chr(code) if code < 256 else match[0]  # no char: kept as written
-    return _ESCAPED.get(kind, kind)
+    if kind == "u":
+        code, limit = int(seq[2:-1], 16), 0x10FFFF
+    elif kind.isdigit():
+        code, limit = int(seq), 255
+    else:
+        return _ESCAPED.get(kind, kind)
+    return chr(code) if code <= limit else match[0]  # no char: kept as written
 
 
 def _string_value(tok_text: str) -> str:

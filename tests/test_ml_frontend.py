@@ -117,10 +117,11 @@ def test_a_c_name_that_is_not_a_c_identifier_is_reported(symbol, names):
     [
         (r'"\\ \" \' \ ."', '\\ " \'  .'),
         (r'"\n\t\b\r"', "\n\t\b\r"),
-        (r'"\065\x5f\o101"', "A_A"),
+        (r'"\065\x5f\o101\u{41}"', "A_AA"),
         ('"a\\\n \tb"', "ab"),  # a backslash-newline and the blanks after it
         ('"a\\\r\nb"', "ab"),
-        (r'"\q\256\xg\o400"', r"\q\256\xg\o400"),  # no escapes: kept as written
+        # no escapes: kept as written
+        (r'"\q\256\xg\o400\u{110000}"', r"\q\256\xg\o400\u{110000}"),
     ],
 )
 def test_string_escapes_are_decoded(literal, text):
