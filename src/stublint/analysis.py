@@ -16,7 +16,10 @@ statement left it; a runtime call or a dereference of an OCaml value while
 the lock is not held, or of a pointer the GC may have moved; the address of
 a value escaping; an even constant stored into a value; a CAMLprim
 returning to OCaml while the lock is not held.  Then it applies the
-statement.
+statement, unless the statement is a call that the summary table says
+never returns (`noreturn`): that step returns BOTTOM, which ends the path,
+so the call's successors see nothing of it.  The blocks come from the
+syntax alone, and this is the one place the table ends a path.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .c_frontend.intrinsics import (
 from .c_frontend.nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
 from .dataflow import Fixpoint, forward_solve
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic
-from .lock_analysis import LockState, SummaryTable, join_lock, step_call
+from .lock_analysis import NORETURN_BUILTINS, LockState, SummaryTable
+from .lock_analysis import join_lock, step_call
 from .naked_const import eval_const, join_const_env, value_vars
 from .value_safety import (
     PLAIN,
@@ -122,7 +126,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
         entry, env, consts = state
         lock = entry
         ops = stmt.ops
-        gc_point = False
+        gc_point = ends = False
         for op in ops:
             kind = op[0]
             if kind == CALL:
@@ -140,6 +144,9 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                     effects = lookup(name)
                     if name == ENTER_BLOCKING or "may_gc" in effects:
                         gc_point = True
+                    if isinstance(stmt, ast.ExprStmt) and where is stmt.expr:
+                        # the statement is this call: is it one that never returns?
+                        ends = name in NORETURN_BUILTINS or "noreturn" in effects
                     if entry is not LockState.HELD and "requires_lock" in effects:
                         rule, severity, message = _UNLOCKED[True, entry]
                         report(found, where, rule, severity, message.format(name))
@@ -191,6 +198,8 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                     " clear low bit; the GC would chase it as a pointer"
                 )
                 report(found, op[4], "NAKED_POINTER", ERROR, message)
+        if ends:
+            return BOTTOM
 
         # a GC point makes heap facts stale before the statement's stores land
         if gc_point:

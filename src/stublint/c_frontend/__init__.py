@@ -5,9 +5,10 @@ runs the directives and a one-level macro expansion over its tokens, each
 a plain (kind, text, line, col) tuple at its line and column on disk ->
 parse_tokens, whose statement lists hold only the statements that execute
 -> build_cfg, which lowers each function straight into basic blocks of those
-statements.  `parse_unit` is the first two in one call.  Anything
-outside the subset degrades to an opaque statement or an
-UNSUPPORTED_CONSTRUCT diagnostic instead of a silent misparse.
+statements, from the syntax alone: the summaries reach only the solver.
+`parse_unit` is the first two in one call.  Anything outside the subset
+degrades to an opaque statement or an UNSUPPORTED_CONSTRUCT diagnostic
+instead of a silent misparse.
 """
 
 from .preprocess import PreprocessError, PreprocessResult, preprocess_local

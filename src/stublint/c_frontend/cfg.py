@@ -6,10 +6,11 @@ successor of the one before and has no other predecessor.  A block holds
 its statements in order and the ids of its successor blocks.  The parser
 hands over only the statements that execute (see nodes), so each statement
 of a list is placed in exactly one block, and a list places nothing only
-when it is empty.  `return` (which covers `CAMLreturn`) and calls to
-noreturn functions end their block with an edge to the exit.  Block 0
-starts at the entry and may hold statements; the exit is block 1 and holds
-none.
+when it is empty.  The blocks come from the syntax alone: `return` (which
+covers `CAMLreturn`) ends its block with an edge to the exit, and a call
+that never returns is an expression statement like any other, whose path
+the solver ends (see analysis).  Block 0 starts at the entry and may hold
+statements; the exit is block 1 and holds none.
 
 Each statement carries the ops the parser attached to it (see nodes,
 "Ops"): the calls, assignments, address-takings, increments and
@@ -51,9 +52,8 @@ class _Builder:
     """Lowers statements in order.  A frontier is the list of blocks whose
     ends flow into the next statement placed."""
 
-    def __init__(self, fn: ast.StubFunction, is_noreturn):
+    def __init__(self, fn: ast.StubFunction):
         self.fn = fn
-        self.is_noreturn = is_noreturn or (lambda name: False)
         self.blocks = [Block(ENTRY), Block(EXIT)]
         self.branches: set[int] = set()  # blocks that end in a branch
         self.head_next = False  # the next statement heads a block
@@ -124,12 +124,6 @@ class _Builder:
             self.head_next = True
         else:
             bid = self.place(stmt, frontier)
-
-        if isinstance(stmt, ast.ExprStmt):
-            if self._terminates(stmt.expr):
-                self.connect([bid], EXIT)
-                return []
-            return [bid]
 
         if isinstance(stmt, ast.Return):
             self.connect([bid], EXIT)
@@ -210,17 +204,12 @@ class _Builder:
                 self.connect([bid], EXIT)
             return []
 
-        # a declaration, an opaque statement, or anything unexpected, falls
-        # through
+        # an expression statement, a declaration, an opaque statement, or
+        # anything unexpected, falls through
         return [bid]
 
-    def _terminates(self, expr) -> bool:
-        """Statement-level calls that never return to the caller."""
-        if not isinstance(expr, ast.Call):
-            return False
-        name = expr.callee
-        return name is not None and bool(self.is_noreturn(name))
 
-
+# is_noreturn is unused: a shim for perfbench/spans.py, which still passes
+# it; ROADMAP item 1 deletes it
 def build_cfg(fn: ast.StubFunction, is_noreturn=None) -> Cfg:
-    return _Builder(fn, is_noreturn).build()
+    return _Builder(fn).build()

@@ -2,8 +2,8 @@
 
 The names in MACRO_NAMES are macros from the OCaml headers, not real
 functions, so summary lookup gives none of them an effect: no summary line
-can make one release the lock, collect, or end the path in the CFG.  The
-constant table doubles as the source of truth for the naked-pointer check.
+can make one release the lock, collect, or end the path.  The constant
+table doubles as the source of truth for the naked-pointer check.
 """
 
 from __future__ import annotations

@@ -7,11 +7,11 @@ plain Python lists; there is no separate Block node.  A list holds only
 the statements that execute, in order: a declaration gives a VarDecl for
 each declarator with an initializer and nothing else, a `for` gives its
 init statements just before the For, and a statement-level
-`CAMLreturn*(...)` call is a Return, like `return`.  The
-analyses never walk expression trees themselves: while it parses a
-statement-level expression, the parser appends the flat ops its nodes
-perform to that statement's `ops` (see "Ops" below), and the CFG hands
-each statement, ops and all, to the analyses.
+`CAMLreturn*(...)` call or a bare `CAMLreturn0` is a Return, like
+`return`.  The analyses never walk expression trees themselves: while it
+parses a statement-level expression, the parser appends the flat ops its
+nodes perform to that statement's `ops` (see "Ops" below), and the CFG
+hands each statement, ops and all, to the analyses.
 
 The classes are slotted dataclasses without generated `__eq__` or
 `__repr__`: nothing compares nodes, and one `__repr__` on the base serves
@@ -219,8 +219,8 @@ class Switch(_At):
 
 @_node
 class Return(_At):
-    """A `return`, or a statement-level `CAMLreturn*(...)` call, whose
-    `expr` is then the call."""
+    """A `return`, or a statement-level `CAMLreturn*(...)` call or bare
+    `CAMLreturn0`, whose `expr` is then the call or the name."""
 
     expr: object = None
     ops: tuple = ()

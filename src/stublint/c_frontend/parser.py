@@ -17,13 +17,13 @@ A statement is dispatched on its first token's text, and each statement
 routine returns the list of statements it contributes, those that execute,
 in order: a declaration gives its initialized declarators and records every
 declarator as a local, a `for` gives its init statements and then the For,
-a statement-level `CAMLreturn*(...)` call gives a Return, and `;` gives
-none.  So a body holds no declaration that executes nothing.  One routine,
-`parse_expr`, parses an expression: a loop over its prefix operators, the
-primary, a loop over its postfix operators, then the binary, conditional
-and assignment operators by precedence climbing.  A cast's operand is
-`parse_expr(_UNARY)`.  So a name or a number costs no call of its own, and
-a call `f(x)` one for each argument.
+a statement-level `CAMLreturn*(...)` call or a bare `CAMLreturn0` gives a
+Return, and `;` gives none.  So a body holds no declaration that executes
+nothing.  One routine, `parse_expr`, parses an expression: a loop over its
+prefix operators, the primary, a loop over its postfix operators, then the
+binary, conditional, assignment and comma operators by precedence climbing.
+A cast's operand is `parse_expr(_UNARY)`.  So a name or a number costs no
+call of its own, and a call `f(x)` one for each argument.
 
 A token is the lexer's plain tuple, read by unpacking or through the index
 names KIND, TEXT, LINE and COL.
@@ -68,11 +68,16 @@ _PREFIX_OPS = frozenset({"*", "&", "!", "~", "-", "+", "++", "--", "sizeof"})
 _POSTFIX_OPS = frozenset({"(", "[", ".", "->", "++", "--"})
 
 # C's operators that follow an operand, below the postfix ones; a higher
-# number binds tighter.  The binary operators are left-associative, the
-# conditional and the assignments group to the right.
+# number binds tighter, and a token that is none of them has -1.  The binary
+# operators are left-associative, the conditional and the assignments group
+# to the right.  The comma operator is read only where an expression ends
+# at `;` or `)`: a statement-level expression and a parenthesis.  An
+# argument, an initializer, a `case` label and an `#if` guard stop at `,`.
+_COMMA = 0
 _ASSIGN = 1
 _CONDITIONAL = 2
 _PREC = {
+    ",": _COMMA,
     **dict.fromkeys(_ASSIGN_OPS, _ASSIGN),
     "?": _CONDITIONAL,
     "||": 3, "&&": 4, "|": 5, "^": 6, "&": 7,
@@ -451,9 +456,9 @@ class _Parser:
     def simple_stmt(self, tok) -> list:
         """A declaration or an expression statement up to its `;`.  A
         declaration gives its initialized VarDecls; an expression gives one
-        statement placed at `tok`: a Return for a `CAMLreturn*` call, else
-        an ExprStmt.  A `CAMLlocal` call declares its names as locals of
-        type value."""
+        statement placed at `tok`: a Return for a `CAMLreturn*` call or a
+        bare `CAMLreturn0`, else an ExprStmt.  A `CAMLlocal` call declares
+        its names as locals of type value."""
         if self.starts_decl():
             _, base = self.specifiers("declaration")
             return self.declarators(base, *self.declarator(base))
@@ -550,7 +555,7 @@ class _Parser:
     def statement_expr(self):
         """Parse a statement-level expression; returns it with its ops."""
         self.ops = []
-        expr = self.parse_expr()
+        expr = self.parse_expr(_COMMA)
         return expr, tuple(self.ops)
 
     def condition(self):
@@ -757,7 +762,7 @@ class _Parser:
             self.depth = depth
             while True:
                 tok = tokens[self.pos]
-                prec = _PREC.get(tok[TEXT], 0)
+                prec = _PREC.get(tok[TEXT], -1)
                 if prec < min_prec:
                     return left
                 self.pos += 1
@@ -828,7 +833,7 @@ class _Parser:
                 operand = self.parse_expr(_UNARY)
                 return nodes.Cast(tok[LINE], tok[COL], ctype, operand)
             self.take()
-            expr = self.parse_expr()
+            expr = self.parse_expr(_COMMA)
             self.expect(")")
             return expr
         finally:
@@ -837,8 +842,10 @@ class _Parser:
 
 def _expr_stmt(line: int, col: int, expr, ops: tuple):
     """An expression statement at (line, col), or a Return if it is a
-    `CAMLreturn*` call, which leaves the function as `return` does."""
-    if isinstance(expr, nodes.Call) and expr.callee in CAMLRETURN:
+    `CAMLreturn*` call or a bare `CAMLreturn0`, as `caml/memory.h` defines
+    it, which leave the function as `return` does."""
+    bare = isinstance(expr, nodes.Name) and expr.ident == "CAMLreturn0"
+    if bare or isinstance(expr, nodes.Call) and expr.callee in CAMLRETURN:
         return nodes.Return(line, col, expr, ops)
     return nodes.ExprStmt(line, col, expr, ops)
 

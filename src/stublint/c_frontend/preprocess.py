@@ -377,7 +377,8 @@ def _fold(expr) -> int:
         return _char_value(expr.text)
     if isinstance(expr, nodes.Unary) and expr.prefix and expr.op in _GUARD_PREFIX_OPS:
         return _GUARD_PREFIX_OPS[expr.op](_fold(expr.operand))
-    if isinstance(expr, nodes.Binary):
+    # a constant expression holds no comma operator (C99 6.6p3)
+    if isinstance(expr, nodes.Binary) and expr.op != ",":
         left = _fold(expr.left)
         if expr.op == "&&":
             return int(bool(left) and bool(_fold(expr.right)))

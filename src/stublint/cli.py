@@ -145,7 +145,7 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
     table = _unit_table(unit, base_table)
     diags = list(unit.diagnostics)
     for fn in unit.functions:
-        cfg = build_cfg(fn, is_noreturn=table.noreturn)
+        cfg = build_cfg(fn)
         diags.extend(solve_function(cfg, table).found)
         diags.extend(check_camlparam(fn))
     return diags

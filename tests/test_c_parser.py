@@ -419,6 +419,37 @@ def test_unparsable_function_body_is_dropped_not_fatal(parse_c):
     assert any(d.rule_id == "UNSUPPORTED_CONSTRUCT" for d in unit.diagnostics)
 
 
+def test_the_comma_operator_is_parsed_where_an_expression_ends(parse_c, lint_c):
+    # in a statement-level expression and in a parenthesis, `,` is the
+    # loosest binary operator, grouping to the left
+    body = expr_stmts(parse_c, "a, b, c;\nn = (g(), h(), k());")
+    assert parenthesized(body[0].expr) == "((a , b) , c)"
+    value = body[1].expr.value
+    assert (value.op, value.left.op) == (",", ",")
+    calls = [value.left.left, value.left.right, value.right]
+    assert [call.callee for call in calls] == ["g", "h", "k"]
+    # an initializer and an argument still stop at it, and so does a `case`
+    # label, which is not an expression that ends at `;` or `)`
+    body = expr_stmts(parse_c, "int n = 1, m = 2;\ng(n, m);")
+    assert [type(stmt).__name__ for stmt in body[:3]] == ["VarDecl"] * 2 + ["ExprStmt"]
+    assert len(body[2].expr.args) == 2
+    assert not parse_c(
+        "value f(value a)\n{\n    switch (a) { case 1, 2: break; }\n    return a;\n}\n"
+    ).functions
+    # a loop the comma operator drives is analysed, not dropped
+    src = (
+        "CAMLprim value f(value b)\n{\n    CAMLparam1(b);\n    int i; char *p;\n"
+        "    caml_enter_blocking_section();\n"
+        "    for (i = 0, p = String_val(b); i < 4; i++, p++) *p = 0;\n"
+        "    caml_leave_blocking_section();\n    CAMLreturn(Val_unit);\n}\n"
+    )
+    found = [(d.rule_id, d.line, d.column) for d in lint_c(src)]
+    assert found == [
+        ("VALUE_DEREF_UNLOCKED", 6, 21),
+        ("DERIVED_PTR_STALE", 6, 53),
+    ]
+
+
 def test_caml_locals_collected(parse_c):
     src = (
         "value f(value a)\n{\n"
@@ -553,6 +584,7 @@ NESTED = {
     "call chain": (lambda n: "v = g" + "()" * n + ";", 197, 404),
     "members": (lambda n: "v = p" + "->f" * n + ";", 197, 601),
     "sums": (lambda n: "v = " + " + ".join(["x"] * (n + 1)) + ";", 197, 801),
+    "commas": (lambda n: "x" + ", x" * n + ";", 198, 602),
     "assignments": (lambda n: "v = " * n + "1;", 198, 801),
     "conditionals": (lambda n: "v = " + "c ? 1 : " * n + "0;", 197, 1589),
     "ifs": (lambda n: "if (c) " * n + "v = 1;", 197, 1395),

@@ -6,18 +6,38 @@ import stubgen
 from conftest import StatementGraph
 from hypothesis import given, strategies as st
 
+from stublint import analysis
 from stublint.c_frontend import parse_tokens, preprocess_local
 from stublint.c_frontend.cfg import ENTRY, EXIT, build_cfg
+from stublint.dataflow import forward_solve
 from stublint.lock_analysis import load_summaries
-
-NORETURN = load_summaries().noreturn
 
 
 def cfg_of(parse_c, src, name=None):
     unit = parse_c(src)
     fns = unit.functions if name is None else [f for f in unit.functions if f.name == name]
     assert fns, "no function parsed"
-    return StatementGraph(build_cfg(fns[0], is_noreturn=NORETURN))
+    return StatementGraph(build_cfg(fns[0]))
+
+
+def path_ends(monkeypatch, fn):
+    """The statements whose step in the product solve of `fn` returns the
+    bottom state, which ends the path, and every statement stepped."""
+    ended, stepped = [], []
+
+    def solve(cfg, init, step, join, bottom, fresh):
+        def watched(stmt, state, found):
+            stepped.append(stmt)
+            state = step(stmt, state, found)
+            if state is bottom:
+                ended.append(stmt)
+            return state
+
+        return forward_solve(cfg, init, watched, join, bottom, fresh)
+
+    monkeypatch.setattr(analysis, "forward_solve", solve)
+    analysis.solve_function(build_cfg(fn), load_summaries())
+    return ended, stepped
 
 
 NOTIFY = """\
@@ -38,20 +58,25 @@ value stub_eventchn_notify(value xce, value port)
 """
 
 
-def test_blocking_stub_spine(parse_c):
+def test_blocking_stub_spine(parse_c, monkeypatch):
     """The canonical enter/call/leave/raise-or-return stub: seven statement
     nodes (the uninitialized declaration contributes none) and nine edges."""
-    cfg = cfg_of(parse_c, NOTIFY)
+    fn = parse_c(NOTIFY).functions[0]
+    cfg = StatementGraph(build_cfg(fn))
     stmts = cfg.statement_nodes()
     assert len(stmts) == 7
     assert len(cfg.edges()) == 9
-    # caml_failwith never returns: its only successor is EXIT
+    # caml_failwith never returns, but the blocks come from the syntax: it
+    # falls through to the CAMLreturn, and the solver ends its path
     failwith = next(
         n
         for n in stmts
         if type(n.stmt).__name__ == "ExprStmt" and "caml_failwith" in repr(n.stmt)
     )
-    assert failwith.succs == [EXIT]
+    ret = next(n for n in stmts if type(n.stmt).__name__ == "Return")
+    assert failwith.succs == [ret.id]
+    ended, _ = path_ends(monkeypatch, fn)
+    assert ended == [failwith.stmt]
     # the if has two successors: the raise and the fallthrough CAMLreturn
     branch = next(n for n in stmts if type(n.stmt).__name__ == "If")
     assert len(branch.succs) == 2
@@ -192,7 +217,7 @@ def test_goto_keeps_analysis_going_with_fallthrough(parse_c):
     assert opaque.succs  # fallthrough edge, not a dead end
 
 
-def test_the_path_ends_at_a_raise(parse_c):
+def test_the_path_ends_at_a_raise(parse_c, monkeypatch):
     src = (
         "value f(value a)\n{\n"
         "    if (Int_val(a) < 0)\n"
@@ -200,32 +225,71 @@ def test_the_path_ends_at_a_raise(parse_c):
         "    a = h(a);\n"
         "    return a;\n}\n"
     )
-    cfg = cfg_of(parse_c, src)
-    raise_node = next(
-        n
-        for n in cfg.statement_nodes()
-        if type(n.stmt).__name__ == "ExprStmt" and "caml_raise" in repr(n.stmt)
-    )
-    assert raise_node.succs == [EXIT]
-    assert not cfg.unreachable()  # the false branch still reaches h
-
-
-def test_raise_if_exception_may_return(parse_c):
-    src = "value f(value a) { caml_raise_if_exception(a); a = h(a); return a; }"
-    cfg = cfg_of(parse_c, src)
-    maybe = next(
-        n for n in cfg.statement_nodes() if "caml_raise_if_exception" in repr(n.stmt)
-    )
-    assert maybe.succs != [EXIT]
+    fn = parse_c(src).functions[0]
+    cfg = StatementGraph(build_cfg(fn))
+    raise_node, assign = [
+        n for n in cfg.statement_nodes() if type(n.stmt).__name__ == "ExprStmt"
+    ]
+    assert "caml_raise" in repr(raise_node.stmt)
+    assert raise_node.succs == [assign.id]  # the CFG falls through
     assert not cfg.unreachable()
+    # the solver ends the path at the raise; the false branch still reaches h
+    ended, stepped = path_ends(monkeypatch, fn)
+    assert ended == [raise_node.stmt]
+    assert assign.stmt in stepped
 
 
-def test_noreturn_hook_is_optional(parse_c):
-    unit = parse_c("value f(value a) { caml_failwith(\"x\"); return a; }")
-    # without the hook: falls through
-    cfg = StatementGraph(build_cfg(unit.functions[0]))
-    fw = next(n for n in cfg.statement_nodes() if "caml_failwith" in repr(n.stmt))
-    assert fw.succs != [EXIT]
+def test_raise_if_exception_may_return(parse_c, lint_c, monkeypatch):
+    # caml_raise_if_exception returns when its argument is no exception, so
+    # the path goes on past it, and a finding after it is still reported
+    src = (
+        "value f(value a)\n{\n"
+        "    caml_raise_if_exception(a);\n"
+        "    caml_enter_blocking_section();\n"
+        "    a = Field(a, 0);\n"
+        "    caml_leave_blocking_section();\n"
+        "    return a;\n}\n"
+    )
+    for raises, want in [
+        ("caml_raise_if_exception(a)", [("VALUE_DEREF_UNLOCKED", 5)]),
+        ("caml_raise_not_found()", []),
+    ]:
+        stub = src.replace("caml_raise_if_exception(a)", raises)
+        found = [
+            (d.rule_id, d.line)
+            for d in lint_c(stub)
+            if d.rule_id != "MISSING_CAMLPARAM"
+        ]
+        assert found == want, raises
+    ended, _ = path_ends(monkeypatch, parse_c(src).functions[0])
+    assert ended == []
+
+
+def test_statements_after_a_raise_join_its_block_and_are_never_stepped(
+    parse_c, monkeypatch
+):
+    fn, cfg, _ = lowered(parse_c, 'caml_failwith("x"); a = h(a); return a;')
+    # one block, entered at the entry
+    assert [b.stmts for b in cfg.blocks] == [fn.body, []]
+    ended, stepped = path_ends(monkeypatch, fn)
+    assert ended == stepped == fn.body[:1]
+
+
+def test_a_raise_falls_through_in_the_cfg(parse_c):
+    # a case that ends in a raise falls into the next case, and a loop body
+    # that ends in one loops back to the condition
+    fn, cfg, block_of = lowered(
+        parse_c,
+        'switch (Int_val(a)) { case 0: g(); caml_failwith("zero");'
+        " case 1: h(); break; }"
+        " while (p()) { k(); caml_raise_not_found(); } return a;",
+    )
+    switch, loop = fn.body[:2]
+    case0, case1 = switch.cases
+    assert cfg.blocks[block_of[id(case0.body[-1])]].succs == [
+        block_of[id(case1.body[0])]
+    ]
+    assert cfg.blocks[block_of[id(loop.body[-1])]].succs == [block_of[id(loop)]]
 
 
 SHAPES = st.lists(
@@ -254,7 +318,7 @@ def test_blocks_are_maximal_straight_runs(stmts):
 
     src = "value f(value a)\n{\n    int i;\n" + "\n".join(stmts) + "\nreturn a;\n}\n"
     fn = parse_unit(src, "gen.c").functions[0]
-    cfg = StatementGraph(build_cfg(fn, is_noreturn=NORETURN))
+    cfg = StatementGraph(build_cfg(fn))
     # every node in exactly one block; block 0 starts at the entry, and the
     # exit is alone in its block
     assert sorted(n.id for b in cfg.blocks for n in b.nodes) == list(
@@ -288,7 +352,7 @@ def lowered(parse_c, body):
     block, keyed by the statement's id.  The `int i;` put before `body`
     executes nothing, so it is not in `fn.body`."""
     fn = parse_c("value f(value a)\n{\n    int i;\n" + body + "\n}\n").functions[0]
-    cfg = build_cfg(fn, is_noreturn=NORETURN)
+    cfg = build_cfg(fn)
     return fn, cfg, {id(s): b.id for b in cfg.blocks for s in b.stmts}
 
 
@@ -365,7 +429,7 @@ def test_every_kept_statement_is_placed_exactly_once():
     for name, source in stubgen.stubs():
         unit = parse_tokens(preprocess_local(source, name).tokens, name)
         for fn in unit.functions:
-            cfg = build_cfg(fn, is_noreturn=NORETURN)
+            cfg = build_cfg(fn)
             placed = Counter(id(s) for block in cfg.blocks for s in block.stmts)
             kept = Counter(id(s) for s in _kept(fn.body))
             assert placed == kept, (name, fn.name)
@@ -477,6 +541,21 @@ OP_TABLE = [
     (
         "x = sizeof -(long)*p++ + !~q[0];",
         [["bump p", "deref Unary 4:23", "deref q 4:33", "assign x = Binary 4:7"]],
+    ),
+    # the comma operator: its operands' ops left to right, in a `for` init
+    # and step, and in a parenthesis
+    (
+        "for (i = 0, p = g(b); i < 4; i++, p++) *p = 0;",
+        [
+            ["assign i = 0 4:12", "call g 4:21", "assign p = g() 4:19"],
+            [],
+            ["bump i", "bump p"],
+            ["deref p 4:44"],
+        ],
+    ),
+    (
+        "n = (g(), Field(a, 0));",
+        [["call g 4:10", "call Field 4:15", "assign n = Binary 4:7"]],
     ),
 ]
 

@@ -37,6 +37,28 @@ def head_of(cfg, heads, node):
     return next(heads[b.id] for b in cfg.blocks if node in b.nodes)
 
 
+def test_a_step_that_returns_bottom_ends_the_path():
+    cfg = cfg_from("value f(value a) { if (p()) { stop(); g(); } h(); return a; }")
+
+    def callee(stmt):
+        return stmt.expr.callee if type(stmt).__name__ == "ExprStmt" else None
+
+    def step(stmt, k, found):
+        found.append(callee(stmt))
+        return None if callee(stmt) == "stop" else k + 1
+
+    def join(a, b):
+        return b if a is None else a if b is None else max(a, b)
+
+    heads, _, found = forward_solve(cfg, 0, step, join, None, lambda k: k)
+    # `g` after `stop` is never stepped, and nothing flows on from `stop`:
+    # `h` is entered with the count after the `if` alone
+    assert [name for name in found if name] == ["stop", "h"]
+    view = StatementGraph(cfg)
+    h = next(n for n in view.statement_nodes() if "'h'" in repr(n.stmt))
+    assert head_of(view, heads, h) == 1
+
+
 def test_straight_line_counts_statements():
     cfg = cfg_from("value f(value a) { g(); h(); k(); return a; }")
     heads, _, _ = toy_counter(cfg)

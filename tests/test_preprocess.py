@@ -190,6 +190,10 @@ GUARD_NOTES = [
         f"is unsupported (nested more than {MAX_NESTING} levels deep)",
     ),
     ("--1", "is unsupported (not an integer constant expression)"),
+    # no comma operator in a constant expression (C99 6.6p3), and a bare
+    # guard stops at the comma
+    ("(1, 2)", "is unsupported (not an integer constant expression)"),
+    ("1, 2", "is unsupported (unexpected token ',')"),
     ("1 +", "is unsupported (unexpected token '<eof>')"),
     ("UNKNOWN / 0", UNKNOWN),
     ("defined(X) << 64", UNKNOWN),
