@@ -48,12 +48,16 @@ class Cfg:
         return range(2 + sum(len(block.stmts) for block in self.blocks))
 
 
+# What falls through to the next statement: a call that never returns is
+# one of these too, since the solver, not the CFG, ends its path.
+_FALLS_THROUGH = (ast.ExprStmt, ast.VarDecl, ast.Opaque)
+
+
 class _Builder:
     """Lowers statements in order.  A frontier is the list of blocks whose
     ends flow into the next statement placed."""
 
-    def __init__(self, fn: ast.StubFunction):
-        self.fn = fn
+    def __init__(self):
         self.blocks = [Block(ENTRY), Block(EXIT)]
         self.branches: set[int] = set()  # blocks that end in a branch
         self.head_next = False  # the next statement heads a block
@@ -106,9 +110,9 @@ class _Builder:
             frontier[:] = [tail if b == bid else b for b in frontier]
         return tail
 
-    def build(self) -> Cfg:
-        self.connect(self.lower_list(self.fn.body, [ENTRY]), EXIT)
-        return Cfg(self.fn, self.blocks)
+    def build(self, fn: ast.StubFunction) -> Cfg:
+        self.connect(self.lower_list(fn.body, [ENTRY]), EXIT)
+        return Cfg(fn, self.blocks)
 
     def lower_list(self, stmts, frontier: list[int]) -> list[int]:
         for stmt in stmts:
@@ -116,6 +120,8 @@ class _Builder:
         return frontier
 
     def lower(self, stmt, frontier: list[int]) -> list[int]:
+        if isinstance(stmt, _FALLS_THROUGH):  # the commonest statements
+            return [self.place(stmt, frontier)]
         if isinstance(stmt, ast.DoWhile):
             # control enters a do-while at its body, which the condition
             # loops back to, so the body's first statement heads a block;
@@ -195,21 +201,17 @@ class _Builder:
                 return breaks + fall
             return breaks + fall + [bid]
 
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            is_break = isinstance(stmt, ast.Break)
-            stack = self.break_stack if is_break else self.continue_stack
-            if stack:
-                stack[-1].append(bid)
-            else:
-                self.connect([bid], EXIT)
-            return []
-
-        # an expression statement, a declaration, an opaque statement, or
-        # anything unexpected, falls through
-        return [bid]
+        # a break or a continue
+        is_break = isinstance(stmt, ast.Break)
+        stack = self.break_stack if is_break else self.continue_stack
+        if stack:
+            stack[-1].append(bid)
+        else:
+            self.connect([bid], EXIT)
+        return []
 
 
 # is_noreturn is unused: a shim for perfbench/spans.py, which still passes
 # it; ROADMAP item 1 deletes it
 def build_cfg(fn: ast.StubFunction, is_noreturn=None) -> Cfg:
-    return _Builder(fn).build()
+    return _Builder().build(fn)
