@@ -71,8 +71,9 @@ _POSTFIX_OPS = frozenset({"(", "[", ".", "->", "++", "--"})
 # number binds tighter, and a token that is none of them has -1.  The binary
 # operators are left-associative, the conditional and the assignments group
 # to the right.  The comma operator is read only where an expression ends
-# at `;` or `)`: a statement-level expression and a parenthesis.  An
-# argument, an initializer, a `case` label and an `#if` guard stop at `,`.
+# at `;`, `)` or `:`: a statement-level expression, a parenthesis and the
+# middle operand of `?:` (C99 6.5.15).  An argument, an initializer, a
+# `case` label and an `#if` guard stop at `,`.
 _COMMA = 0
 _ASSIGN = 1
 _CONDITIONAL = 2
@@ -774,7 +775,7 @@ class _Parser:
                         self.ops.append((ASSIGN, left.ident, tok[TEXT], right, node))
                     left = node
                 elif prec == _CONDITIONAL:
-                    then = self.parse_expr()
+                    then = self.parse_expr(_COMMA)
                     self.expect(":")
                     els = self.parse_expr(_CONDITIONAL)
                     left = nodes.Ternary(tok[LINE], tok[COL], left, then, els)

@@ -448,6 +448,15 @@ def test_the_comma_operator_is_parsed_where_an_expression_ends(parse_c, lint_c):
         ("VALUE_DEREF_UNLOCKED", 6, 21),
         ("DERIVED_PTR_STALE", 6, 53),
     ]
+    # so is the middle operand of `?:`, which ends at `:` (C99 6.5.15)
+    src = (
+        "CAMLprim value f(value a)\n{\n    CAMLparam1(a);\n    int x, c;\n"
+        "    caml_enter_blocking_section();\n"
+        "    x = c ? g(), Field(a, 0) : 2;\n"
+        "    caml_leave_blocking_section();\n    CAMLreturn(a);\n}\n"
+    )
+    found = [(d.rule_id, d.line, d.column) for d in lint_c(src)]
+    assert found == [("VALUE_DEREF_UNLOCKED", 6, 18)]
 
 
 def test_caml_locals_collected(parse_c):
