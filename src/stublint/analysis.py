@@ -20,6 +20,14 @@ statement, unless the statement is a call that the summary table says
 never returns (`noreturn`): that step returns BOTTOM, which ends the path,
 so the call's successors see nothing of it.  The blocks come from the
 syntax alone, and this is the one place the table ends a path.
+
+The step looks each call up in the summary table once, and reads every
+runtime fact from those effects alone: `releases_lock` and `acquires_lock`
+move the lock, `may_gc` makes a GC point, `requires_lock` needs the lock,
+`noreturn` ends the path.  No name decides any of them, so a summary line
+acts the same whatever function it names.  A runtime macro (`MACRO_NAMES`)
+is no function: the step never looks one up, and this is the one place a
+macro escapes the summaries.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from __future__ import annotations
 from .c_frontend import nodes as ast
 from .c_frontend.intrinsics import (
     ALLOC_CALLS,
-    ENTER_BLOCKING,
     FIELD_READ,
     FIELD_WRITE,
     MACRO_NAMES,
@@ -36,8 +43,7 @@ from .c_frontend.intrinsics import (
 from .c_frontend.nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
 from .dataflow import Fixpoint, forward_solve
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic
-from .lock_analysis import NORETURN_BUILTINS, LockState, SummaryTable
-from .lock_analysis import join_lock, step_call
+from .lock_analysis import LockState, SummaryTable, join_lock, step_call
 from .naked_const import eval_const, join_const_env, value_vars
 from .value_safety import (
     PLAIN,
@@ -136,17 +142,17 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                         continue
                     operand = where.args[0]
                 elif name in MACRO_NAMES:
-                    continue  # no summary applies: neither lock nor GC moves
+                    continue  # a macro, no function: no summary applies
                 else:
-                    lock, unbalanced = step_call(name, lock, table)
+                    effects = lookup(name)
+                    lock, unbalanced = step_call(name, lock, effects)
                     if unbalanced is not None:
                         report(found, where, *unbalanced)
-                    effects = lookup(name)
-                    if name == ENTER_BLOCKING or "may_gc" in effects:
+                    if "may_gc" in effects:
                         gc_point = True
                     if isinstance(stmt, ast.ExprStmt) and where is stmt.expr:
                         # the statement is this call: is it one that never returns?
-                        ends = name in NORETURN_BUILTINS or "noreturn" in effects
+                        ends = "noreturn" in effects
                     if entry is not LockState.HELD and "requires_lock" in effects:
                         rule, severity, message = _UNLOCKED[True, entry]
                         report(found, where, rule, severity, message.format(name))

@@ -1,9 +1,10 @@
 """Names with special meaning inside stub code.
 
 The names in MACRO_NAMES are macros from the OCaml headers, not real
-functions, so summary lookup gives none of them an effect: no summary line
-can make one release the lock, collect, or end the path.  The constant
-table doubles as the source of truth for the naked-pointer check.
+functions, so `analysis.solve_function` never looks one up in the summary
+table: no summary line can make one release the lock, collect, or end the
+path.  The constant table doubles as the source of truth for the
+naked-pointer check.
 """
 
 from __future__ import annotations
@@ -87,7 +88,3 @@ MACRO_NAMES = (
     | ARITHMETIC
     | {"Val_int", "Wsize_bsize", "Bsize_wsize", "sizeof"}
 )
-
-
-def is_macro_name(name: str) -> bool:
-    return name in MACRO_NAMES

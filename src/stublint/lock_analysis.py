@@ -2,14 +2,16 @@
 
 The runtime behaves like one global mutex: a stub is entered with the lock
 held, `caml_enter_blocking_section` releases it, `caml_leave_blocking_section`
-takes it back.  Everything else the runtime does is described by summaries,
-either built in or loaded from a plain-text file, so no runtime headers are
-needed.  A summary never applies to a runtime macro (`intrinsics`).
+takes it back.  What each runtime function does, those two included, is a
+line of the summary table: built in (`BUILTIN_SUMMARIES`) or loaded from a
+plain-text file, so no runtime headers are needed.  A runtime macro
+(`intrinsics`) is no function, and the product step never looks one up.
 
 The analysis is the lock lattice plus `step_call`, which moves the state
-over one call and names the finding for an enter or leave that the state
-before it does not match.  `analysis.solve_function` runs it as the lock
-component of the one product solve per function.
+over one call by the effects the step looked up for it, and names the
+finding for an enter or leave that the state before it does not match.
+`analysis.solve_function` runs it as the lock component of the one product
+solve per function.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .c_frontend.intrinsics import ENTER_BLOCKING, LEAVE_BLOCKING, is_macro_name
+from .c_frontend.intrinsics import ENTER_BLOCKING, LEAVE_BLOCKING
 from .diagnostics import ERROR, WARNING
 
 
@@ -59,38 +61,31 @@ EFFECT_NAMES = frozenset(
     }
 )
 
-# Functions that never return to the stub even without a summary saying so:
-# the raise helpers `caml/fail.h` marks CAMLnoreturn.  `caml_raise_if_exception`
-# returns when its argument is not an exception, so it is not one of them.
-NORETURN_BUILTINS = frozenset(
-    {
-        "caml_failwith",
-        "caml_failwith_value",
-        "caml_invalid_argument",
-        "caml_invalid_argument_value",
-        "caml_raise",
-        "caml_raise_constant",
-        "caml_raise_with_arg",
-        "caml_raise_with_args",
-        "caml_raise_with_string",
-        "caml_raise_out_of_memory",
-        "caml_raise_stack_overflow",
-        "caml_raise_sys_error",
-        "caml_raise_end_of_file",
-        "caml_raise_zero_divide",
-        "caml_raise_not_found",
-        "caml_raise_sys_blocked_io",
-        "caml_array_bound_error",
-    }
-)
-
 BUILTIN_SUMMARIES = """\
 # Preloaded model of the OCaml runtime.
-caml_enter_blocking_section: releases_lock
+caml_enter_blocking_section: releases_lock, may_gc
 caml_leave_blocking_section: acquires_lock
 caml_*: requires_lock, may_gc
 caml_stat_free: no_lock_needed
+# The raise helpers `caml/fail.h` marks CAMLnoreturn.  caml_raise_if_exception
+# returns when its argument is not an exception, so it is not one of them.
 caml_failwith: requires_lock, noreturn
+caml_failwith_value: requires_lock, may_gc, noreturn
+caml_invalid_argument: requires_lock, may_gc, noreturn
+caml_invalid_argument_value: requires_lock, may_gc, noreturn
+caml_raise: requires_lock, may_gc, noreturn
+caml_raise_constant: requires_lock, may_gc, noreturn
+caml_raise_with_arg: requires_lock, may_gc, noreturn
+caml_raise_with_args: requires_lock, may_gc, noreturn
+caml_raise_with_string: requires_lock, may_gc, noreturn
+caml_raise_out_of_memory: requires_lock, may_gc, noreturn
+caml_raise_stack_overflow: requires_lock, may_gc, noreturn
+caml_raise_sys_error: requires_lock, may_gc, noreturn
+caml_raise_end_of_file: requires_lock, may_gc, noreturn
+caml_raise_zero_divide: requires_lock, may_gc, noreturn
+caml_raise_not_found: requires_lock, may_gc, noreturn
+caml_raise_sys_blocked_io: requires_lock, may_gc, noreturn
+caml_array_bound_error: requires_lock, may_gc, noreturn
 """
 
 
@@ -117,10 +112,9 @@ class SummaryTable:
 
     def lookup(self, name: str, default=frozenset()) -> frozenset[str]:
         """Effects for a callee: exact match first, then longest prefix,
-        and `default` when no line matches.  A runtime macro (`Field`,
-        `CAMLparam1`, ...) has none, whatever the summaries say."""
-        if is_macro_name(name):
-            return frozenset()
+        and `default` when no line matches.  The product step never asks
+        for a runtime macro (`Field`, `CAMLparam1`, ...), so no line
+        reaches one, whatever the summaries say."""
         hit = self.exact.get(name)
         if hit is not None:
             return hit
@@ -132,8 +126,10 @@ class SummaryTable:
                 best_len = len(pattern)
         return best if best is not None else default
 
+    # Read only by tests and perfbench/spans.py; the step reads `noreturn`
+    # from the effects it looked up.
     def noreturn(self, name: str) -> bool:
-        return name in NORETURN_BUILTINS or "noreturn" in self.lookup(name)
+        return "noreturn" in self.lookup(name)
 
 
 def parse_summary_lines(text: str) -> list[SummaryEntry]:
@@ -182,9 +178,7 @@ def load_summaries(text: str | None = None) -> SummaryTable:
 # -- transfer ---------------------------------------------------------------
 
 
-# The lock state each blocking-section call leaves, and the finding for
-# the call in each state it does not match.
-_BLOCKING = {ENTER_BLOCKING: LockState.RELEASED, LEAVE_BLOCKING: LockState.HELD}
+# The finding for a blocking-section call in each state it does not match.
 _UNBALANCED = {
     (call, state): ("UNBALANCED_LOCK", severity, f"{call} but the runtime lock {how}")
     for call, state, severity, how in (
@@ -196,18 +190,17 @@ _UNBALANCED = {
 }
 
 
-def step_call(name: str, state: LockState, table: SummaryTable):
-    """Lock state after one call, plus (rule, severity, message) when the
-    call is an enter/leave that does not match the current state."""
-    after = _BLOCKING.get(name)
-    if after is not None:
-        return after, _UNBALANCED.get((name, state))
-    effects = table.lookup(name)
+def step_call(name: str, state: LockState, effects: frozenset[str]):
+    """Lock state after a call with these effects, plus (rule, severity,
+    message) when the call is an enter/leave that moves the lock from a
+    state it does not match."""
     if "releases_lock" in effects:
-        return LockState.RELEASED, None
-    if "acquires_lock" in effects:
-        return LockState.HELD, None
-    return state, None
+        after = LockState.RELEASED
+    elif "acquires_lock" in effects:
+        after = LockState.HELD
+    else:
+        return state, None
+    return after, _UNBALANCED.get((name, state))
 
 
 # -- shims for perfbench/spans.py over analysis.solve_function; ROADMAP item 1

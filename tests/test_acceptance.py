@@ -167,7 +167,7 @@ def test_criterion_4_lattice_exhaustive():
                 assert join_lock(join_lock(a, b), c) is join_lock(a, join_lock(b, c))
         table = load_summaries()
         for (intrinsic, state), (want_out, want_sev) in TRANSFER_FIXTURE.items():
-            out, finding = step_call(intrinsic, state, table)
+            out, finding = step_call(intrinsic, state, table.lookup(intrinsic))
             assert out is want_out, (intrinsic, state)
             got_sev = finding[1] if finding else None
             assert got_sev == want_sev, (intrinsic, state)

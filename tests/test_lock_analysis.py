@@ -85,8 +85,8 @@ LEAVE_TABLE = {
 
 @pytest.mark.parametrize("state", STATES)
 def test_enter_blocking_transfer(state):
-    table = load_summaries()
-    out, finding = step_call("caml_enter_blocking_section", state, table)
+    effects = load_summaries().lookup("caml_enter_blocking_section")
+    out, finding = step_call("caml_enter_blocking_section", state, effects)
     want_out, want_sev = ENTER_TABLE[state]
     assert out is want_out
     assert (finding[1] if finding else None) == want_sev
@@ -96,8 +96,8 @@ def test_enter_blocking_transfer(state):
 
 @pytest.mark.parametrize("state", STATES)
 def test_leave_blocking_transfer(state):
-    table = load_summaries()
-    out, finding = step_call("caml_leave_blocking_section", state, table)
+    effects = load_summaries().lookup("caml_leave_blocking_section")
+    out, finding = step_call("caml_leave_blocking_section", state, effects)
     want_out, want_sev = LEAVE_TABLE[state]
     assert out is want_out
     assert (finding[1] if finding else None) == want_sev
@@ -106,11 +106,11 @@ def test_leave_blocking_transfer(state):
 
 
 def test_summary_effects_flip_state_without_findings():
-    table = load_summaries("takes: acquires_lock\ndrops: releases_lock\n")
-    assert step_call("drops", H, table) == (R, None)
-    assert step_call("drops", R, table) == (R, None)
-    assert step_call("takes", R, table) == (H, None)
-    assert step_call("plain_c_function", R, table) == (R, None)
+    lookup = load_summaries("takes: acquires_lock\ndrops: releases_lock\n").lookup
+    assert step_call("drops", H, lookup("drops")) == (R, None)
+    assert step_call("drops", R, lookup("drops")) == (R, None)
+    assert step_call("takes", R, lookup("takes")) == (H, None)
+    assert step_call("plain_c_function", R, lookup("plain_c_function")) == (R, None)
 
 
 # -- summaries -----------------------------------------------------------------
@@ -118,16 +118,25 @@ def test_summary_effects_flip_state_without_findings():
 
 def test_builtin_summaries():
     table = load_summaries()
-    assert table.lookup("caml_enter_blocking_section") == frozenset({"releases_lock"})
+    # entering a blocking section lets other threads run, and so collect
+    assert table.lookup("caml_enter_blocking_section") == frozenset(
+        {"releases_lock", "may_gc"}
+    )
     assert table.lookup("caml_leave_blocking_section") == frozenset({"acquires_lock"})
     # the caml_* prefix: runtime entry points want the lock and may collect
     assert table.lookup("caml_alloc") == frozenset({"requires_lock", "may_gc"})
     assert "may_gc" in table.lookup("caml_alloc_small")
     # exact entries beat the prefix
     assert table.lookup("caml_stat_free") == frozenset({"no_lock_needed"})
+    # the raise helpers of `caml/fail.h` never return
+    raises = frozenset({"requires_lock", "may_gc", "noreturn"})
+    assert table.lookup("caml_invalid_argument") == raises
+    assert table.lookup("caml_raise_not_found") == raises
+    assert table.lookup("caml_failwith") == frozenset({"requires_lock", "noreturn"})
     assert table.noreturn("caml_failwith")
     assert table.noreturn("caml_invalid_argument")
     assert not table.noreturn("caml_alloc")
+    assert not table.noreturn("caml_raise_if_exception")
 
 
 def test_unknown_function_has_no_effects():
@@ -162,16 +171,17 @@ def test_summaries_never_apply_to_runtime_macros(parse_c, lint_c):
     src = (
         "value f(value a)\n{\n"
         "    CAMLparam1(a);\n"
+        "    char *p = String_val(a);\n"
         "    Store_field(a, 0, Val_int(1));\n"
+        "    p[0];\n"
         "    caml_enter_blocking_section();\n"
         "    Field(a, 0);\n"
         "    caml_leave_blocking_section();\n"
         "    CAMLreturn(a);\n}\n"
     )
     summaries = "Store_*: noreturn, releases_lock, may_gc\nField: requires_lock\n"
-    table = load_summaries(summaries)
-    assert table.lookup("Store_field") == table.lookup("Field") == frozenset()
-    # a `Store_field` that ended the path would hide the finding at `Field`
+    # a `Store_field` that collected would make `p` stale at `p[0]`, and
+    # one that ended the path would hide the finding at `Field`
     found = [d.render() for d in lint_c(src, summaries)]
     assert found == [d.render() for d in lint_c(src)]
     assert [f.split(": ")[2] for f in found] == ["VALUE_DEREF_UNLOCKED"]
@@ -339,6 +349,54 @@ def test_a_call_that_never_returns_ends_the_path(lint_c, summaries, body, want):
     assert found == [("warning", line, col, MAY_BE_HELD) for line, col in want]
 
 
+def test_a_summary_line_replaces_a_built_in_raise_helper(lint_c):
+    # the built-in line ends the path at the raise; a user line that says
+    # nothing of `noreturn` lets the raise path, lock held, reach the leave
+    src = (
+        "CAMLprim value f(value a)\n{\n    CAMLparam1(a);\n"
+        "    caml_enter_blocking_section();\n"
+        "    if (Int_val(a) < 0) { caml_leave_blocking_section();"
+        " caml_raise_not_found(); }\n"
+        "    caml_leave_blocking_section();\n"
+        "    CAMLreturn(a);\n}\n"
+    )
+    assert lint_c(src) == []
+    found = lint_c(src, "caml_raise_not_found: requires_lock\n")
+    assert [(d.rule_id, d.line, d.column, d.message) for d in found] == [
+        ("UNBALANCED_LOCK", 6, 5, MAY_BE_HELD)
+    ]
+
+
+def test_the_step_reads_runtime_facts_from_effects_not_names(lint_c):
+    # enter collects and releases, the raise ends its path, leave takes the
+    # lock back: under lines that copy those effects, renamed calls act alike
+    src = (
+        "CAMLprim value f(value a)\n{\n    CAMLparam1(a);\n"
+        "    char *p = String_val(a);\n"
+        "    caml_enter_blocking_section();\n"
+        "    if (Int_val(a) < 0) { caml_leave_blocking_section();"
+        " caml_raise_not_found(); }\n"
+        "    Field(a, 0);\n"
+        "    caml_leave_blocking_section();\n"
+        "    *p = 0;\n"
+        "    CAMLreturn(a);\n}\n"
+    )
+    renamed = (
+        src.replace("caml_enter_blocking_section", "my_enter")
+        .replace("caml_leave_blocking_section", "my_leave")
+        .replace("caml_raise_not_found", "my_raise")
+    )
+    summaries = (
+        "my_enter: releases_lock, may_gc\n"
+        "my_leave: acquires_lock\n"
+        "my_raise: requires_lock, may_gc, noreturn\n"
+    )
+    want = [("VALUE_DEREF_UNLOCKED", 7, 5), ("DERIVED_PTR_STALE", 9, 5)]
+    assert [(d.rule_id, d.line, d.column) for d in lint_c(src)] == want
+    found = [(d.rule_id, d.line, d.column) for d in lint_c(renamed, summaries)]
+    assert found == want
+
+
 def test_a_static_value_helper_is_no_primitive(lint_c):
     # only `CAMLprim` makes a static function a primitive: the helper is
     # neither checked for CAMLparam nor for the lock it returns with
@@ -402,7 +460,7 @@ def lock_at(cfg, heads, node, table):
     for prior in block.nodes[: [n.id for n in block.nodes].index(node.id)]:
         for op in prior.ops:
             if op[0] == CALL:
-                state = step_call(op[1], state, table)[0]
+                state = step_call(op[1], state, table.lookup(op[1]))[0]
     return state
 
 
