@@ -321,6 +321,13 @@ for (i = 0; i < 4; i++) {
 caml_leave_blocking_section();
 return Val_unit;"""
 
+RAISE_IN_IF = """\
+CAMLparam1(a);
+caml_enter_blocking_section();
+if (Int_val(a) < 0) { caml_leave_blocking_section(); caml_raise_not_found(); }
+caml_leave_blocking_section();
+CAMLreturn(a);"""
+
 MAY_BE_HELD = "caml_leave_blocking_section but the runtime lock may still be held"
 
 
@@ -337,6 +344,9 @@ MAY_BE_HELD = "caml_leave_blocking_section but the runtime lock may still be hel
             RAISE_IN_FOR.replace("caml_raise_not_found", "not_found"),
             [(7, 9), (10, 5)],
         ),
+        (None, RAISE_IN_IF, []),
+        # a user line replaces the raise helper's built-in one
+        ("caml_raise_not_found: requires_lock\n", RAISE_IN_IF, [(6, 5)]),
     ],
 )
 def test_a_call_that_never_returns_ends_the_path(lint_c, summaries, body, want):
@@ -347,24 +357,6 @@ def test_a_call_that_never_returns_ends_the_path(lint_c, summaries, body, want):
         if d.rule_id == "UNBALANCED_LOCK"
     ]
     assert found == [("warning", line, col, MAY_BE_HELD) for line, col in want]
-
-
-def test_a_summary_line_replaces_a_built_in_raise_helper(lint_c):
-    # the built-in line ends the path at the raise; a user line that says
-    # nothing of `noreturn` lets the raise path, lock held, reach the leave
-    src = (
-        "CAMLprim value f(value a)\n{\n    CAMLparam1(a);\n"
-        "    caml_enter_blocking_section();\n"
-        "    if (Int_val(a) < 0) { caml_leave_blocking_section();"
-        " caml_raise_not_found(); }\n"
-        "    caml_leave_blocking_section();\n"
-        "    CAMLreturn(a);\n}\n"
-    )
-    assert lint_c(src) == []
-    found = lint_c(src, "caml_raise_not_found: requires_lock\n")
-    assert [(d.rule_id, d.line, d.column, d.message) for d in found] == [
-        ("UNBALANCED_LOCK", 6, 5, MAY_BE_HELD)
-    ]
 
 
 def test_the_step_reads_runtime_facts_from_effects_not_names(lint_c):
