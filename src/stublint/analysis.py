@@ -3,23 +3,27 @@ constant lattices.
 
 The state at a block head is (lock state, value facts, constants), the
 lattices of lock_analysis, value_safety and naked_const, joined component
-by component.  The lock component reads neither of the others, so it
-reaches the fixpoint it has alone.  The value component reads the lock only
-to mark a fresh derivation stale when the lock is not held, and that only
-rises with the lock.  So the product fixpoint is each component's own
-fixpoint, and a block's last visit sees all three at theirs.
+by component.  BOTTOM, an unreached block's head, is the product's one
+bottom: `join` returns the other state when one is BOTTOM, and the solver
+never joins BOTTOM into a successor, so no component needs its own.  The
+lock component reads neither of the others, so it reaches the fixpoint it
+has alone.  The value component reads the lock only to mark a fresh
+derivation stale when the lock is not held, and that only rises with the
+lock.  So the product fixpoint is each component's own fixpoint, and a
+block's last visit sees all three at theirs.
 
-One statement step first judges each of the statement's ops against the
-state at the statement's entry, with the lock state at hand: an enter or
-leave the lock state does not match, as the calls before it in the
-statement left it; a runtime call or a dereference of an OCaml value while
-the lock is not held, or of a pointer the GC may have moved; the address of
-a value escaping; an even constant stored into a value; a CAMLprim
-returning to OCaml while the lock is not held.  Then it applies the
-statement, unless the statement is a call that the summary table says
-never returns (`noreturn`): that step returns BOTTOM, which ends the path,
-so the call's successors see nothing of it.  The blocks come from the
-syntax alone, and this is the one place the table ends a path.
+One statement step first judges the statement's ops, in one pass over
+them, against the state at the statement's entry, with the lock state at
+hand: an enter or leave the lock state does not match, as the calls before
+it in the statement left it; a runtime call or a dereference of an OCaml
+value while the lock is not held, or of a pointer the GC may have moved
+(STALE); the address of a value escaping; an even constant stored into a
+value.  Then it judges a CAMLprim returning to OCaml while the lock is not
+held, and applies the statement, unless the statement is a call that the
+summary table says never returns (`noreturn`): that step returns BOTTOM,
+which ends the path, so the call's successors see nothing of it.  The
+blocks come from the syntax alone, and this is the one place the table
+ends a path.
 
 The step looks each call up in the summary table once, and reads every
 runtime fact from those effects alone: `releases_lock` and `acquires_lock`
@@ -33,27 +37,13 @@ macro escapes the summaries.
 from __future__ import annotations
 
 from .c_frontend import nodes as ast
-from .c_frontend.intrinsics import (
-    ALLOC_CALLS,
-    FIELD_READ,
-    FIELD_WRITE,
-    MACRO_NAMES,
-    STRING_DEREF,
-)
+from .c_frontend.intrinsics import FIELD_READ, FIELD_WRITE, MACRO_NAMES, STRING_DEREF
 from .c_frontend.nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
 from .dataflow import Fixpoint, forward_solve
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic
 from .lock_analysis import LockState, SummaryTable, join_lock, step_call
 from .naked_const import eval_const, join_const_env, value_vars
-from .value_safety import (
-    PLAIN,
-    fact_of,
-    heap,
-    initial_facts,
-    is_heap,
-    is_tracked,
-    join_env,
-)
+from .value_safety import HEAP, PLAIN, STALE, fact_of, initial_facts, join_env
 
 BOTTOM = (LockState.BOTTOM, None, None)
 
@@ -62,7 +52,7 @@ _DEREF_MACROS = frozenset({FIELD_READ, FIELD_WRITE}) | STRING_DEREF
 
 
 def join(a, b):
-    if a[0] is LockState.BOTTOM:
+    if a is BOTTOM:
         return b
     return join_lock(a[0], b[0]), join_env(a[1], b[1]), join_const_env(a[2], b[2])
 
@@ -160,7 +150,26 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
             elif kind == DEREF:
                 operand, where = op[1], op[2]
             else:
-                if kind == ADDR and is_tracked(env.get(op[1], PLAIN)):
+                # a non-value declaration's own store (its last op) makes a
+                # C variable, even one named like a value
+                if (
+                    kind == ASSIGN
+                    and op[2] == "="
+                    and op[1] in values
+                    and not (
+                        op is ops[-1]
+                        and isinstance(stmt, ast.VarDecl)
+                        and not stmt.ctype.is_value
+                    )
+                ):
+                    k = eval_const(op[3], consts)
+                    if k is not None and k & 1 == 0:
+                        message = (
+                            f"constant {k} stored into OCaml value '{op[1]}' has a"
+                            " clear low bit; the GC would chase it as a pointer"
+                        )
+                        report(found, op[4], "NAKED_POINTER", ERROR, message)
+                elif kind == ADDR and env.get(op[1], PLAIN) is not PLAIN:
                     message = (
                         f"address of '{op[1]}' escapes;"
                         " it is no longer tracked as an OCaml value"
@@ -168,13 +177,13 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                     report(found, op[2], "NOTE", NOTE, message)
                 continue
             fact = fact_of(operand, env)
-            if is_heap(fact) and fact[1]:
+            if fact is STALE:
                 message = (
                     f"'{_sketch(operand)}' points into an OCaml block but the GC"
                     " may have moved it since the pointer was derived"
                 )
                 report(found, where, "DERIVED_PTR_STALE", ERROR, message)
-            elif is_tracked(fact) and entry is not LockState.HELD:
+            elif fact is not PLAIN and entry is not LockState.HELD:
                 rule, severity, message = _UNLOCKED[False, entry]
                 report(found, where, rule, severity, message.format(_sketch(operand)))
 
@@ -187,34 +196,17 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
             report(found, stmt, "UNBALANCED_LOCK", severity, message.format(fn.name))
         if not ops and not isinstance(stmt, ast.Opaque):
             return state
-        stores = ops
-        if isinstance(stmt, ast.VarDecl) and not stmt.ctype.is_value:
-            # the initializer's stores; the declaration's own is no value
-            stores = ops[:-1]
-        for op in stores:
-            if op[0] != ASSIGN or op[2] != "=" or op[1] not in values:
-                continue
-            rhs = op[3]
-            if isinstance(rhs, ast.Call) and rhs.callee in ALLOC_CALLS:
-                continue  # runtime allocations are well-formed by construction
-            k = eval_const(rhs, consts)
-            if k is not None and k & 1 == 0:
-                message = (
-                    f"constant {k} stored into OCaml value '{op[1]}' has a"
-                    " clear low bit; the GC would chase it as a pointer"
-                )
-                report(found, op[4], "NAKED_POINTER", ERROR, message)
         if ends:
             return BOTTOM
 
         # a GC point makes heap facts stale before the statement's stores land
         if gc_point:
             for name, fact in env.items():
-                if is_heap(fact):
-                    env[name] = heap(True)
+                if fact is HEAP:
+                    env[name] = STALE
         if isinstance(stmt, ast.Opaque):
             for name, fact in env.items():
-                if is_heap(fact):
+                if fact is HEAP or fact is STALE:
                     env[name] = PLAIN
             consts.clear()
             return lock, env, consts
@@ -233,7 +225,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                     consts[name] = k
             elif kind == ADDR or kind == BUMP:
                 name = op[1]
-                if kind == ADDR and is_tracked(env.get(name, PLAIN)):
+                if kind == ADDR and env.get(name, PLAIN) is not PLAIN:
                     env[name] = PLAIN
                 consts.pop(name, None)
         return lock, env, consts

@@ -86,5 +86,5 @@ MACRO_NAMES = (
     | {FIELD_READ, FIELD_WRITE}
     | STRING_DEREF
     | ARITHMETIC
-    | {"Val_int", "Wsize_bsize", "Bsize_wsize", "sizeof"}
+    | {"Wsize_bsize", "Bsize_wsize"}
 )

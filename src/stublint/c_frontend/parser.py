@@ -220,9 +220,14 @@ class _Parser:
                     base_words.append(self.take()[TEXT])
                 break
             # a lone identifier can be a typedef name, but only when the
-            # token after it still looks like a declarator
+            # token after it still looks like a declarator, or it is a
+            # `_t` name that ends a type name, as `is_type_ahead` reads it
             nxt = self.peek(1)
-            if nxt[TEXT] == "*" or nxt[KIND] == "ident":
+            if (
+                nxt[TEXT] == "*"
+                or nxt[KIND] == "ident"
+                or nxt[TEXT] == ")" and tok[TEXT].endswith("_t")
+            ):
                 base_words.append(tok[TEXT])
                 self.take()
                 break

@@ -4,8 +4,10 @@ The runtime behaves like one global mutex: a stub is entered with the lock
 held, `caml_enter_blocking_section` releases it, `caml_leave_blocking_section`
 takes it back.  What each runtime function does, those two included, is a
 line of the summary table: built in (`BUILTIN_SUMMARIES`) or loaded from a
-plain-text file, so no runtime headers are needed.  A runtime macro
-(`intrinsics`) is no function, and the product step never looks one up.
+plain-text file, so no runtime headers are needed.  `load_summaries` reads
+each line straight into the `SummaryTable`, built-ins first.  A runtime
+macro (`intrinsics`) is no function, and the product step never looks one
+up.
 
 The analysis is the lock lattice plus `step_call`, which moves the state
 over one call by the effects the step looked up for it, and names the
@@ -96,13 +98,6 @@ class SummaryError(Exception):
         self.line = line
 
 
-@dataclass(slots=True)
-class SummaryEntry:
-    pattern: str
-    is_prefix: bool
-    effects: frozenset[str]
-
-
 @dataclass
 class SummaryTable:
     """Effects by exact callee name, and by name prefix (`caml_*`)."""
@@ -132,46 +127,39 @@ class SummaryTable:
         return "noreturn" in self.lookup(name)
 
 
-def parse_summary_lines(text: str) -> list[SummaryEntry]:
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise SummaryError("expected '<name>: effect, ...'", lineno)
-        name, _, effect_part = line.partition(":")
-        name = name.strip()
-        if not name or any(ch.isspace() for ch in name):
-            raise SummaryError(f"bad function name {name!r}", lineno)
-        is_prefix = name.endswith("*")
-        if is_prefix:
-            name = name[:-1]
-        effects = set()
-        for word in effect_part.split(","):
-            word = word.strip()
-            if not word:
-                continue
-            if word not in EFFECT_NAMES:
-                raise SummaryError(f"unknown effect {word!r}", lineno)
-            effects.add(word)
-        if "acquires_lock" in effects and "releases_lock" in effects:
-            raise SummaryError(
-                f"{name!r} cannot both acquire and release the lock", lineno
-            )
-        entries.append(SummaryEntry(name, is_prefix, frozenset(effects)))
-    return entries
-
-
 def load_summaries(text: str | None = None) -> SummaryTable:
-    """Built-ins, optionally extended/overridden by user summary text."""
+    """The table of the built-ins, then of the lines of `text`, which extend
+    or override them; a bad line raises SummaryError with its number in its
+    own text."""
     table = SummaryTable()
-    entries = parse_summary_lines(BUILTIN_SUMMARIES)
-    if text is not None:
-        entries += parse_summary_lines(text)
-    for entry in entries:
-        patterns = table.prefix if entry.is_prefix else table.exact
-        patterns[entry.pattern] = entry.effects
+    for source in (BUILTIN_SUMMARIES, text or ""):
+        for lineno, raw in enumerate(source.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if ":" not in line:
+                raise SummaryError("expected '<name>: effect, ...'", lineno)
+            name, _, effect_part = line.partition(":")
+            name = name.strip()
+            if not name or any(ch.isspace() for ch in name):
+                raise SummaryError(f"bad function name {name!r}", lineno)
+            patterns = table.exact
+            if name.endswith("*"):
+                patterns = table.prefix
+                name = name[:-1]
+            effects = set()
+            for word in effect_part.split(","):
+                word = word.strip()
+                if not word:
+                    continue
+                if word not in EFFECT_NAMES:
+                    raise SummaryError(f"unknown effect {word!r}", lineno)
+                effects.add(word)
+            if "acquires_lock" in effects and "releases_lock" in effects:
+                raise SummaryError(
+                    f"{name!r} cannot both acquire and release the lock", lineno
+                )
+            patterns[name] = frozenset(effects)
     return table
 
 

@@ -7,9 +7,11 @@ flows through C temporaries; anything the propagation cannot prove is left
 alone, since the check cannot show absence of naked pointers anyway.
 
 The propagation is an environment lattice plus `eval_const`, the constant
-component of the one product solve per function (`analysis`), which judges
-a statement's stores into values against the constants at the statement's
-entry and then applies them.
+component of the one product solve per function (`analysis`).  Its step
+judges each store into a value in the one pass over the statement's ops
+that judges everything else, against the constants at the statement's
+entry, and then applies the stores.  Unreached code is the product's
+BOTTOM, so the environment is always a dict.
 """
 
 from __future__ import annotations
@@ -19,19 +21,17 @@ from .c_frontend.intrinsics import CONSTANTS
 from .diagnostics import Diagnostic
 
 # Environment: dict of variable -> known int.  A variable absent from the
-# dict is unknown; the whole environment being None marks unreachable code.
+# dict is unknown.
 
 
 def join_const_env(a, b):
-    if a is None:
-        return b
-    if b is None or a == b:
+    if a == b:
         return a
     return {k: v for k, v in a.items() if b.get(k) == v}
 
 
 def eval_const(expr, env) -> int | None:
-    if expr is None or env is None:
+    if expr is None:
         return None
     if isinstance(expr, ast.Num):
         return expr.value if isinstance(expr.value, int) else None

@@ -1,16 +1,21 @@
 """Tracks which C expressions the OCaml GC can invalidate, and when.
 
-Per variable and program point one of three facts:
+Per variable and program point one of four facts, module constants
+compared by identity:
 
-  plain         ordinary C data; the GC cannot touch it
-  ocaml_value   a tagged OCaml value (declared type `value`)
-  heap_derived  a C pointer into an OCaml block's payload, with a
-                possibly_stale bit that flips once a GC opportunity passes
+  PLAIN   ordinary C data; the GC cannot touch it
+  VALUE   a tagged OCaml value (declared type `value`)
+  HEAP    a C pointer into an OCaml block's payload
+  STALE   such a pointer after a GC opportunity has passed: the GC may
+          have moved the block
 
-The facts are an environment lattice plus `fact_of`, the value component
-of the one product solve per function (`analysis`).  Its statement step
-judges each dereference and runtime call against the facts and the lock
-state at the statement's entry, as it meets them.
+A variable's facts from two paths join to the fact itself when they agree,
+to STALE when both point into a block, and to PLAIN otherwise.  The facts
+are an environment lattice plus `fact_of`, the value component of the one
+product solve per function (`analysis`).  Its statement step judges each
+dereference and runtime call against the facts and the lock state at the
+statement's entry, as it meets them, and a GC point makes every HEAP fact
+STALE.
 """
 
 from __future__ import annotations
@@ -26,35 +31,22 @@ from .c_frontend.intrinsics import (
 )
 from .diagnostics import WARNING, Diagnostic
 
-PLAIN = ("plain", False)
-VALUE = ("value", False)
-
-
-def heap(stale: bool):
-    return ("heap", bool(stale))
-
-
-def is_heap(fact) -> bool:
-    return fact[0] == "heap"
-
-
-def is_tracked(fact) -> bool:
-    """Facts whose dereference touches the OCaml heap."""
-    return fact[0] in ("value", "heap")
+PLAIN = "plain"
+VALUE = "value"
+HEAP = "heap"
+STALE = "stale"
 
 
 def join_fact(a, b):
-    if a == b:
+    if a is b:
         return a
-    if is_heap(a) and is_heap(b):
-        return heap(a[1] or b[1])
+    if (a is HEAP or a is STALE) and (b is HEAP or b is STALE):
+        return STALE
     return PLAIN
 
 
 def join_env(a, b):
-    if a is None:
-        return b
-    if b is None or a == b:
+    if a == b:
         return a
     keys = set(a) | set(b)
     return {k: join_fact(a.get(k, PLAIN), b.get(k, PLAIN)) for k in keys}
@@ -73,12 +65,13 @@ def initial_facts(fn: ast.StubFunction) -> dict:
 def fact_of(expr, env, derive_stale: bool = False):
     """Classify an expression.
 
-    derive_stale marks fresh derivations (Data_*_val, String_val,
-    Bytes_val, value-to-pointer casts) as already stale; the statement step
-    sets it when the lock is not definitely held, because the GC may move the
-    block between computing the address and any later use.  A judged operand always classifies with
-    derive_stale=False: within a single expression there is no such window,
-    so an unlocked inline dereference stays a lock finding, not a stale one.
+    derive_stale makes fresh derivations (Data_*_val, String_val,
+    Bytes_val, value-to-pointer casts) STALE, not HEAP; the statement step
+    sets it when the lock is not definitely held, because the GC may move
+    the block between computing the address and any later use.  A judged
+    operand always classifies with derive_stale=False: within a single
+    expression there is no such window, so an unlocked inline dereference
+    stays a lock finding, not a stale one.
     """
     if expr is None or isinstance(expr, ast.Num):  # the commonest plain case
         return PLAIN
@@ -87,7 +80,7 @@ def fact_of(expr, env, derive_stale: bool = False):
     if isinstance(expr, ast.Call):
         name = expr.callee
         if name in DATA_DERIVE or name in STRING_DEREF:
-            return heap(derive_stale)
+            return STALE if derive_stale else HEAP
         if name == FIELD_READ:
             return VALUE
         if name in ALLOC_CALLS:
@@ -100,9 +93,9 @@ def fact_of(expr, env, derive_stale: bool = False):
             return VALUE
         if expr.ctype.pointers > 0 or expr.ctype.array:
             inner = fact_of(expr.operand, env, derive_stale)
-            if inner == VALUE:
-                return heap(derive_stale)
-            if is_heap(inner):
+            if inner is VALUE:
+                return STALE if derive_stale else HEAP
+            if inner is HEAP or inner is STALE:
                 return inner
         return PLAIN
     if isinstance(expr, ast.Unary):
@@ -113,9 +106,9 @@ def fact_of(expr, env, derive_stale: bool = False):
         if expr.op in ("+", "-"):
             left = fact_of(expr.left, env, derive_stale)
             right = fact_of(expr.right, env, derive_stale)
-            if is_heap(left) and not is_tracked(right):
+            if right is PLAIN and (left is HEAP or left is STALE):
                 return left
-            if is_heap(right) and not is_tracked(left):
+            if left is PLAIN and (right is HEAP or right is STALE):
                 return right
         return PLAIN
     if isinstance(expr, ast.Ternary):

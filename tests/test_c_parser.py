@@ -264,6 +264,12 @@ def test_cast_versus_parenthesized_expression(parse_c):
     assert cast.ctype.is_value
     plain = body[1].expr.value
     assert isinstance(plain, ast.Binary)
+    # a lone `_t` name before `)` is a typedef name, with or without a
+    # qualifier
+    body = expr_stmts(parse_c, "x = (pid_t) n; y = (const my_t) n;")
+    casts = [s.expr.value for s in body[:2]]
+    assert all(isinstance(cast, ast.Cast) for cast in casts)
+    assert [cast.ctype.base for cast in casts] == ["pid_t", "my_t"]
 
 
 def test_double_pointer_cast_of_call(parse_c):
@@ -287,10 +293,15 @@ def test_member_and_index_chains(parse_c):
 
 
 def test_sizeof_both_forms(parse_c):
-    body = expr_stmts(parse_c, "a = sizeof(struct mmap_interface); b = sizeof(xce);")
+    body = expr_stmts(
+        parse_c,
+        "a = sizeof(struct mmap_interface); b = sizeof(xce); c = sizeof(my_t);",
+    )
     assert isinstance(body[0].expr.value, ast.SizeofType)
     inner = body[1].expr.value
     assert isinstance(inner, ast.Unary) and inner.op == "sizeof"
+    sized = body[2].expr.value
+    assert isinstance(sized, ast.SizeofType) and sized.ctype.base == "my_t"
 
 
 def test_compound_literal(parse_c):

@@ -16,7 +16,6 @@ from stublint.lock_analysis import (
     join_lock,
     load_summaries,
     lock_leq,
-    parse_summary_lines,
     step_call,
 )
 
@@ -412,25 +411,27 @@ def test_lookup_default_only_when_no_line_matches():
 
 
 def test_comments_and_blanks_are_skipped():
-    entries = parse_summary_lines("# header\n\nf: may_gc  # trailing\n")
-    assert len(entries) == 1
-    assert entries[0].effects == frozenset({"may_gc"})
+    table = load_summaries("# header\n\nf: may_gc  # trailing\n")
+    builtin = load_summaries()
+    assert table.exact == {**builtin.exact, "f": frozenset({"may_gc"})}
+    assert table.prefix == builtin.prefix
 
 
 def test_summary_error_carries_line_number():
+    # counted in the user's text, not after the built-in lines
     with pytest.raises(SummaryError) as exc:
-        parse_summary_lines("f: may_gc\ng: acquires_lock, releases_lock\n")
+        load_summaries("f: may_gc\ng: acquires_lock, releases_lock\n")
     assert exc.value.line == 2
 
 
 def test_unknown_effect_rejected():
     with pytest.raises(SummaryError):
-        parse_summary_lines("f: holds_lock\n")
+        load_summaries("f: holds_lock\n")
 
 
 def test_missing_colon_rejected():
     with pytest.raises(SummaryError):
-        parse_summary_lines("just a sentence\n")
+        load_summaries("just a sentence\n")
 
 
 # -- fixpoint over real control flow -------------------------------------------

@@ -60,6 +60,10 @@ def test_cast_is_transparent(lint_c):
 def test_constant_flows_through_a_plain_variable(lint_c):
     body = "    int t;\n    value v;\n    t = 4;\n    v = t;\n"
     assert naked_lines(lint_c, body) == [6]
+    # a statement's stores are judged against the constants at its entry,
+    # where `n` is not yet known
+    body = "    int n;\n    value v;\n    n = 2, v = n;\n"
+    assert naked_lines(lint_c, body) == []
 
 
 def test_conflicting_branch_values_are_unknown(lint_c):
@@ -97,6 +101,9 @@ def test_allocation_results_are_exempt(lint_c):
 def test_stores_to_non_value_destinations_ignored(lint_c):
     assert naked_lines(lint_c, "    int n;\n    n = 4;\n") == []
     assert naked_lines(lint_c, "    char *p;\n    p = NULL;\n") == []
+    # a declaration's own store makes a C variable, though it shadows the
+    # value parameter `a`
+    assert naked_lines(lint_c, "    { int a = 4; }\n") == []
 
 
 def test_arithmetic_folding(lint_c):

@@ -4,6 +4,8 @@ import textwrap
 
 from conftest import errors_of
 
+from stublint.value_safety import HEAP, PLAIN, STALE, VALUE, join_fact
+
 
 def wrap(body: str) -> str:
     return (
@@ -20,6 +22,24 @@ def rules(diags, severity=None):
         for d in diags
         if severity is None or d.severity == severity
     ]
+
+
+# -- the value facts -----------------------------------------------------------
+
+P, V, H, S = PLAIN, VALUE, HEAP, STALE
+
+# Written out by hand, not computed: the whole 4x4 join table.
+JOIN_TABLE = {
+    (P, P): P, (P, V): P, (P, H): P, (P, S): P,
+    (V, P): P, (V, V): V, (V, H): P, (V, S): P,
+    (H, P): P, (H, V): P, (H, H): H, (H, S): S,
+    (S, P): P, (S, V): P, (S, H): S, (S, S): S,
+}
+
+
+def test_join_matches_fixture_table():
+    for (a, b), want in JOIN_TABLE.items():
+        assert join_fact(a, b) is want, (a, b)
 
 
 # -- dereference vs lock state -------------------------------------------------
