@@ -15,8 +15,10 @@ Each step is done once, in one place:
   depth-0 `=` and splits it at each depth-0 `->` in the same loop, so the
   arity is the number of segments less one.  `unit -> handle` has arity 1,
   and so does `(int -> int) -> int`;
-- one attribute reader: `_kind_of_segment` reads each argument or result
-  in one pass, into its `[@...]` attribute words and its bare type.
+- one attribute reader: `_island` reads one `[@...]` or `[@@...]` into its
+  attribute words.  The type walk calls it for the segment it is in, so a
+  segment holds its bare tokens and its own attribute words, and the
+  trailing `[@@...]` islands of a declaration go through it too.
 
 A declaration that cannot be made sense of yields one parse error and
 scanning resumes at the next item, so a bad declaration never hides its
@@ -174,32 +176,33 @@ def _string_value(tok_text: str) -> str:
 # Segment kinds
 
 
-def _kind_of_segment(tokens, decl_attrs: set[str], has_native: bool) -> str:
-    """The kind of one argument or the result, from its tokens.
+def _island(tokens, i: int, attrs: set[str]) -> int:
+    """Read the attribute island `[@...]` or `[@@...]` that opens at
+    tokens[i]: its attribute words go into `attrs`.  Returns the index just
+    past its `]`, or the end of the tokens if it is left open."""
+    n = len(tokens)
+    depth = 0
+    while i < n:
+        txt = tokens[i][1]
+        i += 1
+        if txt == "[":
+            depth += 1
+        elif txt == "]":
+            depth -= 1
+            if depth == 0:
+                break
+        elif txt in _ATTR_WORDS:
+            attrs.add(txt)
+    return i
 
-    One pass splits the segment into the words of its [@...] islands and
-    its bare tokens.  The bare type word is what is left of the bare tokens
-    after peeling matching outer `(`...`)` pairs, if that is one word.
+
+def _kind_of_segment(bare, attrs: set[str]) -> str:
+    """The kind of one argument or the result, from its bare tokens and the
+    attribute words that apply to it.
+
+    The bare type word is what is left of the bare tokens after peeling
+    matching outer `(`...`)` pairs, if that is one word.
     """
-    if not has_native:
-        return BOXED  # unboxing only changes the native entry point
-    attrs = set(decl_attrs)
-    bare = []
-    island = 0  # bracket depth inside an attribute island, 0 outside one
-    last = len(tokens) - 1
-    for pos, tok in enumerate(tokens):
-        txt = tok[1]
-        if island:
-            if txt == "[":
-                island += 1
-            elif txt == "]":
-                island -= 1
-            elif txt in _ATTR_WORDS:
-                attrs.add(txt)
-        elif txt == "[" and pos < last and tokens[pos + 1][1] == "@":
-            island = 1
-        else:
-            bare.append(tok)
     lo, hi = 0, len(bare) - 1
     while lo < hi and bare[lo][1] == "(" and bare[hi][1] == ")":
         lo += 1
@@ -324,8 +327,9 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
 
     i += 1
     # the type: tokens up to a depth-0 '=', split into one segment per
-    # argument and one for the result at each depth-0 '->'
-    segments = [[]]
+    # argument and one for the result at each depth-0 '->'; a segment holds
+    # its bare tokens and the words of its own attribute islands
+    segments = [([], set())]
     stack = []
     while i < n:
         tok = tokens[i]
@@ -334,8 +338,11 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
             if not stack and txt == "=":
                 break
             if not stack and txt == "->":
-                segments.append([])
+                segments.append(([], set()))
                 i += 1
+                continue
+            if txt == "[" and i + 1 < n and tokens[i + 1][1] == "@":
+                i = _island(tokens, i, segments[-1][1])
                 continue
             if txt in _OPEN:
                 stack.append(_OPEN[txt])
@@ -353,7 +360,7 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
         elif kind == "word" and not stack and txt in _RESYNC:
             err(start_pos, f"missing '=' in external declaration '{name}'")
             return i  # resume at this keyword
-        segments[-1].append(tok)
+        segments[-1][0].append(tok)
         i += 1
     if i >= n:
         err(start_pos, f"missing '=' in external declaration '{name}'")
@@ -377,18 +384,7 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
 
     # trailing [@@...] attribute islands
     while i < n and tokens[i][1] == "[":
-        depth = 0
-        while i < n:
-            t = tokens[i]
-            if t[1] == "[":
-                depth += 1
-            elif t[1] == "]":
-                depth -= 1
-            elif t[0] == "word" and t[1] in _ATTR_WORDS:
-                attrs.add(t[1])
-            i += 1
-            if depth == 0:
-                break
+        i = _island(tokens, i, attrs)
 
     # a name that starts with `%` is a compiler builtin, with no C symbol
     for symbol in strings:
@@ -407,9 +403,12 @@ def _parse_external(tokens, i, file_name, module_stack, decls, err, loc):
 
     # `attrs` holds the declaration-level attributes ([@@...] islands and
     # old-style strings); those apply to every segment.  Per-argument
-    # [@unboxed]/[@untagged] apply to their own segment only.
-    has_native = native_name is not None
-    kinds = [_kind_of_segment(seg, attrs, has_native) for seg in segments]
+    # [@unboxed]/[@untagged] apply to their own segment only.  Unboxing
+    # only changes the native entry point.
+    if native_name is None:
+        kinds = [BOXED] * len(segments)
+    else:
+        kinds = [_kind_of_segment(bare, own | attrs) for bare, own in segments]
 
     path = [m for m in module_stack if m]
     line, col = loc(start_pos)

@@ -60,6 +60,14 @@ def test_unboxed_attribute_changes_arg_kinds():
     assert decl.return_kind == ml_frontend.UNBOXED_FLOAT
 
 
+def test_an_arrow_inside_an_attribute_payload_splits_no_segment():
+    src = 'external f : float [@unboxed] [@attr a -> b] -> int = "f_b" "f_n"\n'
+    decl = only(parse_ml_externals(src, "t.ml")[0])
+    assert decl.arity == 1
+    assert decl.arg_kinds == (ml_frontend.UNBOXED_FLOAT,)
+    assert decl.return_kind == ml_frontend.BOXED
+
+
 def test_plain_int_stays_boxed_kind():
     decl = only(parse_ml_externals('external f : int -> int = "f"', "t.ml")[0])
     assert decl.arg_kinds == (ml_frontend.BOXED,)
