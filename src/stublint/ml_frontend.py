@@ -1,9 +1,9 @@
 """Extraction of `external` declarations from OCaml source.
 
-This is deliberately not an OCaml parser.  It scans for `external` items
-(top-level or inside `module ... = struct` blocks), skipping comments and
-string literals, and understands just enough of the type syntax to count
-top-level arrows and classify arguments.  `.ml` and `.mli` files look the
+This is deliberately not an OCaml parser.  It scans for `external` items,
+top-level or inside modules, skipping comments and string literals, and
+understands just enough of the type syntax to count top-level arrows and
+classify arguments.  `.ml` and `.mli` files look the
 same from here; callers decide what to do about duplicates between a pair.
 
 Each step is done once, in one place:
@@ -18,7 +18,13 @@ Each step is done once, in one place:
 - one attribute reader: `_island` reads one `[@...]` or `[@@...]` into its
   attribute words.  The type walk calls it for the segment it is in, so a
   segment holds its bare tokens and its own attribute words, and the
-  trailing `[@@...]` islands of a declaration go through it too.
+  trailing `[@@...]` islands of a declaration go through it too;
+- one module stack: `module [rec] Name` opens a header, and each `struct`
+  or `sig` read while it is open pushes `Name`, until a `struct` closes
+  it.  `begin`, `object` and any other `struct` or `sig` push no name, and
+  `end` pops, so an external is named by the modules around it, whether
+  the module has a signature (`module M : sig ... end = struct`), is
+  recursive or a functor, or is itself a signature (`module N : sig`).
 
 A declaration that cannot be made sense of yields one parse error and
 scanning resumes at the next item, so a bad declaration never hides its
@@ -242,53 +248,37 @@ def parse_ml_externals(source_text: str, file_name: str):
         line, col = loc(pos)
         errors.append(MlParseError(file_name, line, col, message))
 
+    # the names of the open `struct`, `sig`, `begin` and `object` blocks,
+    # None for one that names no module; `header` is the name of the
+    # `module [rec] Name` header being read, until its `struct`
     module_stack: list[str | None] = []
-    pending_module: str | None = None
-    awaiting_name = False
+    header: str | None = None
 
     i = 0
     n = len(tokens)
     while i < n:
-        kind, txt, pos = tokens[i]
-        if kind == "word":
-            if txt == "module":
-                awaiting_name = True
-                pending_module = None
-                i += 1
-                continue
-            if awaiting_name:
-                awaiting_name = False
-                pending_module = txt if txt != "type" else None
-                i += 1
-                continue
-            if txt == "struct":
-                module_stack.append(pending_module)
-                pending_module = None
-                i += 1
-                continue
-            if txt in ("sig", "begin", "object"):
-                module_stack.append(None)
-                pending_module = None
-                i += 1
-                continue
-            if txt == "end":
-                if module_stack:
-                    module_stack.pop()
-                i += 1
-                continue
-            if txt == "external":
-                i = _parse_external(
-                    tokens, i, file_name, module_stack, decls, err, loc
-                )
-                continue
-            pending_module = None
-        elif kind == "punct" and txt == "=" and pending_module is not None:
-            # inside `module Name = ...`; keep waiting for struct
-            i += 1
-            continue
-        else:
-            pending_module = None
+        kind, txt, _ = tokens[i]
         i += 1
+        if kind != "word":
+            continue
+        if txt == "external":
+            i = _parse_external(
+                tokens, i - 1, file_name, module_stack, decls, err, loc
+            )
+        elif txt == "module":
+            # a module name is capitalized: `module type` names nothing
+            j = i + 1 if i < n and tokens[i][1] == "rec" else i
+            header = None
+            if j < n and tokens[j][0] == "word" and tokens[j][1][0].isupper():
+                header = tokens[j][1]
+        elif txt == "struct" or txt == "sig":
+            module_stack.append(header)
+            if txt == "struct":
+                header = None
+        elif txt == "begin" or txt == "object":
+            module_stack.append(None)
+        elif txt == "end" and module_stack:
+            module_stack.pop()
 
     return decls, errors
 
