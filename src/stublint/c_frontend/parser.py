@@ -65,6 +65,9 @@ _ASM_WORDS = frozenset({"asm", "__asm", "__asm__"})
 
 # `sizeof` first takes a parenthesized type name if one follows
 _PREFIX_OPS = frozenset({"*", "&", "!", "~", "-", "+", "++", "--", "sizeof"})
+# kinds of token that never directly follow a parenthesized expression (C99
+# 6.5.4): after `(name)` they make it a cast
+_OPERAND_KINDS = frozenset({"ident", "num", "str", "char"})
 _POSTFIX_OPS = frozenset({"(", "[", ".", "->", "++", "--"})
 
 # C's operators that follow an operand, below the postfix ones; a higher
@@ -220,14 +223,10 @@ class _Parser:
                     base_words.append(self.take()[TEXT])
                 break
             # a lone identifier can be a typedef name, but only when the
-            # token after it still looks like a declarator, or it is a
-            # `_t` name that ends a type name, as `is_type_ahead` reads it
+            # token after it still looks like a declarator, or it ends a
+            # type name, which `is_type_ahead` has judged
             nxt = self.peek(1)
-            if (
-                nxt[TEXT] == "*"
-                or nxt[KIND] == "ident"
-                or nxt[TEXT] == ")" and tok[TEXT].endswith("_t")
-            ):
+            if nxt[TEXT] == "*" or nxt[KIND] == "ident" or nxt[TEXT] == ")":
                 base_words.append(tok[TEXT])
                 self.take()
                 break
@@ -803,9 +802,13 @@ class _Parser:
         while self.peek(j)[TEXT] == "*":
             stars += 1
             j += 1
-        if self.peek(j)[TEXT] == ")":
-            return stars > 0 or tok[TEXT].endswith("_t")
-        return False
+        if self.peek(j)[TEXT] != ")":
+            return False
+        return (
+            stars > 0
+            or tok[TEXT].endswith("_t")
+            or self.peek(j + 1)[KIND] in _OPERAND_KINDS
+        )
 
     def parse_type_name(self) -> nodes.CType:
         _, base = self.specifiers("type name")

@@ -270,6 +270,14 @@ def test_cast_versus_parenthesized_expression(parse_c):
     casts = [s.expr.value for s in body[:2]]
     assert all(isinstance(cast, ast.Cast) for cast in casts)
     assert [cast.ctype.base for cast in casts] == ["pid_t", "my_t"]
+    # any other lone name before `)` is a cast when an operand follows,
+    # as no parenthesized expression is directly followed by one
+    body = expr_stmts(parse_c, "x = (my_enum) Long_val(v); y = (my_enum) 3;")
+    casts = [s.expr.value for s in body[:2]]
+    assert all(isinstance(cast, ast.Cast) for cast in casts)
+    assert [cast.ctype.base for cast in casts] == ["my_enum", "my_enum"]
+    assert isinstance(casts[0].operand, ast.Call)
+    assert isinstance(casts[1].operand, ast.Num)
 
 
 def test_double_pointer_cast_of_call(parse_c):
