@@ -37,7 +37,13 @@ macro escapes the summaries.
 from __future__ import annotations
 
 from .c_frontend import nodes as ast
-from .c_frontend.intrinsics import FIELD_READ, FIELD_WRITE, MACRO_NAMES, STRING_DEREF
+from .c_frontend.intrinsics import (
+    BLOCK_DEREF,
+    FIELD_READ,
+    FIELD_WRITE,
+    MACRO_NAMES,
+    STRING_DEREF,
+)
 from .c_frontend.nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
 from .dataflow import Fixpoint, forward_solve
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic
@@ -48,7 +54,7 @@ from .value_safety import HEAP, PLAIN, STALE, fact_of, initial_facts, join_env
 BOTTOM = (LockState.BOTTOM, None, None)
 
 # Runtime macros that read or write the block their first argument names.
-_DEREF_MACROS = frozenset({FIELD_READ, FIELD_WRITE}) | STRING_DEREF
+_DEREF_MACROS = frozenset({FIELD_READ, FIELD_WRITE}) | STRING_DEREF | BLOCK_DEREF
 
 
 def join(a, b):

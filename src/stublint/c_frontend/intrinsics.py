@@ -24,6 +24,20 @@ DATA_DERIVE = frozenset({"Data_custom_val", "Data_abstract_val"})
 FIELD_READ = "Field"
 FIELD_WRITE = "Store_field"
 STRING_DEREF = frozenset({"String_val", "Bytes_val"})
+# Reads of a block's header or of an unboxed payload, and the one store
+# into a float array; each dereferences its first argument.
+BLOCK_DEREF = frozenset(
+    {
+        "Double_val",
+        "Double_field",
+        "Store_double_field",
+        "Int32_val",
+        "Int64_val",
+        "Nativeint_val",
+        "Tag_val",
+        "Wosize_val",
+    }
+)
 
 # Pure bit twiddling between the tagged and untagged worlds; these never
 # touch the heap, so they are never dereferences.
@@ -85,6 +99,7 @@ MACRO_NAMES = (
     | DATA_DERIVE
     | {FIELD_READ, FIELD_WRITE}
     | STRING_DEREF
+    | BLOCK_DEREF
     | ARITHMETIC
     | {"Wsize_bsize", "Bsize_wsize"}
 )

@@ -2,6 +2,7 @@
 
 import textwrap
 
+import pytest
 from conftest import errors_of
 
 from stublint.value_safety import HEAP, PLAIN, STALE, VALUE, join_fact
@@ -102,6 +103,31 @@ def test_field_macros_count_as_derefs(lint_c):
         )
     )
     assert rules(errors_of(diags)) == ["VALUE_DEREF_UNLOCKED"]
+
+
+# every block read, and the float-array store, dereferences its first
+# argument
+@pytest.mark.parametrize(
+    "access",
+    [
+        "d = Double_val(a);",
+        "d = Double_field(a, 0);",
+        "Store_double_field(a, 0, d);",
+        "n = Int32_val(a);",
+        "n = Int64_val(a);",
+        "n = Nativeint_val(a);",
+        "n = Tag_val(a);",
+        "n = Wosize_val(a);",
+    ],
+)
+def test_block_reads_count_as_derefs(lint_c, access):
+    body = (
+        "double d = 0;\nlong n;\ncaml_enter_blocking_section();\n"
+        f"{access}\ncaml_leave_blocking_section();\nCAMLreturn(Val_unit);\n"
+    )
+    diags = lint_c(wrap(body))
+    assert rules(errors_of(diags)) == ["VALUE_DEREF_UNLOCKED"]
+    assert errors_of(diags)[0].line == 7
 
 
 def test_string_val_site_flagged_result_untracked(lint_c):
