@@ -3,8 +3,8 @@
 This is deliberately not an OCaml parser.  It scans for `external` items,
 top-level or inside modules, skipping comments and string literals, and
 understands just enough of the type syntax to count top-level arrows and
-classify arguments.  `.ml` and `.mli` files look the
-same from here; callers decide what to do about duplicates between a pair.
+classify arguments.  `.ml` and `.mli` files look the same from here;
+callers decide what to do about duplicates between a pair.
 
 Each step is done once, in one place:
 

@@ -136,47 +136,38 @@ def test_string_escapes_are_decoded(literal, text):
     assert ml_frontend._string_value(literal) == text
 
 
-# each module shape names the external inside it; a module type names none
+# each module shape names the externals inside it, until its `end`; a
+# module type names none
 @pytest.mark.parametrize(
-    "src, name",
+    "src, names",
     [
-        ('module P = struct external q : int -> int = "p_q" end', "P.q"),
+        ('module P = struct external q : int -> int = "p_q" end', ["P.q"]),
         (
             "module M : sig val f : int -> int -> int end = struct\n"
-            '  external f : int -> int -> int = "m_f"\nend',
-            "M.f",
+            '  external f : int -> int -> int = "m_f"\nend\n'
+            'external g : int -> int = "g"',
+            ["M.f", "g"],
         ),
         (
             "module rec R : sig end = struct\n"
             '  external g : int -> int = "r_g"\nend',
-            "R.g",
+            ["R.g"],
         ),
-        ('module T : S = struct external h : int -> int = "t_h" end', "T.h"),
-        ('module N : sig external k : int -> int = "n_k" end', "N.k"),
+        ('module T : S = struct external h : int -> int = "t_h" end', ["T.h"]),
+        ('module N : sig external k : int -> int = "n_k" end', ["N.k"]),
         (
             "module F (X : sig type t end) = struct\n"
             '  external z : int -> int = "f_z"\nend',
-            "F.z",
+            ["F.z"],
         ),
-        ('module type S = sig external w : int -> int = "s_w" end', "w"),
+        ('module type S = sig external w : int -> int = "s_w" end', ["w"]),
     ],
     ids=["struct", "signed", "rec", "annotated", "sig", "functor", "module_type"],
 )
-def test_module_shapes_prefix_their_externals(src, name):
+def test_module_shapes_prefix_their_externals(src, names):
     decls, errors = parse_ml_externals(src + "\n", "t.ml")
     assert errors == []
-    assert only(decls).ocaml_name == name
-
-
-def test_a_module_closes_at_its_end():
-    src = (
-        "module M : sig val f : int -> int end = struct\n"
-        '  external f : int -> int = "m_f"\n'
-        "end\n"
-        'external g : int -> int = "g"\n'
-    )
-    decls, _ = parse_ml_externals(src, "t.ml")
-    assert [d.ocaml_name for d in decls] == ["M.f", "g"]
+    assert [d.ocaml_name for d in decls] == names
 
 
 def test_malformed_external_is_reported_and_scan_continues():
