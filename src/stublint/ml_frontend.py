@@ -25,6 +25,8 @@ Each step is done once, in one place:
   `end` pops, so an external is named by the modules around it, whether
   the module has a signature (`module M : sig ... end = struct`), is
   recursive or a functor, or is itself a signature (`module N : sig`).
+  A binding with no `struct` of its own (`module A = B`) ends at the next
+  item keyword read at the header's own depth, which closes the header.
 
 A declaration that cannot be made sense of yields one parse error and
 scanning resumes at the next item, so a bad declaration never hides its
@@ -60,6 +62,10 @@ _ATTR_WORDS = frozenset({"unboxed", "untagged", "noalloc"})
 _RESYNC = frozenset(
     {"external", "let", "type", "module", "open", "include", "val", "exception"}
 )
+
+# Keywords that start the item after a module binding.  `type` is not one:
+# `module T : S with type t = int = struct` is still the binding.
+_BINDING_ENDS = frozenset({"external", "let", "open", "include", "val", "exception"})
 
 # An escape sequence and a char literal, as the OCaml manual's lexical
 # conventions spell them: a char literal is one character other than a
@@ -250,9 +256,11 @@ def parse_ml_externals(source_text: str, file_name: str):
 
     # the names of the open `struct`, `sig`, `begin` and `object` blocks,
     # None for one that names no module; `header` is the name of the
-    # `module [rec] Name` header being read, until its `struct`
+    # `module [rec] Name` header being read, until its `struct` or the
+    # item after it, and `header_depth` the stack depth it was read at
     module_stack: list[str | None] = []
     header: str | None = None
+    header_depth = 0
 
     i = 0
     n = len(tokens)
@@ -261,6 +269,8 @@ def parse_ml_externals(source_text: str, file_name: str):
         i += 1
         if kind != "word":
             continue
+        if txt in _BINDING_ENDS and len(module_stack) == header_depth:
+            header = None
         if txt == "external":
             i = _parse_external(
                 tokens, i - 1, file_name, module_stack, decls, err, loc
@@ -271,6 +281,7 @@ def parse_ml_externals(source_text: str, file_name: str):
             header = None
             if j < n and tokens[j][0] == "word" and tokens[j][1][0].isupper():
                 header = tokens[j][1]
+                header_depth = len(module_stack)
         elif txt == "struct" or txt == "sig":
             module_stack.append(header)
             if txt == "struct":

@@ -154,6 +154,11 @@ def test_string_escapes_are_decoded(literal, text):
             ["R.g"],
         ),
         ('module T : S = struct external h : int -> int = "t_h" end', ["T.h"]),
+        (
+            "module T : S with type t = int = struct\n"
+            '  external h : int -> int = "t_h"\nend',
+            ["T.h"],
+        ),
         ('module N : sig external k : int -> int = "n_k" end', ["N.k"]),
         (
             "module F (X : sig type t end) = struct\n"
@@ -161,8 +166,24 @@ def test_string_escapes_are_decoded(literal, text):
             ["F.z"],
         ),
         ('module type S = sig external w : int -> int = "s_w" end', ["w"]),
+        # an alias binding ends at the next item, which names no module
+        (
+            "module A = B\n"
+            'include struct external f : int -> int = "f" end',
+            ["f"],
+        ),
     ],
-    ids=["struct", "signed", "rec", "annotated", "sig", "functor", "module_type"],
+    ids=[
+        "struct",
+        "signed",
+        "rec",
+        "annotated",
+        "with_type",
+        "sig",
+        "functor",
+        "module_type",
+        "alias",
+    ],
 )
 def test_module_shapes_prefix_their_externals(src, names):
     decls, errors = parse_ml_externals(src + "\n", "t.ml")
