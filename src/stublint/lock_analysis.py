@@ -67,6 +67,8 @@ BUILTIN_SUMMARIES = """\
 # Preloaded model of the OCaml runtime.
 caml_enter_blocking_section: releases_lock, may_gc
 caml_leave_blocking_section: acquires_lock
+caml_release_runtime_system: releases_lock, may_gc
+caml_acquire_runtime_system: acquires_lock
 caml_*: requires_lock, may_gc
 caml_stat_free: no_lock_needed
 # The raise helpers `caml/fail.h` marks CAMLnoreturn.  caml_raise_if_exception

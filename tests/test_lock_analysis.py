@@ -388,6 +388,20 @@ def test_the_step_reads_runtime_facts_from_effects_not_names(lint_c):
     assert found == want
 
 
+def test_the_runtime_system_pair_moves_the_lock(lint_c):
+    # OCaml 5's names for the blocking section (manual, "Parallel execution
+    # of long-running C code") are built-in lines, not `caml_*` entry points
+    src = (
+        "CAMLprim value f(value v)\n{\n    CAMLparam1(v);\n    long n;\n"
+        "    caml_release_runtime_system();\n"
+        "    n = Long_val(Field(v, 0));\n"
+        "    caml_acquire_runtime_system();\n"
+        "    CAMLreturn(Val_long(n));\n}\n"
+    )
+    found = [(d.rule_id, d.severity, d.line, d.column) for d in lint_c(src)]
+    assert found == [("VALUE_DEREF_UNLOCKED", "error", 6, 18)]
+
+
 def test_a_static_value_helper_is_no_primitive(lint_c):
     # only `CAMLprim` makes a static function a primitive: the helper is
     # neither checked for CAMLparam nor for the lock it returns with
