@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import marshal
 import os
 import sys
 from collections.abc import Iterable
@@ -22,6 +23,7 @@ from .c_frontend import (
     parse_tokens,
     preprocess_local,
 )
+from .c_frontend.nodes import CType, StubFunction, StubUnit
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
 from .lock_analysis import SummaryError, SummaryTable, load_summaries
 from .sarif import sarif
@@ -151,6 +153,130 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
     return diags
 
 
+def _analyze_files(paths, table: SummaryTable) -> list[tuple]:
+    """Read, preprocess, parse and analyze each C file of `paths`, in order.
+
+    Each file gives (notes, findings, functions): its preprocessor notes,
+    its findings, and the header of each function it defines as a
+    `_function_record`, which is all `check_arity` reads of it.  A file's
+    tokens are dropped once it is parsed, and its tree once it is analyzed.
+    """
+    records = []
+    for path in paths:
+        text = _read(path)
+        try:
+            pre = preprocess_local(text, path)
+            unit = parse_tokens(pre.tokens, path)
+        except (PreprocessError, CLexError) as exc:
+            raise FatalError(f"{path}: {exc}") from exc
+        notes = pre.notes
+        del text, pre
+        functions = [_function_record(fn) for fn in unit.functions]
+        records.append((notes, analyze_unit(unit, table), functions))
+    return records
+
+
+def _type_record(t: CType) -> tuple:
+    return (t.base, t.pointers, t.array)
+
+
+def _function_record(fn: StubFunction) -> tuple:
+    params = [(name, _type_record(t)) for name, t in fn.params]
+    ret = _type_record(fn.return_type)
+    return (fn.line, fn.col, fn.name, params, ret, fn.is_camlprim)
+
+
+def _function_of(path: str, record: tuple) -> StubFunction:
+    """The function of a `_function_record`, without its body."""
+    line, col, name, params, ret, is_camlprim = record
+    params = [(param, CType(*t)) for param, t in params]
+    return StubFunction(line, col, name, params, CType(*ret), is_camlprim, file=path)
+
+
+# -- workers -----------------------------------------------------------------
+#
+# The C files of one run are split into contiguous slices, one per job.  This
+# process analyzes the first slice itself; each other slice goes to a worker
+# made with `os.fork`, which sends back the records of `_analyze_files` over
+# a pipe, marshalled, with each finding as the tuple of its fields.  A worker
+# writes nothing to stdout or stderr and leaves by `os._exit`, so it never
+# flushes, or runs the exit handlers of, a copy of its parent's state.
+
+
+def _slices(paths: list[str], jobs: int) -> list[list[str]]:
+    """`paths` in at most `jobs` contiguous slices, or in one when the
+    platform cannot fork.  Only the slice of no paths at all is empty."""
+    count = max(1, min(jobs if hasattr(os, "fork") else 1, len(paths)))
+    n = len(paths)
+    return [paths[i * n // count : (i + 1) * n // count] for i in range(count)]
+
+
+def _start_worker(paths: list[str], table: SummaryTable):
+    """Fork a worker that runs `_analyze_files(paths, table)`.  Returns its
+    pid and the reading end of the pipe its reply comes back on: the
+    records, a `FatalError`'s message, or the traceback of any other
+    exception, marshalled."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                records = _analyze_files(paths, table)
+                reply = ("records", [_plain(r) for r in records])
+            except FatalError as exc:
+                reply = ("fatal", str(exc))
+            except Exception:
+                import traceback
+
+                reply = ("crash", traceback.format_exc())
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(reply))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _plain(record: tuple) -> tuple:
+    """A record of `_analyze_files` in the types `marshal` can carry."""
+    notes, found, functions = record
+    return ([_fields(d) for d in notes], [_fields(d) for d in found], functions)
+
+
+def _fields(d: Diagnostic) -> tuple:
+    return (d.rule_id, d.severity, d.file, d.line, d.column, d.message, d.related)
+
+
+def _receive(reader) -> list[tuple]:
+    """The records of `_analyze_files` that a worker sent, once it has sent
+    them all; raises the error it met instead."""
+    try:
+        kind, payload = marshal.loads(reader.read())
+    except (EOFError, ValueError):
+        raise RuntimeError("a worker ended without sending its results") from None
+    if kind == "fatal":
+        raise FatalError(payload)
+    if kind == "crash":
+        raise RuntimeError(f"a worker failed:\n{payload}")
+    return [
+        ([Diagnostic(*d) for d in notes], [Diagnostic(*d) for d in found], functions)
+        for notes, found, functions in payload
+    ]
+
+
+def _reap(workers, finished: bool):
+    """Wait for every worker.  Unless the run `finished`, kill each first:
+    one may still be working, or blocked on a full pipe."""
+    if not finished:
+        from signal import SIGKILL  # only an error pays for the import
+    for pid, reader in workers:
+        reader.close()
+        if not finished:
+            os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+
+
 # -- driver ------------------------------------------------------------------
 
 
@@ -190,8 +316,10 @@ def run(
     harness_out: str | None = None,
     strict: bool = False,
     disabled=frozenset(),
+    jobs: int = 1,
 ):
-    """Analyze the given files.  Returns (diagnostics, exit_code)."""
+    """Analyze the given files, the C files in up to `jobs` processes.
+    Returns (diagnostics, exit_code), which do not depend on `jobs`."""
     ml_paths = [p for p in paths if p.endswith(".ml")]
     c_paths = [p for p in paths if p.endswith(".c")]
     stray = [p for p in paths if not p.endswith((".ml", ".c"))]
@@ -200,40 +328,54 @@ def run(
 
     table = _load_table(summaries)
 
-    diags: list[Diagnostic] = []
-    decls = []
-    for path in ml_paths:
-        found, errors = ml_frontend.parse_ml_externals(_read(path), path)
-        decls.extend(found)
-        for err in errors:
-            diags.append(
-                Diagnostic(
-                    "UNSUPPORTED_CONSTRUCT",
-                    WARNING,
-                    err.file,
-                    err.line,
-                    err.column,
-                    f"external declaration skipped: {err.message}",
+    # The workers start before the .ml side and the outputs, which this
+    # process does meanwhile.  An error is raised in the order of a run in
+    # one process: the .ml reads and the writes, then the C files in order.
+    slices = _slices(c_paths, jobs)
+    workers = []
+    finished = False
+    try:
+        for part in slices[1:]:
+            workers.append(_start_worker(part, table))
+
+        diags: list[Diagnostic] = []
+        decls = []
+        for path in ml_paths:
+            found, errors = ml_frontend.parse_ml_externals(_read(path), path)
+            decls.extend(found)
+            for err in errors:
+                diags.append(
+                    Diagnostic(
+                        "UNSUPPORTED_CONSTRUCT",
+                        WARNING,
+                        err.file,
+                        err.line,
+                        err.column,
+                        f"external declaration skipped: {err.message}",
+                    )
                 )
-            )
 
-    if header_out is not None:
-        _write_output(header_out, header_gen.render_header(decls))
-    if harness_out is not None:
-        _write_output(harness_out, harness_gen.generate_main(decls))
+        if header_out is not None:
+            _write_output(header_out, header_gen.render_header(decls))
+        if harness_out is not None:
+            _write_output(harness_out, harness_gen.generate_main(decls))
 
+        records = _analyze_files(slices[0], table)
+        for _pid, reader in workers:
+            records.extend(_receive(reader))
+        finished = True
+    finally:
+        _reap(workers, finished)
+
+    # every file's notes, then every file's findings: `normalize` keeps the
+    # first of two findings with one key, so this is the order of a run in
+    # one process
+    for notes, _found, _functions in records:
+        diags.extend(notes)
     units = []
-    for path in c_paths:
-        text = _read(path)
-        try:
-            pre = preprocess_local(text, path)
-            units.append(parse_tokens(pre.tokens, path))
-        except (PreprocessError, CLexError) as exc:
-            raise FatalError(f"{path}: {exc}") from exc
-        diags.extend(pre.notes)
-
-    for unit in units:
-        diags.extend(analyze_unit(unit, table))
+    for path, (_notes, found, functions) in zip(c_paths, records):
+        diags.extend(found)
+        units.append(StubUnit(path, [_function_of(path, f) for f in functions]))
     diags.extend(check_arity(decls, units))
 
     diags = [d for d in normalize(diags) if d.rule_id not in disabled]
@@ -260,6 +402,23 @@ def _write_pieces(path: str, pieces: Iterable[str]):
             handle.writelines(pieces)
     except OSError as exc:
         raise FatalError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        number = int(text)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return number
 
 
 def _parse_rule_flag(values) -> frozenset:
@@ -316,6 +475,14 @@ def main(argv=None) -> int:
         metavar="ID=off",
         help="disable a rule (repeatable)",
     )
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=_available_cpus(),
+        metavar="N",
+        help="analyze the C files in N processes (default: the CPUs this"
+        " process may use); the output does not depend on N",
+    )
     args = parser.parse_args(argv)
 
     # The pipeline makes no reference cycles (tests/test_cycles.py checks),
@@ -333,6 +500,7 @@ def main(argv=None) -> int:
             harness_out=args.harness_out,
             strict=args.strict,
             disabled=disabled,
+            jobs=args.jobs,
         )
         if args.sarif is not None:
             _write_pieces(args.sarif, sarif(diags))

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import re
 
 import jsonschema
@@ -11,6 +12,7 @@ import pytest
 from conftest import CORPUS
 from hypothesis import given, strategies as st
 
+from stublint import cli
 from stublint.cli import main
 
 CLEAN_C = "value ok(value a)\n{\n    CAMLparam1(a);\n    CAMLreturn(a);\n}\n"
@@ -192,9 +194,14 @@ def test_broken_summaries_are_fatal(proj, run_main):
     assert "line 1" in err
 
 
-def test_usage_error_exits_two():
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--jobs", "0", "ok.c"], ["--jobs", "x", "ok.c"]],
+    ids=["no_file", "zero_jobs", "jobs_not_a_number"],
+)
+def test_usage_error_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
-        main([])  # argparse: FILE is required
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -386,3 +393,85 @@ def test_main_on_any_input_exits_0_1_or_2(tmp_path_factory, source, suffix):
             code = main([str(path), "--sarif", str(path) + ".sarif"])
     assert code in (0, 1, 2)
     assert gc.isenabled()
+
+
+# -- C files in forked workers -----------------------------------------------
+
+
+def assert_no_worker_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_outputs_do_not_depend_on_the_jobs(
+    tmp_path, run_main, corpus_summaries_path
+):
+    paths = sorted(str(p) for p in CORPUS.glob("*/*") if p.suffix in (".ml", ".c"))
+    runs = []
+    for jobs in (1, 2, 5):
+        outs = [tmp_path / f"{jobs}{name}" for name in (".sarif", ".h", "_harness.c")]
+        sarif, header, harness = map(str, outs)
+        code, out, err = run_main(
+            *paths,
+            "--summaries",
+            corpus_summaries_path,
+            "--sarif",
+            sarif,
+            "--header-out",
+            header,
+            "--harness-out",
+            harness,
+            "--jobs",
+            str(jobs),
+        )
+        assert_no_worker_is_left()
+        runs.append((code, out, err, *[p.read_bytes() for p in outs]))
+    code, out, err = runs[0][:3]
+    assert (code, err) == (1, "")
+    assert "void_stub.c" in out and "custom_deref.c" in out
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_the_first_fatal_error_in_file_order_is_reported(proj, run_main):
+    _, write = proj
+    paths = [write(f"f{i}.c", CLEAN_C.replace("ok", f"ok{i}")) for i in range(6)]
+    paths[3] = paths[3].replace("f3.c", "missing.c")
+    paths[4] = write("f4.c", "value f(value a)\n{\n    return a @ 1;\n}\n")
+    # one, two and three slices: the missing file is in the second or the
+    # third slice, and the lex error in the third
+    for jobs in ("1", "2", "3"):
+        code, out, err = run_main(*paths, "--jobs", jobs)
+        assert_no_worker_is_left()
+        assert (code, out) == (2, "")
+        assert err == (
+            f"stublint: error: cannot read {paths[3]}: No such file or directory\n"
+        )
+
+
+def test_an_unwritable_header_stops_the_workers(proj, run_main):
+    dirpath, write = proj
+    paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
+    header = dirpath / "no such dir" / "out.h"
+    code, out, err = run_main(*paths, "--header-out", str(header), "--jobs", "2")
+    assert_no_worker_is_left()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"stublint: error: cannot write {header}: ")
+
+
+def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch):
+    _, write = proj
+    paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
+    analyze_unit = cli.analyze_unit
+
+    def fail_on_the_last_file(unit, table):
+        if unit.file == paths[-1]:
+            raise ValueError("boom")
+        return analyze_unit(unit, table)
+
+    monkeypatch.setattr(cli, "analyze_unit", fail_on_the_last_file)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with pytest.raises(RuntimeError, match="ValueError: boom"):
+            main([*paths, "--jobs", "2"])
+    assert_no_worker_is_left()
+    assert out.getvalue() == ""
