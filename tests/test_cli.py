@@ -194,14 +194,16 @@ def test_broken_summaries_are_fatal(proj, run_main):
     assert "line 1" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [[], ["--jobs", "0", "ok.c"], ["--jobs", "x", "ok.c"]],
-    ids=["no_file", "zero_jobs", "jobs_not_a_number"],
-)
-def test_usage_error_exits_two(argv):
+def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([])  # argparse: FILE is required
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+def test_jobs_must_be_a_positive_integer(jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", jobs, "ok.c"])
     assert exc.value.code == 2
 
 
