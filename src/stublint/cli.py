@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import marshal
 import os
 import sys
 from collections.abc import Iterable
@@ -23,7 +22,7 @@ from .c_frontend import (
     parse_tokens,
     preprocess_local,
 )
-from .c_frontend.nodes import CType, StubFunction, StubUnit
+from .c_frontend.nodes import StubFunction, StubUnit
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
 from .lock_analysis import SummaryError, SummaryTable, load_summaries
 from .sarif import sarif
@@ -156,10 +155,10 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
 def _analyze_files(paths, table: SummaryTable) -> list[tuple]:
     """Read, preprocess, parse and analyze each C file of `paths`, in order.
 
-    Each file gives (notes, findings, functions): its preprocessor notes,
-    its findings, and the header of each function it defines as a
-    `_function_record`, which is all `check_arity` reads of it.  A file's
-    tokens are dropped once it is parsed, and its tree once it is analyzed.
+    Each file gives (notes, findings, unit): its preprocessor notes, its
+    findings, and its unit with each function's header but not its body,
+    which is all `check_arity` reads of it.  A file's tokens are dropped
+    once it is parsed, and its tree once it is analyzed.
     """
     records = []
     for path in paths:
@@ -171,110 +170,20 @@ def _analyze_files(paths, table: SummaryTable) -> list[tuple]:
             raise FatalError(f"{path}: {exc}") from exc
         notes = pre.notes
         del text, pre
-        functions = [_function_record(fn) for fn in unit.functions]
-        records.append((notes, analyze_unit(unit, table), functions))
+        headers = [
+            StubFunction(
+                fn.line,
+                fn.col,
+                fn.name,
+                fn.params,
+                fn.return_type,
+                fn.is_camlprim,
+                file=path,
+            )
+            for fn in unit.functions
+        ]
+        records.append((notes, analyze_unit(unit, table), StubUnit(path, headers)))
     return records
-
-
-def _type_record(t: CType) -> tuple:
-    return (t.base, t.pointers, t.array)
-
-
-def _function_record(fn: StubFunction) -> tuple:
-    params = [(name, _type_record(t)) for name, t in fn.params]
-    ret = _type_record(fn.return_type)
-    return (fn.line, fn.col, fn.name, params, ret, fn.is_camlprim)
-
-
-def _function_of(path: str, record: tuple) -> StubFunction:
-    """The function of a `_function_record`, without its body."""
-    line, col, name, params, ret, is_camlprim = record
-    params = [(param, CType(*t)) for param, t in params]
-    return StubFunction(line, col, name, params, CType(*ret), is_camlprim, file=path)
-
-
-# -- workers -----------------------------------------------------------------
-#
-# The C files of one run are split into contiguous slices, one per job.  This
-# process analyzes the first slice itself; each other slice goes to a worker
-# made with `os.fork`, which sends back the records of `_analyze_files` over
-# a pipe, marshalled, with each finding as the tuple of its fields.  A worker
-# writes nothing to stdout or stderr and leaves by `os._exit`, so it never
-# flushes, or runs the exit handlers of, a copy of its parent's state.
-
-
-def _slices(paths: list[str], jobs: int) -> list[list[str]]:
-    """`paths` in at most `jobs` contiguous slices, or in one when the
-    platform cannot fork.  Only the slice of no paths at all is empty."""
-    count = max(1, min(jobs if hasattr(os, "fork") else 1, len(paths)))
-    n = len(paths)
-    return [paths[i * n // count : (i + 1) * n // count] for i in range(count)]
-
-
-def _start_worker(paths: list[str], table: SummaryTable):
-    """Fork a worker that runs `_analyze_files(paths, table)`.  Returns its
-    pid and the reading end of the pipe its reply comes back on: the
-    records, a `FatalError`'s message, or the traceback of any other
-    exception, marshalled."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            try:
-                records = _analyze_files(paths, table)
-                reply = ("records", [_plain(r) for r in records])
-            except FatalError as exc:
-                reply = ("fatal", str(exc))
-            except Exception:
-                import traceback
-
-                reply = ("crash", traceback.format_exc())
-            with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(reply))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _plain(record: tuple) -> tuple:
-    """A record of `_analyze_files` in the types `marshal` can carry."""
-    notes, found, functions = record
-    return ([_fields(d) for d in notes], [_fields(d) for d in found], functions)
-
-
-def _fields(d: Diagnostic) -> tuple:
-    return (d.rule_id, d.severity, d.file, d.line, d.column, d.message, d.related)
-
-
-def _receive(reader) -> list[tuple]:
-    """The records of `_analyze_files` that a worker sent, once it has sent
-    them all; raises the error it met instead."""
-    try:
-        kind, payload = marshal.loads(reader.read())
-    except (EOFError, ValueError):
-        raise RuntimeError("a worker ended without sending its results") from None
-    if kind == "fatal":
-        raise FatalError(payload)
-    if kind == "crash":
-        raise RuntimeError(f"a worker failed:\n{payload}")
-    return [
-        ([Diagnostic(*d) for d in notes], [Diagnostic(*d) for d in found], functions)
-        for notes, found, functions in payload
-    ]
-
-
-def _reap(workers, finished: bool):
-    """Wait for every worker.  Unless the run `finished`, kill each first:
-    one may still be working, or blocked on a full pipe."""
-    if not finished:
-        from signal import SIGKILL  # only an error pays for the import
-    for pid, reader in workers:
-        reader.close()
-        if not finished:
-            os.kill(pid, SIGKILL)
-        os.waitpid(pid, 0)
 
 
 # -- driver ------------------------------------------------------------------
@@ -319,7 +228,11 @@ def run(
     jobs: int = 1,
 ):
     """Analyze the given files, the C files in up to `jobs` processes.
-    Returns (diagnostics, exit_code), which do not depend on `jobs`."""
+
+    Returns (diagnostics, exit_code).  Neither depends on `jobs`, nor does
+    the message of a `FatalError`; any other exception that a worker meets
+    comes back as a `RuntimeError` that carries its traceback.
+    """
     ml_paths = [p for p in paths if p.endswith(".ml")]
     c_paths = [p for p in paths if p.endswith(".c")]
     stray = [p for p in paths if not p.endswith((".ml", ".c"))]
@@ -331,12 +244,16 @@ def run(
     # The workers start before the .ml side and the outputs, which this
     # process does meanwhile.  An error is raised in the order of a run in
     # one process: the .ml reads and the writes, then the C files in order.
-    slices = _slices(c_paths, jobs)
-    workers = []
+    own, workers = c_paths, None
+    if jobs > 1 and len(c_paths) > 1 and hasattr(os, "fork"):
+        from .workers import Workers  # only a run that forks loads it
+
+        workers = Workers(c_paths, jobs, table)
+        own = workers.own
     finished = False
     try:
-        for part in slices[1:]:
-            workers.append(_start_worker(part, table))
+        if workers:
+            workers.start()
 
         diags: list[Diagnostic] = []
         decls = []
@@ -360,22 +277,22 @@ def run(
         if harness_out is not None:
             _write_output(harness_out, harness_gen.generate_main(decls))
 
-        records = _analyze_files(slices[0], table)
-        for _pid, reader in workers:
-            records.extend(_receive(reader))
+        records = _analyze_files(own, table)
+        if workers:
+            records.extend(workers.results())
         finished = True
     finally:
-        _reap(workers, finished)
+        if workers:
+            workers.reap(finished)
 
     # every file's notes, then every file's findings: `normalize` keeps the
     # first of two findings with one key, so this is the order of a run in
     # one process
-    for notes, _found, _functions in records:
+    for notes, _found, _unit in records:
         diags.extend(notes)
-    units = []
-    for path, (_notes, found, functions) in zip(c_paths, records):
+    for _notes, found, _unit in records:
         diags.extend(found)
-        units.append(StubUnit(path, [_function_of(path, f) for f in functions]))
+    units = [unit for _notes, _found, unit in records]
     diags.extend(check_arity(decls, units))
 
     diags = [d for d in normalize(diags) if d.rule_id not in disabled]
@@ -409,16 +326,6 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _positive_int(text: str) -> int:
-    try:
-        number = int(text)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return number
 
 
 def _parse_rule_flag(values) -> frozenset:
@@ -475,14 +382,6 @@ def main(argv=None) -> int:
         metavar="ID=off",
         help="disable a rule (repeatable)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=_available_cpus(),
-        metavar="N",
-        help="analyze the C files in N processes (default: the CPUs this"
-        " process may use); the output does not depend on N",
-    )
     args = parser.parse_args(argv)
 
     # The pipeline makes no reference cycles (tests/test_cycles.py checks),
@@ -500,7 +399,7 @@ def main(argv=None) -> int:
             harness_out=args.harness_out,
             strict=args.strict,
             disabled=disabled,
-            jobs=args.jobs,
+            jobs=_available_cpus(),
         )
         if args.sarif is not None:
             _write_pieces(args.sarif, sarif(diags))

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, outputs, suppression."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -200,13 +201,6 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1", "x"])
-def test_jobs_must_be_a_positive_integer(jobs):
-    with pytest.raises(SystemExit) as exc:
-        main(["--jobs", jobs, "ok.c"])
-    assert exc.value.code == 2
-
-
 def test_missing_definition_is_only_a_note(proj, run_main):
     _, write = proj
     code, out, _ = run_main(
@@ -400,17 +394,28 @@ def test_main_on_any_input_exits_0_1_or_2(tmp_path_factory, source, suffix):
 # -- C files in forked workers -----------------------------------------------
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs `main` sees, so the number of its jobs."""
+
+    def set_to(count: int):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: count)
+
+    return set_to
+
+
 def assert_no_worker_is_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_outputs_do_not_depend_on_the_jobs(
-    tmp_path, run_main, corpus_summaries_path
+    tmp_path, run_main, cpus, corpus_summaries_path
 ):
     paths = sorted(str(p) for p in CORPUS.glob("*/*") if p.suffix in (".ml", ".c"))
     runs = []
     for jobs in (1, 2, 5):
+        cpus(jobs)
         outs = [tmp_path / f"{jobs}{name}" for name in (".sarif", ".h", "_harness.c")]
         sarif, header, harness = map(str, outs)
         code, out, err = run_main(
@@ -423,8 +428,6 @@ def test_the_outputs_do_not_depend_on_the_jobs(
             header,
             "--harness-out",
             harness,
-            "--jobs",
-            str(jobs),
         )
         assert_no_worker_is_left()
         runs.append((code, out, err, *[p.read_bytes() for p in outs]))
@@ -435,15 +438,16 @@ def test_the_outputs_do_not_depend_on_the_jobs(
     assert runs[2] == runs[0]
 
 
-def test_the_first_fatal_error_in_file_order_is_reported(proj, run_main):
+def test_the_first_fatal_error_in_file_order_is_reported(proj, run_main, cpus):
     _, write = proj
     paths = [write(f"f{i}.c", CLEAN_C.replace("ok", f"ok{i}")) for i in range(6)]
     paths[3] = paths[3].replace("f3.c", "missing.c")
     paths[4] = write("f4.c", "value f(value a)\n{\n    return a @ 1;\n}\n")
     # one, two and three slices: the missing file is in the second or the
     # third slice, and the lex error in the third
-    for jobs in ("1", "2", "3"):
-        code, out, err = run_main(*paths, "--jobs", jobs)
+    for jobs in (1, 2, 3):
+        cpus(jobs)
+        code, out, err = run_main(*paths)
         assert_no_worker_is_left()
         assert (code, out) == (2, "")
         assert err == (
@@ -451,17 +455,18 @@ def test_the_first_fatal_error_in_file_order_is_reported(proj, run_main):
         )
 
 
-def test_an_unwritable_header_stops_the_workers(proj, run_main):
+def test_an_unwritable_header_stops_the_workers(proj, run_main, cpus):
     dirpath, write = proj
     paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
     header = dirpath / "no such dir" / "out.h"
-    code, out, err = run_main(*paths, "--header-out", str(header), "--jobs", "2")
+    cpus(2)
+    code, out, err = run_main(*paths, "--header-out", str(header))
     assert_no_worker_is_left()
     assert (code, out) == (2, "")
     assert err.startswith(f"stublint: error: cannot write {header}: ")
 
 
-def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch):
+def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch, cpus):
     _, write = proj
     paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
     analyze_unit = cli.analyze_unit
@@ -472,8 +477,38 @@ def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch):
         return analyze_unit(unit, table)
 
     monkeypatch.setattr(cli, "analyze_unit", fail_on_the_last_file)
+    cpus(2)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         with pytest.raises(RuntimeError, match="ValueError: boom"):
-            main([*paths, "--jobs", "2"])
+            main(paths)
     assert_no_worker_is_left()
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "call, error", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)]
+)
+def test_a_slice_no_worker_can_take_stays_in_this_process(
+    proj, run_main, cpus, monkeypatch, call, error
+):
+    """When the system refuses the second worker its process or its pipe,
+    that slice and the next are analyzed here, with the same output."""
+    _, write = proj
+    paths = [write(f"f{i}.c", BAD_C if i % 2 else CLEAN_C) for i in range(6)]
+    cpus(1)
+    alone = run_main(*paths)
+    real = getattr(os, call)
+    calls = []
+
+    def refuse_the_second():
+        calls.append(call)
+        if len(calls) == 2:
+            raise OSError(error, os.strerror(error))
+        return real()
+
+    monkeypatch.setattr(os, call, refuse_the_second)
+    cpus(4)
+    assert run_main(*paths) == alone
+    assert calls == [call, call]
+    assert_no_worker_is_left()
+    assert alone[0] == 1 and "f1.c:" in alone[1] and "f5.c:" in alone[1]
