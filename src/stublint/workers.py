@@ -1,6 +1,6 @@
 """The C files of one run in forked worker processes.
 
-`cli.run` splits the C files into contiguous slices, one per job, and loads
+The C files are split into contiguous slices, one per job; `cli.run` loads
 this module only when there is more than one.  The caller analyzes the
 first slice itself; each other slice goes to a worker made with `os.fork`,
 which runs the same `cli._analyze_files` and sends its records back over a
