@@ -14,22 +14,24 @@ block's last visit sees all three at theirs.
 
 One statement step first judges the statement's ops, in one pass over
 them, against the state at the statement's entry, with the lock state at
-hand: an enter or leave the lock state does not match, as the calls before
-it in the statement left it; a runtime call or a dereference of an OCaml
-value while the lock is not held, or of a pointer the GC may have moved
-(STALE); the address of a value escaping; an even constant stored into a
-value.  Then it judges a CAMLprim returning to OCaml while the lock is not
-held, and applies the statement, unless the statement is a call that the
-summary table says never returns (`noreturn`): that step returns BOTTOM,
-which ends the path, so the call's successors see nothing of it.  The
-blocks come from the syntax alone, and this is the one place the table
-ends a path.
+hand: a call that releases or acquires the lock in a lock state that does
+not match, as the calls before it in the statement left it; a runtime call
+or a dereference of an OCaml value while the lock is not held, or of a
+pointer the GC may have moved (STALE); the address of a value escaping; an
+even constant stored into a value.  Then it judges a CAMLprim returning to
+OCaml while the lock is not held, and applies the statement, unless the
+statement is a call that the summary table says never returns (`noreturn`):
+that step returns BOTTOM, which ends the path, so the call's successors see
+nothing of it.  The blocks come from the syntax alone, and this is the one
+place the table ends a path.  Every lock finding comes from the one table
+of `lock_analysis`, keyed by (event, lock state); a call or dereference
+made while the lock is held looks nothing up in it.
 
 The step looks each call up in the summary table once, and reads every
 runtime fact from those effects alone: `releases_lock` and `acquires_lock`
 move the lock, `may_gc` makes a GC point, `requires_lock` needs the lock,
-`noreturn` ends the path.  No name decides any of them, so a summary line
-acts the same whatever function it names.  A runtime macro (`MACRO_NAMES`)
+`noreturn` ends the path.  No name decides any of them, nor any finding,
+so a summary line acts the same whatever function it names.  A runtime macro (`MACRO_NAMES`)
 is no function: the step never looks one up, and this is the one place a
 macro escapes the summaries.
 """
@@ -46,8 +48,8 @@ from .c_frontend.intrinsics import (
 )
 from .c_frontend.nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
 from .dataflow import Fixpoint, forward_solve
-from .diagnostics import ERROR, NOTE, WARNING, Diagnostic
-from .lock_analysis import LockState, SummaryTable, join_lock, step_call
+from .diagnostics import ERROR, NOTE, Diagnostic
+from .lock_analysis import LockState, SummaryTable, join_lock, judge_lock, step_call
 from .naked_const import eval_const, join_const_env, value_vars
 from .value_safety import HEAP, PLAIN, STALE, fact_of, initial_facts, join_env
 
@@ -65,31 +67,6 @@ def join(a, b):
 
 def fresh(state):
     return state[0], dict(state[1]), dict(state[2])
-
-
-# The finding for a runtime call (True) or a dereference (False) made in a
-# lock state that does not allow it: rule, severity and message.
-_UNLOCKED = {
-    (call, state): (rule, severity, message)
-    for call, state, rule, severity, message in (
-        (True, LockState.RELEASED, "RUNTIME_CALL_UNLOCKED", ERROR,
-         "{} called while the runtime lock is released"),
-        (True, LockState.UNKNOWN, "RUNTIME_CALL_UNLOCKED", WARNING,
-         "{} may be called without the runtime lock held"),
-        (False, LockState.RELEASED, "VALUE_DEREF_UNLOCKED", ERROR,
-         "'{}' dereferences an OCaml value while the runtime lock is released"),
-        (False, LockState.UNKNOWN, "VALUE_DEREF_UNLOCKED", WARNING,
-         "'{}' may dereference an OCaml value without the runtime lock held"),
-    )
-}
-
-
-# The finding for a stub that returns to OCaml in a lock state that is not
-# held: severity and message.
-_RETURN_UNLOCKED = {
-    LockState.RELEASED: (ERROR, "'{}' returns to OCaml without the runtime lock"),
-    LockState.UNKNOWN: (WARNING, "'{}' may return to OCaml without the runtime lock"),
-}
 
 
 def _sketch(expr) -> str:
@@ -150,8 +127,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                         # the statement is this call: is it one that never returns?
                         ends = "noreturn" in effects
                     if entry is not LockState.HELD and "requires_lock" in effects:
-                        rule, severity, message = _UNLOCKED[True, entry]
-                        report(found, where, rule, severity, message.format(name))
+                        report(found, where, *judge_lock("requires_lock", entry, name))
                     continue
             elif kind == DEREF:
                 operand, where = op[1], op[2]
@@ -190,16 +166,14 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 )
                 report(found, where, "DERIVED_PTR_STALE", ERROR, message)
             elif fact is not PLAIN and entry is not LockState.HELD:
-                rule, severity, message = _UNLOCKED[False, entry]
-                report(found, where, rule, severity, message.format(_sketch(operand)))
+                report(found, where, *judge_lock("deref", entry, _sketch(operand)))
 
         if (
             lock is not LockState.HELD
             and fn.is_camlprim
             and isinstance(stmt, ast.Return)
         ):
-            severity, message = _RETURN_UNLOCKED[lock]
-            report(found, stmt, "UNBALANCED_LOCK", severity, message.format(fn.name))
+            report(found, stmt, *judge_lock("return", lock, fn.name))
         if not ops and not isinstance(stmt, ast.Opaque):
             return state
         if ends:

@@ -14,9 +14,6 @@ CAMLXPARAM = {f"CAMLxparam{i}": i for i in range(1, 6)}
 CAMLLOCAL = {f"CAMLlocal{i}": i for i in range(1, 6)}
 CAMLRETURN = frozenset({"CAMLreturn", "CAMLreturn0", "CAMLreturnT"})
 
-ENTER_BLOCKING = "caml_enter_blocking_section"
-LEAVE_BLOCKING = "caml_leave_blocking_section"
-
 # Address derivation into an OCaml block's payload; not itself a dereference.
 DATA_DERIVE = frozenset({"Data_custom_val", "Data_abstract_val"})
 

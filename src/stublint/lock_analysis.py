@@ -9,11 +9,15 @@ each line straight into the `SummaryTable`, built-ins first.  A runtime
 macro (`intrinsics`) is no function, and the product step never looks one
 up.
 
-The analysis is the lock lattice plus `step_call`, which moves the state
-over one call by the effects the step looked up for it, and names the
-finding for an enter or leave that the state before it does not match.
-`analysis.solve_function` runs it as the lock component of the one product
-solve per function.
+The analysis is the lock lattice, `step_call`, which moves the state over
+one call by the effects the step looked up for it, and the one table of
+lock findings, keyed by (event, lock state).  The events are a call that
+releases, acquires or requires the lock, a dereference of an OCaml value
+and a return to OCaml; no key holds a callee name, so any `releases_lock`
+or `acquires_lock` line is checked for balance as the blocking section is.
+`step_call` reads the finding for the effect that moved the lock, and
+`analysis.solve_function` judges the other events with `judge_lock` as it
+runs the lock component of the one product solve per function.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .c_frontend.intrinsics import ENTER_BLOCKING, LEAVE_BLOCKING
 from .diagnostics import ERROR, WARNING
 
 
@@ -168,29 +171,58 @@ def load_summaries(text: str | None = None) -> SummaryTable:
 # -- transfer ---------------------------------------------------------------
 
 
-# The finding for a blocking-section call in each state it does not match.
-_UNBALANCED = {
-    (call, state): ("UNBALANCED_LOCK", severity, f"{call} but the runtime lock {how}")
-    for call, state, severity, how in (
-        (ENTER_BLOCKING, LockState.RELEASED, ERROR, "is already released"),
-        (ENTER_BLOCKING, LockState.UNKNOWN, WARNING, "may already be released"),
-        (LEAVE_BLOCKING, LockState.HELD, ERROR, "is still held"),
-        (LEAVE_BLOCKING, LockState.UNKNOWN, WARNING, "may still be held"),
+# The one table of lock findings: for each event, in each lock state that
+# does not allow it, the rule, the severity and a message whose `{}` is the
+# callee, the expression dereferenced or the stub.  A state missing from it
+# allows the event.
+_FINDINGS = {
+    (event, state): (rule, severity, message)
+    for event, state, rule, severity, message in (
+        ("releases_lock", LockState.RELEASED, "UNBALANCED_LOCK", ERROR,
+         "{} but the runtime lock is already released"),
+        ("releases_lock", LockState.UNKNOWN, "UNBALANCED_LOCK", WARNING,
+         "{} but the runtime lock may already be released"),
+        ("acquires_lock", LockState.HELD, "UNBALANCED_LOCK", ERROR,
+         "{} but the runtime lock is still held"),
+        ("acquires_lock", LockState.UNKNOWN, "UNBALANCED_LOCK", WARNING,
+         "{} but the runtime lock may still be held"),
+        ("requires_lock", LockState.RELEASED, "RUNTIME_CALL_UNLOCKED", ERROR,
+         "{} called while the runtime lock is released"),
+        ("requires_lock", LockState.UNKNOWN, "RUNTIME_CALL_UNLOCKED", WARNING,
+         "{} may be called without the runtime lock held"),
+        ("deref", LockState.RELEASED, "VALUE_DEREF_UNLOCKED", ERROR,
+         "'{}' dereferences an OCaml value while the runtime lock is released"),
+        ("deref", LockState.UNKNOWN, "VALUE_DEREF_UNLOCKED", WARNING,
+         "'{}' may dereference an OCaml value without the runtime lock held"),
+        ("return", LockState.RELEASED, "UNBALANCED_LOCK", ERROR,
+         "'{}' returns to OCaml without the runtime lock"),
+        ("return", LockState.UNKNOWN, "UNBALANCED_LOCK", WARNING,
+         "'{}' may return to OCaml without the runtime lock"),
     )
 }
 
 
+def judge_lock(event: str, state: LockState, subject: str):
+    """(rule, severity, message) for `event` in lock state `state`, the
+    message naming `subject`; None when the state allows the event."""
+    found = _FINDINGS.get((event, state))
+    if found is None:
+        return None
+    rule, severity, message = found
+    return rule, severity, message.format(subject)
+
+
 def step_call(name: str, state: LockState, effects: frozenset[str]):
-    """Lock state after a call with these effects, plus (rule, severity,
-    message) when the call is an enter/leave that moves the lock from a
-    state it does not match."""
+    """Lock state after a call with these effects, plus the finding for
+    the effect that moved the lock (`releases_lock` or `acquires_lock`)
+    when the state before the call does not allow it."""
     if "releases_lock" in effects:
-        after = LockState.RELEASED
+        event, after = "releases_lock", LockState.RELEASED
     elif "acquires_lock" in effects:
-        after = LockState.HELD
+        event, after = "acquires_lock", LockState.HELD
     else:
         return state, None
-    return after, _UNBALANCED.get((name, state))
+    return after, judge_lock(event, state, name)
 
 
 # -- shims for perfbench/spans.py over analysis.solve_function; ROADMAP item 1

@@ -104,11 +104,20 @@ def test_leave_blocking_transfer(state):
         assert finding[0] == "UNBALANCED_LOCK"
 
 
-def test_summary_effects_flip_state_without_findings():
+def test_summary_effects_move_the_lock_and_judge_the_move():
+    # a line's lock effect is judged as the blocking section's is, whatever
+    # function it names
     lookup = load_summaries("takes: acquires_lock\ndrops: releases_lock\n").lookup
     assert step_call("drops", H, lookup("drops")) == (R, None)
-    assert step_call("drops", R, lookup("drops")) == (R, None)
+    released = "drops but the runtime lock is already released"
+    assert step_call("drops", R, lookup("drops")) == (
+        R, ("UNBALANCED_LOCK", "error", released)
+    )
     assert step_call("takes", R, lookup("takes")) == (H, None)
+    held = "takes but the runtime lock is still held"
+    assert step_call("takes", H, lookup("takes")) == (
+        H, ("UNBALANCED_LOCK", "error", held)
+    )
     assert step_call("plain_c_function", R, lookup("plain_c_function")) == (R, None)
 
 
@@ -360,14 +369,17 @@ def test_a_call_that_never_returns_ends_the_path(lint_c, summaries, body, want):
 
 def test_the_step_reads_runtime_facts_from_effects_not_names(lint_c):
     # enter collects and releases, the raise ends its path, leave takes the
-    # lock back: under lines that copy those effects, renamed calls act alike
+    # lock back, and a second enter or leave is unbalanced: under lines that
+    # copy those effects, renamed calls act alike
     src = (
         "CAMLprim value f(value a)\n{\n    CAMLparam1(a);\n"
         "    char *p = String_val(a);\n"
         "    caml_enter_blocking_section();\n"
+        "    caml_enter_blocking_section();\n"
         "    if (Int_val(a) < 0) { caml_leave_blocking_section();"
         " caml_raise_not_found(); }\n"
         "    Field(a, 0);\n"
+        "    caml_leave_blocking_section();\n"
         "    caml_leave_blocking_section();\n"
         "    *p = 0;\n"
         "    CAMLreturn(a);\n}\n"
@@ -382,10 +394,15 @@ def test_the_step_reads_runtime_facts_from_effects_not_names(lint_c):
         "my_leave: acquires_lock\n"
         "my_raise: requires_lock, may_gc, noreturn\n"
     )
-    want = [("VALUE_DEREF_UNLOCKED", 7, 5), ("DERIVED_PTR_STALE", 9, 5)]
-    assert [(d.rule_id, d.line, d.column) for d in lint_c(src)] == want
-    found = [(d.rule_id, d.line, d.column) for d in lint_c(renamed, summaries)]
-    assert found == want
+    want = [
+        ("UNBALANCED_LOCK", "error", 6, 5),
+        ("VALUE_DEREF_UNLOCKED", "error", 8, 5),
+        ("UNBALANCED_LOCK", "error", 10, 5),
+        ("DERIVED_PTR_STALE", "error", 11, 5),
+    ]
+    for text, lines in ((src, None), (renamed, summaries)):
+        found = [(d.rule_id, d.severity, d.line, d.column) for d in lint_c(text, lines)]
+        assert found == want
 
 
 def test_the_runtime_system_pair_moves_the_lock(lint_c):
@@ -400,6 +417,48 @@ def test_the_runtime_system_pair_moves_the_lock(lint_c):
     )
     found = [(d.rule_id, d.severity, d.line, d.column) for d in lint_c(src)]
     assert found == [("VALUE_DEREF_UNLOCKED", "error", 6, 18)]
+
+
+@pytest.mark.parametrize(
+    "summaries, calls, line, message",
+    [
+        (
+            None,
+            ["caml_release_runtime_system", "caml_release_runtime_system",
+             "caml_acquire_runtime_system"],
+            5,
+            "caml_release_runtime_system but the runtime lock is already released",
+        ),
+        (
+            "drops: releases_lock\ntakes: acquires_lock\n",
+            ["drops", "drops", "takes"],
+            5,
+            "drops but the runtime lock is already released",
+        ),
+        (
+            "drops: releases_lock\ntakes: acquires_lock\n",
+            ["drops", "takes", "takes"],
+            6,
+            "takes but the runtime lock is still held",
+        ),
+    ],
+    ids=["runtime-system", "summary-release", "summary-acquire"],
+)
+def test_a_second_release_or_acquire_is_unbalanced(
+    lint_c, summaries, calls, line, message
+):
+    # the finding follows the effect, not the blocking section's names
+    body = "".join(f"    {call}();\n" for call in calls)
+    src = (
+        "CAMLprim value f(value v)\n{\n    CAMLparam1(v);\n"
+        + body
+        + "    CAMLreturn(v);\n}\n"
+    )
+    found = [
+        (d.rule_id, d.severity, d.line, d.column, d.message)
+        for d in lint_c(src, summaries)
+    ]
+    assert found == [("UNBALANCED_LOCK", "error", line, 5, message)]
 
 
 def test_a_static_value_helper_is_no_primitive(lint_c):
