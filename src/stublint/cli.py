@@ -22,7 +22,6 @@ from .c_frontend import (
     parse_tokens,
     preprocess_local,
 )
-from .c_frontend.nodes import StubFunction, StubUnit
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
 from .lock_analysis import SummaryError, SummaryTable, load_summaries
 from .sarif import sarif
@@ -158,7 +157,7 @@ def _analyze_files(paths, table: SummaryTable) -> list[tuple]:
     Each file gives (notes, findings, unit): its preprocessor notes, its
     findings, and its unit with each function's header but not its body,
     which is all `check_arity` reads of it.  A file's tokens are dropped
-    once it is parsed, and its tree once it is analyzed.
+    once it is parsed, and its bodies once it is analyzed.
     """
     records = []
     for path in paths:
@@ -170,19 +169,10 @@ def _analyze_files(paths, table: SummaryTable) -> list[tuple]:
             raise FatalError(f"{path}: {exc}") from exc
         notes = pre.notes
         del text, pre
-        headers = [
-            StubFunction(
-                fn.line,
-                fn.col,
-                fn.name,
-                fn.params,
-                fn.return_type,
-                fn.is_camlprim,
-                file=path,
-            )
-            for fn in unit.functions
-        ]
-        records.append((notes, analyze_unit(unit, table), StubUnit(path, headers)))
+        found = analyze_unit(unit, table)
+        for fn in unit.functions:
+            fn.body = fn.locals = ()
+        records.append((notes, found, unit))
     return records
 
 
