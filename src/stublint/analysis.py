@@ -31,9 +31,9 @@ The step looks each call up in the summary table once, and reads every
 runtime fact from those effects alone: `releases_lock` and `acquires_lock`
 move the lock, `may_gc` makes a GC point, `requires_lock` needs the lock,
 `noreturn` ends the path.  No name decides any of them, nor any finding,
-so a summary line acts the same whatever function it names.  A runtime macro (`MACRO_NAMES`)
-is no function: the step never looks one up, and this is the one place a
-macro escapes the summaries.
+so a summary line acts the same whatever function it names.  A runtime
+macro (`MACRO_NAMES`) is no function: the step never looks one up, and this
+is the one place a macro escapes the summaries.
 """
 
 from __future__ import annotations

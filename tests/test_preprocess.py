@@ -332,6 +332,6 @@ def test_corpus_preprocesses_as_gcc_does(path):
 
 @needs_gcc
 def test_generated_stubs_preprocess_as_gcc_does():
-    # the first 100 golden stubs, about a second of gcc runs
+    # the first 100 golden stubs, one gcc run each
     differ = [name for name, source in stubs(count=100) if not agrees_with_gcc(source)]
     assert differ == []
