@@ -13,7 +13,7 @@ instead of a silent misparse.
 
 from .preprocess import PreprocessError, PreprocessResult, preprocess_local
 from .lexer import CLexError, Token, lex
-from .parser import CParseError, parse_tokens, parse_unit
+from .parser import CParseError, parse_items, parse_tokens, parse_unit
 from .cfg import Cfg, build_cfg
 from .nodes import StubFunction, StubUnit
 
@@ -25,6 +25,7 @@ __all__ = [
     "Token",
     "lex",
     "CParseError",
+    "parse_items",
     "parse_tokens",
     "parse_unit",
     "Cfg",

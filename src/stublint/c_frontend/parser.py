@@ -307,9 +307,12 @@ class _Parser:
 
     # -- top level ------------------------------------------------------
 
-    def parse_unit(self) -> nodes.StubUnit:
+    def parse_unit(self, stop: int) -> nodes.StubUnit:
+        """The top-level items that begin at `pos` or after and before token
+        `stop`, which is no later than `_EOF`; parsing stops at the first
+        token at or past `stop` that begins none."""
         unit = nodes.StubUnit(file=self.file)
-        while not self.eof():
+        while self.pos < stop:
             start = self.pos
             try:
                 self.top_level_item(unit)
@@ -877,7 +880,22 @@ def _num_value(text: str):
 def parse_tokens(tokens: list[Token], file_name: str) -> nodes.StubUnit:
     """Parse one preprocessed translation unit, given as its tokens; the
     list becomes the parser's."""
-    return _Parser(tokens, file_name).parse_unit()
+    return parse_items(tokens, file_name, 0, len(tokens))[0]
+
+
+def parse_items(
+    tokens: list[Token], file_name: str, start: int, stop: int
+) -> tuple[nodes.StubUnit, int]:
+    """Parse the top-level items of a preprocessed translation unit that
+    begin at token `start` or after and before token `stop`; returns them
+    as a unit and the index of the token where parsing stopped, which is
+    past `stop` when the last item runs on.  The parser carries nothing
+    from one item to the next but that index, so the items from a `start`
+    where another item ends are the ones a parse from the first token
+    meets.  The list becomes the parser's."""
+    parser = _Parser(tokens, file_name)
+    parser.pos = start
+    return parser.parse_unit(stop), parser.pos
 
 
 def parse_unit(source: str, file_name: str) -> nodes.StubUnit:

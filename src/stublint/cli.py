@@ -11,7 +11,10 @@ import argparse
 import gc
 import os
 import sys
+from bisect import bisect_left
 from collections.abc import Iterable
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import harness_gen, header_gen, ml_frontend
 from .analysis import solve_function
@@ -19,9 +22,10 @@ from .c_frontend import (
     CLexError,
     PreprocessError,
     build_cfg,
-    parse_tokens,
+    parse_items,
     preprocess_local,
 )
+from .c_frontend.lexer import LINE
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
 from .lock_analysis import SummaryError, SummaryTable, load_summaries
 from .sarif import sarif
@@ -37,62 +41,72 @@ class FatalError(Exception):
 # -- arity cross-check ------------------------------------------------------
 
 
-def _is_argv_pair(params) -> bool:
-    if len(params) != 2:
-        return False
-    (_, first), (_, second) = params
-    return (
-        first.base == "value"
-        and first.pointers == 1
-        and second.base == "int"
-        and second.pointers == 0
-    )
+# the (base, pointers) of the parameters of the (value *argv, int argn) form
+_ARGV_PAIR = (("value", 1), ("int", 0))
 
 
-def _check_definition(decl, fn, proto) -> Diagnostic | None:
-    nparams = len(fn.params)
+def _header(fn) -> tuple:
+    """What the arity check reads of a function, in the types `marshal`
+    carries: (name, file, line, col, the (base, pointers) of each
+    parameter, whether it is a CAMLprim)."""
+    params = tuple((t.base, t.pointers) for _, t in fn.params)
+    return (fn.name, fn.file, fn.line, fn.col, params, fn.is_camlprim)
+
+
+def _check_definition(decl, fn: tuple, proto) -> Diagnostic | None:
+    name, fn_file, fn_line, fn_col, params, _ = fn
+    nparams = len(params)
     rule = "ARITY_MISMATCH"
     if proto.is_argv_form:
-        if _is_argv_pair(fn.params):
+        if params == _ARGV_PAIR:
             return None
         message = (
-            f"'{fn.name}' implements an arity-{decl.arity} external and"
+            f"'{name}' implements an arity-{decl.arity} external and"
             " must use the (value *argv, int argn) form"
         )
     elif nparams == 0 and decl.arity == 1:
         rule = "VOID_STUB"
         message = (
-            f"'{fn.name}' takes no parameters, but OCaml always passes"
+            f"'{name}' takes no parameters, but OCaml always passes"
             " an argument (unit is the value 1)"
         )
     elif nparams == 0:
         message = (
-            f"'{fn.name}' takes no parameters but external"
+            f"'{name}' takes no parameters but external"
             f" '{decl.ocaml_name}' has arity {decl.arity}"
         )
     elif nparams != decl.arity:
         message = (
-            f"'{fn.name}' takes {nparams} parameters but external"
+            f"'{name}' takes {nparams} parameters but external"
             f" '{decl.ocaml_name}' has arity {decl.arity}"
         )
     else:
         return None
     file, line, col = decl.source_loc
     related = ((file, line, col, f"external '{decl.ocaml_name}' declared here"),)
-    return Diagnostic(rule, ERROR, fn.file, fn.line, fn.col, message, related)
+    return Diagnostic(rule, ERROR, fn_file, fn_line, fn_col, message, related)
 
 
 def check_arity(decls, units) -> list[Diagnostic]:
-    """Each external against the definitions of its C symbols.
+    """Each external against the definitions of its C symbols in `units`,
+    parsed C files, as a replay of the pipeline holds them; `run` checks
+    the headers its records carry."""
+    headers = [_header(fn) for unit in units for fn in unit.functions]
+    return _check_headers(decls, headers, bool(units))
+
+
+def _check_headers(decls, headers, c_given: bool) -> list[Diagnostic]:
+    """Each external against the definitions of its C symbols, given as
+    `_header`s; a symbol with none gets a note when `c_given`, when any C
+    file was given.
 
     The prototypes, and the error for a declaration OCaml cannot compile,
     come from `header_gen.prototypes_for`.  A symbol named twice is checked
     once, against its first prototype, the bytecode one.
     """
     definitions = {}
-    for unit in units:
-        for fn in unit.functions:
-            definitions.setdefault(fn.name, fn)
+    for fn in headers:
+        definitions.setdefault(fn[0], fn)  # by name
     diags = []
     for decl in decls:
         protos, problems = header_gen.prototypes_for(decl)
@@ -104,7 +118,7 @@ def check_arity(decls, units) -> list[Diagnostic]:
                 continue
             fn = definitions.get(symbol)
             if fn is None:
-                if units:
+                if c_given:
                     diags.append(
                         Diagnostic(
                             "NOTE",
@@ -138,7 +152,7 @@ def _unit_table(unit, base: SummaryTable) -> SummaryTable:
         for fn in unit.functions
         if fn.is_camlprim and base.lookup(fn.name, None) is None
     }
-    return SummaryTable({**base.exact, **own}, base.prefix)
+    return SummaryTable({**base.exact, **own}, base.prefix, base.misses)
 
 
 def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
@@ -151,29 +165,115 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
     return diags
 
 
-def _analyze_files(paths, table: SummaryTable) -> list[tuple]:
-    """Read, preprocess, parse and analyze each C file of `paths`, in order.
+class Record(NamedTuple):
+    """What `_analyze_files` gives of one part of a C file."""
 
-    Each file gives (notes, findings, unit): its preprocessor notes, its
-    findings, and its unit with each function's header but not its body,
-    which is all `check_arity` reads of it.  A file's tokens are dropped
-    once it is parsed, and its bodies once it is analyzed.
+    notes: list  # the preprocessor's, in the part that begins at line 0
+    found: list  # the parser's diagnostics, then the analyses' findings
+    parsed: int  # how many of `found` the parser's are
+    headers: list  # the `_header` of each function
+    start: int  # the index of the token where parsing began
+    end: int  # and where it stopped
+    misses: set  # the names looked up that no summary line matches
+
+
+_line = itemgetter(LINE)
+
+
+def _analyze_files(parts, table: SummaryTable) -> list[Record]:
+    """Read, preprocess, parse and analyze each part of a C file in `parts`,
+    in order, into its `Record`.
+
+    A part is (path, first, last): the top-level items of the file at
+    `path` that begin on a line from `first` up to, but not including,
+    `last`, or to the end when `last` is None.  So (path, 0, None) is the
+    whole file.  Each part preprocesses the whole file, so a lex or
+    preprocessor error is raised whatever the part.  A file's tokens are
+    dropped once it is parsed, and its functions once they are analyzed.
     """
     records = []
-    for path in paths:
+    for path, first, last in parts:
         text = _read(path)
         try:
             pre = preprocess_local(text, path)
-            unit = parse_tokens(pre.tokens, path)
+            tokens = pre.tokens
+            start = bisect_left(tokens, first, key=_line)
+            stop = len(tokens) if last is None else bisect_left(tokens, last, key=_line)
+            unit, end = parse_items(tokens, path, start, stop)
         except (PreprocessError, CLexError) as exc:
             raise FatalError(f"{path}: {exc}") from exc
-        notes = pre.notes
-        del text, pre
-        found = analyze_unit(unit, table)
-        for fn in unit.functions:
-            fn.body = fn.locals = ()
-        records.append((notes, found, unit))
+        notes = pre.notes if first == 0 else []
+        del text, pre, tokens
+        part_table = SummaryTable(table.exact, table.prefix)
+        found = analyze_unit(unit, part_table)
+        headers = [_header(fn) for fn in unit.functions]
+        parsed = len(unit.diagnostics)
+        del unit
+        records.append(
+            Record(notes, found, parsed, headers, start, end, part_table.misses)
+        )
     return records
+
+
+def _parts(c_paths, jobs: int) -> list[tuple]:
+    """The C files as the parts `_analyze_files` takes: each file whole,
+    but a lone file cut into up to `jobs` parts of top-level items.
+
+    The k-th cut is at the line after the first line that starts with `}`
+    from k/jobs of the text on, and there is none when only blank space
+    follows that line; so a file of one function is not cut.  A file that
+    cannot be read is left whole, for its error to be raised in its turn.
+    """
+    if len(c_paths) != 1:
+        return [(path, 0, None) for path in c_paths]
+    path = c_paths[0]
+    try:
+        text = _read(path)
+    except FatalError:
+        return [(path, 0, None)]
+    lines = [0]
+    at = 0
+    for k in range(1, jobs):
+        brace = text.find("\n}", max(len(text) * k // jobs, at))
+        if brace < 0:
+            break
+        at = text.find("\n", brace + 2)
+        if at < 0 or text[at:].isspace():
+            break
+        lines.append(text.count("\n", 0, at + 1) + 1)
+    lines.append(None)
+    return [(path, first, last) for first, last in zip(lines, lines[1:])]
+
+
+def _join(records: list[Record]) -> Record | None:
+    """The record of a whole C file from the records of its parts, in
+    order, when it is sure to be the one `_analyze_files` gives of the
+    whole file, or None.  It is sure when each part stopped at the token
+    where the next began, so the parts met the items a whole parse meets,
+    and no part looked up a name, that no summary line matches, which
+    another part defines as a CAMLprim: `_unit_table` gives such a name
+    the lock's need in the whole file's table."""
+    camlprims = [
+        {name for name, *_, is_camlprim in rec.headers if is_camlprim}
+        for rec in records
+    ]
+    defined = set().union(*camlprims)
+    for i, rec in enumerate(records):
+        if i and rec.start != records[i - 1].end:
+            return None
+        if not rec.misses.isdisjoint(defined - camlprims[i]):
+            return None
+    parsed = [d for rec in records for d in rec.found[: rec.parsed]]
+    found = [d for rec in records for d in rec.found[rec.parsed :]]
+    return Record(
+        records[0].notes,
+        parsed + found,
+        len(parsed),
+        [fn for rec in records for fn in rec.headers],
+        records[0].start,
+        records[-1].end,
+        set().union(*(rec.misses for rec in records)),
+    )
 
 
 # -- driver ------------------------------------------------------------------
@@ -234,12 +334,14 @@ def run(
     # The workers start before the .ml side and the outputs, which this
     # process does meanwhile.  An error is raised in the order of a run in
     # one process: the .ml reads and the writes, then the C files in order.
-    own, workers = c_paths, None
-    if jobs > 1 and len(c_paths) > 1 and hasattr(os, "fork"):
-        from .workers import Workers  # only a run that forks loads it
+    own, workers = [(path, 0, None) for path in c_paths], None
+    if jobs > 1 and hasattr(os, "fork"):
+        parts = _parts(c_paths, jobs)
+        if len(parts) > 1:
+            from .workers import Workers  # only a run that forks loads it
 
-        workers = Workers(c_paths, jobs, table)
-        own = workers.own
+            workers = Workers(parts, jobs, table)
+            own = workers.own
     finished = False
     try:
         if workers:
@@ -275,15 +377,19 @@ def run(
         if workers:
             workers.reap(finished)
 
+    if len(records) > len(c_paths):  # the parts of a lone file
+        whole = _join(records)
+        records = [whole or _analyze_files([(c_paths[0], 0, None)], table)[0]]
+
     # every file's notes, then every file's findings: `normalize` keeps the
     # first of two findings with one key, so this is the order of a run in
     # one process
-    for notes, _found, _unit in records:
-        diags.extend(notes)
-    for _notes, found, _unit in records:
-        diags.extend(found)
-    units = [unit for _notes, _found, unit in records]
-    diags.extend(check_arity(decls, units))
+    for rec in records:
+        diags.extend(rec.notes)
+    for rec in records:
+        diags.extend(rec.found)
+    headers = [fn for rec in records for fn in rec.headers]
+    diags.extend(_check_headers(decls, headers, bool(c_paths)))
 
     diags = [d for d in normalize(diags) if d.rule_id not in disabled]
 

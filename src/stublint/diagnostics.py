@@ -34,9 +34,10 @@ RULES = {
     " values than the stub receives",
     "NAKED_POINTER": "even constant stored into a value; the garbage"
     " collector would follow it as a pointer",
-    "UNBALANCED_LOCK": "blocking-section enter/leave does not match the lock"
-    " state at this point, or a stub returns to OCaml without the runtime"
-    " lock",
+    "UNBALANCED_LOCK": "a call that releases the runtime lock (any"
+    " releases_lock summary line, caml_enter_blocking_section among them) or"
+    " acquires it (any acquires_lock line) does not match the lock state at"
+    " this point, or a stub returns to OCaml without the runtime lock",
     "UNSUPPORTED_CONSTRUCT": "construct outside the analyzed C or OCaml"
     " subset",
     "NOTE": "informational note",

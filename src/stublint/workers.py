@@ -1,13 +1,15 @@
 """The C files of one run in forked worker processes.
 
-The C files are split into contiguous slices, one per job; `cli.run` loads
-this module only when there is more than one.  The caller analyzes the
-first slice itself; each other slice goes to a worker made with `os.fork`,
-which runs the same `cli._analyze_files` and sends its records back over a
-pipe, marshalled: each finding as the tuple of its fields and each function
-header as plain tuples.  A worker writes nothing to stdout or stderr and
-leaves by `os._exit`, so it never flushes, or runs the exit handlers of, a
-copy of its parent's state.
+The parts of the C files, each a whole file or the top-level items of a
+lone file that begin in a range of its lines (see `cli._analyze_files`),
+are split into contiguous slices, one per job; `cli.run` loads this module
+only when there is more than one part.  The caller analyzes the first slice
+itself; each other slice goes to a worker made with `os.fork`, which runs
+the same `cli._analyze_files` and sends its records back over a pipe,
+marshalled: each finding as the tuple of its fields, and the rest of the
+record as it is.  A worker writes nothing to stdout or stderr and leaves by
+`os._exit`, so it never flushes, or runs the exit handlers of, a copy of
+its parent's state.
 """
 
 from __future__ import annotations
@@ -15,19 +17,18 @@ from __future__ import annotations
 import marshal
 import os
 
-from .c_frontend.nodes import CType, StubFunction, StubUnit
-from .cli import FatalError, _analyze_files
+from .cli import FatalError, Record, _analyze_files
 from .diagnostics import Diagnostic
 
 
 class Workers:
-    """Workers for every slice of `paths` but the first, `own`, which is
+    """Workers for every slice of `parts` but the first, `own`, which is
     the caller's to analyze."""
 
-    def __init__(self, paths: list[str], jobs: int, table):
-        n = len(paths)
+    def __init__(self, parts: list[tuple], jobs: int, table):
+        n = len(parts)
         count = min(jobs, n)
-        slices = [paths[i * n // count : (i + 1) * n // count] for i in range(count)]
+        slices = [parts[i * n // count : (i + 1) * n // count] for i in range(count)]
         self.own, self.rest = slices[0], slices[1:]
         self.table = table
         self.started = []  # (pid, reader) of rest[0], rest[1], ...
@@ -42,7 +43,7 @@ class Workers:
             except OSError:
                 break
 
-    def results(self) -> list[tuple]:
+    def results(self) -> list[Record]:
         """The records of the slices of `rest`, in order, once each worker
         has sent them all; raises the first error one of them met."""
         records = []
@@ -64,8 +65,8 @@ class Workers:
             os.waitpid(pid, 0)
 
 
-def _start(paths: list[str], table):
-    """Fork a worker that runs `_analyze_files(paths, table)`.  Returns its
+def _start(parts: list[tuple], table):
+    """Fork a worker that runs `_analyze_files(parts, table)`.  Returns its
     pid and the reading end of the pipe its reply comes back on: the
     records, a `FatalError`'s message, or the traceback of any other
     exception, marshalled."""
@@ -80,7 +81,7 @@ def _start(paths: list[str], table):
         try:
             os.close(read_fd)
             try:
-                records = _analyze_files(paths, table)
+                records = _analyze_files(parts, table)
                 reply = ("records", [_plain(r) for r in records])
             except FatalError as exc:
                 reply = ("fatal", str(exc))
@@ -96,7 +97,7 @@ def _start(paths: list[str], table):
     return pid, open(read_fd, "rb")
 
 
-def _receive(reader) -> list[tuple]:
+def _receive(reader) -> list[Record]:
     """The records a worker sent, once it has sent them all; raises the
     error it met instead."""
     try:
@@ -113,37 +114,16 @@ def _receive(reader) -> list[tuple]:
 # -- records in the types `marshal` carries ----------------------------------
 
 
-def _plain(record: tuple) -> tuple:
-    notes, found, unit = record
-    functions = [
-        (
-            fn.line,
-            fn.col,
-            fn.name,
-            [(name, _type_fields(t)) for name, t in fn.params],
-            _type_fields(fn.return_type),
-            fn.is_camlprim,
-        )
-        for fn in unit.functions
-    ]
-    notes = [_fields(d) for d in notes]
-    return (notes, [_fields(d) for d in found], unit.file, functions)
+def _plain(record: Record) -> tuple:
+    notes, found, *rest = record
+    return ([_fields(d) for d in notes], [_fields(d) for d in found], *rest)
 
 
-def _record(plain: tuple) -> tuple:
-    notes, found, path, functions = plain
-    unit = StubUnit(path)
-    for line, col, name, params, ret, is_camlprim in functions:
-        params = [(param, CType(*t)) for param, t in params]
-        unit.functions.append(
-            StubFunction(line, col, name, params, CType(*ret), is_camlprim, file=path)
-        )
-    return ([Diagnostic(*d) for d in notes], [Diagnostic(*d) for d in found], unit)
+def _record(plain: tuple) -> Record:
+    notes, found, *rest = plain
+    notes = [Diagnostic(*d) for d in notes]
+    return Record(notes, [Diagnostic(*d) for d in found], *rest)
 
 
 def _fields(d: Diagnostic) -> tuple:
     return (d.rule_id, d.severity, d.file, d.line, d.column, d.message, d.related)
-
-
-def _type_fields(t: CType) -> tuple:
-    return (t.base, t.pointers, t.array)

@@ -10,11 +10,13 @@ import re
 
 import jsonschema
 import pytest
+import stubgen
 from conftest import CORPUS
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from stublint import cli
 from stublint.cli import main
+from stublint.lock_analysis import load_summaries
 
 CLEAN_C = "value ok(value a)\n{\n    CAMLparam1(a);\n    CAMLreturn(a);\n}\n"
 CLEAN_ML = 'external ok : unit -> unit = "ok"\n'
@@ -409,28 +411,26 @@ def assert_no_worker_is_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _outputs(tmp_path, run_main, paths, tag: str) -> tuple:
+    """(exit, stdout, stderr, SARIF, header, harness) of one run."""
+    outs = [tmp_path / f"{tag}{name}" for name in (".sarif", ".h", "_harness.c")]
+    sarif, header, harness = map(str, outs)
+    code, out, err = run_main(
+        *paths, "--sarif", sarif, "--header-out", header, "--harness-out", harness
+    )
+    assert_no_worker_is_left()
+    return (code, out, err, *[p.read_bytes() for p in outs])
+
+
 def test_the_outputs_do_not_depend_on_the_jobs(
     tmp_path, run_main, cpus, corpus_summaries_path
 ):
     paths = sorted(str(p) for p in CORPUS.glob("*/*") if p.suffix in (".ml", ".c"))
+    paths = ["--summaries", corpus_summaries_path, *paths]
     runs = []
     for jobs in (1, 2, 5):
         cpus(jobs)
-        outs = [tmp_path / f"{jobs}{name}" for name in (".sarif", ".h", "_harness.c")]
-        sarif, header, harness = map(str, outs)
-        code, out, err = run_main(
-            *paths,
-            "--summaries",
-            corpus_summaries_path,
-            "--sarif",
-            sarif,
-            "--header-out",
-            header,
-            "--harness-out",
-            harness,
-        )
-        assert_no_worker_is_left()
-        runs.append((code, out, err, *[p.read_bytes() for p in outs]))
+        runs.append(_outputs(tmp_path, run_main, paths, str(jobs)))
     code, out, err = runs[0][:3]
     assert (code, err) == (1, "")
     assert "void_stub.c" in out and "custom_deref.c" in out
@@ -512,3 +512,194 @@ def test_a_slice_no_worker_can_take_stays_in_this_process(
     assert calls == [call, call]
     assert_no_worker_is_left()
     assert alone[0] == 1 and "f1.c:" in alone[1] and "f5.c:" in alone[1]
+
+
+# -- a lone C file cut at top-level items --------------------------------------
+
+
+def _stub_sources(count: int, seed: int = 23) -> list[str]:
+    """`count` stubgen stubs; a few call the stub five on, so some
+    stub-calls-stub calls cross a cut."""
+    sources = [source for _, source in stubgen.stubs(seed, count)]
+    for i in range(0, count, 3):
+        callee = f"stub_g{(i + 5) % count:03d}"
+        sources[i] = sources[i].replace("take(&n);", f"{callee}(a, b);", 1)
+    return sources
+
+
+def _stub_file(count: int) -> str:
+    return "".join(_stub_sources(count))
+
+
+def _externals(count: int) -> str:
+    return "".join(
+        f'external g{i} : {"int -> " * (2 + (i % 7 == 0))}int = "stub_g{i:03d}"\n'
+        for i in range(count)
+    )
+
+
+@pytest.fixture
+def joins(monkeypatch):
+    """What `cli._join` gives back, one item a join: None when it refused."""
+    seen = []
+    join = cli._join
+
+    def spy(records):
+        seen.append(join(records))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_join", spy)
+    return seen
+
+
+def test_a_lone_file_cut_for_the_jobs_gives_the_outputs_of_one_process(
+    proj, run_main, cpus, joins
+):
+    _, write = proj
+    # a summary line for every stub, so no call to one stops a join
+    summaries = write("summaries.txt", "stub_g*: requires_lock\n")
+    paths = [
+        "--summaries",
+        summaries,
+        write("g.ml", _externals(200)),
+        write("g.c", _stub_file(200)),
+    ]
+    runs = []
+    for jobs in (1, 2, 3):
+        cpus(jobs)
+        runs.append(_outputs(proj[0], run_main, paths, str(jobs)))
+    code, out, err = runs[0][:3]
+    assert (code, err) == (1, "")
+    assert "RUNTIME_CALL_UNLOCKED" in out and "ARITY_MISMATCH" in out
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    # two and three parts, each joined, not analyzed again whole
+    assert len(joins) == 2 and None not in joins
+
+
+FILLER = "    n = n + 1;\n" * 40
+
+
+def _unlocked_call(callee: str) -> str:
+    """A stub that calls `callee` while the lock is released."""
+    return (
+        "value caller(value a)\n{\n    CAMLparam1(a);\n"
+        "    caml_enter_blocking_section();\n"
+        f"    {callee}(a);\n"
+        "    caml_leave_blocking_section();\n"
+        "    CAMLreturn(a);\n}\n"
+    )
+
+
+def test_a_column_one_brace_inside_a_body_falls_back_to_the_whole_file(
+    proj, run_main, cpus, joins
+):
+    """The cut lands after a `}` in column 1 that closes an inner block, so
+    the first part runs past it and the file is analyzed again whole."""
+    _, write = proj
+    source = (
+        "value first(value a)\n{\n    CAMLparam1(a);\n    int n = 0;\n"
+        + FILLER
+        + "    if (Is_block(a)) {\n        a = Field(a, 0);\n}\n"
+        + "    CAMLreturn(a);\n}\n"
+        + BAD_C
+    )
+    assert source.find("\n}", len(source) // 2) == source.index("\n}\n    CAMLreturn")
+    paths = [write("one.ml", CLEAN_ML), write("brace.c", source)]
+    cpus(1)
+    alone = _outputs(proj[0], run_main, paths, "1")
+    cpus(2)
+    assert _outputs(proj[0], run_main, paths, "2") == alone
+    assert joins == [None]
+    assert alone[0] == 1 and "brace.c:" in alone[1]
+
+
+def test_a_call_to_a_camlprim_of_another_part_falls_back_to_the_whole_file(
+    proj, run_main, cpus, joins
+):
+    """The later part calls a CAMLprim of the earlier one, with no summary
+    line, while the lock is released: only the whole file's table says it
+    needs the lock."""
+    _, write = proj
+    source = (
+        "value helper_prim(value a)\n{\n    CAMLparam1(a);\n    int n = 0;\n"
+        + FILLER
+        + "    CAMLreturn(a);\n}\n"
+        + _unlocked_call("helper_prim")
+    )
+    paths = [write("one.ml", CLEAN_ML), write("cross.c", source)]
+    cpus(1)
+    alone = _outputs(proj[0], run_main, paths, "1")
+    cpus(2)
+    assert _outputs(proj[0], run_main, paths, "2") == alone
+    assert joins == [None]
+    call = source.count("\n", 0, source.index("    helper_prim(a);")) + 1
+    assert f"cross.c:{call}:5: error: RUNTIME_CALL_UNLOCKED:" in alone[1]
+
+
+def test_a_one_function_file_forks_nothing(proj, run_main, cpus, monkeypatch):
+    _, write = proj
+    path = write("bad.c", BAD_C + "\n\n")
+
+    def no_fork():
+        pytest.fail("a one-function file was cut")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cpus(2)
+    code, out, _ = run_main(path)
+    assert code == 1 and "NAKED_POINTER" in out
+    assert_no_worker_is_left()
+
+
+def test_a_lex_error_in_a_later_part_is_the_error_of_one_process(
+    proj, run_main, cpus
+):
+    _, write = proj
+    source = _stub_file(40)
+    late = source.index("take(&n);", len(source) * 3 // 4)
+    path = write("lex.c", source[:late] + "n = n @ 1; " + source[late:])
+    cpus(1)
+    alone = run_main(path)
+    cpus(2)
+    assert run_main(path) == alone
+    assert_no_worker_is_left()
+    line = source.count("\n", 0, late) + 1
+    assert alone[0] == 2 and alone[1] == ""
+    assert alone[2].startswith(f"stublint: error: {path}: {line}:")
+
+
+_CUT_SOURCES = _stub_sources(12, seed=5)
+_CUT_SOURCES.insert(7, _unlocked_call("stub_g004"))
+_CUT_SOURCE = "".join(_CUT_SOURCES)
+_CUT_LINES = _CUT_SOURCE.count("\n")
+# the lines after a `}` in column 1, where `cli._parts` cuts
+_BRACE_CUTS = [
+    _CUT_SOURCE.count("\n", 0, i + 1) + 2
+    for i in range(len(_CUT_SOURCE))
+    if _CUT_SOURCE.startswith("\n}", i)
+]
+
+
+@settings(max_examples=25)
+@given(
+    cuts=st.lists(
+        st.one_of(st.sampled_from(_BRACE_CUTS), st.integers(1, _CUT_LINES)),
+        max_size=3,
+    )
+)
+def test_a_join_the_checks_accept_is_the_record_of_the_whole_file(
+    tmp_path_factory, cuts
+):
+    path = tmp_path_factory.getbasetemp() / "cut.c"
+    if not path.exists():
+        path.write_text(_CUT_SOURCE)
+    path = str(path)
+    table = load_summaries()
+    whole = cli._analyze_files([(path, 0, None)], table)[0]
+    lines = [0, *sorted(set(cuts)), None]
+    parts = [(path, first, last) for first, last in zip(lines, lines[1:])]
+    records = cli._analyze_files(parts, table)
+    joined = cli._join(records)
+    event("joined" if joined else "refused")
+    if joined is not None:
+        assert joined[:4] == whole[:4]
