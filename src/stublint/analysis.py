@@ -31,9 +31,11 @@ The step looks each call up in the summary table once, and reads every
 runtime fact from those effects alone: `releases_lock` and `acquires_lock`
 move the lock, `may_gc` makes a GC point, `requires_lock` needs the lock,
 `noreturn` ends the path.  No name decides any of them, nor any finding,
-so a summary line acts the same whatever function it names.  A runtime
-macro (`MACRO_NAMES`) is no function: the step never looks one up, and this
-is the one place a macro escapes the summaries.
+so a summary line acts the same whatever function it names.  A table with
+a `misses` set gets each callee that no line matches and that is called
+without the lock held: the only calls a `requires_lock` line would judge.
+A runtime macro (`MACRO_NAMES`) is no function: the step never looks one
+up, and this is the one place a macro escapes the summaries.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
     fn = cfg.fn
     file = fn.file
     lookup = table.lookup
+    misses = table.misses
     values = value_vars(fn)
 
     def report(found, where, rule, severity, message):
@@ -126,8 +129,12 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                     if isinstance(stmt, ast.ExprStmt) and where is stmt.expr:
                         # the statement is this call: is it one that never returns?
                         ends = "noreturn" in effects
-                    if entry is not LockState.HELD and "requires_lock" in effects:
-                        report(found, where, *judge_lock("requires_lock", entry, name))
+                    if entry is not LockState.HELD:
+                        if "requires_lock" in effects:
+                            unlocked = judge_lock("requires_lock", entry, name)
+                            report(found, where, *unlocked)
+                        elif misses is not None and lookup(name, None) is None:
+                            misses.add(name)
                     continue
             elif kind == DEREF:
                 operand, where = op[1], op[2]

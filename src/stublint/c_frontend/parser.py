@@ -309,8 +309,8 @@ class _Parser:
 
     def parse_unit(self, stop: int) -> nodes.StubUnit:
         """The top-level items that begin at `pos` or after and before token
-        `stop`, which is no later than `_EOF`; parsing stops at the first
-        token at or past `stop` that begins none."""
+        `stop`, which is no later than `_EOF`, or, once one of them runs
+        past `stop`, before `_EOF`."""
         unit = nodes.StubUnit(file=self.file)
         while self.pos < stop:
             start = self.pos
@@ -321,6 +321,8 @@ class _Parser:
                 self.recover_top_level(start)
             if self.pos == start:  # safety: never loop in place
                 self.take()
+            if self.pos > stop:
+                stop = len(self.tokens) - 1  # `_EOF`'s index
         unit.diagnostics = self.diagnostics
         return unit
 
@@ -887,12 +889,13 @@ def parse_items(
     tokens: list[Token], file_name: str, start: int, stop: int
 ) -> tuple[nodes.StubUnit, int]:
     """Parse the top-level items of a preprocessed translation unit that
-    begin at token `start` or after and before token `stop`; returns them
-    as a unit and the index of the token where parsing stopped, which is
-    past `stop` when the last item runs on.  The parser carries nothing
-    from one item to the next but that index, so the items from a `start`
-    where another item ends are the ones a parse from the first token
-    meets.  The list becomes the parser's."""
+    begin at token `start` or after and before token `stop`, or, when one
+    of them runs past `stop`, every item from `start` on, since a parse
+    from `stop` would begin inside that one.  Returns them as a unit and
+    the index of the token where parsing stopped: `stop`, or the end.  The
+    parser carries nothing from one item to the next but that index, so
+    the items from a `start` where another item ends are the ones a parse
+    from the first token meets.  The list becomes the parser's."""
     parser = _Parser(tokens, file_name)
     parser.pos = start
     return parser.parse_unit(stop), parser.pos

@@ -172,9 +172,10 @@ class Record(NamedTuple):
     found: list  # the parser's diagnostics, then the analyses' findings
     parsed: int  # how many of `found` the parser's are
     headers: list  # the `_header` of each function
-    start: int  # the index of the token where parsing began
-    end: int  # and where it stopped
-    misses: set  # the names looked up that no summary line matches
+    # None for a whole file; for a part of a cut one, (the index of the
+    # token where parsing stopped, the callees no summary line matches
+    # that a call made without the lock held looked up)
+    cut: tuple | None
 
 
 _line = itemgetter(LINE)
@@ -186,10 +187,11 @@ def _analyze_files(parts, table: SummaryTable) -> list[Record]:
 
     A part is (path, first, last): the top-level items of the file at
     `path` that begin on a line from `first` up to, but not including,
-    `last`, or to the end when `last` is None.  So (path, 0, None) is the
-    whole file.  Each part preprocesses the whole file, so a lex or
-    preprocessor error is raised whatever the part.  A file's tokens are
-    dropped once it is parsed, and its functions once they are analyzed.
+    `last`, or to the end when `last` is None or one of them runs past
+    `last` (see `parse_items`).  So (path, 0, None) is the whole file.
+    Each part preprocesses the whole file, so a lex or preprocessor error
+    is raised whatever the part.  A file's tokens are dropped once it is
+    parsed, and its functions once they are analyzed.
     """
     records = []
     for path, first, last in parts:
@@ -204,14 +206,14 @@ def _analyze_files(parts, table: SummaryTable) -> list[Record]:
             raise FatalError(f"{path}: {exc}") from exc
         notes = pre.notes if first == 0 else []
         del text, pre, tokens
-        part_table = SummaryTable(table.exact, table.prefix)
+        cut, part_table = None, table
+        if first or last is not None:
+            cut = (end, set())
+            part_table = SummaryTable(table.exact, table.prefix, cut[1])
         found = analyze_unit(unit, part_table)
         headers = [_header(fn) for fn in unit.functions]
-        parsed = len(unit.diagnostics)
+        records.append(Record(notes, found, len(unit.diagnostics), headers, cut))
         del unit
-        records.append(
-            Record(notes, found, parsed, headers, start, end, part_table.misses)
-        )
     return records
 
 
@@ -248,32 +250,29 @@ def _parts(c_paths, jobs: int) -> list[tuple]:
 def _join(records: list[Record]) -> Record | None:
     """The record of a whole C file from the records of its parts, in
     order, when it is sure to be the one `_analyze_files` gives of the
-    whole file, or None.  It is sure when each part stopped at the token
-    where the next began, so the parts met the items a whole parse meets,
-    and no part looked up a name, that no summary line matches, which
-    another part defines as a CAMLprim: `_unit_table` gives such a name
-    the lock's need in the whole file's table."""
+    whole file, or None.
+
+    The parts up to the first one that ran on to the end of the file (see
+    `parse_items`) met the items a whole parse meets, and the parts after
+    it, which began inside one of its items, are dropped.  The join is sure
+    when none of the parts kept called without the lock held a name, that
+    no summary line matches, which another of them defines as a CAMLprim:
+    `_unit_table` gives such a name the lock's need in the whole file's
+    table, and that need judges only a call made without the lock held."""
+    ends = [rec.cut[0] for rec in records]
+    records = records[: ends.index(ends[-1]) + 1]  # the last part ends the file
     camlprims = [
         {name for name, *_, is_camlprim in rec.headers if is_camlprim}
         for rec in records
     ]
     defined = set().union(*camlprims)
-    for i, rec in enumerate(records):
-        if i and rec.start != records[i - 1].end:
-            return None
-        if not rec.misses.isdisjoint(defined - camlprims[i]):
+    for rec, own in zip(records, camlprims):
+        if not rec.cut[1].isdisjoint(defined - own):
             return None
     parsed = [d for rec in records for d in rec.found[: rec.parsed]]
     found = [d for rec in records for d in rec.found[rec.parsed :]]
-    return Record(
-        records[0].notes,
-        parsed + found,
-        len(parsed),
-        [fn for rec in records for fn in rec.headers],
-        records[0].start,
-        records[-1].end,
-        set().union(*(rec.misses for rec in records)),
-    )
+    headers = [fn for rec in records for fn in rec.headers]
+    return Record(records[0].notes, parsed + found, len(parsed), headers, None)
 
 
 # -- driver ------------------------------------------------------------------

@@ -109,15 +109,15 @@ class SummaryTable:
 
     exact: dict[str, frozenset[str]] = field(default_factory=dict)
     prefix: dict[str, frozenset[str]] = field(default_factory=dict)
-    # every name `lookup` found no line for
-    misses: set[str] = field(default_factory=set, compare=False, repr=False)
+    # when a set, the product step adds to it each callee that no line
+    # matches and that is called without the lock held
+    misses: set[str] | None = field(default=None, compare=False, repr=False)
 
     def lookup(self, name: str, default=frozenset()) -> frozenset[str]:
         """Effects for a callee: exact match first, then longest prefix,
-        and `default` when no line matches, which adds `name` to `misses`.
-        The product step never asks for a runtime macro (`Field`,
-        `CAMLparam1`, ...), so no line reaches one, whatever the summaries
-        say."""
+        and `default` when no line matches.  The product step never asks
+        for a runtime macro (`Field`, `CAMLparam1`, ...), so no line
+        reaches one, whatever the summaries say."""
         hit = self.exact.get(name)
         if hit is not None:
             return hit
@@ -127,10 +127,7 @@ class SummaryTable:
             if len(pattern) > best_len and name.startswith(pattern):
                 best = effects
                 best_len = len(pattern)
-        if best is None:
-            self.misses.add(name)
-            return default
-        return best
+        return best if best is not None else default
 
     # Read only by tests and perfbench/spans.py; the step reads `noreturn`
     # from the effects it looked up.
