@@ -32,8 +32,10 @@ runtime fact from those effects alone: `releases_lock` and `acquires_lock`
 move the lock, `may_gc` makes a GC point, `requires_lock` needs the lock,
 `noreturn` ends the path.  No name decides any of them, nor any finding,
 so a summary line acts the same whatever function it names.  A table with
-a `misses` set gets each callee that no line matches and that is called
-without the lock held: the only calls a `requires_lock` line would judge.
+a `misses` dict gets each call made without the lock held to a callee that
+no line matches, the only calls a `requires_lock` line would judge, with
+the lock state it is judged in: a later visit of the call's block
+overwrites the entry, so it holds the state of the visit the findings keep.
 A runtime macro (`MACRO_NAMES`) is no function: the step never looks one
 up, and this is the one place a macro escapes the summaries.
 """
@@ -134,7 +136,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                             unlocked = judge_lock("requires_lock", entry, name)
                             report(found, where, *unlocked)
                         elif misses is not None and lookup(name, None) is None:
-                            misses.add(name)
+                            misses[where] = (name, where.line, where.col, entry)
                     continue
             elif kind == DEREF:
                 operand, where = op[1], op[2]

@@ -86,8 +86,9 @@ def preprocess_local(source_text: str, file_name: str = "<memory>") -> Preproces
         )
 
     macros: dict[str, MacroDef] = {}
-    # conditional stack entries: [active, any_branch_taken, saw_else]; a
-    # level is active only under active parents, so the top says it all
+    # conditional stack entries: [active, any_branch_taken, saw_else, the
+    # line of its #if]; a level is active only under active parents, so the
+    # top says it all
     stack: list[list] = []
     out: list[Token] = []
     pos = 0  # tokens[:pos] are handled
@@ -100,9 +101,8 @@ def preprocess_local(source_text: str, file_name: str = "<memory>") -> Preproces
             _directive(tokens[i], active, stack, macros, note)
         elif active:
             raise bad_token(tokens[i])
-    if stack:
-        lines = source_text.count("\n") + 1
-        raise PreprocessError("unterminated conditional block", lines)
+    if stack:  # at the innermost, where gcc reports its first error
+        raise PreprocessError("unterminated conditional block", stack[-1][3])
     _expand(tokens, pos, len(tokens), macros, out)
     result.tokens = out
     return result
@@ -146,7 +146,7 @@ def _directive(tok, active, stack, macros, note):
         if name != "elif":
             # under a dead parent the whole region is dead: count its
             # branch as taken already, so no #elif or #else revives it
-            stack.append([False, not active, False])
+            stack.append([False, not active, False, line])
         elif not stack:
             raise PreprocessError("#elif without #if", line)
         elif stack[-1][2]:
@@ -165,7 +165,7 @@ def _directive(tok, active, stack, macros, note):
         state = stack[-1]
         if state[2]:
             raise PreprocessError("duplicate #else", line)
-        state[:] = [not state[1], True, True]
+        state[:3] = [not state[1], True, True]
     else:
         stack.pop()
 

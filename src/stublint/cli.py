@@ -27,7 +27,13 @@ from .c_frontend import (
 )
 from .c_frontend.lexer import LINE
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
-from .lock_analysis import SummaryError, SummaryTable, load_summaries
+from .lock_analysis import (
+    LockState,
+    SummaryError,
+    SummaryTable,
+    judge_lock,
+    load_summaries,
+)
 from .sarif import sarif
 from .value_safety import check_camlparam
 
@@ -168,13 +174,13 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
 class Record(NamedTuple):
     """What `_analyze_files` gives of one part of a C file."""
 
-    notes: list  # the preprocessor's, in the part that begins at line 0
-    found: list  # the parser's diagnostics, then the analyses' findings
-    parsed: int  # how many of `found` the parser's are
+    # the preprocessor's notes, in the part that begins at line 0, then the
+    # parser's diagnostics and the analyses' findings
+    found: list
     headers: list  # the `_header` of each function
     # None for a whole file; for a part of a cut one, (the index of the
-    # token where parsing stopped, the callees no summary line matches
-    # that a call made without the lock held looked up)
+    # token where parsing stopped, the `misses` of its summary table as
+    # (callee, line, col, the value of the lock state))
     cut: tuple | None
 
 
@@ -204,15 +210,14 @@ def _analyze_files(parts, table: SummaryTable) -> list[Record]:
             unit, end = parse_items(tokens, path, start, stop)
         except (PreprocessError, CLexError) as exc:
             raise FatalError(f"{path}: {exc}") from exc
-        notes = pre.notes if first == 0 else []
+        found = pre.notes if first == 0 else []
         del text, pre, tokens
-        cut, part_table = None, table
-        if first or last is not None:
-            cut = (end, set())
-            part_table = SummaryTable(table.exact, table.prefix, cut[1])
-        found = analyze_unit(unit, part_table)
-        headers = [_header(fn) for fn in unit.functions]
-        records.append(Record(notes, found, len(unit.diagnostics), headers, cut))
+        misses = None if first == 0 and last is None else {}
+        found += analyze_unit(unit, SummaryTable(table.exact, table.prefix, misses))
+        cut = None
+        if misses is not None:  # the lock state by its value, for `marshal`
+            cut = (end, [(*call[:3], call[3].value) for call in misses.values()])
+        records.append(Record(found, [_header(fn) for fn in unit.functions], cut))
         del unit
     return records
 
@@ -247,32 +252,33 @@ def _parts(c_paths, jobs: int) -> list[tuple]:
     return [(path, first, last) for first, last in zip(lines, lines[1:])]
 
 
-def _join(records: list[Record]) -> Record | None:
-    """The record of a whole C file from the records of its parts, in
-    order, when it is sure to be the one `_analyze_files` gives of the
-    whole file, or None.
+def _join(path: str, records: list[Record]) -> Record:
+    """The record `_analyze_files` gives of the whole C file at `path`, up
+    to the order of its findings, from the records of its parts, in order.
 
     The parts up to the first one that ran on to the end of the file (see
     `parse_items`) met the items a whole parse meets, and the parts after
-    it, which began inside one of its items, are dropped.  The join is sure
-    when none of the parts kept called without the lock held a name, that
-    no summary line matches, which another of them defines as a CAMLprim:
-    `_unit_table` gives such a name the lock's need in the whole file's
-    table, and that need judges only a call made without the lock held."""
+    it, which began inside one of its items, are dropped.  The findings of
+    the parts kept are the whole file's but at a call one of them made,
+    without the lock held, to a CAMLprim of another that no summary line
+    matches: `_unit_table` gives such a callee the lock's need in the whole
+    file's table.  Each such call is judged here, in the lock state the part
+    recorded for it.  A part's misses never name its own CAMLprims, which
+    its table matches, so every CAMLprim of the file stands for those of
+    the other parts."""
     ends = [rec.cut[0] for rec in records]
     records = records[: ends.index(ends[-1]) + 1]  # the last part ends the file
-    camlprims = [
-        {name for name, *_, is_camlprim in rec.headers if is_camlprim}
-        for rec in records
-    ]
-    defined = set().union(*camlprims)
-    for rec, own in zip(records, camlprims):
-        if not rec.cut[1].isdisjoint(defined - own):
-            return None
-    parsed = [d for rec in records for d in rec.found[: rec.parsed]]
-    found = [d for rec in records for d in rec.found[rec.parsed :]]
+    found = [d for rec in records for d in rec.found]
     headers = [fn for rec in records for fn in rec.headers]
-    return Record(records[0].notes, parsed + found, len(parsed), headers, None)
+    camlprims = {name for name, *_, is_camlprim in headers if is_camlprim}
+    for rec in records:
+        for callee, line, col, state in rec.cut[1]:
+            if callee in camlprims:
+                rule, severity, message = judge_lock(
+                    "requires_lock", LockState(state), callee
+                )
+                found.append(Diagnostic(rule, severity, path, line, col, message))
+    return Record(found, headers, None)
 
 
 # -- driver ------------------------------------------------------------------
@@ -377,14 +383,10 @@ def run(
             workers.reap(finished)
 
     if len(records) > len(c_paths):  # the parts of a lone file
-        whole = _join(records)
-        records = [whole or _analyze_files([(c_paths[0], 0, None)], table)[0]]
+        records = [_join(c_paths[0], records)]
 
-    # every file's notes, then every file's findings: `normalize` keeps the
-    # first of two findings with one key, so this is the order of a run in
-    # one process
-    for rec in records:
-        diags.extend(rec.notes)
+    # in any order: `normalize` sorts them, and two findings of a C file
+    # with one sort key are equal (tests/test_cli.py checks)
     for rec in records:
         diags.extend(rec.found)
     headers = [fn for rec in records for fn in rec.headers]

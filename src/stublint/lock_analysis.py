@@ -109,9 +109,11 @@ class SummaryTable:
 
     exact: dict[str, frozenset[str]] = field(default_factory=dict)
     prefix: dict[str, frozenset[str]] = field(default_factory=dict)
-    # when a set, the product step adds to it each callee that no line
-    # matches and that is called without the lock held
-    misses: set[str] | None = field(default=None, compare=False, repr=False)
+    # when a dict, the product step records in it each call made without the
+    # lock held to a callee that no line matches: the call node to (callee,
+    # line, col, the lock state at the call's statement), as the last visit
+    # of the call's block saw it
+    misses: dict | None = field(default=None, compare=False, repr=False)
 
     def lookup(self, name: str, default=frozenset()) -> frozenset[str]:
         """Effects for a callee: exact match first, then longest prefix,

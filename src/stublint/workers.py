@@ -115,14 +115,13 @@ def _receive(reader) -> list[Record]:
 
 
 def _plain(record: Record) -> tuple:
-    notes, found, *rest = record
-    return ([_fields(d) for d in notes], [_fields(d) for d in found], *rest)
+    found, *rest = record
+    return ([_fields(d) for d in found], *rest)
 
 
 def _record(plain: tuple) -> Record:
-    notes, found, *rest = plain
-    notes = [Diagnostic(*d) for d in notes]
-    return Record(notes, [Diagnostic(*d) for d in found], *rest)
+    found, *rest = plain
+    return Record([Diagnostic(*d) for d in found], *rest)
 
 
 def _fields(d: Diagnostic) -> tuple:

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import functools
 import gc
 import io
 import json
@@ -12,11 +13,13 @@ import jsonschema
 import pytest
 import stubgen
 from conftest import CORPUS
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stublint import cli
 from stublint.cli import main
+from stublint.diagnostics import normalize
 from stublint.lock_analysis import load_summaries
+from stublint.sarif import sarif
 
 CLEAN_C = "value ok(value a)\n{\n    CAMLparam1(a);\n    CAMLreturn(a);\n}\n"
 CLEAN_ML = 'external ok : unit -> unit = "ok"\n'
@@ -540,12 +543,12 @@ def _externals(count: int) -> str:
 
 @pytest.fixture
 def joins(monkeypatch):
-    """What `cli._join` gives back, one item a join: None when it refused."""
+    """What `cli._join` gives back, one item a join."""
     seen = []
     join = cli._join
 
-    def spy(records):
-        seen.append(join(records))
+    def spy(path, records):
+        seen.append(join(path, records))
         return seen[-1]
 
     monkeypatch.setattr(cli, "_join", spy)
@@ -573,8 +576,8 @@ def test_a_lone_file_cut_for_the_jobs_gives_the_outputs_of_one_process(
     assert "RUNTIME_CALL_UNLOCKED" in out and "ARITY_MISMATCH" in out
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
-    # two and three parts, each joined, not analyzed again whole
-    assert len(joins) == 2 and None not in joins
+    # two and three parts, each joined
+    assert len(joins) == 2
 
 
 FILLER = "    n = n + 1;\n" * 40
@@ -612,7 +615,7 @@ def test_a_column_one_brace_inside_a_body_at_the_cut_runs_the_part_on(
     alone = _outputs(proj[0], run_main, paths, "1")
     cpus(2)
     assert _outputs(proj[0], run_main, paths, "2") == alone
-    assert len(joins) == 1 and joins[0] is not None
+    assert len(joins) == 1
     assert alone[0] == 1 and "brace.c:" in alone[1]
 
 
@@ -636,31 +639,111 @@ def test_a_call_with_the_lock_held_to_a_camlprim_of_another_part_is_joined(
     alone = _outputs(proj[0], run_main, paths, "1")
     cpus(2)
     assert _outputs(proj[0], run_main, paths, "2") == alone
-    assert len(joins) == 1 and joins[0] is not None
+    assert len(joins) == 1
     assert alone[0] == 1 and "shared.c:" in alone[1]
 
 
-def test_a_call_to_a_camlprim_of_another_part_falls_back_to_the_whole_file(
+HELPER_PRIM = (
+    "value helper_prim(value a)\n{\n    CAMLparam1(a);\n    int n = 0;\n"
+    + FILLER
+    + "    CAMLreturn(a);\n}\n"
+)
+# calls helper_prim first with the lock released, then, on the loop's
+# second visit, in a lock state that may be either
+LOOPED_CALL = (
+    "value looper(value a)\n{\n    CAMLparam1(a);\n    int i;\n"
+    "    caml_enter_blocking_section();\n"
+    "    for (i = 0; i < 3; i++) {\n"
+    "        helper_prim(a);\n"
+    "        caml_leave_blocking_section();\n"
+    "    }\n"
+    "    CAMLreturn(a);\n}\n"
+)
+
+
+def _cross_part_run(proj, run_main, cpus, name: str, source: str, jobs: int = 2):
+    """The outputs of `source` written to `name` in one process, after
+    asserting that a run in `jobs` processes cut it and gave the same."""
+    _, write = proj
+    paths = [write("one.ml", CLEAN_ML), write(name, source)]
+    assert len(cli._parts(paths[1:], jobs)) == jobs
+    cpus(1)
+    alone = _outputs(proj[0], run_main, paths, "1")
+    cpus(jobs)
+    assert _outputs(proj[0], run_main, paths, str(jobs)) == alone
+    return alone
+
+
+def _findings_at(out: str, source: str, call: str) -> list[str]:
+    """The lines of `out` that report RUNTIME_CALL_UNLOCKED on the line of
+    `source` that holds `call`, from the column on."""
+    line = source.count("\n", 0, source.index(call)) + 1
+    found = [finding.partition(f".c:{line}:")[2] for finding in out.splitlines()]
+    return [finding for finding in found if "RUNTIME_CALL_UNLOCKED" in finding]
+
+
+def test_a_call_to_a_camlprim_of_another_part_is_judged_at_the_join(
     proj, run_main, cpus, joins
 ):
     """The later part calls a CAMLprim of the earlier one, with no summary
     line, while the lock is released: only the whole file's table says it
-    needs the lock."""
-    _, write = proj
-    source = (
-        "value helper_prim(value a)\n{\n    CAMLparam1(a);\n    int n = 0;\n"
-        + FILLER
-        + "    CAMLreturn(a);\n}\n"
-        + _unlocked_call("helper_prim")
+    needs the lock, so the join judges the call the part recorded."""
+    source = HELPER_PRIM + _unlocked_call("helper_prim")
+    alone = _cross_part_run(proj, run_main, cpus, "cross.c", source)
+    assert len(joins) == 1 and isinstance(joins[0], cli.Record)
+    assert _findings_at(alone[1], source, "    helper_prim(a);") == [
+        "5: error: RUNTIME_CALL_UNLOCKED: helper_prim called while the runtime"
+        " lock is released"
+    ]
+
+
+def test_a_cross_part_call_is_judged_in_the_state_of_its_last_visit(
+    proj, run_main, cpus, joins
+):
+    """The call's block is visited first with the lock released, then in
+    the joined state of the loop: the whole file reports the warning of
+    the last visit alone, not the error of the first."""
+    source = HELPER_PRIM + LOOPED_CALL
+    alone = _cross_part_run(proj, run_main, cpus, "loop.c", source)
+    assert len(joins) == 1
+    assert _findings_at(alone[1], source, "        helper_prim(a);") == [
+        "9: warning: RUNTIME_CALL_UNLOCKED: helper_prim may be called without"
+        " the runtime lock held"
+    ]
+
+
+def test_a_later_part_without_a_function_joins(proj, run_main, cpus, joins):
+    """The third part holds only declarations, so its record has no
+    function header to take the file's name from."""
+    declarations = "struct point {\n    int x;\n    int y;\n};\n" + "".join(
+        f"static int counter{i};\n" for i in range(8)
     )
-    paths = [write("one.ml", CLEAN_ML), write("cross.c", source)]
-    cpus(1)
-    alone = _outputs(proj[0], run_main, paths, "1")
+    source = HELPER_PRIM + _unlocked_call("helper_prim") + declarations
+    _, write = proj
+    last = cli._parts([write("decls.c", source)], 3)[-1][1]
+    assert last == source.count("\n", 0, source.index("struct point")) + 1
+    alone = _cross_part_run(proj, run_main, cpus, "decls.c", source, jobs=3)
+    assert len(joins) == 1
+    assert len(_findings_at(alone[1], source, "    helper_prim(a);")) == 1
+
+
+def test_a_cut_file_is_analyzed_once(proj, run_main, cpus, monkeypatch):
+    _, write = proj
+    path = write("once.c", HELPER_PRIM + _unlocked_call("helper_prim"))
+    analyzed = []
+    analyze_files = cli._analyze_files
+
+    def spy(parts, table):
+        analyzed.extend(parts)
+        return analyze_files(parts, table)
+
+    monkeypatch.setattr(cli, "_analyze_files", spy)
     cpus(2)
-    assert _outputs(proj[0], run_main, paths, "2") == alone
-    assert joins == [None]
-    call = source.count("\n", 0, source.index("    helper_prim(a);")) + 1
-    assert f"cross.c:{call}:5: error: RUNTIME_CALL_UNLOCKED:" in alone[1]
+    code, out, _ = run_main(path)
+    assert code == 1 and "RUNTIME_CALL_UNLOCKED" in out
+    # this process analyzes its own part, then nothing whole
+    assert analyzed == cli._parts([path], 2)[:1]
+    assert analyzed[0][2] is not None
 
 
 def test_a_one_function_file_forks_nothing(proj, run_main, cpus, monkeypatch):
@@ -706,6 +789,13 @@ _BRACE_CUTS = [
 ]
 
 
+def _cut_path(tmp_path_factory) -> str:
+    path = tmp_path_factory.getbasetemp() / "cut.c"
+    if not path.exists():
+        path.write_text(_CUT_SOURCE)
+    return str(path)
+
+
 @settings(max_examples=25)
 @given(
     cuts=st.lists(
@@ -714,19 +804,36 @@ _BRACE_CUTS = [
         max_size=3,
     )
 )
-def test_a_join_the_checks_accept_is_the_record_of_the_whole_file(
-    tmp_path_factory, cuts
-):
-    path = tmp_path_factory.getbasetemp() / "cut.c"
-    if not path.exists():
-        path.write_text(_CUT_SOURCE)
-    path = str(path)
+def test_a_join_is_the_record_of_the_whole_file(tmp_path_factory, cuts):
+    path = _cut_path(tmp_path_factory)
     table = load_summaries()
     whole = cli._analyze_files([(path, 0, None)], table)[0]
     lines = [0, *sorted(set(cuts)), None]
     parts = [(path, first, last) for first, last in zip(lines, lines[1:])]
-    records = cli._analyze_files(parts, table)
-    joined = cli._join(records)
-    event("joined" if joined else "refused")
-    if joined is not None:
-        assert joined == whole
+    joined = cli._join(path, cli._analyze_files(parts, table))
+    assert normalize(joined.found) == normalize(whole.found)
+    assert joined.headers == whole.headers
+
+
+@functools.cache
+def _c_findings(cut_path: str) -> tuple:
+    """The findings of the C files of the corpus, under its summaries, and
+    of the file at `cut_path`, in the order of a run in one process."""
+    corpus = [(str(p), 0, None) for p in sorted(CORPUS.glob("*/*.c"))]
+    table = load_summaries((CORPUS / "stublint-summaries.txt").read_text())
+    records = cli._analyze_files(corpus, table)
+    records += cli._analyze_files([(cut_path, 0, None)], load_summaries())
+    return tuple(d for rec in records for d in rec.found)
+
+
+@settings(max_examples=25)
+@given(order=st.randoms(use_true_random=False))
+def test_the_order_of_a_c_files_findings_changes_no_output(tmp_path_factory, order):
+    """`cli._join` and `cli.run` gather a C file's findings in another order
+    than a run in one process; `normalize` must make that order vanish, so
+    two findings with one sort key must be equal."""
+    findings = _c_findings(_cut_path(tmp_path_factory))
+    shuffled = order.sample(findings, len(findings))
+    ordered, mixed = normalize(findings), normalize(shuffled)
+    assert [d.render() for d in mixed] == [d.render() for d in ordered]
+    assert "".join(sarif(mixed)) == "".join(sarif(ordered))

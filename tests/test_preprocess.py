@@ -272,6 +272,21 @@ def test_unbalanced_endif_is_fatal():
         preprocess_local("#endif\n", "t.c")
 
 
+# the line gcc -E reports first: that of the innermost open conditional
+@pytest.mark.parametrize(
+    "src, line",
+    [
+        ("#if 1\n#ifdef A\nint y;\n", 2),
+        ("#if 0\n#if 1\n#endif\n", 1),
+        ("#ifndef A\nint x;\n#elif 1\n#else\nint y;\n", 1),
+    ],
+)
+def test_an_unterminated_conditional_is_fatal_at_its_opening_line(src, line):
+    with pytest.raises(PreprocessError) as caught:
+        preprocess_local(src, "t.c")
+    assert str(caught.value) == f"line {line}: unterminated conditional block"
+
+
 def test_multi_parameter_macro_left_alone_with_note():
     src = "#define MAX(a, b) ((a) > (b) ? (a) : (b))\nx = MAX(1, 2);\n"
     result = preprocess_local(src, "t.c")
