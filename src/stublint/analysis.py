@@ -31,11 +31,12 @@ The step looks each call up in the summary table once, and reads every
 runtime fact from those effects alone: `releases_lock` and `acquires_lock`
 move the lock, `may_gc` makes a GC point, `requires_lock` needs the lock,
 `noreturn` ends the path.  No name decides any of them, nor any finding,
-so a summary line acts the same whatever function it names.  A table with
-a `misses` dict gets each call made without the lock held to a callee that
-no line matches, the only calls a `requires_lock` line would judge, with
-the lock state it is judged in: a later visit of the call's block
-overwrites the entry, so it holds the state of the visit the findings keep.
+so a summary line acts the same whatever function it names.  A `misses`
+dict given to the solve gets each call made without the lock held to a
+callee that no line matches, the only calls a `requires_lock` line would
+judge, with the lock state it is judged in: a later visit of the call's
+block overwrites the entry, so it holds the state of the visit the findings
+keep.
 A runtime macro (`MACRO_NAMES`) is no function: the step never looks one
 up, and this is the one place a macro escapes the summaries.
 """
@@ -93,14 +94,16 @@ def _sketch(expr) -> str:
     return "<expr>"
 
 
-def solve_function(cfg, table: SummaryTable) -> Fixpoint:
+def solve_function(cfg, table: SummaryTable, misses: dict | None = None) -> Fixpoint:
     """Solve the product state over the function's blocks.  Its findings
     are what each reached block's last visit judged; its heads are
-    (lock, value facts, constants), BOTTOM for unreached blocks."""
+    (lock, value facts, constants), BOTTOM for unreached blocks.  When
+    `misses` is a dict, it gets each call made without the lock held to a
+    callee that no line of `table` matches: the call node to (callee, line,
+    col, the lock state at the call's statement)."""
     fn = cfg.fn
     file = fn.file
     lookup = table.lookup
-    misses = table.misses
     values = value_vars(fn)
 
     def report(found, where, rule, severity, message):

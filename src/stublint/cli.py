@@ -27,13 +27,7 @@ from .c_frontend import (
 )
 from .c_frontend.lexer import LINE
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
-from .lock_analysis import (
-    LockState,
-    SummaryError,
-    SummaryTable,
-    judge_lock,
-    load_summaries,
-)
+from .lock_analysis import SummaryError, SummaryTable, judge_lock, load_summaries
 from .sarif import sarif
 from .value_safety import check_camlparam
 
@@ -52,9 +46,8 @@ _ARGV_PAIR = (("value", 1), ("int", 0))
 
 
 def _header(fn) -> tuple:
-    """What the arity check reads of a function, in the types `marshal`
-    carries: (name, file, line, col, the (base, pointers) of each
-    parameter, whether it is a CAMLprim)."""
+    """What the arity check reads of a function: (name, file, line, col,
+    the (base, pointers) of each parameter, whether it is a CAMLprim)."""
     params = tuple((t.base, t.pointers) for _, t in fn.params)
     return (fn.name, fn.file, fn.line, fn.col, params, fn.is_camlprim)
 
@@ -158,15 +151,19 @@ def _unit_table(unit, base: SummaryTable) -> SummaryTable:
         for fn in unit.functions
         if fn.is_camlprim and base.lookup(fn.name, None) is None
     }
-    return SummaryTable({**base.exact, **own}, base.prefix, base.misses)
+    return SummaryTable({**base.exact, **own}, base.prefix)
 
 
-def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
+def analyze_unit(
+    unit, base_table: SummaryTable, misses: dict | None = None
+) -> list[Diagnostic]:
+    """The findings of the functions of `unit`; `misses`, when a dict, gets
+    the calls each solve records in it (see `solve_function`)."""
     table = _unit_table(unit, base_table)
     diags = list(unit.diagnostics)
     for fn in unit.functions:
         cfg = build_cfg(fn)
-        diags.extend(solve_function(cfg, table).found)
+        diags.extend(solve_function(cfg, table, misses).found)
         diags.extend(check_camlparam(fn))
     return diags
 
@@ -179,8 +176,8 @@ class Record(NamedTuple):
     found: list
     headers: list  # the `_header` of each function
     # None for a whole file; for a part of a cut one, (the index of the
-    # token where parsing stopped, the `misses` of its summary table as
-    # (callee, line, col, the value of the lock state))
+    # token where parsing stopped, the (callee, line, col, lock state) of
+    # each call its solves recorded in their `misses`)
     cut: tuple | None
 
 
@@ -213,43 +210,45 @@ def _analyze_files(parts, table: SummaryTable) -> list[Record]:
         found = pre.notes if first == 0 else []
         del text, pre, tokens
         misses = None if first == 0 and last is None else {}
-        found += analyze_unit(unit, SummaryTable(table.exact, table.prefix, misses))
-        cut = None
-        if misses is not None:  # the lock state by its value, for `marshal`
-            cut = (end, [(*call[:3], call[3].value) for call in misses.values()])
+        found += analyze_unit(unit, table, misses)
+        cut = None if misses is None else (end, list(misses.values()))
         records.append(Record(found, [_header(fn) for fn in unit.functions], cut))
         del unit
     return records
 
 
-def _parts(c_paths, jobs: int) -> list[tuple]:
-    """The C files as the parts `_analyze_files` takes: each file whole,
-    but a lone file cut into up to `jobs` parts of top-level items.
+def _slices(c_paths, jobs: int) -> list[list[tuple]]:
+    """The C files as the parts `_analyze_files` takes, in one slice for
+    each of up to `jobs` processes: contiguous slices of whole files, but a
+    lone file cut into parts of top-level items, one a slice.
 
     The k-th cut is at the line after the first line that starts with `}`
-    from k/jobs of the text on, and there is none when only blank space
-    follows that line; so a file of one function is not cut.  A file that
-    cannot be read is left whole, for its error to be raised in its turn.
+    from k/jobs of the text on, and there is none unless another such line
+    follows; so a file of one function is not cut, whatever follows its
+    `}`.  A file that cannot be read is left whole, for its error to be
+    raised in its turn.
     """
-    if len(c_paths) != 1:
-        return [(path, 0, None) for path in c_paths]
+    if len(c_paths) != 1 or jobs < 2:
+        parts = [(path, 0, None) for path in c_paths]
+        n = len(parts)
+        count = max(min(jobs, n), 1)  # one empty slice when no C file is given
+        return [parts[i * n // count : (i + 1) * n // count] for i in range(count)]
     path = c_paths[0]
     try:
         text = _read(path)
     except FatalError:
-        return [(path, 0, None)]
+        return [[(path, 0, None)]]
+    final = text.rfind("\n}")
     lines = [0]
     at = 0
     for k in range(1, jobs):
-        brace = text.find("\n}", max(len(text) * k // jobs, at))
+        brace = text.find("\n}", max(len(text) * k // jobs, at), final)
         if brace < 0:
             break
         at = text.find("\n", brace + 2)
-        if at < 0 or text[at:].isspace():
-            break
         lines.append(text.count("\n", 0, at + 1) + 1)
     lines.append(None)
-    return [(path, first, last) for first, last in zip(lines, lines[1:])]
+    return [[(path, first, last)] for first, last in zip(lines, lines[1:])]
 
 
 def _join(path: str, records: list[Record]) -> Record:
@@ -274,9 +273,7 @@ def _join(path: str, records: list[Record]) -> Record:
     for rec in records:
         for callee, line, col, state in rec.cut[1]:
             if callee in camlprims:
-                rule, severity, message = judge_lock(
-                    "requires_lock", LockState(state), callee
-                )
+                rule, severity, message = judge_lock("requires_lock", state, callee)
                 found.append(Diagnostic(rule, severity, path, line, col, message))
     return Record(found, headers, None)
 
@@ -339,14 +336,12 @@ def run(
     # The workers start before the .ml side and the outputs, which this
     # process does meanwhile.  An error is raised in the order of a run in
     # one process: the .ml reads and the writes, then the C files in order.
-    own, workers = [(path, 0, None) for path in c_paths], None
-    if jobs > 1 and hasattr(os, "fork"):
-        parts = _parts(c_paths, jobs)
-        if len(parts) > 1:
-            from .workers import Workers  # only a run that forks loads it
+    own, *rest = _slices(c_paths, jobs if hasattr(os, "fork") else 1)
+    workers = None
+    if rest:
+        from .workers import Workers  # only a run that forks loads it
 
-            workers = Workers(parts, jobs, table)
-            own = workers.own
+        workers = Workers(rest, table)
     finished = False
     try:
         if workers:

@@ -105,15 +105,12 @@ class SummaryError(Exception):
 
 @dataclass
 class SummaryTable:
-    """Effects by exact callee name, and by name prefix (`caml_*`)."""
+    """Effects by exact callee name, and by name prefix (`caml_*`); the
+    table only looks callees up, and the product step records its misses
+    in a dict of its own (see `analysis.solve_function`)."""
 
     exact: dict[str, frozenset[str]] = field(default_factory=dict)
     prefix: dict[str, frozenset[str]] = field(default_factory=dict)
-    # when a dict, the product step records in it each call made without the
-    # lock held to a callee that no line matches: the call node to (callee,
-    # line, col, the lock state at the call's statement), as the last visit
-    # of the call's block saw it
-    misses: dict | None = field(default=None, compare=False, repr=False)
 
     def lookup(self, name: str, default=frozenset()) -> frozenset[str]:
         """Effects for a callee: exact match first, then longest prefix,

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import pickle
 import re
 
 import jsonschema
@@ -15,7 +16,7 @@ import stubgen
 from conftest import CORPUS
 from hypothesis import given, settings, strategies as st
 
-from stublint import cli
+from stublint import cli, workers
 from stublint.cli import main
 from stublint.diagnostics import normalize
 from stublint.lock_analysis import load_summaries
@@ -474,10 +475,10 @@ def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch, cpus):
     paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
     analyze_unit = cli.analyze_unit
 
-    def fail_on_the_last_file(unit, table):
+    def fail_on_the_last_file(unit, table, misses=None):
         if unit.file == paths[-1]:
             raise ValueError("boom")
-        return analyze_unit(unit, table)
+        return analyze_unit(unit, table, misses)
 
     monkeypatch.setattr(cli, "analyze_unit", fail_on_the_last_file)
     cpus(2)
@@ -486,6 +487,42 @@ def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch, cpus):
             main(paths)
     assert_no_worker_is_left()
     assert out.getvalue() == ""
+
+
+def _exit_before_replying(parts, table):
+    os._exit(0)
+
+
+_dumps = pickle.dumps
+
+
+def _truncated_dumps(obj, protocol):
+    return _dumps(obj, protocol)[:-5]
+
+
+@pytest.mark.parametrize(
+    "module, name, fake",
+    [
+        (workers, "_analyze_files", _exit_before_replying),
+        (pickle, "dumps", _truncated_dumps),
+    ],
+    ids=["empty", "truncated"],
+)
+def test_a_worker_that_ends_without_replying_is_raised(
+    proj, monkeypatch, cpus, capsys, module, name, fake
+):
+    """A worker that leaves before it writes sends an empty reply, and one
+    cut short a truncated one: each is an error, not a run without the
+    records of its slice."""
+    _, write = proj
+    paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
+    monkeypatch.setattr(module, name, fake)
+    cpus(2)
+    message = "^a worker ended without sending its results$"
+    with pytest.raises(RuntimeError, match=message):
+        main(paths)
+    assert_no_worker_is_left()
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(
@@ -666,7 +703,7 @@ def _cross_part_run(proj, run_main, cpus, name: str, source: str, jobs: int = 2)
     asserting that a run in `jobs` processes cut it and gave the same."""
     _, write = proj
     paths = [write("one.ml", CLEAN_ML), write(name, source)]
-    assert len(cli._parts(paths[1:], jobs)) == jobs
+    assert len(cli._slices(paths[1:], jobs)) == jobs
     cpus(1)
     alone = _outputs(proj[0], run_main, paths, "1")
     cpus(jobs)
@@ -720,7 +757,7 @@ def test_a_later_part_without_a_function_joins(proj, run_main, cpus, joins):
     )
     source = HELPER_PRIM + _unlocked_call("helper_prim") + declarations
     _, write = proj
-    last = cli._parts([write("decls.c", source)], 3)[-1][1]
+    last = cli._slices([write("decls.c", source)], 3)[-1][0][1]
     assert last == source.count("\n", 0, source.index("struct point")) + 1
     alone = _cross_part_run(proj, run_main, cpus, "decls.c", source, jobs=3)
     assert len(joins) == 1
@@ -742,13 +779,27 @@ def test_a_cut_file_is_analyzed_once(proj, run_main, cpus, monkeypatch):
     code, out, _ = run_main(path)
     assert code == 1 and "RUNTIME_CALL_UNLOCKED" in out
     # this process analyzes its own part, then nothing whole
-    assert analyzed == cli._parts([path], 2)[:1]
+    assert analyzed == cli._slices([path], 2)[0]
     assert analyzed[0][2] is not None
 
 
-def test_a_one_function_file_forks_nothing(proj, run_main, cpus, monkeypatch):
+@pytest.mark.parametrize(
+    "head, tail",
+    [
+        ("", "\n\n"),
+        ("", "/* end of bad.c */\n"),
+        ("#define WITH_BAD\n#ifdef WITH_BAD\n", "#endif\n"),
+        ("", "static int counter;\n"),
+    ],
+    ids=["blank", "comment", "ifdef", "declaration"],
+)
+def test_a_one_function_file_forks_nothing(
+    proj, run_main, cpus, monkeypatch, head, tail
+):
+    """Whatever follows the one `}` in column 1, a file of one function is
+    not cut."""
     _, write = proj
-    path = write("bad.c", BAD_C + "\n\n")
+    path = write("bad.c", head + BAD_C + tail)
 
     def no_fork():
         pytest.fail("a one-function file was cut")
@@ -781,7 +832,7 @@ _CUT_SOURCES = _stub_sources(12, seed=5)
 _CUT_SOURCES.insert(7, _unlocked_call("stub_g004"))
 _CUT_SOURCE = "".join(_CUT_SOURCES)
 _CUT_LINES = _CUT_SOURCE.count("\n")
-# the lines after a `}` in column 1, where `cli._parts` cuts
+# the lines after a `}` in column 1, where `cli._slices` cuts
 _BRACE_CUTS = [
     _CUT_SOURCE.count("\n", 0, i + 1) + 2
     for i in range(len(_CUT_SOURCE))

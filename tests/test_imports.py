@@ -1,5 +1,6 @@
-"""No module under src/ or tests/ imports a name it never uses, and every
-top-level name in src/ is read by src/ or the benchmark.
+"""No module under src/ or tests/ imports a name it never uses, every
+top-level name in src/ is read by src/ or the benchmark, and a run in one
+process loads nothing that only a forking run needs.
 
 A package's `__init__.py` imports names to re-export them, and a
 `__future__` import changes the compiler, so neither is checked for unused
@@ -7,6 +8,9 @@ imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -106,3 +110,37 @@ def test_every_top_level_name_in_src_is_read():
         )
     ]
     assert unread == []
+
+
+ONE_PROCESS_RUN = """
+import sys
+import stublint.cli
+
+def forking_modules():
+    return [name for name in ("stublint.workers", "pickle") if name in sys.modules]
+
+assert forking_modules() == [], forking_modules()
+assert stublint.cli.main([sys.argv[1]]) == 1
+assert forking_modules() == [], forking_modules()
+"""
+
+
+def test_a_run_in_one_process_loads_neither_the_workers_nor_pickle(tmp_path):
+    """`stublint.workers`, and the `pickle` it imports, cost a run that
+    forks nothing, and the benchmark's setup time, only when loaded.  A
+    file of one function is never cut, so its run is in one process
+    whatever the number of CPUs."""
+    path = tmp_path / "one.c"
+    path.write_text(
+        "value bad(value a)\n{\n    CAMLparam1(a);\n    CAMLlocal1(v);\n"
+        "    v = Tag_cons;\n    CAMLreturn(v);\n}\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_PROCESS_RUN, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "NAKED_POINTER" in done.stdout
