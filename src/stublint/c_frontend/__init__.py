@@ -3,9 +3,12 @@
 Pipeline: preprocess_local, which lexes the text as read from disk once and
 runs the directives and a one-level macro expansion over its tokens, each
 a plain (kind, text, line, col) tuple at its line and column on disk ->
-parse_tokens, whose statement lists hold only the statements that execute
--> build_cfg, which lowers each function straight into basic blocks of those
-statements, from the syntax alone: the summaries reach only the solver.
+parse_tokens, whose statement lists hold only the statements that execute,
+and which keeps the top-level items that begin in a range of lines, if
+given one, while it reads the head of every item, so that each part of a
+cut file knows the file's CAMLprims -> build_cfg, which lowers each
+function straight into basic blocks of those statements, from the syntax
+alone: the summaries reach only the solver.
 `parse_unit` is the first two in one call.  Anything outside the subset
 degrades to an opaque statement or an UNSUPPORTED_CONSTRUCT diagnostic
 instead of a silent misparse.
@@ -13,7 +16,7 @@ instead of a silent misparse.
 
 from .preprocess import PreprocessError, PreprocessResult, preprocess_local
 from .lexer import CLexError, Token, lex
-from .parser import CParseError, parse_items, parse_tokens, parse_unit
+from .parser import CParseError, parse_tokens, parse_unit
 from .cfg import Cfg, build_cfg
 from .nodes import StubFunction, StubUnit
 
@@ -25,7 +28,6 @@ __all__ = [
     "Token",
     "lex",
     "CParseError",
-    "parse_items",
     "parse_tokens",
     "parse_unit",
     "Cfg",

@@ -269,6 +269,9 @@ class StubUnit(_Node):
     file: str
     functions: list[StubFunction] = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
+    # the name of every CAMLprim the file defines, whether its body parses
+    # or not, and in every part of a file cut at top-level items
+    camlprims: set[str] = field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------

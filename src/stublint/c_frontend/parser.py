@@ -294,36 +294,58 @@ class _Parser:
         return ptrs
 
     def skip_balanced(self, open_tok: str, close_tok: str):
+        """Move past the `open_tok` here and the `close_tok` that matches
+        it.  No brace may lie inside a `(` or `[`, so a body that parses
+        matches every brace it holds (see `parse_unit`)."""
+        tokens = self.tokens
         tok = self.expect(open_tok)
+        start = self.pos
         depth = 1
-        while depth and not self.eof():
-            t = self.take()
-            if t[TEXT] == open_tok:
+        for end in range(start, len(tokens)):
+            text = tokens[end][TEXT]
+            if text == open_tok:
                 depth += 1
-            elif t[TEXT] == close_tok:
+            elif text == close_tok:
                 depth -= 1
-        if depth:
+                if not depth:
+                    break
+        else:
+            self.pos = len(tokens) - 1  # at `_EOF`
             raise _error(f"unbalanced {open_tok!r}", tok)
+        self.pos = end + 1
+        if open_tok != "{" and any(t[TEXT] in ("{", "}") for t in tokens[start:end]):
+            raise _error(f"brace inside {open_tok!r}", tok)
 
     # -- top level ------------------------------------------------------
 
-    def parse_unit(self, stop: int) -> nodes.StubUnit:
-        """The top-level items that begin at `pos` or after and before token
-        `stop`, which is no later than `_EOF`, or, once one of them runs
-        past `stop`, before `_EOF`."""
-        unit = nodes.StubUnit(file=self.file)
-        while self.pos < stop:
+    def parse_unit(self, first: int, last: int | None) -> nodes.StubUnit:
+        """Every top-level item, as the unit of those whose first token lies
+        on a line from `first` up to, but not including, `last` (to the end
+        when None).  Of an item that begins elsewhere only the head is
+        parsed, a function's body is skipped, and its diagnostics are
+        dropped; but a CAMLprim's name still goes in `camlprims`.
+
+        A body that parses matches every brace it holds: the grammar matches
+        each brace it reads, no label or member name is a brace, and
+        `skip_balanced` lets no brace inside `( )` or `[ ]`.  So an item ends
+        at one token whether its body is parsed or skipped, and every range
+        of lines meets the items a parse of the whole file meets."""
+        unit = nodes.StubUnit(file=self.file, diagnostics=self.diagnostics)
+        while (tok := self.peek()) is not _EOF:
             start = self.pos
+            owned = first <= tok[LINE] and (last is None or tok[LINE] < last)
+            noted = len(self.diagnostics)
             try:
-                self.top_level_item(unit)
+                self.top_level_item(unit, owned)
             except CParseError as exc:
-                self.warn(f"unparsed construct: {exc.args[0]}", self.peek())
+                # an item cut short by the end of the file is reported where it begins
+                at = tok if self.eof() else self.peek()
+                self.warn(f"unparsed construct: {exc.args[0]}", at)
                 self.recover_top_level(start)
             if self.pos == start:  # safety: never loop in place
                 self.take()
-            if self.pos > stop:
-                stop = len(self.tokens) - 1  # `_EOF`'s index
-        unit.diagnostics = self.diagnostics
+            if not owned:
+                del self.diagnostics[noted:]
         return unit
 
     def recover_top_level(self, start: int):
@@ -341,7 +363,7 @@ class _Parser:
             elif t[TEXT] == ";" and depth == 0:
                 return
 
-    def top_level_item(self, unit: nodes.StubUnit):
+    def top_level_item(self, unit: nodes.StubUnit, owned: bool):
         if self.accept(";"):
             return
         tok = self.peek()
@@ -365,12 +387,16 @@ class _Parser:
         self.locals = []
         name_tok, ctype = self.declarator(base)
         if not ctype.array and self.at("("):
-            self.parse_function_tail(unit, quals, name_tok, ctype)
+            self.parse_function_tail(unit, owned, quals, name_tok, ctype)
             return
         self.declarators(base, name_tok, ctype)  # globals: not recorded
         self.expect(";")
 
-    def parse_function_tail(self, unit, quals, name_tok, ret):
+    def parse_function_tail(self, unit, owned, quals, name_tok, ret):
+        """A function's parameters and body.  Only an `owned` function's body
+        is parsed, and only an owned one is kept; the parameters are parsed
+        in every part, so one whose parameters do not parse is a CAMLprim in
+        none."""
         params = self.parse_params()
         # a static function is never an external's symbol
         is_camlprim = "CAMLprim" in quals or ret.is_value and "static" not in quals
@@ -379,6 +405,11 @@ class _Parser:
         brace = self.peek()
         if brace[TEXT] != "{":
             raise _error(f"expected function body, found {brace[TEXT]!r}", brace)
+        if is_camlprim:
+            unit.camlprims.add(name_tok[TEXT])
+        if not owned:
+            self.skip_balanced("{", "}")
+            return
         body_start = self.pos
         try:
             body = self.parse_block()
@@ -550,6 +581,8 @@ class _Parser:
 
     def parse_goto(self, tok):
         label = self.take()
+        if label[TEXT] in ("{", "}"):
+            raise _error("expected a label", label)
         self.accept(";")
         self.warn("goto is outside the analyzed subset", tok)
         return [nodes.Opaque(tok[LINE], tok[COL], f"goto {label[TEXT]}", "goto")]
@@ -748,7 +781,10 @@ class _Parser:
                         node = nodes.Index(tok[LINE], tok[COL], left, index)
                         self.ops.append((DEREF, left, node))
                     elif text == "." or text == "->":
-                        name = self.take()[TEXT]
+                        member = self.take()
+                        if member[KIND] != "ident":
+                            raise _error("expected a member name", member)
+                        name = member[TEXT]
                         arrow = text == "->"
                         node = nodes.Member(tok[LINE], tok[COL], left, name, arrow)
                         if arrow:
@@ -879,26 +915,15 @@ def _num_value(text: str):
             return None
 
 
-def parse_tokens(tokens: list[Token], file_name: str) -> nodes.StubUnit:
-    """Parse one preprocessed translation unit, given as its tokens; the
-    list becomes the parser's."""
-    return parse_items(tokens, file_name, 0, len(tokens))[0]
-
-
-def parse_items(
-    tokens: list[Token], file_name: str, start: int, stop: int
-) -> tuple[nodes.StubUnit, int]:
-    """Parse the top-level items of a preprocessed translation unit that
-    begin at token `start` or after and before token `stop`, or, when one
-    of them runs past `stop`, every item from `start` on, since a parse
-    from `stop` would begin inside that one.  Returns them as a unit and
-    the index of the token where parsing stopped: `stop`, or the end.  The
-    parser carries nothing from one item to the next but that index, so
-    the items from a `start` where another item ends are the ones a parse
-    from the first token meets.  The list becomes the parser's."""
-    parser = _Parser(tokens, file_name)
-    parser.pos = start
-    return parser.parse_unit(stop), parser.pos
+def parse_tokens(
+    tokens: list[Token], file_name: str, first: int = 0, last: int | None = None
+) -> nodes.StubUnit:
+    """Parse one preprocessed translation unit, given as its tokens, into
+    the unit of its top-level items that begin on a line from `first` up
+    to, but not including, `last` (to the end when None); the unit's
+    `camlprims` name those of the whole file.  The list becomes the
+    parser's."""
+    return _Parser(tokens, file_name).parse_unit(first, last)
 
 
 def parse_unit(source: str, file_name: str) -> nodes.StubUnit:

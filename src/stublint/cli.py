@@ -11,9 +11,7 @@ import argparse
 import gc
 import os
 import sys
-from bisect import bisect_left
 from collections.abc import Iterable
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import harness_gen, header_gen, ml_frontend
@@ -22,12 +20,11 @@ from .c_frontend import (
     CLexError,
     PreprocessError,
     build_cfg,
-    parse_items,
+    parse_tokens,
     preprocess_local,
 )
-from .c_frontend.lexer import LINE
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, RULES, normalize
-from .lock_analysis import SummaryError, SummaryTable, judge_lock, load_summaries
+from .lock_analysis import SummaryError, SummaryTable, load_summaries
 from .sarif import sarif
 from .value_safety import check_camlparam
 
@@ -143,45 +140,37 @@ _REQUIRES_LOCK = frozenset({"requires_lock"})
 
 
 def _unit_table(unit, base: SummaryTable) -> SummaryTable:
-    """Stub-calls-stub: a CAMLprim defined here needs the lock like any
-    runtime entry point, unless a summary line names it, even one with
-    no effects."""
+    """Stub-calls-stub: a CAMLprim defined in the unit's file needs the lock
+    like any runtime entry point, unless a summary line names it, even one
+    with no effects.  `unit.camlprims` names every CAMLprim of the file,
+    one whose body does not parse too, in every part of a cut file."""
     own = {
-        fn.name: _REQUIRES_LOCK
-        for fn in unit.functions
-        if fn.is_camlprim and base.lookup(fn.name, None) is None
+        name: _REQUIRES_LOCK
+        for name in unit.camlprims
+        if base.lookup(name, None) is None
     }
     return SummaryTable({**base.exact, **own}, base.prefix)
 
 
-def analyze_unit(
-    unit, base_table: SummaryTable, misses: dict | None = None
-) -> list[Diagnostic]:
-    """The findings of the functions of `unit`; `misses`, when a dict, gets
-    the calls each solve records in it (see `solve_function`)."""
+def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
+    """The findings of the functions of `unit`."""
     table = _unit_table(unit, base_table)
     diags = list(unit.diagnostics)
     for fn in unit.functions:
         cfg = build_cfg(fn)
-        diags.extend(solve_function(cfg, table, misses).found)
+        diags.extend(solve_function(cfg, table).found)
         diags.extend(check_camlparam(fn))
     return diags
 
 
 class Record(NamedTuple):
-    """What `_analyze_files` gives of one part of a C file."""
+    """What `_analyze_files` gives of one part of a C file; the records of
+    a file's parts, in order, are the record of the whole file."""
 
     # the preprocessor's notes, in the part that begins at line 0, then the
     # parser's diagnostics and the analyses' findings
     found: list
     headers: list  # the `_header` of each function
-    # None for a whole file; for a part of a cut one, (the index of the
-    # token where parsing stopped, the (callee, line, col, lock state) of
-    # each call its solves recorded in their `misses`)
-    cut: tuple | None
-
-
-_line = itemgetter(LINE)
 
 
 def _analyze_files(parts, table: SummaryTable) -> list[Record]:
@@ -190,29 +179,25 @@ def _analyze_files(parts, table: SummaryTable) -> list[Record]:
 
     A part is (path, first, last): the top-level items of the file at
     `path` that begin on a line from `first` up to, but not including,
-    `last`, or to the end when `last` is None or one of them runs past
-    `last` (see `parse_items`).  So (path, 0, None) is the whole file.
-    Each part preprocesses the whole file, so a lex or preprocessor error
-    is raised whatever the part.  A file's tokens are dropped once it is
-    parsed, and its functions once they are analyzed.
+    `last`, or to the end when `last` is None (see `parse_tokens`).  So
+    (path, 0, None) is the whole file.  Each part preprocesses the whole
+    file, so a lex or preprocessor error is raised whatever the part, and
+    reads the head of every item, so it knows every CAMLprim of the file.
+    A file's tokens are dropped once it is parsed, and its functions once
+    they are analyzed.
     """
     records = []
     for path, first, last in parts:
         text = _read(path)
         try:
             pre = preprocess_local(text, path)
-            tokens = pre.tokens
-            start = bisect_left(tokens, first, key=_line)
-            stop = len(tokens) if last is None else bisect_left(tokens, last, key=_line)
-            unit, end = parse_items(tokens, path, start, stop)
+            unit = parse_tokens(pre.tokens, path, first, last)
         except (PreprocessError, CLexError) as exc:
             raise FatalError(f"{path}: {exc}") from exc
         found = pre.notes if first == 0 else []
-        del text, pre, tokens
-        misses = None if first == 0 and last is None else {}
-        found += analyze_unit(unit, table, misses)
-        cut = None if misses is None else (end, list(misses.values()))
-        records.append(Record(found, [_header(fn) for fn in unit.functions], cut))
+        del text, pre
+        found += analyze_unit(unit, table)
+        records.append(Record(found, [_header(fn) for fn in unit.functions]))
         del unit
     return records
 
@@ -249,33 +234,6 @@ def _slices(c_paths, jobs: int) -> list[list[tuple]]:
         lines.append(text.count("\n", 0, at + 1) + 1)
     lines.append(None)
     return [[(path, first, last)] for first, last in zip(lines, lines[1:])]
-
-
-def _join(path: str, records: list[Record]) -> Record:
-    """The record `_analyze_files` gives of the whole C file at `path`, up
-    to the order of its findings, from the records of its parts, in order.
-
-    The parts up to the first one that ran on to the end of the file (see
-    `parse_items`) met the items a whole parse meets, and the parts after
-    it, which began inside one of its items, are dropped.  The findings of
-    the parts kept are the whole file's but at a call one of them made,
-    without the lock held, to a CAMLprim of another that no summary line
-    matches: `_unit_table` gives such a callee the lock's need in the whole
-    file's table.  Each such call is judged here, in the lock state the part
-    recorded for it.  A part's misses never name its own CAMLprims, which
-    its table matches, so every CAMLprim of the file stands for those of
-    the other parts."""
-    ends = [rec.cut[0] for rec in records]
-    records = records[: ends.index(ends[-1]) + 1]  # the last part ends the file
-    found = [d for rec in records for d in rec.found]
-    headers = [fn for rec in records for fn in rec.headers]
-    camlprims = {name for name, *_, is_camlprim in headers if is_camlprim}
-    for rec in records:
-        for callee, line, col, state in rec.cut[1]:
-            if callee in camlprims:
-                rule, severity, message = judge_lock("requires_lock", state, callee)
-                found.append(Diagnostic(rule, severity, path, line, col, message))
-    return Record(found, headers, None)
 
 
 # -- driver ------------------------------------------------------------------
@@ -376,9 +334,6 @@ def run(
     finally:
         if workers:
             workers.reap(finished)
-
-    if len(records) > len(c_paths):  # the parts of a lone file
-        records = [_join(c_paths[0], records)]
 
     # in any order: `normalize` sorts them, and two findings of a C file
     # with one sort key are equal (tests/test_cli.py checks)

@@ -105,9 +105,7 @@ class SummaryError(Exception):
 
 @dataclass
 class SummaryTable:
-    """Effects by exact callee name, and by name prefix (`caml_*`); the
-    table only looks callees up, and the product step records its misses
-    in a dict of its own (see `analysis.solve_function`)."""
+    """Effects by exact callee name, and by name prefix (`caml_*`)."""
 
     exact: dict[str, frozenset[str]] = field(default_factory=dict)
     prefix: dict[str, frozenset[str]] = field(default_factory=dict)

@@ -6,7 +6,8 @@ top-level items of a lone file that begin in a range of its lines (see
 module only when there is more than one slice.  The caller analyzes the
 first slice itself; each other slice goes to a worker made with `os.fork`,
 which runs the same `cli._analyze_files` and sends its records back,
-pickled as they are, over a pipe private to the fork.  A worker writes
+pickled as they are, over a pipe private to the fork.  The records of all
+slices, in order, are those of a run in one process.  A worker writes
 nothing to stdout or stderr and leaves by `os._exit`, so it never flushes,
 or runs the exit handlers of, a copy of its parent's state.
 """

@@ -8,7 +8,13 @@ from hypothesis import given, strategies as st
 
 from stublint.c_frontend import nodes as ast
 from stublint.c_frontend.lexer import CLexError, lex
-from stublint.c_frontend.parser import MAX_NESTING, CParseError, parse_expression
+from stublint.c_frontend.parser import (
+    MAX_NESTING,
+    CParseError,
+    parse_expression,
+    parse_tokens,
+)
+from stublint.c_frontend.preprocess import preprocess_local
 
 
 def fn_of(unit, name=None):
@@ -568,6 +574,32 @@ def test_a_missing_declarator_is_reported_in_its_place(parse_c, src, warning):
     unit = parse_c(src, "t.c")
     assert unit.functions == []
     assert [d.render() for d in unit.diagnostics] == [warning]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["int b[{];", "goto {;", "a->{;", "asm({);"],
+    ids=["array", "goto", "member", "asm"],
+)
+def test_every_range_of_lines_meets_the_items_of_the_whole_file(statement):
+    """A body that would take a brace as a label or a member name, or
+    between `[ ]` or `( )`, does not parse, so a range of lines that skips
+    it ends the function at the `}` where one that parses it does."""
+    source = (
+        f"value f(value a)\n{{\n    {statement}\n    return a;\n}}\n}}\n"
+        "value g(value a)\n{\n    return a;\n}\n"
+    )
+
+    def items(first=0, last=None):
+        unit = parse_tokens(preprocess_local(source, "t.c").tokens, "t.c", first, last)
+        assert unit.camlprims == {"f", "g"}
+        return [fn.name for fn in unit.functions], unit.diagnostics
+
+    whole = items()
+    assert whole[0] == ["g"]
+    for cut in range(1, source.count("\n") + 1):
+        (head, early), (tail, late) = items(0, cut), items(cut)
+        assert (head + tail, early + late) == whole
 
 
 def test_globals_after_a_function_are_not_its_locals(parse_c):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from stublint import cli, workers
 from stublint.cli import main
-from stublint.diagnostics import normalize
+from stublint.diagnostics import normalize, sort_key
 from stublint.lock_analysis import load_summaries
 from stublint.sarif import sarif
 
@@ -116,6 +116,27 @@ def test_lex_error_is_fatal_not_a_traceback(proj, run_main):
     assert code == 2
     assert out == ""
     assert err == f"stublint: error: {path}: 3:14: unexpected character '@'\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "int x = ",
+        "value f(value a)\n{\n    CAMLparam1(a);",
+        "struct s { int a;",
+        "value f(value a, int",
+    ],
+    ids=["initializer", "body", "struct", "parameters"],
+)
+def test_an_item_cut_short_by_the_end_of_the_file_is_reported_where_it_begins(
+    proj, run_main, source
+):
+    _, write = proj
+    path = write("short.c", source)
+    code, out, err = run_main(path)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{path}:1:1: warning: UNSUPPORTED_CONSTRUCT: unparsed")
+    assert out.count("\n") == 1
 
 
 def test_out_of_range_shift_in_a_guard_is_not_a_traceback(proj, run_main):
@@ -475,10 +496,10 @@ def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch, cpus):
     paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
     analyze_unit = cli.analyze_unit
 
-    def fail_on_the_last_file(unit, table, misses=None):
+    def fail_on_the_last_file(unit, table):
         if unit.file == paths[-1]:
             raise ValueError("boom")
-        return analyze_unit(unit, table, misses)
+        return analyze_unit(unit, table)
 
     monkeypatch.setattr(cli, "analyze_unit", fail_on_the_last_file)
     cpus(2)
@@ -578,25 +599,11 @@ def _externals(count: int) -> str:
     )
 
 
-@pytest.fixture
-def joins(monkeypatch):
-    """What `cli._join` gives back, one item a join."""
-    seen = []
-    join = cli._join
-
-    def spy(path, records):
-        seen.append(join(path, records))
-        return seen[-1]
-
-    monkeypatch.setattr(cli, "_join", spy)
-    return seen
-
-
 def test_a_lone_file_cut_for_the_jobs_gives_the_outputs_of_one_process(
-    proj, run_main, cpus, joins
+    proj, run_main, cpus
 ):
     _, write = proj
-    # a summary line for every stub, so no call to one stops a join
+    # a prefix summary line for every stub; the tests below use none
     summaries = write("summaries.txt", "stub_g*: requires_lock\n")
     paths = [
         "--summaries",
@@ -606,6 +613,7 @@ def test_a_lone_file_cut_for_the_jobs_gives_the_outputs_of_one_process(
     ]
     runs = []
     for jobs in (1, 2, 3):
+        assert len(cli._slices(paths[-1:], jobs)) == jobs
         cpus(jobs)
         runs.append(_outputs(proj[0], run_main, paths, str(jobs)))
     code, out, err = runs[0][:3]
@@ -613,17 +621,15 @@ def test_a_lone_file_cut_for_the_jobs_gives_the_outputs_of_one_process(
     assert "RUNTIME_CALL_UNLOCKED" in out and "ARITY_MISMATCH" in out
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
-    # two and three parts, each joined
-    assert len(joins) == 2
 
 
 FILLER = "    n = n + 1;\n" * 40
 
 
-def _unlocked_call(callee: str) -> str:
-    """A stub that calls `callee` while the lock is released."""
+def _unlocked_call(callee: str, name: str = "caller") -> str:
+    """A stub `name` that calls `callee` while the lock is released."""
     return (
-        "value caller(value a)\n{\n    CAMLparam1(a);\n"
+        f"value {name}(value a)\n{{\n    CAMLparam1(a);\n"
         "    caml_enter_blocking_section();\n"
         f"    {callee}(a);\n"
         "    caml_leave_blocking_section();\n"
@@ -631,14 +637,13 @@ def _unlocked_call(callee: str) -> str:
     )
 
 
-def test_a_column_one_brace_inside_a_body_at_the_cut_runs_the_part_on(
-    proj, run_main, cpus, joins
+def test_a_body_that_runs_past_the_cut_is_owned_by_the_part_its_item_begins_in(
+    proj, run_main, cpus
 ):
     """The cut lands after a `}` in column 1 that closes an inner block, so
-    the first part's last item runs past it: that part parses on to the end
-    of the file, and the second part, which began inside the item, is
-    dropped from the join."""
-    _, write = proj
+    the first part's last item runs past it: the first part parses it, and
+    the second, where the item does not begin, skips its body to the `}`
+    that ends it and parses the items after it."""
     source = (
         "value first(value a)\n{\n    CAMLparam1(a);\n    int n = 0;\n"
         + FILLER
@@ -647,22 +652,16 @@ def test_a_column_one_brace_inside_a_body_at_the_cut_runs_the_part_on(
         + BAD_C
     )
     assert source.find("\n}", len(source) // 2) == source.index("\n}\n    CAMLreturn")
-    paths = [write("one.ml", CLEAN_ML), write("brace.c", source)]
-    cpus(1)
-    alone = _outputs(proj[0], run_main, paths, "1")
-    cpus(2)
-    assert _outputs(proj[0], run_main, paths, "2") == alone
-    assert len(joins) == 1
+    alone = _cross_part_run(proj, run_main, cpus, "brace.c", source)
     assert alone[0] == 1 and "brace.c:" in alone[1]
 
 
-def test_a_call_with_the_lock_held_to_a_camlprim_of_another_part_is_joined(
-    proj, run_main, cpus, joins
+def test_a_call_with_the_lock_held_to_a_camlprim_of_another_part_gives_no_finding(
+    proj, run_main, cpus
 ):
     """A shared non-static `value` helper is a CAMLprim to the parser; a
-    later part that calls it with the lock held misses it in its table,
-    but the lock's need judges no call made with the lock held."""
-    _, write = proj
+    later part that calls it with the lock held reads its head, and the
+    lock's need judges no call made with the lock held."""
     source = (
         "value shared_helper(value a)\n{\n    CAMLparam1(a);\n    int n = 0;\n"
         + FILLER
@@ -671,17 +670,20 @@ def test_a_call_with_the_lock_held_to_a_camlprim_of_another_part_is_joined(
         + "    a = shared_helper(a);\n    CAMLreturn(a);\n}\n"
         + BAD_C
     )
-    paths = [write("one.ml", CLEAN_ML), write("shared.c", source)]
-    cpus(1)
-    alone = _outputs(proj[0], run_main, paths, "1")
-    cpus(2)
-    assert _outputs(proj[0], run_main, paths, "2") == alone
-    assert len(joins) == 1
+    alone = _cross_part_run(proj, run_main, cpus, "shared.c", source)
     assert alone[0] == 1 and "shared.c:" in alone[1]
+    assert _findings_at(alone[1], source, "    a = shared_helper(a);") == []
 
 
 HELPER_PRIM = (
     "value helper_prim(value a)\n{\n    CAMLparam1(a);\n    int n = 0;\n"
+    + FILLER
+    + "    CAMLreturn(a);\n}\n"
+)
+# a CAMLprim whose body does not parse: GNU statement expressions are
+# outside the subset
+BROKEN_PRIM = (
+    "value broken_prim(value a)\n{\n    CAMLparam1(a);\n    int x = ({ 1; });\n"
     + FILLER
     + "    CAMLreturn(a);\n}\n"
 )
@@ -719,39 +721,57 @@ def _findings_at(out: str, source: str, call: str) -> list[str]:
     return [finding for finding in found if "RUNTIME_CALL_UNLOCKED" in finding]
 
 
-def test_a_call_to_a_camlprim_of_another_part_is_judged_at_the_join(
-    proj, run_main, cpus, joins
+def test_a_call_to_a_camlprim_of_another_part_needs_the_lock_in_every_part(
+    proj, run_main, cpus
 ):
     """The later part calls a CAMLprim of the earlier one, with no summary
-    line, while the lock is released: only the whole file's table says it
-    needs the lock, so the join judges the call the part recorded."""
+    line, while the lock is released: the later part reads the CAMLprim's
+    head, so its table says the callee needs the lock, as one process's
+    does."""
     source = HELPER_PRIM + _unlocked_call("helper_prim")
     alone = _cross_part_run(proj, run_main, cpus, "cross.c", source)
-    assert len(joins) == 1 and isinstance(joins[0], cli.Record)
     assert _findings_at(alone[1], source, "    helper_prim(a);") == [
         "5: error: RUNTIME_CALL_UNLOCKED: helper_prim called while the runtime"
         " lock is released"
     ]
 
 
+def test_a_camlprim_whose_body_does_not_parse_needs_the_lock_in_every_part(
+    proj, run_main, cpus
+):
+    """The CAMLprim is dropped with a warning, but it is still a stub of
+    the file: a stub that calls it while the lock is released gets the
+    error, whether the two lie in one part or on either side of a cut."""
+    source = BROKEN_PRIM + _unlocked_call("broken_prim") + BAD_C
+    for jobs in (2, 3):
+        alone = _cross_part_run(proj, run_main, cpus, "broken.c", source, jobs)
+        assert alone[0] == 1
+        assert alone[1].count("could not parse body of 'broken_prim'") == 1
+        assert _findings_at(alone[1], source, "    broken_prim(a);") == [
+            "5: error: RUNTIME_CALL_UNLOCKED: broken_prim called while the"
+            " runtime lock is released"
+        ]
+
+
 def test_a_cross_part_call_is_judged_in_the_state_of_its_last_visit(
-    proj, run_main, cpus, joins
+    proj, run_main, cpus
 ):
     """The call's block is visited first with the lock released, then in
     the joined state of the loop: the whole file reports the warning of
     the last visit alone, not the error of the first."""
     source = HELPER_PRIM + LOOPED_CALL
     alone = _cross_part_run(proj, run_main, cpus, "loop.c", source)
-    assert len(joins) == 1
     assert _findings_at(alone[1], source, "        helper_prim(a);") == [
         "9: warning: RUNTIME_CALL_UNLOCKED: helper_prim may be called without"
         " the runtime lock held"
     ]
 
 
-def test_a_later_part_without_a_function_joins(proj, run_main, cpus, joins):
+def test_a_later_part_without_a_function_gives_the_outputs_of_one_process(
+    proj, run_main, cpus
+):
     """The third part holds only declarations, so its record has no
-    function header to take the file's name from."""
+    function header."""
     declarations = "struct point {\n    int x;\n    int y;\n};\n" + "".join(
         f"static int counter{i};\n" for i in range(8)
     )
@@ -760,7 +780,6 @@ def test_a_later_part_without_a_function_joins(proj, run_main, cpus, joins):
     last = cli._slices([write("decls.c", source)], 3)[-1][0][1]
     assert last == source.count("\n", 0, source.index("struct point")) + 1
     alone = _cross_part_run(proj, run_main, cpus, "decls.c", source, jobs=3)
-    assert len(joins) == 1
     assert len(_findings_at(alone[1], source, "    helper_prim(a);")) == 1
 
 
@@ -830,6 +849,11 @@ def test_a_lex_error_in_a_later_part_is_the_error_of_one_process(
 
 _CUT_SOURCES = _stub_sources(12, seed=5)
 _CUT_SOURCES.insert(7, _unlocked_call("stub_g004"))
+# an item that does not parse, a CAMLprim whose body does not, and a stub
+# that calls that CAMLprim while the lock is released
+_CUT_SOURCES.insert(2, "int broken = ;\n")
+_CUT_SOURCES.insert(4, BROKEN_PRIM)
+_CUT_SOURCES.insert(11, _unlocked_call("broken_prim", "broken_caller"))
 _CUT_SOURCE = "".join(_CUT_SOURCES)
 _CUT_LINES = _CUT_SOURCE.count("\n")
 # the lines after a `}` in column 1, where `cli._slices` cuts
@@ -856,14 +880,39 @@ def _cut_path(tmp_path_factory) -> str:
     )
 )
 def test_a_join_is_the_record_of_the_whole_file(tmp_path_factory, cuts):
+    """The records of the parts, joined in order, are the record of the
+    whole file: each of its findings comes from exactly one part, and a
+    call to a CAMLprim of any part needs the lock."""
     path = _cut_path(tmp_path_factory)
     table = load_summaries()
     whole = cli._analyze_files([(path, 0, None)], table)[0]
     lines = [0, *sorted(set(cuts)), None]
     parts = [(path, first, last) for first, last in zip(lines, lines[1:])]
-    joined = cli._join(path, cli._analyze_files(parts, table))
-    assert normalize(joined.found) == normalize(whole.found)
-    assert joined.headers == whole.headers
+    records = cli._analyze_files(parts, table)
+    found = [d for rec in records for d in rec.found]
+    assert sorted(found, key=sort_key) == sorted(whole.found, key=sort_key)
+    assert [fn for rec in records for fn in rec.headers] == whole.headers
+    unlocked = [d.message for d in found if d.rule_id == "RUNTIME_CALL_UNLOCKED"]
+    assert "broken_prim called while the runtime lock is released" in unlocked
+
+
+def test_the_corpus_joined_into_one_file_gives_the_outputs_of_one_process(
+    tmp_path, run_main, cpus, corpus_summaries_path
+):
+    joined = tmp_path / "joined.c"
+    joined.write_text("".join(p.read_text() for p in sorted(CORPUS.glob("*/*.c"))))
+    mls = sorted(str(p) for p in CORPUS.glob("*/*.ml"))
+    paths = ["--summaries", corpus_summaries_path, *mls, str(joined)]
+    runs = []
+    for jobs in (1, 2, 3):
+        assert len(cli._slices([str(joined)], jobs)) == jobs
+        cpus(jobs)
+        runs.append(_outputs(tmp_path, run_main, paths, str(jobs)))
+    code, out, err = runs[0][:3]
+    assert (code, err) == (1, "")
+    assert "joined.c:" in out and "ARITY_MISMATCH" in out
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 @functools.cache
@@ -880,7 +929,7 @@ def _c_findings(cut_path: str) -> tuple:
 @settings(max_examples=25)
 @given(order=st.randoms(use_true_random=False))
 def test_the_order_of_a_c_files_findings_changes_no_output(tmp_path_factory, order):
-    """`cli._join` and `cli.run` gather a C file's findings in another order
+    """`cli.run` gathers the findings of a cut C file in another order
     than a run in one process; `normalize` must make that order vanish, so
     two findings with one sort key must be equal."""
     findings = _c_findings(_cut_path(tmp_path_factory))
