@@ -244,8 +244,6 @@ class Opaque(_At):
     the lock state alone.
     """
 
-    text: str = ""
-    reason: str = ""
     ops: tuple = ()
 
 

@@ -100,11 +100,12 @@ _UNARY = 13
 # is a statement, a switch, an operand, a parenthesis (cast and compound
 # literal included), a postfix operator, a binary, conditional or assignment
 # operator (its left operand is a tree already), or an initializer brace.
-# The parser and the walks over its trees (CFG building, fact_of, eval_const,
-# the guard fold) recurse at most two frames per level, so input
-# at the cap needs about 400 frames, well inside Python's default recursion
-# limit of 1000; deeper input is unsupported.  C99 (5.2.4.1) asks compilers
-# for 127 nested blocks and 63 nested parentheses, and 200 levels hold either.
+# The parser and the walks over its trees (CFG building, fact_of, the
+# constant fold with its leaves) recurse at most two frames per level, so
+# input at the cap needs about 400 frames, well inside Python's default
+# recursion limit of 1000; deeper input is unsupported.  C99 (5.2.4.1) asks
+# compilers for 127 nested blocks and 63 nested parentheses, and 200 levels
+# hold either.
 MAX_NESTING = 200
 
 
@@ -119,14 +120,14 @@ def _error(message: str, tok: Token) -> CParseError:
     return CParseError(message, tok[LINE], tok[COL])
 
 
-_EOF = ("punct", "<eof>", 0, 0)
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
-        # the list becomes the parser's: `_EOF` is appended to end it, so
-        # the token at `pos` always exists and `take` never moves past it
-        tokens.append(_EOF)
+        # the list becomes the parser's: `end`, a token just past the last
+        # one on disk, is appended to end it, so the token at `pos` always
+        # exists and `take` never moves past it
+        _, text, line, col = tokens[-1] if tokens else ("", "", 1, 1)
+        self.end = ("punct", "<eof>", line, col + len(text))
+        tokens.append(self.end)
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
@@ -144,12 +145,12 @@ class _Parser:
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        """The token `offset` ahead; past any token but `_EOF`, there is one."""
+        """The token `offset` ahead; past any token but `end`, there is one."""
         return self.tokens[self.pos + offset]
 
     def take(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok is not _EOF:
+        if tok is not self.end:
             self.pos += 1
         return tok
 
@@ -180,7 +181,7 @@ class _Parser:
         return depth
 
     def eof(self) -> bool:
-        return self.tokens[self.pos] is _EOF
+        return self.tokens[self.pos] is self.end
 
     def warn(self, message: str, tok: Token):
         _, _, line, col = tok
@@ -310,7 +311,7 @@ class _Parser:
                 if not depth:
                     break
         else:
-            self.pos = len(tokens) - 1  # at `_EOF`
+            self.pos = len(tokens) - 1  # at `end`
             raise _error(f"unbalanced {open_tok!r}", tok)
         self.pos = end + 1
         if open_tok != "{" and any(t[TEXT] in ("{", "}") for t in tokens[start:end]):
@@ -331,7 +332,7 @@ class _Parser:
         at one token whether its body is parsed or skipped, and every range
         of lines meets the items a parse of the whole file meets."""
         unit = nodes.StubUnit(file=self.file, diagnostics=self.diagnostics)
-        while (tok := self.peek()) is not _EOF:
+        while (tok := self.peek()) is not self.end:
             start = self.pos
             owned = first <= tok[LINE] and (last is None or tok[LINE] < last)
             noted = len(self.diagnostics)
@@ -341,16 +342,14 @@ class _Parser:
                 # an item cut short by the end of the file is reported where it begins
                 at = tok if self.eof() else self.peek()
                 self.warn(f"unparsed construct: {exc.args[0]}", at)
-                self.recover_top_level(start)
+                self.recover_top_level()
             if self.pos == start:  # safety: never loop in place
                 self.take()
             if not owned:
                 del self.diagnostics[noted:]
         return unit
 
-    def recover_top_level(self, start: int):
-        if self.pos == start:
-            self.pos += 1
+    def recover_top_level(self):
         depth = 0
         while not self.eof():
             t = self.take()
@@ -459,7 +458,7 @@ class _Parser:
         tokens = self.tokens
         stmts: list = []
         while (tok := tokens[self.pos])[TEXT] != "}":
-            if tok is _EOF:
+            if tok is self.end:
                 raise _error("unbalanced '{'", tok)
             stmts.extend(self.parse_stmt())
         self.pos += 1
@@ -585,7 +584,7 @@ class _Parser:
             raise _error("expected a label", label)
         self.accept(";")
         self.warn("goto is outside the analyzed subset", tok)
-        return [nodes.Opaque(tok[LINE], tok[COL], f"goto {label[TEXT]}", "goto")]
+        return [nodes.Opaque(tok[LINE], tok[COL])]
 
     def parse_asm(self, tok):
         while self.peek()[TEXT] in ("volatile", "__volatile__", "inline", "goto"):
@@ -593,7 +592,7 @@ class _Parser:
         if self.at("("):
             self.skip_balanced("(", ")")
         self.accept(";")
-        return [nodes.Opaque(tok[LINE], tok[COL], "asm", "inline asm")]
+        return [nodes.Opaque(tok[LINE], tok[COL])]
 
     def statement_expr(self):
         """Parse a statement-level expression; returns it with its ops."""

@@ -15,16 +15,20 @@ prefix, and a preprocessing number are tokens of their own, so `1UL`,
 it is kept.
 
 An `#if`/`#elif` guard has its local macros substituted, is parsed by the C
-parser's `parse_expression` and folded over integer and char constants as
-C99 does: `/` and `%` truncate toward zero, and `&&`, `||` and `?:` fold
-only the operands they select.  A char constant is one ASCII character or
-one simple, octal or hex escape, such as `'a'`, `L'a'`, `'\\n'`, `'\\0'` or
-`'\\x41'`.  A guard that names a macro not defined in this file takes the
-branch you would get with those macros undefined (0) and leaves a note
-saying so.  A guard that names none but that the fold does not model (a
-shift by a count outside 0..63, a division by zero, nesting past the
-parser's cap, a non-integer operand) is false, and its note says why;
-`#if 0` is elided silently.
+parser's `parse_expression` and folded by `fold`, the one folder of C
+integer constant expressions; `naked_const` folds the constants stored into
+values with it too.  It folds int and char constants as C99 does: `/` and
+`%` truncate toward zero, and `&&`, `||` and `?:` fold only the operands
+they select.  A char constant is one ASCII character or one simple, octal
+or hex escape, such as `'a'`, `L'a'`, `'\\n'`, `'\\0'` or `'\\x41'`.  Each
+caller gives `fold` the leaf that values every other node: a guard's leaf
+raises, so a guard is a constant expression or unsupported, and the
+store's leaf reads names, casts and `Val_int`.  A guard that names a macro
+not defined in this file takes the branch you would get with those macros
+undefined (0) and leaves a note saying so.  A guard that names none but
+that the fold does not model (a shift by a count outside 0..63, a division
+by zero, nesting past the parser's cap, a non-integer operand) is false,
+and its note says why; `#if 0` is elided silently.
 
 The tokens of a file with no directive and no bad character go to the
 parser as `scan` made them; otherwise each run of tokens between two
@@ -285,7 +289,7 @@ def _guard(kind, toks, macros):
         bad = next((tok for tok in expr if tok[KIND] == "bad"), None)
         if bad is not None:
             raise bad_token(bad)
-        value = _fold(parse_expression(expr))
+        value = fold(parse_expression(expr), _not_constant)
     except (CLexError, CParseError, ValueError, ZeroDivisionError) as exc:
         if used_unknown:
             return 0, _UNKNOWN_MACROS
@@ -367,24 +371,48 @@ def _char_value(text: str) -> int:
     return value
 
 
-def _fold(expr) -> int:
-    """Value of a guard expression over int and char constants; ValueError
-    for anything else.  As in C, `&&`, `||` and `?:` fold only the operands
-    they select, so `1 || 1 / 0` is 1."""
+def fold(expr, leaf, env=None) -> int | None:
+    """The value of `expr` as a C99 (6.6) integer constant expression over
+    int and char constants, or None when it is unknown.  Any other node is
+    `leaf(node, env)`'s, an int or None.
+
+    An unknown operand makes the result unknown unless the other operand
+    decides it (`0 && x`, `1 || x`), and a `?:` whose condition is unknown
+    takes its arms' value when they agree.  As in C, `&&`, `||` and `?:`
+    fold only the operands they select, so `1 || 1 / 0` is 1.  What C
+    leaves undefined, or no constant expression holds, raises ValueError
+    or ZeroDivisionError."""
     if isinstance(expr, nodes.Num) and isinstance(expr.value, int):
         return expr.value
     if isinstance(expr, nodes.CharLit):
         return _char_value(expr.text)
     if isinstance(expr, nodes.Unary) and expr.prefix and expr.op in _GUARD_PREFIX_OPS:
-        return _GUARD_PREFIX_OPS[expr.op](_fold(expr.operand))
+        operand = fold(expr.operand, leaf, env)
+        return None if operand is None else _GUARD_PREFIX_OPS[expr.op](operand)
     # a constant expression holds no comma operator (C99 6.6p3)
     if isinstance(expr, nodes.Binary) and expr.op != ",":
-        left = _fold(expr.left)
-        if expr.op == "&&":
-            return int(bool(left) and bool(_fold(expr.right)))
-        if expr.op == "||":
-            return int(bool(left) or bool(_fold(expr.right)))
-        return _GUARD_OPS[expr.op](left, _fold(expr.right))
+        op, left = expr.op, fold(expr.left, leaf, env)
+        if op == "&&" or op == "||":
+            decides = op == "||"  # the truth of an operand that decides alone
+            if left is not None and bool(left) is decides:
+                return int(decides)
+            right = fold(expr.right, leaf, env)
+            if right is None or left is None and bool(right) is not decides:
+                return None
+            return int(bool(right))
+        right = fold(expr.right, leaf, env)
+        if left is None or right is None:
+            return None
+        return _GUARD_OPS[op](left, right)
     if isinstance(expr, nodes.Ternary):
-        return _fold(expr.then if _fold(expr.cond) else expr.els)
+        cond = fold(expr.cond, leaf, env)
+        if cond is not None:
+            return fold(expr.then if cond else expr.els, leaf, env)
+        then = fold(expr.then, leaf, env)
+        return then if then == fold(expr.els, leaf, env) else None
+    return leaf(expr, env)
+
+
+def _not_constant(expr, env):
+    """The leaf of a guard: a node the fold does not fold is an error."""
     raise ValueError("not an integer constant expression")

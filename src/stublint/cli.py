@@ -44,13 +44,13 @@ _ARGV_PAIR = (("value", 1), ("int", 0))
 
 def _header(fn) -> tuple:
     """What the arity check reads of a function: (name, file, line, col,
-    the (base, pointers) of each parameter, whether it is a CAMLprim)."""
+    the (base, pointers) of each parameter)."""
     params = tuple((t.base, t.pointers) for _, t in fn.params)
-    return (fn.name, fn.file, fn.line, fn.col, params, fn.is_camlprim)
+    return (fn.name, fn.file, fn.line, fn.col, params)
 
 
 def _check_definition(decl, fn: tuple, proto) -> Diagnostic | None:
-    name, fn_file, fn_line, fn_col, params, _ = fn
+    name, fn_file, fn_line, fn_col, params = fn
     nparams = len(params)
     rule = "ARITY_MISMATCH"
     if proto.is_argv_form:

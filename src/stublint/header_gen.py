@@ -7,7 +7,7 @@ one parameter per argument with unboxed/untagged types honoured.
 
 `prototypes_for` is the only code that knows this calling convention, and
 the spelling tables below are the single source of truth: the header writer,
-the harness writer and the arity cross-check (`cli.check_arity`) all go
+the harness writer and the arity cross-check (`cli._check_headers`) all go
 through them.
 """
 

@@ -12,12 +12,20 @@ judges each store into a value in the one pass over the statement's ops
 that judges everything else, against the constants at the statement's
 entry, and then applies the stores.  Unreached code is the product's
 BOTTOM, so the environment is always a dict.
+
+`eval_const` is the C constant folder that `#if` guards use,
+`preprocess.fold`, with the store's leaf: a name is one of the runtime's
+`CONSTANTS` or the environment's, `Val_int(k)` is 2k+1, a cast is
+transparent, an assignment is its value, and anything else is unknown.  A
+value C leaves undefined (a shift by a count outside 0..63, a division by
+zero, a char constant past ASCII) is unknown too.
 """
 
 from __future__ import annotations
 
 from .c_frontend import nodes as ast
 from .c_frontend.intrinsics import CONSTANTS
+from .c_frontend.preprocess import fold
 from .diagnostics import Diagnostic
 
 # Environment: dict of variable -> known int.  A variable absent from the
@@ -31,51 +39,29 @@ def join_const_env(a, b):
 
 
 def eval_const(expr, env) -> int | None:
-    if expr is None:
+    """The constant `expr` holds in `env`, or None when it is unknown or
+    is no constant C defines."""
+    try:
+        return fold(expr, _store_leaf, env)
+    except (ValueError, ZeroDivisionError):
         return None
-    if isinstance(expr, ast.Num):
-        return expr.value if isinstance(expr.value, int) else None
+
+
+def _store_leaf(expr, env) -> int | None:
     if isinstance(expr, ast.Name):
         if expr.ident in CONSTANTS:
             return CONSTANTS[expr.ident]
         return env.get(expr.ident)
     if isinstance(expr, ast.Call):
         if expr.callee == "Val_int" and len(expr.args) == 1:
-            k = eval_const(expr.args[0], env)
+            k = fold(expr.args[0], _store_leaf, env)
             return None if k is None else 2 * k + 1
         return None
     if isinstance(expr, ast.Cast):
         # numeric identity through casts; the bit pattern is what matters
-        return eval_const(expr.operand, env)
-    if isinstance(expr, ast.Unary) and expr.prefix:
-        k = eval_const(expr.operand, env)
-        if k is None:
-            return None
-        if expr.op == "-":
-            return -k
-        if expr.op == "+":
-            return k
-        return None
-    if isinstance(expr, ast.Binary):
-        left = eval_const(expr.left, env)
-        right = eval_const(expr.right, env)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "<<":
-            return left << right if 0 <= right < 256 else None
-        if expr.op == "|":
-            return left | right
-        return None
-    if isinstance(expr, ast.Ternary):
-        then = eval_const(expr.then, env)
-        els = eval_const(expr.els, env)
-        return then if then is not None and then == els else None
+        return fold(expr.operand, _store_leaf, env)
     if isinstance(expr, ast.Assign):
-        return eval_const(expr.value, env)
+        return fold(expr.value, _store_leaf, env)
     return None
 
 

@@ -119,24 +119,40 @@ def test_lex_error_is_fatal_not_a_traceback(proj, run_main):
 
 
 @pytest.mark.parametrize(
-    "source",
+    "source, reason",
     [
-        "int x = ",
-        "value f(value a)\n{\n    CAMLparam1(a);",
-        "struct s { int a;",
-        "value f(value a, int",
+        ("int x = ", "1:8: unexpected token '<eof>'"),
+        ("value f(value a)\n{\n    CAMLparam1(a);", "2:1: unbalanced '{'"),
+        ("struct s { int a;", "1:10: unbalanced '{'"),
+        ("value f(value a, int", "1:21: expected ')', found '<eof>'"),
     ],
     ids=["initializer", "body", "struct", "parameters"],
 )
 def test_an_item_cut_short_by_the_end_of_the_file_is_reported_where_it_begins(
-    proj, run_main, source
+    proj, run_main, source, reason
 ):
+    """The item is reported at its first token; the parse error it quotes
+    is at the token that failed, the end of the file just past the last
+    token."""
     _, write = proj
     path = write("short.c", source)
     code, out, err = run_main(path)
     assert (code, err) == (0, "")
-    assert out.startswith(f"{path}:1:1: warning: UNSUPPORTED_CONSTRUCT: unparsed")
-    assert out.count("\n") == 1
+    warning = f"{path}:1:1: warning: UNSUPPORTED_CONSTRUCT: unparsed construct: "
+    assert out == warning + reason + "\n"
+
+
+def test_a_stray_brace_at_the_top_level_hides_nothing_after_it(proj, run_main):
+    _, write = proj
+    path = write("stray.c", "int a;\n}\nvalue g(value a)\n{\n    return a;\n}\n")
+    code, out, err = run_main(path)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{path}:2:1: warning: UNSUPPORTED_CONSTRUCT: unparsed construct:"
+        " 2:1: cannot parse top-level token '}'",
+        f"{path}:3:7: warning: MISSING_CAMLPARAM: 'g' handles OCaml values but"
+        " does not start with a CAMLparam macro",
+    ]
 
 
 def test_out_of_range_shift_in_a_guard_is_not_a_traceback(proj, run_main):
@@ -854,6 +870,8 @@ _CUT_SOURCES.insert(7, _unlocked_call("stub_g004"))
 _CUT_SOURCES.insert(2, "int broken = ;\n")
 _CUT_SOURCES.insert(4, BROKEN_PRIM)
 _CUT_SOURCES.insert(11, _unlocked_call("broken_prim", "broken_caller"))
+# a stray `}` in column 1, itself a cut point, before a stub
+_CUT_SOURCES.insert(9, "}\n")
 _CUT_SOURCE = "".join(_CUT_SOURCES)
 _CUT_LINES = _CUT_SOURCE.count("\n")
 # the lines after a `}` in column 1, where `cli._slices` cuts

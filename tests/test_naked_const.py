@@ -1,5 +1,6 @@
 """Constant propagation into value stores: the even/odd line."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 
@@ -142,3 +143,63 @@ def test_literal_parity_decides(k):
     cfg = build_cfg(parse_unit(src, "gen.c").functions[0])
     diags = solve_function(cfg, load_summaries()).found
     assert bool(diags) == (k % 2 == 0)
+
+
+@pytest.mark.parametrize(
+    "expr, k",
+    [
+        ("'b'", 98),
+        ("2 * 3", 6),
+        ("9 / 2", 4),
+        ("-9 / 2", -4),
+        ("-6 % 4", -2),
+        ("6 & 2", 2),
+        ("3 ^ 1", 2),
+        ("9 >> 1", 4),
+        ("~1", -2),
+        ("!3", 0),
+        ("3 < 2", 0),
+        ("1 == 2", 0),
+        ("0 && 1", 0),
+        ("0 || 0", 0),
+        ("1 ? 4 : 3", 4),
+        ("0 ? 3 : 4", 4),
+    ],
+)
+def test_every_folded_operator_reaches_the_store(lint_c, expr, k):
+    """A stored constant is folded as an `#if` guard is: char constants and
+    every operator but the comma, `/` and `%` truncating toward zero, and
+    `?:` by its condition."""
+    src = f"value f(value a)\n{{\n    value v;\n    v = {expr};\n    return a;\n}}\n"
+    diags = [d for d in lint_c(src) if d.rule_id == "NAKED_POINTER"]
+    assert [(d.line, d.message.split(" stored")[0]) for d in diags] == [
+        (4, f"constant {k}")
+    ]
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["1 << 100", "1 << -1", "1 / 0", "4 % 0", "'\\xff'", "2.0", "1 ? 2.0 : 3"],
+)
+def test_what_c_leaves_undefined_is_no_constant(lint_c, expr):
+    # a shift by a count outside 0..63 was folded to a constant once
+    assert naked_lines(lint_c, f"    value v;\n    v = {expr};\n") == []
+
+
+def test_an_unknown_operand_is_unknown_unless_the_other_decides(lint_c):
+    assert naked_lines(lint_c, "    value v;\n    v = g() + 2;\n") == []
+    assert naked_lines(lint_c, "    value v;\n    v = 0 * g();\n") == []
+    assert naked_lines(lint_c, "    value v;\n    v = 0 && g();\n") == [4]
+    assert naked_lines(lint_c, "    value v;\n    v = g() && 0;\n") == [4]
+    assert naked_lines(lint_c, "    value v;\n    v = g() || 0;\n") == []
+    # an unknown condition takes its arms' value when they agree
+    assert naked_lines(lint_c, "    value v;\n    v = g() ? 2 : 2;\n") == [4]
+    assert naked_lines(lint_c, "    value v;\n    v = g() ? 2 : 4;\n") == []
+    # `&&`, `||` and `?:` fold only the operands they select
+    assert naked_lines(lint_c, "    value v;\n    v = 1 ? 2 : 1 / 0;\n") == [4]
+    assert naked_lines(lint_c, "    value v;\n    v = 0 && 1 / 0;\n") == [4]
+
+
+def test_val_int_of_a_char_constant_is_odd(lint_c):
+    assert naked_lines(lint_c, "    value v;\n    v = Val_int('a');\n") == []
+    assert naked_lines(lint_c, "    value v;\n    v = Val_int('a') - 1;\n") == [4]
