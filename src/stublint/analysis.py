@@ -12,20 +12,25 @@ derivation stale when the lock is not held, and that only rises with the
 lock.  So the product fixpoint is each component's own fixpoint, and a
 block's last visit sees all three at theirs.
 
-One statement step first judges the statement's ops, in one pass over
-them, against the state at the statement's entry, with the lock state at
-hand: a call that releases or acquires the lock in a lock state that does
-not match, as the calls before it in the statement left it; a runtime call
-or a dereference of an OCaml value while the lock is not held, or of a
-pointer the GC may have moved (STALE); the address of a value escaping; an
-even constant stored into a value.  Then it judges a CAMLprim returning to
-OCaml while the lock is not held, and applies the statement, unless the
-statement is a call that the summary table says never returns (`noreturn`):
-that step returns BOTTOM, which ends the path, so the call's successors see
-nothing of it.  The blocks come from the syntax alone, and this is the one
-place the table ends a path.  Every lock finding comes from the one table
-of `lock_analysis`, keyed by (event, lock state); a call or dereference
-made while the lock is held looks nothing up in it.
+One statement step makes two passes over the statement's ops, and each op
+kind is handled in exactly one of them.  The first judges calls and
+dereferences against the state at the statement's entry, with the lock
+state at hand: a call that releases or acquires the lock in a lock state
+that does not match, as the calls before it in the statement left it; a
+runtime call or a dereference of an OCaml value while the lock is not held,
+or of a pointer the GC may have moved (STALE).  Then the step judges a
+CAMLprim returning to OCaml while the lock is not held.  The second pass
+applies the stores, address-takings and increments in order, and judges
+each store and each `&` where it lands, against what the statement's
+earlier ops left (C's comma is a sequence point): an even constant stored
+into a value, folded once both to judge and to apply; the address of a
+value escaping.  A statement that is a call the summary table says never
+returns (`noreturn`) returns BOTTOM after that pass, which ends the path,
+so the call's successors see nothing of it.  The blocks come from the
+syntax alone, and this is the one place the table ends a path.  Every lock
+finding comes from the one table of `lock_analysis`, keyed by (event, lock
+state); a call or dereference made while the lock is held looks nothing up
+in it.
 
 The step looks each call up in the summary table once, and reads every
 runtime fact from those effects alone: `releases_lock` and `acquires_lock`
@@ -103,6 +108,12 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
 
     def step(stmt, state, found):
         entry, env, consts = state
+        if isinstance(stmt, ast.Opaque):
+            for name, fact in env.items():
+                if fact is HEAP or fact is STALE:
+                    env[name] = PLAIN
+            consts.clear()
+            return state
         lock = entry
         ops = stmt.ops
         gc_point = ends = False
@@ -132,31 +143,6 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
             elif kind == DEREF:
                 operand, where = op[1], op[2]
             else:
-                # a non-value declaration's own store (its last op) makes a
-                # C variable, even one named like a value
-                if (
-                    kind == ASSIGN
-                    and op[2] == "="
-                    and op[1] in values
-                    and not (
-                        op is ops[-1]
-                        and isinstance(stmt, ast.VarDecl)
-                        and not stmt.ctype.is_value
-                    )
-                ):
-                    k = eval_const(op[3], consts)
-                    if k is not None and k & 1 == 0:
-                        message = (
-                            f"constant {k} stored into OCaml value '{op[1]}' has a"
-                            " clear low bit; the GC would chase it as a pointer"
-                        )
-                        report(found, op[4], "NAKED_POINTER", ERROR, message)
-                elif kind == ADDR and env.get(op[1], PLAIN) is not PLAIN:
-                    message = (
-                        f"address of '{op[1]}' escapes;"
-                        " it is no longer tracked as an OCaml value"
-                    )
-                    report(found, op[2], "NOTE", NOTE, message)
                 continue
             fact = fact_of(operand, env)
             if fact is STALE:
@@ -174,22 +160,12 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
             and isinstance(stmt, ast.Return)
         ):
             report(found, stmt, *judge_lock("return", lock, fn.name))
-        if not ops and not isinstance(stmt, ast.Opaque):
-            return state
-        if ends:
-            return BOTTOM
 
         # a GC point makes heap facts stale before the statement's stores land
         if gc_point:
             for name, fact in env.items():
                 if fact is HEAP:
                     env[name] = STALE
-        if isinstance(stmt, ast.Opaque):
-            for name, fact in env.items():
-                if fact is HEAP or fact is STALE:
-                    env[name] = PLAIN
-            consts.clear()
-            return lock, env, consts
         derive_stale = entry is not LockState.HELD
         for op in ops:
             kind = op[0]
@@ -199,6 +175,23 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 if op[2] == "=":
                     env[name] = fact_of(op[3], env, derive_stale)
                     k = eval_const(op[3], consts)
+                    # a non-value declaration's own store (its last op) makes
+                    # a C variable, even one named like a value
+                    if (
+                        k is not None
+                        and k & 1 == 0
+                        and name in values
+                        and not (
+                            op is ops[-1]
+                            and isinstance(stmt, ast.VarDecl)
+                            and not stmt.ctype.is_value
+                        )
+                    ):
+                        message = (
+                            f"constant {k} stored into OCaml value '{name}' has a"
+                            " clear low bit; the GC would chase it as a pointer"
+                        )
+                        report(found, op[4], "NAKED_POINTER", ERROR, message)
                 if k is None:
                     consts.pop(name, None)
                 else:
@@ -206,8 +199,15 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
             elif kind == ADDR or kind == BUMP:
                 name = op[1]
                 if kind == ADDR and env.get(name, PLAIN) is not PLAIN:
+                    message = (
+                        f"address of '{name}' escapes;"
+                        " it is no longer tracked as an OCaml value"
+                    )
+                    report(found, op[2], "NOTE", NOTE, message)
                     env[name] = PLAIN
                 consts.pop(name, None)
+        if ends:
+            return BOTTOM
         return lock, env, consts
 
     init = (LockState.HELD, initial_facts(fn), {})

@@ -8,17 +8,19 @@ alone, since the check cannot show absence of naked pointers anyway.
 
 The propagation is an environment lattice plus `eval_const`, the constant
 component of the one product solve per function (`analysis`).  Its step
-judges each store into a value in the one pass over the statement's ops
-that judges everything else, against the constants at the statement's
-entry, and then applies the stores.  Unreached code is the product's
-BOTTOM, so the environment is always a dict.
+judges each store into a value where the store lands, in the pass that
+applies the statement's stores in order, so the store sees what the
+statement's earlier ops left; the one fold gives both the verdict and the
+constant the store leaves behind.  Unreached code is the product's BOTTOM,
+so the environment is always a dict.
 
 `eval_const` is the C constant folder that `#if` guards use,
 `preprocess.fold`, with the store's leaf: a name is one of the runtime's
 `CONSTANTS` or the environment's, `Val_int(k)` is 2k+1, a cast is
-transparent, an assignment is its value, and anything else is unknown.  A
-value C leaves undefined (a shift by a count outside 0..63, a division by
-zero, a char constant past ASCII) is unknown too.
+transparent, an `=` assignment is its value, and anything else (a compound
+assignment among them) is unknown.  A value C leaves undefined (a shift by
+a count outside 0..63, a division by zero, a char constant past ASCII) is
+unknown too.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _store_leaf(expr, env) -> int | None:
     if isinstance(expr, ast.Cast):
         # numeric identity through casts; the bit pattern is what matters
         return fold(expr.operand, _store_leaf, env)
-    if isinstance(expr, ast.Assign):
+    if isinstance(expr, ast.Assign) and expr.op == "=":
         return fold(expr.value, _store_leaf, env)
     return None
 

@@ -35,6 +35,36 @@ def test_analyze_unit_solves_each_function_once(parse_c, monkeypatch):
     assert calls == ["f", "g", "h"]
 
 
+def test_each_store_is_folded_once(parse_c, monkeypatch):
+    """A statement's stores are judged where they land, so the fold that
+    applies an `=` store is the one its NAKED_POINTER check reads; a
+    compound assignment is no constant and is not folded."""
+    src = (
+        "value f(value a)\n{\n"
+        "    CAMLparam1(a);\n"
+        "    CAMLlocal1(v);\n"
+        "    long t = 4;\n"
+        "    int n;\n"
+        "    v = Val_int(3);\n"
+        "    t = t + 2;\n"
+        "    n = g();\n"
+        "    n += 2;\n"
+        "    v = t, v = (n += 1);\n"
+        "    CAMLreturn(v);\n}\n"
+    )
+    folded = []
+    fold = stublint.analysis.eval_const
+
+    def counting(expr, env):
+        folded.append(expr.line)
+        return fold(expr, env)
+
+    monkeypatch.setattr(stublint.analysis, "eval_const", counting)
+    found = analyze_unit(parse_c(src), load_summaries())
+    assert sorted(folded) == [5, 7, 8, 9, 11, 11]
+    assert [(d.rule_id, d.line) for d in found] == [("NAKED_POINTER", 11)]
+
+
 def test_unreached_blocks_keep_bottom_in_every_component(parse_c):
     src = (
         "value f(value a)\n{\n"

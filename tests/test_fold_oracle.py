@@ -84,20 +84,27 @@ def _guard_bits() -> list[int]:
     return [int(f"even_{i}" not in taken) for i in range(len(_EXPRS))]
 
 
-def _store_bits() -> list[int]:
-    """The low bit of each expression, as the finding its store gets."""
-    stores = "".join(f"    v = {e};\n" for e in _EXPRS)
-    source = f"value f(value a)\n{{\n    value v;\n{stores}    return a;\n}}\n"
+def _store_bits(form: str = "v = {};") -> list[int]:
+    """The low bit of each expression, as the finding its store gets when
+    `form` stores it into `v`."""
+    stores = "".join(f"    {form.format(e)}\n" for e in _EXPRS)
+    source = f"value f(value a)\n{{\n    value v;\n    long t;\n{stores}    return a;\n}}\n"
     found = analyze_unit(parse_unit(source, "stores.c"), load_summaries())
     assert not [d for d in found if d.rule_id == "UNSUPPORTED_CONSTRUCT"]
     even = {d.line for d in found if d.rule_id == "NAKED_POINTER"}
-    return [int(4 + i not in even) for i in range(len(_EXPRS))]
+    return [int(5 + i not in even) for i in range(len(_EXPRS))]
 
 
 def test_a_guard_and_a_store_fold_alike():
     bits = _guard_bits()
     assert 0 < sum(bits) < len(bits)
     assert _store_bits() == bits
+
+
+def test_a_store_through_a_temporary_agrees_with_a_direct_store():
+    """`t = (E), v = t;` judges `v = t` once `t = (E)` has landed, the
+    comma being a sequence point."""
+    assert _store_bits("t = ({}), v = t;") == _store_bits()
 
 
 @needs_gcc

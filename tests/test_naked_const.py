@@ -61,9 +61,29 @@ def test_cast_is_transparent(lint_c):
 def test_constant_flows_through_a_plain_variable(lint_c):
     body = "    int t;\n    value v;\n    t = 4;\n    v = t;\n"
     assert naked_lines(lint_c, body) == [6]
-    # a statement's stores are judged against the constants at its entry,
-    # where `n` is not yet known
+    # a store is judged where it lands, against what the statement's earlier
+    # ops left: the comma is a sequence point, so `n` is 2 when `v = n` runs
     body = "    int n;\n    value v;\n    n = 2, v = n;\n"
+    assert naked_lines(lint_c, body) == [5]
+
+
+def test_an_earlier_op_of_the_statement_is_seen_by_its_store(lint_c):
+    # `n++` makes `n` unknown before `v = n - 1` lands; `v` is 3, odd
+    body = "    int n;\n    value v;\n    n = 3;\n    n++, v = n - 1;\n"
+    assert naked_lines(lint_c, body) == []
+
+
+def test_a_store_in_a_call_that_never_returns_is_still_judged(lint_c):
+    body = '    value v;\n    caml_failwith((v = 4, "boom"));\n'
+    assert naked_lines(lint_c, body) == [4]
+
+
+def test_a_compound_assignment_is_no_constant(lint_c):
+    # `n += 2` holds n + 2, not 2; with `n` unknown, so is `v`
+    body = "    int n;\n    value v;\n    n = g();\n    v = (n += 2);\n"
+    assert naked_lines(lint_c, body) == []
+    # with `n` 1, `v` is 3, odd; the fold knows no compound operator
+    body = "    int n;\n    value v;\n    n = 1;\n    v = (n += 2);\n"
     assert naked_lines(lint_c, body) == []
 
 

@@ -279,6 +279,31 @@ def test_address_taken_value_is_noted_and_untracked(lint_c):
     assert any(d.rule_id == "NOTE" and "&" not in d.message for d in diags)
 
 
+def test_an_address_is_judged_after_the_stores_before_it(lint_c):
+    # `&p` is taken once `p` holds a derived pointer, so its address escapes;
+    # `&v` is taken once the store of 2 has made `v` a plain C value
+    notes = [
+        (d.line, d.message)
+        for d in lint_c(
+            wrap(
+                """\
+                char *p;
+                char **pp;
+                value v;
+                value *vp;
+                p = String_val(a), pp = &p;
+                v = 2, vp = &v;
+                CAMLreturn(Val_unit);
+                """
+            )
+        )
+        if d.rule_id == "NOTE"
+    ]
+    assert notes == [
+        (8, "address of 'p' escapes; it is no longer tracked as an OCaml value")
+    ]
+
+
 def test_opaque_statement_drops_heap_facts(lint_c):
     diags = lint_c(
         wrap(
