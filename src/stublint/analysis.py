@@ -24,9 +24,12 @@ applies the stores, address-takings and increments in order, and judges
 each store and each `&` where it lands, against what the statement's
 earlier ops left (C's comma is a sequence point): an even constant stored
 into a value, folded once both to judge and to apply; the address of a
-value escaping.  A statement that is a call the summary table says never
-returns (`noreturn`) returns BOTTOM after that pass, which ends the path,
-so the call's successors see nothing of it.  The blocks come from the
+value escaping.  A store's own operand is folded against the constants as
+they stood before its ops, which come first, landed: `t = t + 1` inside
+it reads `t` once, and a `?:` condition reads no arm's store.  A
+statement that is a call the summary table says never returns
+(`noreturn`) returns BOTTOM after that pass, which ends the path, so the
+call's successors see nothing of it.  The blocks come from the
 syntax alone, and this is the one place the table ends a path.  Every lock
 finding comes from the one table of `lock_analysis`, keyed by (event, lock
 state); a call or dereference made while the lock is held looks nothing up
@@ -51,7 +54,7 @@ from .c_frontend.intrinsics import (
     MACRO_NAMES,
     STRING_DEREF,
 )
-from .c_frontend.nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
+from .c_frontend.nodes import ADDR, ASSIGN, CALL, DEREF
 from .dataflow import Fixpoint, forward_solve
 from .diagnostics import ERROR, NOTE, Diagnostic
 from .lock_analysis import LockState, SummaryTable, join_lock, judge_lock, step_call
@@ -167,45 +170,47 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 if fact is HEAP:
                     env[name] = STALE
         derive_stale = entry is not LockState.HELD
-        for op in ops:
+        moved = []  # (index, name, constant before) of each op landed
+        for i, op in enumerate(ops):
             kind = op[0]
-            if kind == ASSIGN:
-                name = op[1]
-                k = None
-                if op[2] == "=":
-                    env[name] = fact_of(op[3], env, derive_stale)
-                    k = eval_const(op[3], consts)
-                    # a non-value declaration's own store (its last op) makes
-                    # a C variable, even one named like a value
-                    if (
-                        k is not None
-                        and k & 1 == 0
-                        and name in values
-                        and not (
-                            op is ops[-1]
-                            and isinstance(stmt, ast.VarDecl)
-                            and not stmt.ctype.is_value
-                        )
-                    ):
-                        message = (
-                            f"constant {k} stored into OCaml value '{name}' has a"
-                            " clear low bit; the GC would chase it as a pointer"
-                        )
-                        report(found, op[4], "NAKED_POINTER", ERROR, message)
-                if k is None:
-                    consts.pop(name, None)
-                else:
-                    consts[name] = k
-            elif kind == ADDR or kind == BUMP:
-                name = op[1]
-                if kind == ADDR and env.get(name, PLAIN) is not PLAIN:
-                    message = (
-                        f"address of '{name}' escapes;"
-                        " it is no longer tracked as an OCaml value"
+            if kind == CALL or kind == DEREF:
+                continue
+            name = op[1]
+            k = None
+            if kind == ASSIGN and op[2] == "=":
+                env[name] = fact_of(op[3], env, derive_stale)
+                # fold the operand against the constants its own ops found
+                undo = moved and {var: c for j, var, c in reversed(moved) if j >= op[4]}
+                k = eval_const(op[3], {**consts, **undo} if undo else consts)
+                # a non-value declaration's own store (its last op) makes a
+                # C variable, even one named like a value
+                if (
+                    k is not None
+                    and k & 1 == 0
+                    and name in values
+                    and not (
+                        op is ops[-1]
+                        and isinstance(stmt, ast.VarDecl)
+                        and not stmt.ctype.is_value
                     )
-                    report(found, op[2], "NOTE", NOTE, message)
-                    env[name] = PLAIN
+                ):
+                    message = (
+                        f"constant {k} stored into OCaml value '{name}' has a"
+                        " clear low bit; the GC would chase it as a pointer"
+                    )
+                    report(found, op[5], "NAKED_POINTER", ERROR, message)
+            elif kind == ADDR and env.get(name, PLAIN) is not PLAIN:
+                message = (
+                    f"address of '{name}' escapes;"
+                    " it is no longer tracked as an OCaml value"
+                )
+                report(found, op[2], "NOTE", NOTE, message)
+                env[name] = PLAIN
+            moved.append((i, name, consts.get(name)))
+            if k is None:
                 consts.pop(name, None)
+            else:
+                consts[name] = k
         if ends:
             return BOTTOM
         return lock, env, consts

@@ -282,10 +282,11 @@ class StubUnit(_Node):
 # statements, each initializer and the `for` step have a list of their own;
 # `case` labels, global initializers and `#if` guards give no op.  An
 # initialized VarDecl's list ends with the store into the declared name,
-# whose site is a Name at the declared name.
+# whose site is a Name at the declared name.  An ASSIGN op holds the index
+# in its list where the ops of its right operand start; they run up to it.
 
 CALL = "call"  # (CALL, name, call): a call whose callee is a plain name
-ASSIGN = "assign"  # (ASSIGN, name, op, value, where): `name op value`
+ASSIGN = "assign"  # (ASSIGN, name, op, value, start, where): `name op value`
 ADDR = "addr"  # (ADDR, name, where): `&name`
 BUMP = "bump"  # (BUMP, name): `++`/`--` on a name
 DEREF = "deref"  # (DEREF, ptr, where): `*ptr`, `ptr->f` or `ptr[i]`

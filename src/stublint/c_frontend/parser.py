@@ -279,7 +279,7 @@ class _Parser:
                 # target of an Assign, not the declaration that holds these
                 # ops: an op never refers to its statement
                 target = nodes.Name(line, col, ident)
-                ops = (*self.ops, (ASSIGN, ident, "=", init, target))
+                ops = (*self.ops, (ASSIGN, ident, "=", init, 0, target))
                 decls.append(nodes.VarDecl(line, col, ident, ctype, init, ops))
             if not self.accept(","):
                 return decls
@@ -722,6 +722,7 @@ class _Parser:
         those of the prefix operators around them, which come innermost
         first."""
         tokens = self.tokens
+        ops = self.ops
         depth = self.depth
         try:
             tok = tokens[self.pos]
@@ -773,12 +774,12 @@ class _Parser:
                         self.expect(")")
                         node = nodes.Call(line, col, left, args)
                         if isinstance(left, nodes.Name):
-                            self.ops.append((CALL, left.ident, node))
+                            ops.append((CALL, left.ident, node))
                     elif text == "[":
                         index = self.parse_expr()
                         self.expect("]")
                         node = nodes.Index(tok[LINE], tok[COL], left, index)
-                        self.ops.append((DEREF, left, node))
+                        ops.append((DEREF, left, node))
                     elif text == "." or text == "->":
                         member = self.take()
                         if member[KIND] != "ident":
@@ -787,22 +788,22 @@ class _Parser:
                         arrow = text == "->"
                         node = nodes.Member(tok[LINE], tok[COL], left, name, arrow)
                         if arrow:
-                            self.ops.append((DEREF, left, node))
+                            ops.append((DEREF, left, node))
                     else:
                         if isinstance(left, nodes.Name):
-                            self.ops.append((BUMP, left.ident))
+                            ops.append((BUMP, left.ident))
                         node = nodes.Unary(tok[LINE], tok[COL], text, left, False)
                     left = node
             for tok in reversed(prefixes):
                 op = tok[TEXT]
                 node = nodes.Unary(tok[LINE], tok[COL], op, left, True)
                 if op == "*":
-                    self.ops.append((DEREF, left, node))
+                    ops.append((DEREF, left, node))
                 elif isinstance(left, nodes.Name):
                     if op == "&":
-                        self.ops.append((ADDR, left.ident, node))
+                        ops.append((ADDR, left.ident, node))
                     elif op == "++" or op == "--":
-                        self.ops.append((BUMP, left.ident))
+                        ops.append((BUMP, left.ident))
                 left = node
             self.depth = depth
             while True:
@@ -813,10 +814,11 @@ class _Parser:
                 self.pos += 1
                 self.nest(tok)
                 if prec == _ASSIGN:
+                    start = len(ops)
                     right = self.parse_expr(_ASSIGN)
                     node = nodes.Assign(tok[LINE], tok[COL], left, right, tok[TEXT])
                     if isinstance(left, nodes.Name):
-                        self.ops.append((ASSIGN, left.ident, tok[TEXT], right, node))
+                        ops.append((ASSIGN, left.ident, tok[TEXT], right, start, node))
                     left = node
                 elif prec == _CONDITIONAL:
                     then = self.parse_expr(_COMMA)

@@ -10,9 +10,10 @@ The propagation is an environment lattice plus `eval_const`, the constant
 component of the one product solve per function (`analysis`).  Its step
 judges each store into a value where the store lands, in the pass that
 applies the statement's stores in order, so the store sees what the
-statement's earlier ops left; the one fold gives both the verdict and the
-constant the store leaves behind.  Unreached code is the product's BOTTOM,
-so the environment is always a dict.
+statement's earlier ops left, save its own operand's, which is folded
+against the constants before they landed; the one fold gives both the
+verdict and the constant the store leaves behind.  Unreached code is the
+product's BOTTOM, so the environment is always a dict.
 
 `eval_const` is the C constant folder that `#if` guards use,
 `preprocess.fold`, with the store's leaf: a name is one of the runtime's

@@ -107,6 +107,16 @@ def test_a_store_through_a_temporary_agrees_with_a_direct_store():
     assert _store_bits("t = ({}), v = t;") == _store_bits()
 
 
+@pytest.mark.parametrize(
+    "form", ["t = ({}), v = (t = t + 1) - 1;", "t = 1, v = t ? (t = 0) + ({}) : 1;"]
+)
+def test_a_store_folds_its_inner_stores_against_the_constants_they_found(form):
+    """A store's inner stores land before it, but its own operand is
+    folded as they found the constants: `t = t + 1` reads `t` as E, and
+    the `?:` condition reads `t` as 1, before the arm's store."""
+    assert _store_bits(form) == _store_bits()
+
+
 @needs_gcc
 def test_a_guard_and_a_store_fold_as_gcc_does(tmp_path):
     """One program prints the low bit of every expression, as the C

@@ -73,6 +73,15 @@ def test_an_earlier_op_of_the_statement_is_seen_by_its_store(lint_c):
     assert naked_lines(lint_c, body) == []
 
 
+def test_a_store_folds_its_own_operand_against_the_constants_it_found(lint_c):
+    # `t = t + 1` is folded from `t` 2, not from the 3 it leaves: `v` is 3
+    body = "    long t;\n    value v;\n    t = 2;\n    v = (t = t + 1);\n"
+    assert naked_lines(lint_c, body) == []
+    # the condition reads `t` 1, before the arm's store: `v` is 0
+    body = "    long t;\n    value v;\n    t = 1;\n    v = t ? (t = 0) : 3;\n"
+    assert naked_lines(lint_c, body) == [6]
+
+
 def test_a_store_in_a_call_that_never_returns_is_still_judged(lint_c):
     body = '    value v;\n    caml_failwith((v = 4, "boom"));\n'
     assert naked_lines(lint_c, body) == [4]
