@@ -172,10 +172,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
         derive_stale = entry is not LockState.HELD
         moved = []  # (index, name, constant before) of each op landed
         for i, op in enumerate(ops):
-            kind = op[0]
-            if kind == CALL or kind == DEREF:
-                continue
-            name = op[1]
+            kind, name = op[0], op[1]
             k = None
             if kind == ASSIGN and op[2] == "=":
                 env[name] = fact_of(op[3], env, derive_stale)
@@ -206,7 +203,10 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 )
                 report(found, op[2], "NOTE", NOTE, message)
                 env[name] = PLAIN
-            moved.append((i, name, consts.get(name)))
+            elif kind == CALL or kind == DEREF:
+                continue
+            if op is not ops[-1]:  # a later store's operand may need it undone
+                moved.append((i, name, consts.get(name)))
             if k is None:
                 consts.pop(name, None)
             else:
