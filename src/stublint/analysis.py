@@ -54,7 +54,7 @@ from .c_frontend.intrinsics import (
     MACRO_NAMES,
     STRING_DEREF,
 )
-from .c_frontend.nodes import ADDR, ASSIGN, CALL, DEREF
+from .c_frontend.nodes import ADDR, ASSIGN, CALL, DEREF, JOIN
 from .dataflow import Fixpoint, forward_solve
 from .diagnostics import ERROR, NOTE, Diagnostic
 from .lock_analysis import LockState, SummaryTable, join_lock, judge_lock, step_call
@@ -174,8 +174,9 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
         for i, op in enumerate(ops):
             kind, name = op[0], op[1]
             k = None
-            if kind == ASSIGN and op[2] == "=":
-                env[name] = fact_of(op[3], env, derive_stale)
+            if kind == ASSIGN:
+                if op[2] == "=":
+                    env[name] = fact_of(op[3], env, derive_stale)
                 # fold the operand against the constants its own ops found
                 undo = moved and {var: c for j, var, c in reversed(moved) if j >= op[4]}
                 k = eval_const(op[3], {**consts, **undo} if undo else consts)
@@ -204,6 +205,11 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
                 report(found, op[2], "NOTE", NOTE, message)
                 env[name] = PLAIN
             elif kind == CALL or kind == DEREF:
+                continue
+            elif kind == JOIN:  # the ops since op[1] may not have run
+                for j, var, c in moved:
+                    if j >= op[1] and consts.get(var) != c:
+                        consts.pop(var, None)  # the join of both outcomes
                 continue
             if op is not ops[-1]:  # a later store's operand may need it undone
                 moved.append((i, name, consts.get(name)))

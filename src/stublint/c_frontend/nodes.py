@@ -282,11 +282,15 @@ class StubUnit(_Node):
 # statements, each initializer and the `for` step have a list of their own;
 # `case` labels, global initializers and `#if` guards give no op.  An
 # initialized VarDecl's list ends with the store into the declared name,
-# whose site is a Name at the declared name.  An ASSIGN op holds the index
+# whose site is a Name at the declared name.  An ASSIGN op holds the value
+# its name holds after it (`n op x` for a compound `n op= x`) and the index
 # in its list where the ops of its right operand start; they run up to it.
+# The ops of an arm of `?:`, or of the right operand of `&&` or `||`, that
+# hold an ASSIGN are followed by a JOIN: they may not have run.
 
 CALL = "call"  # (CALL, name, call): a call whose callee is a plain name
-ASSIGN = "assign"  # (ASSIGN, name, op, value, start, where): `name op value`
+ASSIGN = "assign"  # (ASSIGN, name, op, value, start, where): `name` gets `value`
+JOIN = "join"  # (JOIN, start): the ops from `start` up to here may not run
 ADDR = "addr"  # (ADDR, name, where): `&name`
 BUMP = "bump"  # (BUMP, name): `++`/`--` on a name
 DEREF = "deref"  # (DEREF, ptr, where): `*ptr`, `ptr->f` or `ptr[i]`

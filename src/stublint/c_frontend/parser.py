@@ -34,7 +34,7 @@ from __future__ import annotations
 from ..diagnostics import WARNING, Diagnostic
 from . import nodes
 from .intrinsics import CAMLLOCAL, CAMLRETURN
-from .nodes import ADDR, ASSIGN, BUMP, CALL, DEREF
+from .nodes import ADDR, ASSIGN, BUMP, CALL, DEREF, JOIN
 from .lexer import COL, KIND, LINE, TEXT, Token, lex
 
 BASE_TYPE_WORDS = frozenset(
@@ -813,20 +813,27 @@ class _Parser:
                     return left
                 self.pos += 1
                 self.nest(tok)
+                start = len(ops)
                 if prec == _ASSIGN:
-                    start = len(ops)
                     right = self.parse_expr(_ASSIGN)
                     node = nodes.Assign(tok[LINE], tok[COL], left, right, tok[TEXT])
                     if isinstance(left, nodes.Name):
-                        ops.append((ASSIGN, left.ident, tok[TEXT], right, start, node))
+                        if node.op != "=":  # `left` gets `left op right`
+                            op = node.op[:-1]
+                            right = nodes.Binary(node.line, node.col, op, left, right)
+                        ops.append((ASSIGN, left.ident, node.op, right, start, node))
                     left = node
                 elif prec == _CONDITIONAL:
                     then = self.parse_expr(_COMMA)
                     self.expect(":")
+                    _join(ops, start)
                     els = self.parse_expr(_CONDITIONAL)
+                    _join(ops, start)
                     left = nodes.Ternary(tok[LINE], tok[COL], left, then, els)
                 else:
                     right = self.parse_expr(prec + 1)
+                    if tok[TEXT] == "&&" or tok[TEXT] == "||":
+                        _join(ops, start)
                     left = nodes.Binary(tok[LINE], tok[COL], tok[TEXT], left, right)
         finally:
             self.depth = depth
@@ -889,6 +896,16 @@ class _Parser:
             return expr
         finally:
             self.depth = depth
+
+
+def _join(ops: list, start: int):
+    """End the ops from `start` on with a JOIN when one of them stores:
+    they are those of an arm of `?:`, or of the right operand of `&&` or
+    `||`, and run on one outcome of a condition alone.  The JOIN of the
+    else arm of `?:` starts at its then arm, whose stores, joined, it
+    still sees."""
+    if any(op[0] == ASSIGN for op in ops[start:]):
+        ops.append((JOIN, start))
 
 
 def _expr_stmt(line: int, col: int, expr, ops: tuple):

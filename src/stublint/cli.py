@@ -202,10 +202,9 @@ def _analyze_files(parts, table: SummaryTable) -> list[Record]:
     return records
 
 
-def _slices(c_paths, jobs: int) -> list[list[tuple]]:
-    """The C files as the parts `_analyze_files` takes, in one slice for
-    each of up to `jobs` processes: contiguous slices of whole files, but a
-    lone file cut into parts of top-level items, one a slice.
+def _parts(c_paths, jobs: int) -> list[tuple]:
+    """The C files as the parts `_analyze_files` takes: whole files, but a
+    lone file cut into up to `jobs` parts of top-level items.
 
     The k-th cut is at the line after the first line that starts with `}`
     from k/jobs of the text on, and there is none unless another such line
@@ -214,15 +213,12 @@ def _slices(c_paths, jobs: int) -> list[list[tuple]]:
     raised in its turn.
     """
     if len(c_paths) != 1 or jobs < 2:
-        parts = [(path, 0, None) for path in c_paths]
-        n = len(parts)
-        count = max(min(jobs, n), 1)  # one empty slice when no C file is given
-        return [parts[i * n // count : (i + 1) * n // count] for i in range(count)]
+        return [(path, 0, None) for path in c_paths]
     path = c_paths[0]
     try:
         text = _read(path)
     except FatalError:
-        return [[(path, 0, None)]]
+        return [(path, 0, None)]
     final = text.rfind("\n}")
     lines = [0]
     at = 0
@@ -233,7 +229,7 @@ def _slices(c_paths, jobs: int) -> list[list[tuple]]:
         at = text.find("\n", brace + 2)
         lines.append(text.count("\n", 0, at + 1) + 1)
     lines.append(None)
-    return [[(path, first, last)] for first, last in zip(lines, lines[1:])]
+    return [(path, first, last) for first, last in zip(lines, lines[1:])]
 
 
 # -- driver ------------------------------------------------------------------
@@ -291,20 +287,19 @@ def run(
 
     table = _load_table(summaries)
 
-    # The workers start before the .ml side and the outputs, which this
-    # process does meanwhile.  An error is raised in the order of a run in
-    # one process: the .ml reads and the writes, then the C files in order.
-    own, *rest = _slices(c_paths, jobs if hasattr(os, "fork") else 1)
-    workers = None
-    if rest:
-        from .workers import Workers  # only a run that forks loads it
+    # The workers start claiming C parts before the .ml side and the
+    # outputs, which this process does first.  An error is raised in the
+    # order of a run in one process: the .ml reads and the writes, then the
+    # C files in order.
+    jobs = jobs if hasattr(os, "fork") else 1
+    parts = _parts(c_paths, jobs)
+    claims = None
+    if jobs > 1 and len(parts) > 1:
+        from .workers import Claims  # only a run that forks loads it
 
-        workers = Workers(rest, table)
+        claims = Claims(parts, table, jobs)
     finished = False
     try:
-        if workers:
-            workers.start()
-
         diags: list[Diagnostic] = []
         decls = []
         for path in ml_paths:
@@ -327,13 +322,11 @@ def run(
         if harness_out is not None:
             _write_output(harness_out, harness_gen.generate_main(decls))
 
-        records = _analyze_files(own, table)
-        if workers:
-            records.extend(workers.results())
+        records = claims.results() if claims else _analyze_files(parts, table)
         finished = True
     finally:
-        if workers:
-            workers.reap(finished)
+        if claims:
+            claims.reap(finished)
 
     # in any order: `normalize` sorts them, and two findings of a C file
     # with one sort key are equal (tests/test_cli.py checks)

@@ -37,8 +37,8 @@ def test_analyze_unit_solves_each_function_once(parse_c, monkeypatch):
 
 def test_each_store_is_folded_once(parse_c, monkeypatch):
     """A statement's stores are judged where they land, so the fold that
-    applies an `=` store is the one its NAKED_POINTER check reads; a
-    compound assignment is no constant and is not folded."""
+    applies a store is the one its NAKED_POINTER check reads; a compound
+    assignment folds `n op x` from the constant `n` held."""
     src = (
         "value f(value a)\n{\n"
         "    CAMLparam1(a);\n"
@@ -61,7 +61,7 @@ def test_each_store_is_folded_once(parse_c, monkeypatch):
 
     monkeypatch.setattr(stublint.analysis, "eval_const", counting)
     found = analyze_unit(parse_c(src), load_summaries())
-    assert sorted(folded) == [5, 7, 8, 9, 11, 11]
+    assert sorted(folded) == [5, 7, 8, 9, 10, 11, 11, 11]
     assert [(d.rule_id, d.line) for d in found] == [("NAKED_POINTER", 11)]
 
 

@@ -473,6 +473,8 @@ def _show(op):
     """One op as text: its kind, its name or pointer, and where it sits."""
     if op[0] == "bump":
         return f"bump {op[1]}"
+    if op[0] == "join":
+        return f"join {op[1]}"
     at = f"{op[-1].line}:{op[-1].col}"
     if op[0] == "assign":
         return f"assign {op[1]} {op[2]} {_spell(op[3])} {at}"
@@ -511,8 +513,23 @@ OP_TABLE = [
         "if (p(x)) h(y); else while (*q) q++;",
         [["call p 4:9"], ["call h 4:15"], ["deref q 4:33"], ["bump q"]],
     ),
-    # the condition's node is made before the body's
-    ("do x += 1; while (x--);", [["bump x"], ["assign x += 1 4:10"]]),
+    # the condition's node is made before the body's; a compound store's
+    # value is `x + 1`
+    ("do x += 1; while (x--);", [["bump x"], ["assign x += Binary 4:10"]]),
+    # the ops of an arm of `?:`, or of the right operand of `&&` or `||`,
+    # are followed by a JOIN from where they start when one of them stores
+    (
+        "x = g() ? (y = 1) : h();",
+        [
+            [
+                "call g 4:9", "assign y = 1 4:18", "join 1", "call h 4:25",
+                "join 1", "assign x = Ternary 4:7",
+            ]
+        ],
+    ),
+    ("g() && (y = 1);", [["call g 4:5", "assign y = 1 4:15", "join 1"]]),
+    ("f() || g(y = 1);", [["call f 4:5", "assign y = 1 4:16", "call g 4:12", "join 1"]]),
+    ("f() || g() ? 1 : h();", [["call f 4:5", "call g 4:12", "call h 4:22"]]),
     (
         "n = (value) {f(1), g(2)};",
         [["call f 4:18", "call g 4:24", "assign n = CompoundLit 4:7"]],

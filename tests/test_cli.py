@@ -9,6 +9,7 @@ import json
 import os
 import pickle
 import re
+import time
 
 import jsonschema
 import pytest
@@ -16,7 +17,7 @@ import stubgen
 from conftest import CORPUS
 from hypothesis import given, settings, strategies as st
 
-from stublint import cli, workers
+from stublint import cli, ml_frontend, workers
 from stublint.cli import main
 from stublint.diagnostics import normalize, sort_key
 from stublint.lock_analysis import load_summaries
@@ -447,6 +448,76 @@ def cpus(monkeypatch):
     return set_to
 
 
+# how long `stall` makes a process wait: far longer than the other
+# processes of a test's run take to claim what they can
+STALL_S = 0.4
+_PARENT = os.getpid()
+
+
+class _Claimers:
+    """A log of the parts each `workers._analyze_files` call analyzed, and
+    of the process that took them."""
+
+    def __init__(self, tmp_path, monkeypatch):
+        self.logs = tmp_path / "claims"
+        self.monkeypatch = monkeypatch
+        self.analyze_files = workers._analyze_files
+
+    def spy(self, wait: float = 0.0):
+        """Log each call from now on, a worker's after `wait` seconds; returns
+        the log's path."""
+        self.logs.mkdir(exist_ok=True)
+        log = self.logs / str(len(list(self.logs.iterdir())))
+        log.touch()
+        analyze_files = self.analyze_files
+
+        def logged(parts, table):
+            if os.getpid() != _PARENT:
+                time.sleep(wait)
+            with open(log, "a") as handle:
+                handle.write(json.dumps([os.getpid(), parts]) + "\n")
+            return analyze_files(parts, table)
+
+        self.monkeypatch.setattr(workers, "_analyze_files", logged)
+        return log
+
+    def calls(self, log) -> list[tuple]:
+        """(pid, parts) of each call."""
+        lines = log.read_text().splitlines()
+        return [(pid, [tuple(part) for part in parts]) for pid, parts in map(json.loads, lines)]
+
+    def parts(self, log) -> list[tuple]:
+        return [part for _, parts in self.calls(log) for part in parts]
+
+    def __call__(self, log) -> dict:
+        """The pid of the process that took each file."""
+        return {part[0]: pid for pid, parts in self.calls(log) for part in parts}
+
+
+@pytest.fixture
+def claimers(tmp_path, monkeypatch):
+    return _Claimers(tmp_path, monkeypatch)
+
+
+@pytest.fixture
+def stall(monkeypatch, claimers):
+    """Make "main", this process, wait in its .ml side, or the "workers"
+    wait in each claim, so that the others take the claims first; each
+    call undoes the last and returns the log of the claims."""
+    parse_ml_externals = ml_frontend.parse_ml_externals
+
+    def slow(text, path):
+        time.sleep(STALL_S)
+        return parse_ml_externals(text, path)
+
+    def wait(who: str):
+        parse = slow if who == "main" else parse_ml_externals
+        monkeypatch.setattr(ml_frontend, "parse_ml_externals", parse)
+        return claimers.spy(STALL_S if who == "workers" else 0.0)
+
+    return wait
+
+
 def assert_no_worker_is_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -479,21 +550,29 @@ def test_the_outputs_do_not_depend_on_the_jobs(
     assert runs[2] == runs[0]
 
 
-def test_the_first_fatal_error_in_file_order_is_reported(proj, run_main, cpus):
+def test_the_first_fatal_error_in_file_order_is_reported(
+    proj, run_main, cpus, stall, claimers
+):
+    """The missing file and the lex error lie in claims that different
+    processes take, whichever process waits; the error is the one a run in
+    one process meets first."""
     _, write = proj
     paths = [write(f"f{i}.c", CLEAN_C.replace("ok", f"ok{i}")) for i in range(6)]
     paths[3] = paths[3].replace("f3.c", "missing.c")
     paths[4] = write("f4.c", "value f(value a)\n{\n    return a @ 1;\n}\n")
-    # one, two and three slices: the missing file is in the second or the
-    # third slice, and the lex error in the third
+    paths.insert(0, write("one.ml", CLEAN_ML))
+    message = f"stublint: error: cannot read {paths[4]}: No such file or directory\n"
     for jobs in (1, 2, 3):
         cpus(jobs)
-        code, out, err = run_main(*paths)
+        assert run_main(*paths) == (2, "", message)
         assert_no_worker_is_left()
-        assert (code, out) == (2, "")
-        assert err == (
-            f"stublint: error: cannot read {paths[3]}: No such file or directory\n"
-        )
+    for waiting in ("main", "workers"):
+        log = stall(waiting)
+        assert run_main(*paths) == (2, "", message)
+        assert_no_worker_is_left()
+        # a process stops at its claim's error: f3 and f4 went to two
+        taken = claimers(log)
+        assert taken[paths[4]] != taken[paths[5]]
 
 
 def test_an_unwritable_header_stops_the_workers(proj, run_main, cpus):
@@ -507,7 +586,9 @@ def test_an_unwritable_header_stops_the_workers(proj, run_main, cpus):
     assert err.startswith(f"stublint: error: cannot write {header}: ")
 
 
-def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch, cpus):
+def test_a_worker_failure_is_raised_not_an_exit_status(
+    proj, monkeypatch, cpus, stall
+):
     _, write = proj
     paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
     analyze_unit = cli.analyze_unit
@@ -519,15 +600,22 @@ def test_a_worker_failure_is_raised_not_an_exit_status(proj, monkeypatch, cpus):
 
     monkeypatch.setattr(cli, "analyze_unit", fail_on_the_last_file)
     cpus(2)
+    stall("main")  # so the worker takes the last file
     with contextlib.redirect_stdout(io.StringIO()) as out:
         with pytest.raises(RuntimeError, match="ValueError: boom"):
-            main(paths)
+            main([write("one.ml", CLEAN_ML), *paths])
     assert_no_worker_is_left()
     assert out.getvalue() == ""
 
 
+_analyze_files = cli._analyze_files
+_PARENT = os.getpid()
+
+
 def _exit_before_replying(parts, table):
-    os._exit(0)
+    if os.getpid() != _PARENT:
+        os._exit(0)
+    return _analyze_files(parts, table)
 
 
 _dumps = pickle.dumps
@@ -546,30 +634,37 @@ def _truncated_dumps(obj, protocol):
     ids=["empty", "truncated"],
 )
 def test_a_worker_that_ends_without_replying_is_raised(
-    proj, monkeypatch, cpus, capsys, module, name, fake
+    proj, monkeypatch, cpus, capsys, stall, module, name, fake
 ):
     """A worker that leaves before it writes sends an empty reply, and one
     cut short a truncated one: each is an error, not a run without the
-    records of its slice."""
+    records of the claims it took."""
     _, write = proj
     paths = [write(f"f{i}.c", BAD_C) for i in range(4)]
-    monkeypatch.setattr(module, name, fake)
     cpus(2)
+    stall("main")  # so the worker takes a claim
+    monkeypatch.setattr(module, name, fake)
     message = "^a worker ended without sending its results$"
     with pytest.raises(RuntimeError, match=message):
-        main(paths)
+        main([write("one.ml", CLEAN_ML), *paths])
     assert_no_worker_is_left()
     assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(
-    "call, error", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)]
+    "call, error, refused",
+    [
+        pytest.param("fork", errno.EAGAIN, 2, id="fork-11"),
+        pytest.param("pipe", errno.EMFILE, 3, id="pipe-24"),
+        pytest.param("pipe", errno.EMFILE, 1, id="queue"),
+    ],
 )
 def test_a_slice_no_worker_can_take_stays_in_this_process(
-    proj, run_main, cpus, monkeypatch, call, error
+    proj, run_main, cpus, monkeypatch, call, error, refused
 ):
     """When the system refuses the second worker its process or its pipe,
-    that slice and the next are analyzed here, with the same output."""
+    or refuses the queue its pipe, this process takes the claims no worker
+    took, with the same output."""
     _, write = proj
     paths = [write(f"f{i}.c", BAD_C if i % 2 else CLEAN_C) for i in range(6)]
     cpus(1)
@@ -577,18 +672,85 @@ def test_a_slice_no_worker_can_take_stays_in_this_process(
     real = getattr(os, call)
     calls = []
 
-    def refuse_the_second():
+    def refuse_one():
         calls.append(call)
-        if len(calls) == 2:
+        if len(calls) == refused:
             raise OSError(error, os.strerror(error))
         return real()
 
-    monkeypatch.setattr(os, call, refuse_the_second)
+    monkeypatch.setattr(os, call, refuse_one)
     cpus(4)
     assert run_main(*paths) == alone
-    assert calls == [call, call]
+    # the queue's pipe comes before the worker's pipe and process
+    assert calls == [call] * refused
     assert_no_worker_is_left()
     assert alone[0] == 1 and "f1.c:" in alone[1] and "f5.c:" in alone[1]
+
+
+# -- the claim queue -----------------------------------------------------------
+
+
+def _claim_case(write, case: str) -> list[str]:
+    """The paths of a run with more C files than claims ("many"), fewer C
+    files than CPUs ("few"), or a lone C file cut for the jobs ("cut"),
+    and .ml externals for them."""
+    if case == "cut":
+        return [write("g.ml", _externals(60)), write("g.c", _stub_file(60))]
+    count = 300 if case == "many" else 2
+    paths, externals = [], []
+    for i in range(count):
+        name = f"s{i}"
+        paths.append(write(f"{name}.c", (BAD_C if i % 7 else CLEAN_C).replace("bad", name).replace("ok", name)))
+        externals.append(f'external {name} : {"int -> " * (1 + (i % 11 == 0))}int = "{name}"\n')
+    if count > 2:
+        # two definitions of one symbol far apart: the first, in file order,
+        # is the one the arity check reads, and it agrees
+        paths[5] = write("dup_first.c", CLEAN_C.replace("ok", "dup"))
+        paths[-5] = write("dup_last.c", "value dup(value a, value b)\n{\n    return a;\n}\n")
+        externals.append('external dup : int -> int = "dup"\n')
+    return [write("s.ml", "".join(externals)), *paths]
+
+
+@pytest.mark.parametrize("case", ["many", "few", "cut"])
+def test_the_claims_give_the_outputs_of_one_process(proj, run_main, cpus, claimers, case):
+    dirpath, write = proj
+    paths = _claim_case(write, case)
+    runs = []
+    for jobs in (1, 2, 3):
+        cpus(jobs)
+        log = claimers.spy()
+        runs.append(_outputs(dirpath, run_main, paths, f"{case}{jobs}"))
+        if jobs > 1:  # each part in one claim, taken once
+            calls = claimers.calls(log)
+            assert sorted(claimers.parts(log)) == sorted(cli._parts(paths[1:], jobs))
+            sizes = {len(parts) for _, parts in calls}
+            assert sizes == ({1, 2} if case == "many" else {1})
+    code, out, err = runs[0][:3]
+    assert (code, err) == (1, "")
+    assert "ARITY_MISMATCH" in out and "'dup' takes" not in out
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("waiting", ["main", "workers"])
+def test_the_outputs_do_not_depend_on_which_process_takes_a_claim(
+    proj, run_main, cpus, stall, claimers, waiting
+):
+    """Whether the worker takes every claim while this process reads the
+    .ml file, or this process takes all but the first while the worker
+    waits in it, the outputs are those of one process."""
+    dirpath, write = proj
+    paths = _claim_case(write, "many")[:41]
+    cpus(1)
+    alone = _outputs(dirpath, run_main, paths, "1")
+    cpus(2)
+    log = stall(waiting)
+    assert _outputs(dirpath, run_main, paths, "2") == alone
+    takers = {pid for pid, _ in claimers.calls(log)}
+    if waiting == "main":
+        assert _PARENT not in takers and len(takers) == 1
+    else:
+        assert _PARENT in takers
 
 
 # -- a lone C file cut at top-level items --------------------------------------
@@ -629,7 +791,7 @@ def test_a_lone_file_cut_for_the_jobs_gives_the_outputs_of_one_process(
     ]
     runs = []
     for jobs in (1, 2, 3):
-        assert len(cli._slices(paths[-1:], jobs)) == jobs
+        assert len(cli._parts(paths[-1:], jobs)) == jobs
         cpus(jobs)
         runs.append(_outputs(proj[0], run_main, paths, str(jobs)))
     code, out, err = runs[0][:3]
@@ -721,7 +883,7 @@ def _cross_part_run(proj, run_main, cpus, name: str, source: str, jobs: int = 2)
     asserting that a run in `jobs` processes cut it and gave the same."""
     _, write = proj
     paths = [write("one.ml", CLEAN_ML), write(name, source)]
-    assert len(cli._slices(paths[1:], jobs)) == jobs
+    assert len(cli._parts(paths[1:], jobs)) == jobs
     cpus(1)
     alone = _outputs(proj[0], run_main, paths, "1")
     cpus(jobs)
@@ -793,29 +955,22 @@ def test_a_later_part_without_a_function_gives_the_outputs_of_one_process(
     )
     source = HELPER_PRIM + _unlocked_call("helper_prim") + declarations
     _, write = proj
-    last = cli._slices([write("decls.c", source)], 3)[-1][0][1]
+    last = cli._parts([write("decls.c", source)], 3)[-1][1]
     assert last == source.count("\n", 0, source.index("struct point")) + 1
     alone = _cross_part_run(proj, run_main, cpus, "decls.c", source, jobs=3)
     assert len(_findings_at(alone[1], source, "    helper_prim(a);")) == 1
 
 
-def test_a_cut_file_is_analyzed_once(proj, run_main, cpus, monkeypatch):
+def test_a_cut_file_is_analyzed_once(proj, run_main, cpus, claimers):
     _, write = proj
     path = write("once.c", HELPER_PRIM + _unlocked_call("helper_prim"))
-    analyzed = []
-    analyze_files = cli._analyze_files
-
-    def spy(parts, table):
-        analyzed.extend(parts)
-        return analyze_files(parts, table)
-
-    monkeypatch.setattr(cli, "_analyze_files", spy)
     cpus(2)
+    log = claimers.spy()
     code, out, _ = run_main(path)
     assert code == 1 and "RUNTIME_CALL_UNLOCKED" in out
-    # this process analyzes its own part, then nothing whole
-    assert analyzed == cli._slices([path], 2)[0]
-    assert analyzed[0][2] is not None
+    # each part once, in whichever process took it
+    parts = cli._parts([path], 2)
+    assert len(parts) == 2 and sorted(claimers.parts(log)) == parts
 
 
 @pytest.mark.parametrize(
@@ -840,6 +995,7 @@ def test_a_one_function_file_forks_nothing(
         pytest.fail("a one-function file was cut")
 
     monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "pipe", no_fork)  # nor queued
     cpus(2)
     code, out, _ = run_main(path)
     assert code == 1 and "NAKED_POINTER" in out
@@ -874,7 +1030,7 @@ _CUT_SOURCES.insert(11, _unlocked_call("broken_prim", "broken_caller"))
 _CUT_SOURCES.insert(9, "}\n")
 _CUT_SOURCE = "".join(_CUT_SOURCES)
 _CUT_LINES = _CUT_SOURCE.count("\n")
-# the lines after a `}` in column 1, where `cli._slices` cuts
+# the lines after a `}` in column 1, where `cli._parts` cuts
 _BRACE_CUTS = [
     _CUT_SOURCE.count("\n", 0, i + 1) + 2
     for i in range(len(_CUT_SOURCE))
@@ -923,7 +1079,7 @@ def test_the_corpus_joined_into_one_file_gives_the_outputs_of_one_process(
     paths = ["--summaries", corpus_summaries_path, *mls, str(joined)]
     runs = []
     for jobs in (1, 2, 3):
-        assert len(cli._slices([str(joined)], jobs)) == jobs
+        assert len(cli._parts([str(joined)], jobs)) == jobs
         cpus(jobs)
         runs.append(_outputs(tmp_path, run_main, paths, str(jobs)))
     code, out, err = runs[0][:3]

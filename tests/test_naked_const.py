@@ -96,6 +96,32 @@ def test_a_compound_assignment_is_no_constant(lint_c):
     assert naked_lines(lint_c, body) == []
 
 
+def test_a_compound_assignment_into_a_value_is_judged(lint_c):
+    # `v -= 1` folds `v - 1` from the 1 `v` held: the store leaves 0
+    body = "    value v;\n    v = Val_unit;\n    v -= 1;\n"
+    assert naked_lines(lint_c, body) == [5]
+    # the constant a compound store leaves flows on like any other
+    body = "    int n;\n    value v;\n    n = 1;\n    n <<= 2;\n    v = n;\n"
+    assert naked_lines(lint_c, body) == [7]
+    body = "    value v;\n    v = Val_unit;\n    v += 2;\n"
+    assert naked_lines(lint_c, body) == []
+
+
+@pytest.mark.parametrize(
+    "form", ["g() ? ({}) : 3;", "g() ? 3 : ({});", "g() && ({});", "g() || ({});"]
+)
+def test_a_store_that_may_not_run_leaves_the_join_of_both_outcomes(lint_c, form):
+    # `t` is 1 when the store's arm or operand does not run, 0 when it does
+    body = f"    long t = 1;\n    value w;\n    {form.format('t = 0')}\n    w = t;\n"
+    assert naked_lines(lint_c, body) == []
+    # where both outcomes agree, the constant survives
+    body = f"    long t = 2;\n    value w;\n    {form.format('t = 2')}\n    w = t;\n"
+    assert naked_lines(lint_c, body) == [6]
+    # the rest of the arm or operand still sees its store
+    body = f"    long t = 1;\n    value w;\n    {form.format('t = 0, w = t')}\n"
+    assert naked_lines(lint_c, body) == [5]
+
+
 def test_conflicting_branch_values_are_unknown(lint_c):
     body = (
         "    int t;\n"
