@@ -23,14 +23,19 @@ CAMLprim returning to OCaml while the lock is not held.  The second pass
 applies the stores, address-takings and increments in order, and judges
 each store and each `&` where it lands, against what the statement's
 earlier ops left (C's comma is a sequence point): an even constant stored
-into a value, folded once both to judge and to apply; the address of a
-value escaping.  A store's own operand is folded against the constants as
-they stood before its ops, which come first, landed: `t = t + 1` inside
-it reads `t` once, and a `?:` condition reads no arm's store.  A
-statement that is a call the summary table says never returns
-(`noreturn`) returns BOTTOM after that pass, which ends the path, so the
-call's successors see nothing of it.  The blocks come from the
-syntax alone, and this is the one place the table ends a path.  Every lock
+into a value, folded once both to judge and to apply (`v -= 1` folds
+`v - 1` from the constant `v` held); the address of a value escaping.  A
+store's own operand is folded against the constants as they stood before
+its ops, which come first, landed: `t = t + 1` inside it reads `t` once,
+and a `?:` condition reads no arm's store.  The ops of an arm of `?:`, or
+of the right operand of `&&` or `||`, may not run: the JOIN after them
+keeps each constant they moved only where it equals the one before them,
+the join of both outcomes.  Value facts take no such join: a store there
+moves them as if it always ran.  A statement that is a call the summary
+table says never returns (`noreturn`) returns BOTTOM after that pass,
+which ends the path, so the call's successors see nothing of it.  The
+blocks come from the syntax alone, and this is the one place the table
+ends a path.  Every lock
 finding comes from the one table of `lock_analysis`, keyed by (event, lock
 state); a call or dereference made while the lock is held looks nothing up
 in it.

@@ -275,6 +275,12 @@ def run(
 ):
     """Analyze the given files, the C files in up to `jobs` processes.
 
+    With more than one C part (see `_parts`), more than one job and `fork`,
+    the parts go into the claim queue of `workers.Claims`, whose workers
+    start taking claims at once; this process reads the .ml files and
+    writes the header and harness first, then takes claims until none is
+    left.  Otherwise this process analyzes every part in turn.
+
     Returns (diagnostics, exit_code).  Neither depends on `jobs`, nor does
     the message of a `FatalError`; any other exception that a worker meets
     comes back as a `RuntimeError` that carries its traceback.
@@ -287,10 +293,8 @@ def run(
 
     table = _load_table(summaries)
 
-    # The workers start claiming C parts before the .ml side and the
-    # outputs, which this process does first.  An error is raised in the
-    # order of a run in one process: the .ml reads and the writes, then the
-    # C files in order.
+    # An error is raised in the order of a run in one process: the .ml
+    # reads and the writes, then the C files in order.
     jobs = jobs if hasattr(os, "fork") else 1
     parts = _parts(c_paths, jobs)
     claims = None

@@ -19,7 +19,8 @@ product's BOTTOM, so the environment is always a dict.
 `preprocess.fold`, with the store's leaf: a name is one of the runtime's
 `CONSTANTS` or the environment's, `Val_int(k)` is 2k+1, a cast is
 transparent, an `=` assignment is its value, and anything else (a compound
-assignment among them) is unknown.  A value C leaves undefined (a shift by
+assignment among them) is unknown.  The store of a compound assignment
+`n op= x` is folded as `n op x` (the parser gives its op that value).  A value C leaves undefined (a shift by
 a count outside 0..63, a division by zero, a char constant past ASCII) is
 unknown too.
 """

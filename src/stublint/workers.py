@@ -25,6 +25,7 @@ import pickle
 
 from .cli import FatalError, Record, _analyze_files
 
+
 class Claims:
     """The claims of `parts`, queued in a pipe, and the workers, one fewer
     than `jobs` and than the claims, that take them with this process.  A
