@@ -528,7 +528,10 @@ OP_TABLE = [
         ],
     ),
     ("g() && (y = 1);", [["call g 4:5", "assign y = 1 4:15", "join 1"]]),
-    ("f() || g(y = 1);", [["call f 4:5", "assign y = 1 4:16", "call g 4:12", "join 1"]]),
+    (
+        "f() || g(y = 1);",
+        [["call f 4:5", "assign y = 1 4:16", "call g 4:12", "join 1"]],
+    ),
     ("f() || g() ? 1 : h();", [["call f 4:5", "call g 4:12", "call h 4:22"]]),
     (
         "n = (value) {f(1), g(2)};",

@@ -484,7 +484,8 @@ class _Claimers:
     def calls(self, log) -> list[tuple]:
         """(pid, parts) of each call."""
         lines = log.read_text().splitlines()
-        return [(pid, [tuple(part) for part in parts]) for pid, parts in map(json.loads, lines)]
+        calls = map(json.loads, lines)
+        return [(pid, [tuple(part) for part in parts]) for pid, parts in calls]
 
     def parts(self, log) -> list[tuple]:
         return [part for _, parts in self.calls(log) for part in parts]
@@ -700,19 +701,24 @@ def _claim_case(write, case: str) -> list[str]:
     paths, externals = [], []
     for i in range(count):
         name = f"s{i}"
-        paths.append(write(f"{name}.c", (BAD_C if i % 7 else CLEAN_C).replace("bad", name).replace("ok", name)))
-        externals.append(f'external {name} : {"int -> " * (1 + (i % 11 == 0))}int = "{name}"\n')
+        source = (BAD_C if i % 7 else CLEAN_C).replace("bad", name)
+        paths.append(write(f"{name}.c", source.replace("ok", name)))
+        arrows = "int -> " * (1 + (i % 11 == 0))
+        externals.append(f'external {name} : {arrows}int = "{name}"\n')
     if count > 2:
         # two definitions of one symbol far apart: the first, in file order,
         # is the one the arity check reads, and it agrees
         paths[5] = write("dup_first.c", CLEAN_C.replace("ok", "dup"))
-        paths[-5] = write("dup_last.c", "value dup(value a, value b)\n{\n    return a;\n}\n")
+        dup = "value dup(value a, value b)\n{\n    return a;\n}\n"
+        paths[-5] = write("dup_last.c", dup)
         externals.append('external dup : int -> int = "dup"\n')
     return [write("s.ml", "".join(externals)), *paths]
 
 
 @pytest.mark.parametrize("case", ["many", "few", "cut"])
-def test_the_claims_give_the_outputs_of_one_process(proj, run_main, cpus, claimers, case):
+def test_the_claims_give_the_outputs_of_one_process(
+    proj, run_main, cpus, claimers, case
+):
     dirpath, write = proj
     paths = _claim_case(write, case)
     runs = []
