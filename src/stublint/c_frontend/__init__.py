@@ -8,7 +8,8 @@ and which keeps the top-level items that begin in a range of lines, if
 given one, while it reads the head of every item, so that each part of a
 cut file knows the file's CAMLprims -> build_cfg, which lowers each
 function straight into basic blocks of those statements, from the syntax
-alone: the summaries reach only the solver.
+alone: the summaries reach only the solver, whose step walks each
+statement's expression tree in C's evaluation order.
 `parse_unit` is the first two in one call.  Anything outside the subset
 degrades to an opaque statement or an UNSUPPORTED_CONSTRUCT diagnostic
 instead of a silent misparse.

@@ -12,11 +12,11 @@ that never returns is an expression statement like any other, whose path
 the solver ends (see analysis).  Block 0 starts at the entry and may hold
 statements; the exit is block 1 and holds none.
 
-Each statement carries the ops the parser attached to it (see nodes,
-"Ops"): the calls, assignments, address-takings, increments and
-dereferences its own expressions perform, children before parents.  The
-lock, value and constant analyses read those ops and nothing else of the
-expression tree, and the solver keeps states only at block heads.
+Each statement carries its own expression as the parser built it (a
+condition, a `return` value, an initializer), never the statements it
+holds, which are placed in blocks of their own.  The product step walks
+that expression once, in C's evaluation order (see analysis), and the
+solver keeps states only at block heads.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""AST shapes for the C stub subset, and the ops the parser attaches.
+"""AST shapes for the C stub subset.
 
 Every node but a type and the unit derives from `_At` and carries the
 (line, col) of its introducing token as its first two fields, so the
@@ -8,10 +8,10 @@ the statements that execute, in order: a declaration gives a VarDecl for
 each declarator with an initializer and nothing else, a `for` gives its
 init statements just before the For, and a statement-level
 `CAMLreturn*(...)` call or a bare `CAMLreturn0` is a Return, like
-`return`.  The analyses never walk expression trees themselves: while it
-parses a statement-level expression, the parser appends the flat ops its
-nodes perform to that statement's `ops` (see "Ops" below), and the CFG
-hands each statement, ops and all, to the analyses.
+`return`.  A statement holds its expressions as the trees the parser
+built, and the CFG hands each statement to the analyses, whose one
+statement step walks its expression in C's evaluation order
+(`analysis.Walk`).
 
 The classes are slotted dataclasses without generated `__eq__` or
 `__repr__`: nothing compares nodes, and one `__repr__` on the base serves
@@ -163,13 +163,11 @@ class VarDecl(_At):
     name: str
     ctype: CType
     init: object
-    ops: tuple  # the initializer's, then the store into `name`
 
 
 @_node
 class ExprStmt(_At):
     expr: object = None
-    ops: tuple = ()
 
 
 @_node
@@ -177,21 +175,18 @@ class If(_At):
     cond: object = None
     then: list = field(default_factory=list)
     els: list | None = None
-    ops: tuple = ()  # the condition's
 
 
 @_node
 class While(_At):
     cond: object = None
     body: list = field(default_factory=list)
-    ops: tuple = ()  # the condition's
 
 
 @_node
 class DoWhile(_At):
     body: list = field(default_factory=list)
     cond: object = None
-    ops: tuple = ()  # the condition's
 
 
 @_node
@@ -201,7 +196,6 @@ class For(_At):
     cond: object = None
     step: ExprStmt | Return | None = None
     body: list = field(default_factory=list)
-    ops: tuple = ()  # the condition's
 
 
 @_node
@@ -214,7 +208,6 @@ class SwitchCase(_At):
 class Switch(_At):
     subject: object = None
     cases: list[SwitchCase] = field(default_factory=list)
-    ops: tuple = ()  # the subject's
 
 
 @_node
@@ -223,17 +216,16 @@ class Return(_At):
     `CAMLreturn0`, whose `expr` is then the call or the name."""
 
     expr: object = None
-    ops: tuple = ()
 
 
 @_node
 class Break(_At):
-    ops: tuple = ()
+    pass
 
 
 @_node
 class Continue(_At):
-    ops: tuple = ()
+    pass
 
 
 @_node
@@ -243,8 +235,6 @@ class Opaque(_At):
     Analyses treat it as scrambling every derived-pointer fact while leaving
     the lock state alone.
     """
-
-    ops: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +261,3 @@ class StubUnit(_Node):
     # or not, and in every part of a file cut at top-level items
     camlprims: set[str] = field(default_factory=set)
 
-
-# ---------------------------------------------------------------------------
-# Ops
-#
-# The parser appends an op to the current statement-level expression's list
-# as it builds each node below, so ops come children before parents,
-# operands left to right: `v = (n = 2)` gives ASSIGN n before ASSIGN v, and
-# `f(g(x))` gives CALL g before CALL f.  Conditions, `return`, expression
-# statements, each initializer and the `for` step have a list of their own;
-# `case` labels, global initializers and `#if` guards give no op.  An
-# initialized VarDecl's list ends with the store into the declared name,
-# whose site is a Name at the declared name.  An ASSIGN op holds the value
-# its name holds after it (`n op x` for a compound `n op= x`) and the index
-# in its list where the ops of its right operand start; they run up to it.
-# The ops of an arm of `?:`, or of the right operand of `&&` or `||`, that
-# hold an ASSIGN are followed by a JOIN: they may not have run.
-
-CALL = "call"  # (CALL, name, call): a call whose callee is a plain name
-ASSIGN = "assign"  # (ASSIGN, name, op, value, start, where): `name` gets `value`
-JOIN = "join"  # (JOIN, start): the ops from `start` up to here may not run
-ADDR = "addr"  # (ADDR, name, where): `&name`
-BUMP = "bump"  # (BUMP, name): `++`/`--` on a name
-DEREF = "deref"  # (DEREF, ptr, where): `*ptr`, `ptr->f` or `ptr[i]`

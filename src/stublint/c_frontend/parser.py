@@ -34,7 +34,6 @@ from __future__ import annotations
 from ..diagnostics import WARNING, Diagnostic
 from . import nodes
 from .intrinsics import CAMLLOCAL, CAMLRETURN
-from .nodes import ADDR, ASSIGN, BUMP, CALL, DEREF, JOIN
 from .lexer import COL, KIND, LINE, TEXT, Token, lex
 
 BASE_TYPE_WORDS = frozenset(
@@ -100,10 +99,12 @@ _UNARY = 13
 # is a statement, a switch, an operand, a parenthesis (cast and compound
 # literal included), a postfix operator, a binary, conditional or assignment
 # operator (its left operand is a tree already), or an initializer brace.
-# The parser and the walks over its trees (CFG building, fact_of, the
-# constant fold with its leaves) recurse at most two frames per level, so
-# input at the cap needs about 400 frames, well inside Python's default
-# recursion limit of 1000; deeper input is unsupported.  C99 (5.2.4.1) asks
+# The parser and the walks over its trees (CFG building, the statement
+# step's walk, fact_of, the constant fold with its leaves) recurse at most
+# two frames per level, and the step's walk folds or classifies only the
+# levels below the one it is at, so input at the cap needs about 400
+# frames, well inside Python's default recursion limit of 1000; deeper
+# input is unsupported.  C99 (5.2.4.1) asks
 # compilers for 127 nested blocks and 63 nested parentheses, and 200 levels
 # hold either.
 MAX_NESTING = 200
@@ -133,11 +134,6 @@ class _Parser:
         self.depth = 0
         self.file = file
         self.diagnostics: list[Diagnostic] = []
-        # the ops of the statement-level expression being parsed; each node
-        # that performs one appends it as it is built (see nodes, "Ops").
-        # A statement keeps a copy, so what other expressions append (case
-        # labels, global initializers) lands in a list nothing keeps.
-        self.ops: list[tuple] = []
         # the locals of the function whose body is being parsed, in the
         # order they are declared
         self.locals: list[tuple[str, nodes.CType]] = []
@@ -273,14 +269,8 @@ class _Parser:
             _, ident, line, col = name
             self.locals.append((ident, ctype))
             if self.accept("="):
-                self.ops = []
                 init = self.parse_initializer()
-                # the store's site is a Name at the declared name, as for the
-                # target of an Assign, not the declaration that holds these
-                # ops: an op never refers to its statement
-                target = nodes.Name(line, col, ident)
-                ops = (*self.ops, (ASSIGN, ident, "=", init, 0, target))
-                decls.append(nodes.VarDecl(line, col, ident, ctype, init, ops))
+                decls.append(nodes.VarDecl(line, col, ident, ctype, init))
             if not self.accept(","):
                 return decls
             name, ctype = self.declarator(base)
@@ -502,12 +492,12 @@ class _Parser:
         if self.starts_decl():
             _, base = self.specifiers("declaration")
             return self.declarators(base, *self.declarator(base))
-        expr, ops = self.statement_expr()
+        expr = self.parse_expr(_COMMA)
         if isinstance(expr, nodes.Call) and expr.callee in CAMLLOCAL:
             for arg in expr.args:
                 if isinstance(arg, nodes.Name):
                     self.locals.append((arg.ident, nodes.CType("value")))
-        return [_expr_stmt(tok[LINE], tok[COL], expr, ops)]
+        return [_expr_stmt(tok[LINE], tok[COL], expr)]
 
     # Each statement that a keyword starts is parsed by a method of its own
     # that takes the keyword's token, already consumed, and returns the
@@ -524,8 +514,8 @@ class _Parser:
         links = []
         els = None
         while True:
-            cond, ops = self.condition()
-            links.append((cond, self.parse_stmt(), ops, tok))
+            cond = self.condition()
+            links.append((cond, self.parse_stmt(), tok))
             if not self.accept("else"):
                 break
             tok = self.tokens[self.pos]
@@ -533,42 +523,42 @@ class _Parser:
                 els = self.parse_stmt()  # `if:` would be a label
                 break
             self.pos += 1
-        for cond, then, ops, tok in reversed(links):
-            els = [nodes.If(tok[LINE], tok[COL], cond, then, els, ops)]
+        for cond, then, tok in reversed(links):
+            els = [nodes.If(tok[LINE], tok[COL], cond, then, els)]
         return els
 
     def parse_while(self, tok):
-        cond, ops = self.condition()
+        cond = self.condition()
         body = self.parse_stmt()
-        return [nodes.While(tok[LINE], tok[COL], cond, body, ops)]
+        return [nodes.While(tok[LINE], tok[COL], cond, body)]
 
     def parse_do(self, tok):
         body = self.parse_stmt()
         self.expect("while")
-        cond, ops = self.condition()
+        cond = self.condition()
         self.expect(";")
-        return [nodes.DoWhile(tok[LINE], tok[COL], body, cond, ops)]
+        return [nodes.DoWhile(tok[LINE], tok[COL], body, cond)]
 
     def parse_for(self, tok):
         """The init statements, then the For."""
         self.expect("(")
         init = [] if self.at(";") else self.simple_stmt(tok)
         self.expect(";")
-        cond, ops = (None, ()) if self.at(";") else self.statement_expr()
+        cond = None if self.at(";") else self.parse_expr(_COMMA)
         self.expect(";")
         step = None
         if not self.at(")"):
-            expr, step_ops = self.statement_expr()
-            step = _expr_stmt(expr.line, expr.col, expr, step_ops)
+            expr = self.parse_expr(_COMMA)
+            step = _expr_stmt(expr.line, expr.col, expr)
         self.expect(")")
         body = self.parse_stmt()
-        init.append(nodes.For(tok[LINE], tok[COL], cond, step, body, ops))
+        init.append(nodes.For(tok[LINE], tok[COL], cond, step, body))
         return init
 
     def parse_return(self, tok):
-        expr, ops = (None, ()) if self.at(";") else self.statement_expr()
+        expr = None if self.at(";") else self.parse_expr(_COMMA)
         self.expect(";")
-        return [nodes.Return(tok[LINE], tok[COL], expr, ops)]
+        return [nodes.Return(tok[LINE], tok[COL], expr)]
 
     def parse_break(self, tok):
         self.expect(";")
@@ -594,16 +584,10 @@ class _Parser:
         self.accept(";")
         return [nodes.Opaque(tok[LINE], tok[COL])]
 
-    def statement_expr(self):
-        """Parse a statement-level expression; returns it with its ops."""
-        self.ops = []
-        expr = self.parse_expr(_COMMA)
-        return expr, tuple(self.ops)
-
     def condition(self):
-        """A parenthesized statement-level expression, with its ops."""
+        """A parenthesized statement-level expression."""
         self.expect("(")
-        cond = self.statement_expr()
+        cond = self.parse_expr(_COMMA)
         self.expect(")")
         return cond
 
@@ -612,7 +596,7 @@ class _Parser:
         # two levels in
         depth = self.nest(tok)
         try:
-            subject, ops = self.condition()
+            subject = self.condition()
             self.expect("{")
             cases: list[nodes.SwitchCase] = []
             current: nodes.SwitchCase | None = None
@@ -634,7 +618,7 @@ class _Parser:
                     raise _error("statement before first case label", lab_tok)
                 current.body.extend(self.parse_stmt())
             self.expect("}")
-            return [nodes.Switch(tok[LINE], tok[COL], subject, cases, ops)]
+            return [nodes.Switch(tok[LINE], tok[COL], subject, cases)]
         finally:
             self.depth = depth
 
@@ -718,11 +702,8 @@ class _Parser:
         The operand is its prefix operators, a primary and its postfix
         operators.  The operand is a nesting level, and so is each prefix
         operator, each postfix operator and each binary, conditional or
-        assignment operator.  The ops of postfix operators come before
-        those of the prefix operators around them, which come innermost
-        first."""
+        assignment operator."""
         tokens = self.tokens
-        ops = self.ops
         depth = self.depth
         try:
             tok = tokens[self.pos]
@@ -772,39 +753,21 @@ class _Parser:
                                 if not self.accept(","):
                                     break
                         self.expect(")")
-                        node = nodes.Call(line, col, left, args)
-                        if isinstance(left, nodes.Name):
-                            ops.append((CALL, left.ident, node))
+                        left = nodes.Call(line, col, left, args)
                     elif text == "[":
                         index = self.parse_expr()
                         self.expect("]")
-                        node = nodes.Index(tok[LINE], tok[COL], left, index)
-                        ops.append((DEREF, left, node))
+                        left = nodes.Index(tok[LINE], tok[COL], left, index)
                     elif text == "." or text == "->":
                         member = self.take()
                         if member[KIND] != "ident":
                             raise _error("expected a member name", member)
-                        name = member[TEXT]
-                        arrow = text == "->"
-                        node = nodes.Member(tok[LINE], tok[COL], left, name, arrow)
-                        if arrow:
-                            ops.append((DEREF, left, node))
+                        name, arrow = member[TEXT], text == "->"
+                        left = nodes.Member(tok[LINE], tok[COL], left, name, arrow)
                     else:
-                        if isinstance(left, nodes.Name):
-                            ops.append((BUMP, left.ident))
-                        node = nodes.Unary(tok[LINE], tok[COL], text, left, False)
-                    left = node
+                        left = nodes.Unary(tok[LINE], tok[COL], text, left, False)
             for tok in reversed(prefixes):
-                op = tok[TEXT]
-                node = nodes.Unary(tok[LINE], tok[COL], op, left, True)
-                if op == "*":
-                    ops.append((DEREF, left, node))
-                elif isinstance(left, nodes.Name):
-                    if op == "&":
-                        ops.append((ADDR, left.ident, node))
-                    elif op == "++" or op == "--":
-                        ops.append((BUMP, left.ident))
-                left = node
+                left = nodes.Unary(tok[LINE], tok[COL], tok[TEXT], left, True)
             self.depth = depth
             while True:
                 tok = tokens[self.pos]
@@ -813,27 +776,16 @@ class _Parser:
                     return left
                 self.pos += 1
                 self.nest(tok)
-                start = len(ops)
                 if prec == _ASSIGN:
                     right = self.parse_expr(_ASSIGN)
-                    node = nodes.Assign(tok[LINE], tok[COL], left, right, tok[TEXT])
-                    if isinstance(left, nodes.Name):
-                        if node.op != "=":  # `left` gets `left op right`
-                            op = node.op[:-1]
-                            right = nodes.Binary(node.line, node.col, op, left, right)
-                        ops.append((ASSIGN, left.ident, node.op, right, start, node))
-                    left = node
+                    left = nodes.Assign(tok[LINE], tok[COL], left, right, tok[TEXT])
                 elif prec == _CONDITIONAL:
                     then = self.parse_expr(_COMMA)
                     self.expect(":")
-                    _join(ops, start)
                     els = self.parse_expr(_CONDITIONAL)
-                    _join(ops, start)
                     left = nodes.Ternary(tok[LINE], tok[COL], left, then, els)
                 else:
                     right = self.parse_expr(prec + 1)
-                    if tok[TEXT] == "&&" or tok[TEXT] == "||":
-                        _join(ops, start)
                     left = nodes.Binary(tok[LINE], tok[COL], tok[TEXT], left, right)
         finally:
             self.depth = depth
@@ -898,24 +850,14 @@ class _Parser:
             self.depth = depth
 
 
-def _join(ops: list, start: int):
-    """End the ops from `start` on with a JOIN when one of them stores:
-    they are those of an arm of `?:`, or of the right operand of `&&` or
-    `||`, and run on one outcome of a condition alone.  The JOIN of the
-    else arm of `?:` starts at its then arm, whose stores, joined, it
-    still sees."""
-    if any(op[0] == ASSIGN for op in ops[start:]):
-        ops.append((JOIN, start))
-
-
-def _expr_stmt(line: int, col: int, expr, ops: tuple):
+def _expr_stmt(line: int, col: int, expr):
     """An expression statement at (line, col), or a Return if it is a
     `CAMLreturn*` call or a bare `CAMLreturn0`, as `caml/memory.h` defines
     it, which leave the function as `return` does."""
     bare = isinstance(expr, nodes.Name) and expr.ident == "CAMLreturn0"
     if bare or isinstance(expr, nodes.Call) and expr.callee in CAMLRETURN:
-        return nodes.Return(line, col, expr, ops)
-    return nodes.ExprStmt(line, col, expr, ops)
+        return nodes.Return(line, col, expr)
+    return nodes.ExprStmt(line, col, expr)
 
 
 def _num_value(text: str):

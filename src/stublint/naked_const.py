@@ -8,20 +8,23 @@ alone, since the check cannot show absence of naked pointers anyway.
 
 The propagation is an environment lattice plus `eval_const`, the constant
 component of the one product solve per function (`analysis`).  Its step
-judges each store into a value where the store lands, in the pass that
-applies the statement's stores in order, so the store sees what the
-statement's earlier ops left, save its own operand's, which is folded
-against the constants before they landed; the one fold gives both the
-verdict and the constant the store leaves behind.  Unreached code is the
-product's BOTTOM, so the environment is always a dict.
+walks each statement in C's evaluation order, and judges each store into
+a value where the store lands (`analysis.Walk.store`), so the store sees
+what the statement's earlier stores left, save those inside its own
+operand, which is folded against the constants before they landed; the
+one fold gives both the verdict and the constant the store leaves behind.
+An arm of `?:`, or the right operand of `&&` or `||`, that a condition the
+fold knows never selects runs nothing; one that the fold cannot decide
+leaves the join of both outcomes.  Unreached code is the product's BOTTOM,
+so the environment is always a dict.
 
 `eval_const` is the C constant folder that `#if` guards use,
 `preprocess.fold`, with the store's leaf: a name is one of the runtime's
 `CONSTANTS` or the environment's, `Val_int(k)` is 2k+1, a cast is
 transparent, an `=` assignment is its value, and anything else (a compound
 assignment among them) is unknown.  The store of a compound assignment
-`n op= x` is folded as `n op x` (the parser gives its op that value).  A value C leaves undefined (a shift by
-a count outside 0..63, a division by zero, a char constant past ASCII) is
+`n op= x` is folded as `n op x`.  A value C leaves undefined (a shift by a
+count outside 0..63, a division by zero, a char constant past ASCII) is
 unknown too.
 """
 

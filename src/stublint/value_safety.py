@@ -12,10 +12,11 @@ compared by identity:
 A variable's facts from two paths join to the fact itself when they agree,
 to STALE when both point into a block, and to PLAIN otherwise.  The facts
 are an environment lattice plus `fact_of`, the value component of the one
-product solve per function (`analysis`).  Its statement step judges each
-dereference and runtime call against the facts and the lock state at the
-statement's entry, as it meets them, and a GC point makes every HEAP fact
-STALE.
+product solve per function (`analysis`).  Its statement step walks the
+statement in C's evaluation order and judges each dereference against
+the facts as the walk has moved them and the lock state at the
+statement's entry; a GC point makes every HEAP fact STALE at the call
+that makes it, so a pointer read later in the same expression is stale.
 """
 
 from __future__ import annotations

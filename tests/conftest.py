@@ -1,5 +1,6 @@
-"""Shared fixtures: corpus paths, an in-memory analysis pipeline, and a
-statement-level view of a CFG."""
+"""Shared fixtures: corpus paths, an in-memory analysis pipeline, a
+statement-level view of a CFG, and a log of what the product step's walk
+meets."""
 
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -7,11 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from stublint.analysis import Walk
 from stublint.c_frontend.cfg import ENTRY, EXIT
 from stublint.c_frontend.parser import parse_tokens
 from stublint.c_frontend.preprocess import preprocess_local
 from stublint.cli import analyze_unit, main
-from stublint.lock_analysis import load_summaries
+from stublint.lock_analysis import LockState, load_summaries
+from stublint.value_safety import initial_facts
 
 TESTS = Path(__file__).parent
 CORPUS = TESTS / "corpus"
@@ -90,10 +93,6 @@ class StmtNode:
     stmt: object = None
     succs: list[int] = field(default_factory=list)
 
-    @property
-    def ops(self) -> tuple:
-        return () if self.stmt is None else self.stmt.ops
-
 
 @dataclass(eq=False)
 class ViewBlock:
@@ -110,6 +109,7 @@ class StatementGraph:
     else the first node of each successor block."""
 
     def __init__(self, cfg):
+        self.fn = cfg.fn
         self.entry = StmtNode(ENTRY, "entry")
         self.exit = StmtNode(EXIT, "exit")
         self.blocks = []
@@ -149,3 +149,28 @@ class StatementGraph:
                     seen.add(succ)
                     work.append(succ)
         return [n.id for n in self.statement_nodes() if n.id not in seen]
+
+
+class LoggedWalk(Walk):
+    """The product step, logging what its walk meets in the order it is
+    done with each: every node it visits, and a ("store", name, op, value,
+    where) tuple for each store."""
+
+    def __init__(self, fn, table):
+        super().__init__(fn, table)
+        self.log = []
+
+    def visit(self, node):
+        super().visit(node)
+        self.log.append(node)
+
+    def store(self, name, value, op, where, judged):
+        super().store(name, value, op, where, judged)
+        self.log.append(("store", name, op, value, where))
+
+
+def walked(fn, stmt, summaries: str | None = None) -> list:
+    """The log of a LoggedWalk's step over `stmt` from `fn`'s entry state."""
+    walk = LoggedWalk(fn, load_summaries(summaries))
+    walk.step(stmt, (LockState.HELD, initial_facts(fn), {}), [])
+    return walk.log

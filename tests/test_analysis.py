@@ -1,10 +1,13 @@
 """The one product solve per function: lock state, value facts and
 constants under one forward_solve call."""
 
+from dataclasses import fields
+
 from conftest import StatementGraph
 
 import stublint.analysis
-from stublint.analysis import BOTTOM, solve_function
+from stublint.analysis import BOTTOM, OPERANDS, solve_function
+from stublint.c_frontend import nodes
 from stublint.c_frontend.cfg import build_cfg
 from stublint.cli import analyze_unit
 from stublint.lock_analysis import LockState, load_summaries
@@ -83,3 +86,23 @@ def test_unreached_blocks_keep_bottom_in_every_component(parse_c):
     # the reached blocks hold a state in every component
     reached = [h for b, h in enumerate(heads) if b not in blocks]
     assert all(None not in h and h[0] is not LockState.BOTTOM for h in reached)
+
+
+def test_the_walk_knows_the_operands_of_every_node_type():
+    """A node type the walk did not know would hide the calls and stores
+    under it from every analysis: every node type a statement step meets
+    is in OPERANDS, a leaf with none or listed with the operands C
+    evaluates, and every operand a node holds as a plain expression is
+    listed."""
+    by_step = {nodes.VarDecl, nodes.Opaque}  # the step's own cases
+    never_stepped = {nodes.StubFunction, nodes.SwitchCase}
+    kinds = {
+        kind
+        for kind in vars(nodes).values()
+        if isinstance(kind, type) and issubclass(kind, nodes._At)
+    }
+    assert kinds - {nodes._At} - by_step - never_stepped == set(OPERANDS)
+    for kind, operands in OPERANDS.items():
+        held = {f.name for f in fields(kind)}
+        expressions = {f.name for f in fields(kind) if f.type == "object"}
+        assert expressions <= set(operands) <= held, kind.__name__

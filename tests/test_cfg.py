@@ -3,7 +3,7 @@
 from collections import Counter
 
 import stubgen
-from conftest import StatementGraph
+from conftest import StatementGraph, walked
 from hypothesis import given, strategies as st
 
 from stublint import analysis
@@ -449,7 +449,7 @@ def test_node_count_is_the_statements_plus_entry_and_exit(parse_c):
         assert len(cfg.nodes) == statements + 2, body
 
 
-# -- ops: what each node hands the analyses ------------------------------------
+# -- the walk: what each statement does, in evaluation order -------------------
 
 
 def _spell(expr):
@@ -469,25 +469,39 @@ def _spell(expr):
     return kind
 
 
-def _show(op):
-    """One op as text: its kind, its name or pointer, and where it sits."""
-    if op[0] == "bump":
-        return f"bump {op[1]}"
-    if op[0] == "join":
-        return f"join {op[1]}"
-    at = f"{op[-1].line}:{op[-1].col}"
-    if op[0] == "assign":
-        return f"assign {op[1]} {op[2]} {_spell(op[3])} {at}"
-    if op[0] == "deref":
-        return f"deref {_spell(op[1])} {at}"
-    return f"{op[0]} {op[1]} {at}"
+def _show(met):
+    """What the walk met as text, or None when it is nothing the analyses
+    apply: a call of a plain name, a dereference (`*`, `->`, `[]`), a
+    store, an `&` or a `++`/`--` of a name.  Each has its kind, its name or
+    pointer, and where it sits."""
+    if isinstance(met, tuple):
+        _, name, op, value, where = met
+        return f"assign {name} {op} {_spell(value)} {where.line}:{where.col}"
+    at = f"{met.line}:{met.col}"
+    kind = type(met).__name__
+    if kind == "Call" and met.callee is not None:
+        return f"call {met.callee} {at}"
+    if kind == "Index" or kind == "Member" and met.arrow:
+        return f"deref {_spell(met.obj)} {at}"
+    if kind != "Unary":
+        return None
+    if met.op == "*":
+        return f"deref {_spell(met.operand)} {at}"
+    if type(met.operand).__name__ != "Name":
+        return None
+    if met.op == "&":
+        return f"addr {met.operand.ident} {at}"
+    if met.op in ("++", "--"):
+        return f"bump {met.operand.ident}"
+    return None
 
 
-# Each statement, on line 4 from column 5, against the ops of the nodes it
-# makes, in node order.  Ops come children before parents, operands left to
-# right, so an inner call or assignment precedes the outer one.  A call is
-# at the first token of its callee.  The global initializer on line 1 and
-# the `case` label give no op.
+# Each statement, on line 4 from column 5, against what the walk meets in
+# each of the statements it makes, in statement order.  The walk is done
+# with a node's operands before the node, operands left to right, so an
+# inner call or assignment precedes the outer one.  A call is at the first
+# token of its callee.  The global initializer on line 1 and the `case`
+# label are never walked.
 OP_TABLE = [
     ("v = (n = 2);", [["assign n = 2 4:12", "assign v = (n=2) 4:7"]]),
     ("f(g(x));", [["call g 4:7", "call f 4:5"]]),
@@ -496,8 +510,9 @@ OP_TABLE = [
     ("x++;", [["bump x"]]),
     ("--x;", [["bump x"]]),
     ("(*fp)(x);", [["deref fp 4:6"]]),
-    ("sizeof(*p);", [["deref p 4:12"]]),
-    # init, condition, step (its own node), body
+    # `sizeof` evaluates nothing
+    ("sizeof(*p);", [[]]),
+    # init, condition, step (its own statement), body
     (
         "for (i = 0; i < n; i++) g(&i);",
         [["assign i = 0 4:12"], [], ["bump i"], ["addr i 4:31", "call g 4:29"]],
@@ -513,26 +528,20 @@ OP_TABLE = [
         "if (p(x)) h(y); else while (*q) q++;",
         [["call p 4:9"], ["call h 4:15"], ["deref q 4:33"], ["bump q"]],
     ),
-    # the condition's node is made before the body's; a compound store's
-    # value is `x + 1`
-    ("do x += 1; while (x--);", [["bump x"], ["assign x += Binary 4:10"]]),
-    # the ops of an arm of `?:`, or of the right operand of `&&` or `||`,
-    # are followed by a JOIN from where they start when one of them stores
+    # the condition's statement is made before the body's
+    ("do x += 1; while (x--);", [["bump x"], ["assign x += 1 4:10"]]),
+    # an arm of `?:`, or the right operand of `&&` or `||`, that a
+    # condition the fold does not know may select is walked
     (
         "x = g() ? (y = 1) : h();",
-        [
-            [
-                "call g 4:9", "assign y = 1 4:18", "join 1", "call h 4:25",
-                "join 1", "assign x = Ternary 4:7",
-            ]
-        ],
+        [["call g 4:9", "assign y = 1 4:18", "call h 4:25", "assign x = Ternary 4:7"]],
     ),
-    ("g() && (y = 1);", [["call g 4:5", "assign y = 1 4:15", "join 1"]]),
-    (
-        "f() || g(y = 1);",
-        [["call f 4:5", "assign y = 1 4:16", "call g 4:12", "join 1"]],
-    ),
+    ("g() && (y = 1);", [["call g 4:5", "assign y = 1 4:15"]]),
+    ("f() || g(y = 1);", [["call f 4:5", "assign y = 1 4:16", "call g 4:12"]]),
     ("f() || g() ? 1 : h();", [["call f 4:5", "call g 4:12", "call h 4:22"]]),
+    # and one a constant condition never selects is not
+    ("0 ? f() : g(&x);", [["addr x 4:17", "call g 4:15"]]),
+    ("1 || f(), 0 && g(y = 1);", [[]]),
     (
         "n = (value) {f(1), g(2)};",
         [["call f 4:18", "call g 4:24", "assign n = CompoundLit 4:7"]],
@@ -560,10 +569,10 @@ OP_TABLE = [
     ),
     (
         "x = sizeof -(long)*p++ + !~q[0];",
-        [["bump p", "deref Unary 4:23", "deref q 4:33", "assign x = Binary 4:7"]],
+        [["deref q 4:33", "assign x = Binary 4:7"]],
     ),
-    # the comma operator: its operands' ops left to right, in a `for` init
-    # and step, and in a parenthesis
+    # the comma operator: its operands left to right, in a `for` init and
+    # step, and in a parenthesis
     (
         "for (i = 0, p = g(b); i < 4; i++, p++) *p = 0;",
         [
@@ -580,9 +589,12 @@ OP_TABLE = [
 ]
 
 
-def test_each_statement_lowers_to_its_ops_in_evaluation_order(parse_c):
+def test_the_walk_meets_each_statements_effects_in_evaluation_order(parse_c):
     for stmt, want in OP_TABLE:
         src = "int g0 = h(1);\nvalue f(value a)\n{\n    " + stmt + "\n}\n"
         cfg = cfg_of(parse_c, src)
-        got = [[_show(op) for op in node.ops] for node in cfg.statement_nodes()]
+        got = [
+            [shown for met in walked(cfg.fn, node.stmt) if (shown := _show(met))]
+            for node in cfg.statement_nodes()
+        ]
         assert got == want, stmt

@@ -6,9 +6,8 @@ import textwrap
 import pytest
 from conftest import StatementGraph
 
-from stublint.analysis import solve_function
+from stublint.analysis import BOTTOM, Walk, fresh, solve_function
 from stublint.c_frontend.cfg import build_cfg
-from stublint.c_frontend.nodes import CALL
 from stublint.lock_analysis import (
     LOCK_LATTICE_HEIGHT,
     LockState,
@@ -419,6 +418,24 @@ def test_the_runtime_system_pair_moves_the_lock(lint_c):
     assert found == [("VALUE_DEREF_UNLOCKED", "error", 6, 18)]
 
 
+def test_sizeof_dereferences_nothing(lint_c):
+    # `sizeof` does not evaluate its operand, so with the lock released
+    # neither sizeof line reads a block, while the lines after them do
+    src = (
+        "CAMLprim value f(value v)\n{\n    CAMLparam1(v);\n    long n;\n"
+        "    char *p = String_val(v);\n"
+        "    caml_release_runtime_system();\n"
+        "    n = sizeof(*p) + sizeof p[0];\n"
+        "    n = sizeof(Field(v, 0));\n"
+        "    n = *p;\n"
+        "    n = Field(v, 0);\n"
+        "    caml_acquire_runtime_system();\n"
+        "    CAMLreturn(Val_long(n));\n}\n"
+    )
+    found = [(d.rule_id, d.line, d.column) for d in lint_c(src)]
+    assert found == [("DERIVED_PTR_STALE", 9, 9), ("VALUE_DEREF_UNLOCKED", 10, 9)]
+
+
 @pytest.mark.parametrize(
     "summaries, calls, line, message",
     [
@@ -519,15 +536,15 @@ def solved(parse_c, src, summaries=None):
 
 def lock_at(cfg, heads, node, table):
     """The lock state at the entry of `node` of the statement-level view
-    `cfg`: its block's head, moved by step_call over the calls of the
-    nodes before it in the block."""
+    `cfg`: its block's head, moved by the product step over the nodes
+    before it in the block."""
     block = next(b for b in cfg.blocks if any(n is node for n in b.nodes))
-    state = heads[block.id][0]
+    state = heads[block.id]
+    walk = Walk(cfg.fn, table)
     for prior in block.nodes[: [n.id for n in block.nodes].index(node.id)]:
-        for op in prior.ops:
-            if op[0] == CALL:
-                state = step_call(op[1], state, table.lookup(op[1]))[0]
-    return state
+        if prior.stmt is not None and state is not BOTTOM:
+            state = walk.step(prior.stmt, fresh(state), [])
+    return state[0]
 
 
 def states_by_call(parse_c, src, summaries=None):

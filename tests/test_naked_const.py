@@ -62,7 +62,7 @@ def test_constant_flows_through_a_plain_variable(lint_c):
     body = "    int t;\n    value v;\n    t = 4;\n    v = t;\n"
     assert naked_lines(lint_c, body) == [6]
     # a store is judged where it lands, against what the statement's earlier
-    # ops left: the comma is a sequence point, so `n` is 2 when `v = n` runs
+    # stores left: the comma is a sequence point, so `n` is 2 when `v = n` runs
     body = "    int n;\n    value v;\n    n = 2, v = n;\n"
     assert naked_lines(lint_c, body) == [5]
 
@@ -120,6 +120,32 @@ def test_a_store_that_may_not_run_leaves_the_join_of_both_outcomes(lint_c, form)
     # the rest of the arm or operand still sees its store
     body = f"    long t = 1;\n    value w;\n    {form.format('t = 0, w = t')}\n"
     assert naked_lines(lint_c, body) == [5]
+
+
+@pytest.mark.parametrize(
+    "form, lines",
+    [
+        # a constant condition that selects the arm or operand: it runs
+        ("1 ? ({}) : 3;", [6]),
+        ("0 ? 3 : ({});", [6]),
+        ("1 && ({});", [6]),
+        ("0 || ({});", [6]),
+        # one that never selects it: it runs nothing, and `t` stays 1
+        ("0 ? ({}) : 3;", []),
+        ("1 ? 3 : ({});", []),
+        ("0 && ({});", []),
+        ("1 || ({});", []),
+    ],
+)
+def test_a_constant_condition_runs_only_the_arm_it_selects(
+    lint_c, form, lines
+):
+    body = f"    long t = 1;\n    value w;\n    {form.format('t = 0')}\n    w = t;\n"
+    assert naked_lines(lint_c, body) == lines
+    # a store in an arm that never runs is never judged
+    if not lines:
+        body = f"    value u;\n    {form.format('u = 2')}\n"
+        assert naked_lines(lint_c, body) == []
 
 
 def test_conflicting_branch_values_are_unknown(lint_c):
