@@ -122,6 +122,15 @@ def test_a_store_that_may_not_run_leaves_the_join_of_both_outcomes(lint_c, form)
     assert naked_lines(lint_c, body) == [5]
 
 
+
+def test_each_arm_starts_from_the_constants_before_it(lint_c):
+    # both arms store 2, so `t` is 2 whichever runs
+    body = "    long t = 1;\n    value w;\n    g() ? (t = 2) : (t = 2);\n    w = t;\n"
+    assert naked_lines(lint_c, body) == [6]
+    # the else arm runs only when the then arm did not: `t` is still 2
+    body = "    long t = 2;\n    value w;\n    g() ? (t = 1) : (w = t);\n"
+    assert naked_lines(lint_c, body) == [5]
+
 @pytest.mark.parametrize(
     "form, lines",
     [
