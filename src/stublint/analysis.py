@@ -177,7 +177,7 @@ class Walk:
             self.report(stmt, *judge_lock("return", lock, self.fn.name))
         if self.ends:
             return BOTTOM
-        return lock, self.env, self.consts
+        return lock, env, self.consts
 
     def visit(self, node):
         kind = type(node)
@@ -199,13 +199,12 @@ class Walk:
             return
         if kind is ast.Unary and node.op == "sizeof":
             return
-        for field in operands:  # a leaf is skipped here, not visited
+        for field in operands:
             operand = getattr(node, field)
             if type(operand) is list:
                 for item in operand:
-                    if OPERANDS[type(item)]:
-                        self.visit(item)
-            elif operand is not None and OPERANDS[type(operand)]:
+                    self.visit(item)
+            elif operand is not None:
                 self.visit(operand)
         if kind is ast.Call:
             self.call(node)

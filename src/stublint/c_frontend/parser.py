@@ -104,9 +104,8 @@ _UNARY = 13
 # two frames per level, and the step's walk folds or classifies only the
 # levels below the one it is at, so input at the cap needs about 400
 # frames, well inside Python's default recursion limit of 1000; deeper
-# input is unsupported.  C99 (5.2.4.1) asks
-# compilers for 127 nested blocks and 63 nested parentheses, and 200 levels
-# hold either.
+# input is unsupported.  C99 (5.2.4.1) asks compilers for 127 nested
+# blocks and 63 nested parentheses, and 200 levels hold either.
 MAX_NESTING = 200
 
 

@@ -169,8 +169,8 @@ class LoggedWalk(Walk):
         self.log.append(("store", name, op, value, where))
 
 
-def walked(fn, stmt, summaries: str | None = None) -> list:
+def walked(fn, stmt) -> list:
     """The log of a LoggedWalk's step over `stmt` from `fn`'s entry state."""
-    walk = LoggedWalk(fn, load_summaries(summaries))
+    walk = LoggedWalk(fn, load_summaries())
     walk.step(stmt, (LockState.HELD, initial_facts(fn), {}), [])
     return walk.log
