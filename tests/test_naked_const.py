@@ -107,20 +107,40 @@ def test_a_compound_assignment_into_a_value_is_judged(lint_c):
     assert naked_lines(lint_c, body) == []
 
 
-@pytest.mark.parametrize(
-    "form", ["g() ? ({}) : 3;", "g() ? 3 : ({});", "g() && ({});", "g() || ({});"]
-)
-def test_a_store_that_may_not_run_leaves_the_join_of_both_outcomes(lint_c, form):
+# Each form with whether its store runs: None when the fold does not know
+# the condition, else whether the constant condition selects the store.
+MAY_NOT_RUN = [
+    ("g() ? ({}) : 3;", None),
+    ("g() ? 3 : ({});", None),
+    ("g() && ({});", None),
+    ("g() || ({});", None),
+    ("1 ? ({}) : 3;", True),
+    ("0 ? 3 : ({});", True),
+    ("1 && ({});", True),
+    ("0 || ({});", True),
+    ("0 ? ({}) : 0;", False),
+    ("1 ? 3 : ({});", False),
+    ("0 && ({});", False),
+    ("1 || ({});", False),
+]
+
+
+@pytest.mark.parametrize("form, runs", MAY_NOT_RUN, ids=[f for f, _ in MAY_NOT_RUN])
+def test_a_store_that_may_not_run_leaves_the_join_of_both_outcomes(
+    lint_c, form, runs
+):
     # `t` is 1 when the store's arm or operand does not run, 0 when it does
     body = f"    long t = 1;\n    value w;\n    {form.format('t = 0')}\n    w = t;\n"
-    assert naked_lines(lint_c, body) == []
+    assert naked_lines(lint_c, body) == ([6] if runs else [])
     # where both outcomes agree, the constant survives
     body = f"    long t = 2;\n    value w;\n    {form.format('t = 2')}\n    w = t;\n"
     assert naked_lines(lint_c, body) == [6]
-    # the rest of the arm or operand still sees its store
+    # the rest of the arm or operand still sees its store; an arm that
+    # never runs judges nothing
     body = f"    long t = 1;\n    value w;\n    {form.format('t = 0, w = t')}\n"
-    assert naked_lines(lint_c, body) == [5]
-
+    assert naked_lines(lint_c, body) == ([] if runs is False else [5])
+    body = f"    value u;\n    {form.format('u = 2')}\n"
+    assert naked_lines(lint_c, body) == ([] if runs is False else [4])
 
 
 def test_each_arm_starts_from_the_constants_before_it(lint_c):
@@ -130,31 +150,6 @@ def test_each_arm_starts_from_the_constants_before_it(lint_c):
     # the else arm runs only when the then arm did not: `t` is still 2
     body = "    long t = 2;\n    value w;\n    g() ? (t = 1) : (w = t);\n"
     assert naked_lines(lint_c, body) == [5]
-
-@pytest.mark.parametrize(
-    "form, lines",
-    [
-        # a constant condition that selects the arm or operand: it runs
-        ("1 ? ({}) : 3;", [6]),
-        ("0 ? 3 : ({});", [6]),
-        ("1 && ({});", [6]),
-        ("0 || ({});", [6]),
-        # one that never selects it: it runs nothing, and `t` stays 1
-        ("0 ? ({}) : 3;", []),
-        ("1 ? 3 : ({});", []),
-        ("0 && ({});", []),
-        ("1 || ({});", []),
-    ],
-)
-def test_a_constant_condition_runs_only_the_arm_it_selects(
-    lint_c, form, lines
-):
-    body = f"    long t = 1;\n    value w;\n    {form.format('t = 0')}\n    w = t;\n"
-    assert naked_lines(lint_c, body) == lines
-    # a store in an arm that never runs is never judged
-    if not lines:
-        body = f"    value u;\n    {form.format('u = 2')}\n"
-        assert naked_lines(lint_c, body) == []
 
 
 def test_conflicting_branch_values_are_unknown(lint_c):
