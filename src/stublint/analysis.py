@@ -21,25 +21,30 @@ against the lock state at the statement's entry, with the running lock
 state at hand: a call that releases or acquires the lock in a lock state
 that does not match, as the calls before it left it; a runtime call or a
 dereference of an OCaml value while the lock is not held, or of a pointer
-the GC may have moved (STALE).  Value facts and constants change in the
-same walk, in evaluation order: a `may_gc` call makes HEAP facts STALE at
-the call, an `&` leaves its name untracked (with a note when it held an
-OCaml value), and `store`, the one place a store lands, judges an even
-constant stored into a value.  A store's constant is folded before the
-stores inside its operand land: `v -= 1` folds `v - 1` from the constant
-`v` held, and `t = t + 1` inside the operand reads `t` once.  An arm of
-`?:`, or the right operand of `&&` or `||`, runs only when a condition
-folded before it selects it; when the fold does not know the condition,
-each arm starts from the constants before it and the constants after are
-the join of the arms, while value facts and the lock move through the
-arms one after the other.  `sizeof` evaluates nothing.  Then the step
-judges a CAMLprim returning to OCaml while the lock is not held.  A
-statement that is a call the summary table says never returns
-(`noreturn`) returns BOTTOM, which ends the path, so the call's successors
-see nothing of it.  The blocks come from the syntax alone, and this is
-the one place the table ends a path.  Every lock finding comes from the
-one table of `lock_analysis`, keyed by (event, lock state); a call or
-dereference made while the lock is held looks nothing up in it.
+the GC may have moved (STALE).  Where C leaves the order of operands
+unspecified (C99 6.5p3: those of `+`, or a call's arguments), the walk
+takes them left to right, as CIL does.  That is a choice, not C's order:
+`caml_hash(v) + *p` reads a stale block, `*p + caml_hash(v)` does not.
+Value facts and constants change in the same walk, in evaluation order:
+a `may_gc` call makes HEAP facts STALE at the call, an `&` leaves its
+name untracked (with a note when it held an OCaml value), and `store`,
+the one place a store lands, judges an even constant stored into a
+value.  A store's constant is folded before the stores inside its operand
+land: `v -= 1` folds `v - 1` from the constant `v` held, and `t = t + 1`
+inside the operand reads `t` once.  An arm of `?:`, or the right operand
+of `&&` or `||`, runs only when a condition folded before it selects it
+and moved no constant, since the fold reads the constants from before
+the condition's own stores; otherwise each arm starts from the constants
+before it and the constants after are the join of the arms, while value
+facts and the lock move through the arms one after the other.  `sizeof`
+evaluates nothing.  Then the step judges a CAMLprim returning to OCaml
+while the lock is not held.  A statement that is a call the summary table
+says never returns (`noreturn`) returns BOTTOM, which ends the path, so
+the call's successors see nothing of it.  The blocks come from the syntax
+alone, and this is the one place the table ends a path.  Every lock
+finding comes from the one table of `lock_analysis`, keyed by (event,
+lock state); a call or dereference made while the lock is held looks
+nothing up in it.
 
 The step looks each call up in the summary table once, and reads every
 runtime fact from those effects alone: `releases_lock` and `acquires_lock`
@@ -111,7 +116,7 @@ def solve_function(cfg, table: SummaryTable) -> Fixpoint:
 
 
 # The operands C evaluates of each node the walk meets, in the order it
-# visits them.  A node with none is a leaf; `sizeof` and the arms of `?:`,
+# visits them, left to right where C leaves the order open.  A node with none is a leaf; `sizeof` and the arms of `?:`,
 # `&&` and `||` are visited as the walk says, not as listed.
 OPERANDS = {
     **dict.fromkeys((ast.Name, ast.Num, ast.StrLit, ast.CharLit, ast.SizeofType), ()),
@@ -227,12 +232,14 @@ class Walk:
 
     def branch(self, cond, then, els):
         """Visit `cond`, then the arm it selects: `then` when it holds,
-        `els` when not, None being no arm.  When the fold does not know
-        `cond`, each arm starts from the constants before it, and the
-        constants after are the join of both."""
+        `els` when not, None being no arm.  The fold reads the constants
+        before `cond`, so it selects an arm only when `cond` moved none of
+        them.  Otherwise each arm starts from the constants `cond` left,
+        and the constants after are the join of both."""
         k = eval_const(cond, self.consts)
+        before = None if k is None else dict(self.consts)
         self.visit(cond)
-        if k is not None:
+        if k is not None and self.consts == before:
             arm = then if k else els
             if arm is not None:
                 self.visit(arm)

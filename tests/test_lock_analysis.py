@@ -436,6 +436,18 @@ def test_sizeof_dereferences_nothing(lint_c):
     assert found == [("DERIVED_PTR_STALE", 9, 9), ("VALUE_DEREF_UNLOCKED", 10, 9)]
 
 
+def test_a_release_after_a_condition_that_stores_moves_the_lock(lint_c):
+    # `n > 0` reads the `n` that `n = g()` stored, so the release may run,
+    # and the acquire after it is no acquire of a lock still held
+    src = (
+        "CAMLprim value f(value v)\n{\n    CAMLparam1(v);\n    long n = 0;\n"
+        "    long ok = (n = g()) && n > 0 && (caml_release_runtime_system(), 1);\n"
+        "    caml_acquire_runtime_system();\n"
+        "    CAMLreturn(Val_long(ok));\n}\n"
+    )
+    assert lint_c(src) == []
+
+
 @pytest.mark.parametrize(
     "summaries, calls, line, message",
     [

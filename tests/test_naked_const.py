@@ -109,6 +109,9 @@ def test_a_compound_assignment_into_a_value_is_judged(lint_c):
 
 # Each form with whether its store runs: None when the fold does not know
 # the condition, else whether the constant condition selects the store.
+# A condition that moves a constant is unknown: folded against the
+# constants before it, `s = 0` would make each of the last three select
+# nothing, though `s` holds g()'s result or 1 when it is tested.
 MAY_NOT_RUN = [
     ("g() ? ({}) : 3;", None),
     ("g() ? 3 : ({});", None),
@@ -122,6 +125,9 @@ MAY_NOT_RUN = [
     ("1 ? 3 : ({});", False),
     ("0 && ({});", False),
     ("1 || ({});", False),
+    ("s = 0; (s = g()) && s ? ({}) : 3;", None),
+    ("s = 0; (s = g()) && s > 0 && ({});", None),
+    ("s = 0; ((s = 1) && s) ? ({}) : 0;", None),
 ]
 
 

@@ -227,6 +227,46 @@ def test_allocation_is_a_gc_point_too(lint_c):
     assert rules(errors_of(diags)) == ["DERIVED_PTR_STALE"]
 
 
+def test_a_gc_call_stales_the_reads_walked_after_it(lint_c):
+    # C99 leaves the order of `+`'s operands unspecified; the walk takes
+    # them left to right, as CIL does, so only the read after the call
+    # is stale, and the mirrored statement reads the block before it
+    diags = lint_c(
+        wrap(
+            """\
+            long n;
+            char *p = String_val(a);
+            n = *p + caml_hash(a);
+            n = caml_hash(a) + *p;
+            CAMLreturn(Val_long(n));
+            """
+        )
+    )
+    assert [(d.rule_id, d.line) for d in errors_of(diags)] == [
+        ("DERIVED_PTR_STALE", 7)
+    ]
+
+
+def test_a_gc_call_after_a_condition_that_stores_is_a_gc_point(lint_c):
+    # `n > 0` reads the `n` that `n = g()` stored, not the 0 before it,
+    # so the fold does not know whether caml_alloc runs
+    diags = lint_c(
+        wrap(
+            """\
+            long n = 0;
+            long ok;
+            char *p = String_val(a);
+            ok = (n = g()) && n > 0 && caml_alloc(1, 0);
+            ok = *p;
+            CAMLreturn(Val_long(ok));
+            """
+        )
+    )
+    assert [(d.rule_id, d.line) for d in errors_of(diags)] == [
+        ("DERIVED_PTR_STALE", 8)
+    ]
+
+
 def test_rederiving_under_lock_resets_staleness(lint_c):
     diags = lint_c(
         wrap(
