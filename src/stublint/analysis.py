@@ -31,20 +31,23 @@ name untracked (with a note when it held an OCaml value), and `store`,
 the one place a store lands, judges an even constant stored into a
 value.  A store's constant is folded before the stores inside its operand
 land: `v -= 1` folds `v - 1` from the constant `v` held, and `t = t + 1`
-inside the operand reads `t` once.  An arm of `?:`, or the right operand
-of `&&` or `||`, runs only when a condition folded before it selects it
-and moved no constant, since the fold reads the constants from before
-the condition's own stores; otherwise each arm starts from the constants
-before it and the constants after are the join of the arms, while value
-facts and the lock move through the arms one after the other.  `sizeof`
-evaluates nothing.  Then the step judges a CAMLprim returning to OCaml
-while the lock is not held.  A statement that is a call the summary table
-says never returns (`noreturn`) returns BOTTOM, which ends the path, so
-the call's successors see nothing of it.  The blocks come from the syntax
-alone, and this is the one place the table ends a path.  Every lock
-finding comes from the one table of `lock_analysis`, keyed by (event,
-lock state); a call or dereference made while the lock is held looks
-nothing up in it.
+inside the operand reads `t` once.  At `?:`, `&&` and `||` the walk
+forks and joins the solver's state as the CFG does at the `if` that CIL
+makes of them (`Walk.branch`): an arm that the condition's fold rules
+out is BOTTOM, every other arm starts from a fresh copy of the state the
+condition left, and the state after is the `join` of the arms.  The fold
+reads the constants from before the condition's own stores, so it rules
+out an arm only when the condition moved no constant.  `sizeof`
+evaluates nothing.  A `return` is the last node of its walk, judged as a
+CAMLprim returning to OCaml while the lock is not held.  A call the
+summary table says never returns (`noreturn`) makes the state BOTTOM
+wherever it sits in the expression, and the walk applies nothing once
+the state is BOTTOM: an arm that raises joins as BOTTOM, and a step that
+returns BOTTOM ends the path, so the call's successors see nothing of
+it.  The blocks come from the syntax alone, and `Walk.call` is the one
+place the table ends a path.  Every lock finding comes from the one table
+of `lock_analysis`, keyed by (event, lock state); a call or dereference
+made while the lock is held looks nothing up in it.
 
 The step looks each call up in the summary table once, and reads every
 runtime fact from those effects alone: `releases_lock` and `acquires_lock`
@@ -80,14 +83,17 @@ _DEREF_MACROS = frozenset({FIELD_READ, FIELD_WRITE}) | STRING_DEREF | BLOCK_DERE
 def join(a, b):
     if a is BOTTOM:
         return b
+    if b is BOTTOM:
+        return a
     return join_lock(a[0], b[0]), join_env(a[1], b[1]), join_const_env(a[2], b[2])
 
 
 def fresh(state):
-    return state[0], dict(state[1]), dict(state[2])
+    """A copy of `state` that a step may update in place; BOTTOM stays."""
+    return state if state is BOTTOM else (state[0], dict(state[1]), dict(state[2]))
 
 
-def _sketch(expr) -> str:
+def _sketch(expr, env) -> str:
     if isinstance(expr, ast.Name):
         return expr.ident
     if isinstance(expr, ast.Call):
@@ -95,15 +101,20 @@ def _sketch(expr) -> str:
         return f"{name}(...)" if name else "<call>"
     if isinstance(expr, ast.Member):
         op = "->" if expr.arrow else "."
-        return f"{_sketch(expr.obj)}{op}{expr.fieldname}"
+        return f"{_sketch(expr.obj, env)}{op}{expr.fieldname}"
     if isinstance(expr, ast.Index):
-        return f"{_sketch(expr.obj)}[...]"
-    if isinstance(expr, ast.Unary) and expr.op == "*":
-        return f"*{_sketch(expr.operand)}"
+        return f"{_sketch(expr.obj, env)}[...]"
+    if isinstance(expr, ast.Unary) and expr.op in ("*", "++", "--"):
+        inner = _sketch(expr.operand, env)
+        return f"*{inner}" if expr.op == "*" else inner
     if isinstance(expr, ast.Cast):
-        return _sketch(expr.operand)
+        return _sketch(expr.operand, env)
+    if isinstance(expr, ast.Binary) and expr.op in ("+", "-"):
+        # pointer arithmetic: the operand that points, as `fact_of` reads it
+        pointer = expr.left if fact_of(expr.left, env) is not PLAIN else expr.right
+        return _sketch(pointer, env)
     if isinstance(expr, ast.Assign):
-        return _sketch(expr.target)
+        return _sketch(expr.target, env)
     return "<expr>"
 
 
@@ -139,8 +150,11 @@ OPERANDS = {
 
 class Walk:
     """The statement step of one function's solve.  `step` sets up the
-    walk of one statement, `visit` walks a node and its operands, and
-    `call`, `deref` and `store` apply and judge what a node does."""
+    walk of one statement, `visit` walks a node and its operands, `branch`
+    forks and joins the state at a conditional, and `call`, `deref` and
+    `store` apply and judge what a node does.  `state` is the solver's
+    state as the walk has moved it, BOTTOM once the path has ended, and
+    `entry` is the lock state at the statement's entry."""
 
     def __init__(self, fn, table: SummaryTable):
         self.fn = fn
@@ -153,41 +167,29 @@ class Walk:
         )
 
     def step(self, stmt, state, found):
-        entry, env, consts = state
         kind = type(stmt)
         if kind is ast.Opaque:
+            env = state[1]
             for name, fact in env.items():
                 if fact is HEAP or fact is STALE:
                     env[name] = PLAIN
-            consts.clear()
+            state[2].clear()
             return state
-        self.entry = self.lock = entry
-        self.env = env
-        self.consts = consts
+        self.entry = state[0]
+        self.state = state
         self.found = found
-        # the statement is this call: is it one that never returns?
-        self.top = stmt.expr if kind is ast.ExprStmt else None
-        self.ends = False
         if kind is ast.VarDecl:
             # a non-value declaration's own store makes a C variable, even
             # one named like a value
             self.store(stmt.name, stmt.init, "=", stmt, stmt.ctype.is_value)
         else:
-            for field in OPERANDS[kind]:  # the statement's own expression
-                expr = getattr(stmt, field)
-                if expr is not None:
-                    self.visit(expr)
-        lock = self.lock
-        if lock is not LockState.HELD and kind is ast.Return and self.fn.is_camlprim:
-            self.report(stmt, *judge_lock("return", lock, self.fn.name))
-        if self.ends:
-            return BOTTOM
-        return lock, env, self.consts
+            self.visit(stmt)  # its own expression, then the statement
+        return self.state
 
     def visit(self, node):
         kind = type(node)
         operands = OPERANDS[kind]
-        if not operands:
+        if not operands or self.state is BOTTOM:
             return
         if kind is ast.Assign and type(node.target) is ast.Name:
             name = node.target.ident
@@ -196,11 +198,10 @@ class Walk:
         if kind is ast.Ternary:
             self.branch(node.cond, node.then, node.els)
             return
-        if kind is ast.Binary and node.op == "&&":
-            self.branch(node.left, node.right, None)
-            return
-        if kind is ast.Binary and node.op == "||":
-            self.branch(node.left, None, node.right)
+        if kind is ast.Binary and (node.op == "&&" or node.op == "||"):
+            # the right operand runs when the left holds, or when it does not
+            arms = (node.right, None) if node.op == "&&" else (None, node.right)
+            self.branch(node.left, *arms)
             return
         if kind is ast.Unary and node.op == "sizeof":
             return
@@ -211,6 +212,8 @@ class Walk:
                     self.visit(item)
             elif operand is not None:
                 self.visit(operand)
+        if self.state is BOTTOM:
+            return
         if kind is ast.Call:
             self.call(node)
         elif kind is ast.Unary:
@@ -219,39 +222,43 @@ class Walk:
                 self.deref(operand, node)
             elif type(operand) is ast.Name and op in ("&", "++", "--"):
                 name = operand.ident
-                if op == "&" and self.env.get(name, PLAIN) is not PLAIN:
+                _, env, consts = self.state
+                if op == "&" and env.get(name, PLAIN) is not PLAIN:
                     message = (
                         f"address of '{name}' escapes;"
                         " it is no longer tracked as an OCaml value"
                     )
                     self.report(node, "NOTE", NOTE, message)
-                    self.env[name] = PLAIN
-                self.consts.pop(name, None)
+                    env[name] = PLAIN
+                consts.pop(name, None)
         elif kind is ast.Index or kind is ast.Member and node.arrow:
             self.deref(node.obj, node)
+        elif kind is ast.Return and self.state[0] is not LockState.HELD:
+            if self.fn.is_camlprim:
+                self.report(node, *judge_lock("return", self.state[0], self.fn.name))
 
     def branch(self, cond, then, els):
-        """Visit `cond`, then the arm it selects: `then` when it holds,
-        `els` when not, None being no arm.  The fold reads the constants
-        before `cond`, so it selects an arm only when `cond` moved none of
-        them.  Otherwise each arm starts from the constants `cond` left,
-        and the constants after are the join of both."""
-        k = eval_const(cond, self.consts)
-        before = None if k is None else dict(self.consts)
+        """Visit `cond`, then fork the state it left into the arms `then`,
+        taken when it holds, and `els`, taken when not, None being no arm.
+        An arm the fold of `cond` rules out contributes BOTTOM; the fold
+        reads the constants before `cond`, so it counts only when `cond`
+        moved none of them.  Every other arm starts from `fresh` of the
+        state, and the state after is the `join` of the arms, as at a join
+        of the CFG."""
+        k = eval_const(cond, self.state[2])
+        before = None if k is None else dict(self.state[2])
         self.visit(cond)
-        if k is not None and self.consts == before:
-            arm = then if k else els
-            if arm is not None:
-                self.visit(arm)
-            return
-        before = self.consts
-        self.consts = dict(before)
-        if then is not None:
-            self.visit(then)
-        taken, self.consts = self.consts, before
-        if els is not None:
-            self.visit(els)
-        self.consts = join_const_env(taken, self.consts)
+        state = self.state
+        if k is not None and state[2] != before:
+            k = None
+        joined = BOTTOM
+        for arm, live in ((then, k != 0), (els, not k)):
+            if live:
+                self.state = fresh(state)
+                if arm is not None:
+                    self.visit(arm)
+                joined = join(joined, self.state)
+        self.state = joined
 
     def call(self, node):
         name = node.callee
@@ -262,29 +269,29 @@ class Walk:
         if name is None or name in MACRO_NAMES:
             return  # a macro, no function: no summary applies
         effects = self.lookup(name)
-        self.lock, unbalanced = step_call(name, self.lock, effects)
+        lock, env, consts = self.state
+        lock, unbalanced = step_call(name, lock, effects)
         if unbalanced is not None:
             self.report(node, *unbalanced)
         if "may_gc" in effects:
-            env = self.env
             for var, fact in env.items():
                 if fact is HEAP:
                     env[var] = STALE
-        if node is self.top:
-            self.ends = "noreturn" in effects
         if self.entry is not LockState.HELD and "requires_lock" in effects:
             self.report(node, *judge_lock("requires_lock", self.entry, name))
+        self.state = BOTTOM if "noreturn" in effects else (lock, env, consts)
 
     def deref(self, operand, where):
-        fact = fact_of(operand, self.env)
+        env = self.state[1]
+        fact = fact_of(operand, env)
         if fact is STALE:
             message = (
-                f"'{_sketch(operand)}' points into an OCaml block but the GC"
+                f"'{_sketch(operand, env)}' points into an OCaml block but the GC"
                 " may have moved it since the pointer was derived"
             )
             self.report(where, "DERIVED_PTR_STALE", ERROR, message)
         elif fact is not PLAIN and self.entry is not LockState.HELD:
-            self.report(where, *judge_lock("deref", self.entry, _sketch(operand)))
+            self.report(where, *judge_lock("deref", self.entry, _sketch(operand, env)))
 
     def store(self, name, value, op, where, judged):
         """The store of `value` into `name` at `where`, `name op value` for
@@ -293,13 +300,16 @@ class Walk:
         folded = value
         if op != "=":  # only an Assign, `where` itself, has such an op
             folded = ast.Binary(where.line, where.col, op[:-1], where.target, value)
-        k = eval_const(folded, self.consts)
+        k = eval_const(folded, self.state[2])
         self.visit(value)
+        if self.state is BOTTOM:
+            return
+        _, env, consts = self.state
         if op == "=":
             # a pointer derived without the lock may move before its use
-            self.env[name] = fact_of(value, self.env, self.entry is not LockState.HELD)
+            env[name] = fact_of(value, env, self.entry is not LockState.HELD)
         if k is None:
-            self.consts.pop(name, None)
+            consts.pop(name, None)
             return
         if judged and k & 1 == 0:
             message = (
@@ -307,4 +317,4 @@ class Walk:
                 " clear low bit; the GC would chase it as a pointer"
             )
             self.report(where, "NAKED_POINTER", ERROR, message)
-        self.consts[name] = k
+        consts[name] = k

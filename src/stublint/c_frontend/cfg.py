@@ -8,8 +8,8 @@ hands over only the statements that execute (see nodes), so each statement
 of a list is placed in exactly one block, and a list places nothing only
 when it is empty.  The blocks come from the syntax alone: `return` (which
 covers `CAMLreturn`) ends its block with an edge to the exit, and a call
-that never returns is an expression statement like any other, whose path
-the solver ends (see analysis).  Block 0 starts at the entry and may hold
+that never returns sits in a statement like any other, whose path the
+solver ends (see analysis).  Block 0 starts at the entry and may hold
 statements; the exit is block 1 and holds none.
 
 Each statement carries its own expression as the parser built it (a

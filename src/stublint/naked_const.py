@@ -14,9 +14,11 @@ what the statement's earlier stores left, save those inside its own
 operand, which is folded against the constants before they landed; the
 one fold gives both the verdict and the constant the store leaves behind.
 An arm of `?:`, or the right operand of `&&` or `||`, that a condition the
-fold knows never selects runs nothing; one that the fold cannot decide,
-or whose condition moves a constant, leaves the join of both outcomes.  Unreached code is the product's BOTTOM,
-so the environment is always a dict.
+fold knows never selects runs nothing; when the fold cannot decide, or
+the condition moves a constant, the walk leaves the join of the whole
+state of both arms, constants included (`analysis.Walk.branch`).
+Unreached code is the product's BOTTOM, so the environment is always a
+dict.
 
 `eval_const` is the C constant folder that `#if` guards use,
 `preprocess.fold`, with the store's leaf: a name is one of the runtime's

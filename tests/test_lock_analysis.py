@@ -337,6 +337,12 @@ CAMLreturn(a);"""
 
 MAY_BE_HELD = "caml_leave_blocking_section but the runtime lock may still be held"
 
+# a raise as a `for` step ends the path back to the loop's head, so the
+# enter finds the lock held on every path that reaches it
+RAISE_AS_STEP = """\
+for (;; caml_failwith("x"))
+    caml_enter_blocking_section();"""
+
 
 @pytest.mark.parametrize(
     "summaries, body, want",
@@ -352,6 +358,7 @@ MAY_BE_HELD = "caml_leave_blocking_section but the runtime lock may still be hel
             [(7, 9), (10, 5)],
         ),
         (None, RAISE_IN_IF, []),
+        (None, RAISE_AS_STEP, []),
         # a user line replaces the raise helper's built-in one
         ("caml_raise_not_found: requires_lock\n", RAISE_IN_IF, [(6, 5)]),
     ],
@@ -364,6 +371,51 @@ def test_a_call_that_never_returns_ends_the_path(lint_c, summaries, body, want):
         if d.rule_id == "UNBALANCED_LOCK"
     ]
     assert found == [("warning", line, col, MAY_BE_HELD) for line, col in want]
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        'if (g()) { (void) caml_failwith("x"); caml_leave_blocking_section(); }',
+        'if (g()) { f(caml_failwith("x")); caml_leave_blocking_section(); }',
+        'if (g()) { h() ? caml_failwith("x") : caml_failwith("y");'
+        " caml_leave_blocking_section(); }",
+        'g() ? (caml_enter_blocking_section(), caml_failwith("x")) : 0;',
+        'g() && (caml_enter_blocking_section(), caml_failwith("x"), 1);',
+    ],
+)
+def test_a_call_that_never_returns_ends_the_path_inside_an_expression(lint_c, stmt):
+    # a cast, an argument or an arm: wherever the raise sits, no path goes
+    # on past it, and every path that does holds the lock
+    src = (
+        "CAMLprim value f(value v)\n{\n    CAMLparam1(v);\n    long n;\n"
+        f"    {stmt}\n"
+        "    n = Long_val(Field(v, 0));\n"
+        "    CAMLreturn(Val_long(n));\n}\n"
+    )
+    assert lint_c(src) == []
+
+
+def test_a_release_in_an_arm_that_may_not_run_is_joined_as_in_an_if(lint_c):
+    # `g() && A;` is `if (g()) A;`: the lock after it is the join of the
+    # path that released it and the path that did not
+    src = (
+        "CAMLprim value f(value v)\n{\n    CAMLparam1(v);\n    long n;\n"
+        "    FORM\n"
+        "    n = Long_val(Field(v, 0));\n"
+        "    caml_leave_blocking_section();\n"
+        "    CAMLreturn(Val_long(n));\n}\n"
+    )
+    want = [
+        ("VALUE_DEREF_UNLOCKED", "warning", 6, 18),
+        ("UNBALANCED_LOCK", "warning", 7, 5),
+    ]
+    for form in (
+        "g() && (caml_enter_blocking_section(), 1);",
+        "if (g()) caml_enter_blocking_section();",
+    ):
+        found = lint_c(src.replace("FORM", form))
+        assert [(d.rule_id, d.severity, d.line, d.column) for d in found] == want
 
 
 def test_the_step_reads_runtime_facts_from_effects_not_names(lint_c):
@@ -437,15 +489,23 @@ def test_sizeof_dereferences_nothing(lint_c):
 
 
 def test_a_release_after_a_condition_that_stores_moves_the_lock(lint_c):
-    # `n > 0` reads the `n` that `n = g()` stored, so the release may run,
-    # and the acquire after it is no acquire of a lock still held
+    # `n > 0` reads the `n` that `n = g()` stored, so the release may run
+    # and may not, as in the `if` it stands for: the acquire after it is of
+    # a lock that may still be held, not of one still held
     src = (
         "CAMLprim value f(value v)\n{\n    CAMLparam1(v);\n    long n = 0;\n"
         "    long ok = (n = g()) && n > 0 && (caml_release_runtime_system(), 1);\n"
         "    caml_acquire_runtime_system();\n"
         "    CAMLreturn(Val_long(ok));\n}\n"
     )
-    assert lint_c(src) == []
+    assert [(d.rule_id, d.severity, d.line, d.message) for d in lint_c(src)] == [
+        (
+            "UNBALANCED_LOCK",
+            "warning",
+            6,
+            "caml_acquire_runtime_system but the runtime lock may still be held",
+        )
+    ]
 
 
 @pytest.mark.parametrize(

@@ -267,6 +267,36 @@ def test_a_gc_call_after_a_condition_that_stores_is_a_gc_point(lint_c):
     ]
 
 
+def test_a_pointer_derived_in_an_arm_that_may_not_run_is_joined_as_in_an_if(lint_c):
+    # on the path that skips the arm `p` holds no block, so the CFG's join
+    # of the `if` form, and now the walk's of the `?:` form, forget it
+    body = """\
+        long n;
+        char *p = 0;
+        FORM
+        caml_alloc(1, 0);
+        n = *p;
+        CAMLreturn(Val_long(n));
+        """
+    for form in ("g() ? (p = String_val(a)) : 0;", "if (g()) p = String_val(a);"):
+        assert errors_of(lint_c(wrap(body.replace("FORM", form)))) == []
+
+
+@pytest.mark.parametrize("read", ["*p++", "*p--", "*(p + 1)", "*(1 + p)", "*(p - 1)"])
+def test_a_stale_pointer_is_named_through_its_arithmetic(lint_c, read):
+    body = f"""\
+        long n;
+        char *p = String_val(a);
+        caml_alloc(1, 0);
+        n = {read};
+        CAMLreturn(Val_long(n));
+        """
+    assert [d.message for d in errors_of(lint_c(wrap(body)))] == [
+        "'p' points into an OCaml block but the GC may have moved it since"
+        " the pointer was derived"
+    ]
+
+
 def test_rederiving_under_lock_resets_staleness(lint_c):
     diags = lint_c(
         wrap(
