@@ -380,6 +380,7 @@ def test_a_call_that_never_returns_ends_the_path(lint_c, summaries, body, want):
         'if (g()) { f(caml_failwith("x")); caml_leave_blocking_section(); }',
         'if (g()) { h() ? caml_failwith("x") : caml_failwith("y");'
         " caml_leave_blocking_section(); }",
+        'g() ? caml_failwith("x") : 0;',
         'g() ? (caml_enter_blocking_section(), caml_failwith("x")) : 0;',
         'g() && (caml_enter_blocking_section(), caml_failwith("x"), 1);',
     ],

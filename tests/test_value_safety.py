@@ -269,7 +269,7 @@ def test_a_gc_call_after_a_condition_that_stores_is_a_gc_point(lint_c):
 
 def test_a_pointer_derived_in_an_arm_that_may_not_run_is_joined_as_in_an_if(lint_c):
     # on the path that skips the arm `p` holds no block, so the CFG's join
-    # of the `if` form, and now the walk's of the `?:` form, forget it
+    # of the `if` form and the walk's join of the `?:` form forget it
     body = """\
         long n;
         char *p = 0;
