@@ -10,3 +10,24 @@ downstream whole-program analyzers.
 """
 
 __version__ = "0.1.0"
+
+
+
+class Slotted:
+    """Base of the package's records: plain classes with a written-out
+    `__init__`, whose repr names each slot along the MRO.
+
+    A record lists its fields as bare annotations and then sets
+    `__slots__ = tuple(__annotations__)`, so that the two cannot drift
+    apart.  Under `from __future__ import annotations`, which every module
+    that defines a record has, `__annotations__` is a name in the class
+    body.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        mro = reversed(type(self).__mro__)
+        names = [name for cls in mro for name in vars(cls).get("__slots__", ())]
+        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__name__}({items})"

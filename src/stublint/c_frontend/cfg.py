@@ -21,25 +21,32 @@ solver keeps states only at block heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .. import Slotted
 from . import nodes as ast
 
 ENTRY = 0
 EXIT = 1
 
 
-@dataclass(slots=True)
-class Block:
+class Block(Slotted):
     id: int
-    stmts: list = field(default_factory=list)
-    succs: list[int] = field(default_factory=list)  # block ids
+    stmts: list
+    succs: list[int]  # block ids
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, id, stmts=None, succs=None):
+        self.id = id
+        self.stmts = [] if stmts is None else stmts
+        self.succs = [] if succs is None else succs
 
 
-@dataclass(slots=True)
-class Cfg:
+class Cfg(Slotted):
     fn: ast.StubFunction
     blocks: list[Block]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, fn, blocks):
+        self.fn, self.blocks = fn, blocks
 
     # shim for perfbench/spans.py, which counts the statements plus entry
     # and exit as `c_frontend.cfg_nodes`; ROADMAP item 1 deletes it

@@ -13,42 +13,39 @@ built, and the CFG hands each statement to the analyses, whose one
 statement step walks its expression in C's evaluation order
 (`analysis.Walk`).
 
-The classes are slotted dataclasses without generated `__eq__` or
-`__repr__`: nothing compares nodes, and one `__repr__` on the base serves
-debugging and tests for all of them.
+The classes are plain `Slotted` records with a written-out `__init__`, so
+that importing them builds no methods at run time.  Their fields are bare
+annotations, which give each class its `__slots__` and which the operands
+test reads.  Nothing compares nodes, so they have no `__eq__`; the one
+`Slotted.__repr__` serves debugging and tests for all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from .. import Slotted
 
 
-class _Node:
-    __slots__ = ()
-
-    def __repr__(self):
-        items = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
-        return f"{type(self).__name__}({items})"
-
-
-_node = dataclass(slots=True, repr=False, eq=False)
-
-
-@_node
-class _At(_Node):
+class _At(Slotted):
     line: int
     col: int
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col):
+        self.line, self.col = line, col
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@_node
-class CType(_Node):
+class CType(Slotted):
     base: str  # canonical spelling: "value", "int", "struct foo", ...
-    pointers: int = 0
-    array: bool = False
+    pointers: int
+    array: bool
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, base, pointers=0, array=False):
+        self.base, self.pointers, self.array = base, pointers, array
 
     @property
     def is_value(self) -> bool:
@@ -62,100 +59,151 @@ class CType(_Node):
 # Expressions
 
 
-@_node
 class Num(_At):
     text: str
-    value: int | float | None = None
+    value: int | float | None
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, text, value=None):
+        self.line, self.col = line, col
+        self.text, self.value = text, value
 
 
-@_node
 class StrLit(_At):
     text: str
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, text):
+        self.line, self.col, self.text = line, col, text
 
 
-@_node
 class CharLit(_At):
     text: str
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, text):
+        self.line, self.col, self.text = line, col, text
 
 
-@_node
 class Name(_At):
     ident: str
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, ident):
+        self.line, self.col, self.ident = line, col, ident
 
 
-@_node
 class Call(_At):
     func: object  # usually Name
-    args: list = field(default_factory=list)
+    args: list
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, func, args=None):
+        self.line, self.col, self.func = line, col, func
+        self.args = [] if args is None else args
 
     @property
     def callee(self) -> str | None:
         return self.func.ident if isinstance(self.func, Name) else None
 
 
-@_node
 class Unary(_At):
     op: str
-    operand: object = None
-    prefix: bool = True
+    operand: object
+    prefix: bool
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, op, operand=None, prefix=True):
+        self.line, self.col = line, col
+        self.op, self.operand, self.prefix = op, operand, prefix
 
 
-@_node
 class Binary(_At):
     op: str
-    left: object = None
-    right: object = None
+    left: object
+    right: object
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, op, left=None, right=None):
+        self.line, self.col = line, col
+        self.op, self.left, self.right = op, left, right
 
 
-@_node
 class Ternary(_At):
-    cond: object = None
-    then: object = None
-    els: object = None
+    cond: object
+    then: object
+    els: object
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, cond=None, then=None, els=None):
+        self.line, self.col = line, col
+        self.cond, self.then, self.els = cond, then, els
 
 
-@_node
 class Assign(_At):
-    target: object = None
-    value: object = None
-    op: str = "="
+    target: object
+    value: object
+    op: str
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, target=None, value=None, op="="):
+        self.line, self.col = line, col
+        self.target, self.value, self.op = target, value, op
 
 
-@_node
 class Cast(_At):
-    ctype: CType = None
-    operand: object = None
+    ctype: CType
+    operand: object
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, ctype=None, operand=None):
+        self.line, self.col = line, col
+        self.ctype, self.operand = ctype, operand
 
 
-@_node
 class Member(_At):
-    obj: object = None
-    fieldname: str = ""
-    arrow: bool = False
+    obj: object
+    fieldname: str
+    arrow: bool
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, obj=None, fieldname="", arrow=False):
+        self.line, self.col = line, col
+        self.obj, self.fieldname, self.arrow = obj, fieldname, arrow
 
 
-@_node
 class Index(_At):
-    obj: object = None
-    index: object = None
+    obj: object
+    index: object
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, obj=None, index=None):
+        self.line, self.col = line, col
+        self.obj, self.index = obj, index
 
 
-@_node
 class SizeofType(_At):
-    ctype: CType = None
+    ctype: CType
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, ctype=None):
+        self.line, self.col, self.ctype = line, col, ctype
 
 
-@_node
 class CompoundLit(_At):
-    ctype: CType = None
-    inits: list = field(default_factory=list)
+    ctype: CType
+    inits: list
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, ctype=None, inits=None):
+        self.line, self.col, self.ctype = line, col, ctype
+        self.inits = [] if inits is None else inits
 
 
 # ---------------------------------------------------------------------------
 # Statements
 
 
-@_node
 class VarDecl(_At):
     """An initialized declarator; one without an initializer executes
     nothing and is only a local of its function."""
@@ -163,72 +211,106 @@ class VarDecl(_At):
     name: str
     ctype: CType
     init: object
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, name, ctype, init):
+        self.line, self.col = line, col
+        self.name, self.ctype, self.init = name, ctype, init
 
 
-@_node
 class ExprStmt(_At):
-    expr: object = None
+    expr: object
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, expr=None):
+        self.line, self.col, self.expr = line, col, expr
 
 
-@_node
 class If(_At):
-    cond: object = None
-    then: list = field(default_factory=list)
-    els: list | None = None
+    cond: object
+    then: list
+    els: list | None
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, cond=None, then=None, els=None):
+        self.line, self.col, self.cond = line, col, cond
+        self.then, self.els = [] if then is None else then, els
 
 
-@_node
 class While(_At):
-    cond: object = None
-    body: list = field(default_factory=list)
+    cond: object
+    body: list
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, cond=None, body=None):
+        self.line, self.col, self.cond = line, col, cond
+        self.body = [] if body is None else body
 
 
-@_node
 class DoWhile(_At):
-    body: list = field(default_factory=list)
-    cond: object = None
+    body: list
+    cond: object
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, body=None, cond=None):
+        self.line, self.col, self.cond = line, col, cond
+        self.body = [] if body is None else body
 
 
-@_node
 class For(_At):
     """Its init statements come just before it in the statement list."""
 
-    cond: object = None
-    step: ExprStmt | Return | None = None
-    body: list = field(default_factory=list)
+    cond: object
+    step: ExprStmt | Return | None
+    body: list
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, cond=None, step=None, body=None):
+        self.line, self.col = line, col
+        self.cond, self.step = cond, step
+        self.body = [] if body is None else body
 
 
-@_node
 class SwitchCase(_At):
-    labels: list = field(default_factory=list)  # exprs; None = default
-    body: list = field(default_factory=list)
+    labels: list  # exprs; None = default
+    body: list
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, labels=None, body=None):
+        self.line, self.col = line, col
+        self.labels = [] if labels is None else labels
+        self.body = [] if body is None else body
 
 
-@_node
 class Switch(_At):
-    subject: object = None
-    cases: list[SwitchCase] = field(default_factory=list)
+    subject: object
+    cases: list[SwitchCase]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, subject=None, cases=None):
+        self.line, self.col, self.subject = line, col, subject
+        self.cases = [] if cases is None else cases
 
 
-@_node
 class Return(_At):
     """A `return`, or a statement-level `CAMLreturn*(...)` call or bare
     `CAMLreturn0`, whose `expr` is then the call or the name."""
 
-    expr: object = None
+    expr: object
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, line, col, expr=None):
+        self.line, self.col, self.expr = line, col, expr
 
 
-@_node
 class Break(_At):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Continue(_At):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Opaque(_At):
     """A statement the parser cannot model (inline asm, goto target, ...).
 
@@ -236,28 +318,46 @@ class Opaque(_At):
     the lock state alone.
     """
 
+    __slots__ = ()
+
 
 # ---------------------------------------------------------------------------
 # Top level
 
 
-@_node
 class StubFunction(_At):
     name: str
     params: list[tuple[str, CType]]
     return_type: CType
     is_camlprim: bool
-    body: list = field(default_factory=list)
-    locals: list[tuple[str, CType]] = field(default_factory=list)
-    file: str = ""
-
-
-@_node
-class StubUnit(_Node):
+    body: list
+    locals: list[tuple[str, CType]]
     file: str
-    functions: list[StubFunction] = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
+    __slots__ = tuple(__annotations__)
+
+    def __init__(
+        self, line, col, name, params, return_type, is_camlprim,
+        body=None, locals=None, file="",
+    ):
+        self.line, self.col, self.name = line, col, name
+        self.params, self.return_type = params, return_type
+        self.is_camlprim = is_camlprim
+        self.body = [] if body is None else body
+        self.locals = [] if locals is None else locals
+        self.file = file
+
+
+class StubUnit(Slotted):
+    file: str
+    functions: list[StubFunction]
+    diagnostics: list
     # the name of every CAMLprim the file defines, whether its body parses
     # or not, and in every part of a file cut at top-level items
-    camlprims: set[str] = field(default_factory=set)
+    camlprims: set[str]
+    __slots__ = tuple(__annotations__)
 
+    def __init__(self, file, functions=None, diagnostics=None, camlprims=None):
+        self.file = file
+        self.functions = [] if functions is None else functions
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.camlprims = set() if camlprims is None else camlprims

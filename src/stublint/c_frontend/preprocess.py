@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 
+from .. import Slotted
 from ..diagnostics import NOTE, Diagnostic
 from . import nodes
 from .lexer import COL, KIND, LINE, TEXT, TOKEN_RE, CLexError, Token, bad_token, scan
@@ -55,22 +55,31 @@ class PreprocessError(Exception):
         self.line = line
 
 
-@dataclass
-class MacroDef:
+class MacroDef(Slotted):
     body: list[Token]
-    param: str | None = None
-    func_like: bool = False
-    expandable: bool = True
-    bad: Token | None = None  # a bad token of the body, an error where used
+    param: str | None
+    func_like: bool
+    expandable: bool
+    bad: Token | None  # a bad token of the body, an error where used
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, body, param=None, func_like=False, expandable=True, bad=None):
+        self.body, self.param, self.func_like = body, param, func_like
+        self.expandable, self.bad = expandable, bad
 
 
-@dataclass
-class PreprocessResult:
+class PreprocessResult(Slotted):
     # the source as given; only perfbench's traced replay reads it, and it
     # goes with that replay (ROADMAP item 1)
     text: str
-    tokens: list[Token] = field(default_factory=list)
-    notes: list[Diagnostic] = field(default_factory=list)
+    tokens: list[Token]
+    notes: list[Diagnostic]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, text, tokens=None, notes=None):
+        self.text = text
+        self.tokens = [] if tokens is None else tokens
+        self.notes = [] if notes is None else notes
 
 
 _text = operator.itemgetter(TEXT)

@@ -11,8 +11,8 @@ import argparse
 import gc
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Iterable
-from typing import NamedTuple
 
 from . import harness_gen, header_gen, ml_frontend
 from .analysis import solve_function
@@ -163,14 +163,15 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
     return diags
 
 
-class Record(NamedTuple):
+class Record(namedtuple("Record", "found headers")):
     """What `_analyze_files` gives of one part of a C file; the records of
-    a file's parts, in order, are the record of the whole file."""
+    a file's parts, in order, are the record of the whole file.
 
-    # the preprocessor's notes, in the part that begins at line 0, then the
-    # parser's diagnostics and the analyses' findings
-    found: list
-    headers: list  # the `_header` of each function
+    `found` holds the preprocessor's notes, in the part that begins at line
+    0, then the parser's diagnostics and the analyses' findings; `headers`
+    holds the `_header` of each function."""
+
+    __slots__ = ()
 
 
 def _analyze_files(parts, table: SummaryTable) -> list[Record]:

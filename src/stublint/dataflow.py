@@ -18,14 +18,9 @@ solver keeps, per block, only what that last visit appended.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import NamedTuple
+from collections import deque, namedtuple
 
-
-class Fixpoint(NamedTuple):
-    heads: list
-    pops: int
-    found: list
+Fixpoint = namedtuple("Fixpoint", "heads pops found")
 
 
 def forward_solve(cfg, init, step, join, bottom, fresh):

@@ -10,7 +10,7 @@ SARIF levels without translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from . import Slotted
 
 ERROR = "error"
 WARNING = "warning"
@@ -44,8 +44,10 @@ RULES = {
 }
 
 
-@dataclass(slots=True)
-class Diagnostic:
+class Diagnostic(Slotted):
+    """Equal to another with the same fields, so lists of findings compare;
+    unhashable, as it is mutable."""
+
     rule_id: str
     severity: str
     file: str
@@ -55,7 +57,20 @@ class Diagnostic:
     # Optional (file, line, column, message) tuples pointing at the other
     # half of a cross-file finding (e.g. the OCaml declaration for an arity
     # mismatch reported on the C definition).
-    related: tuple = ()
+    related: tuple
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, rule_id, severity, file, line, column, message, related=()):
+        self.rule_id, self.severity, self.file = rule_id, severity, file
+        self.line, self.column, self.message = line, column, message
+        self.related = related
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None
 
     def render(self) -> str:
         return (

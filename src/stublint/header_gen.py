@@ -13,7 +13,7 @@ through them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import ml_frontend
 from .diagnostics import ERROR, Diagnostic
@@ -57,11 +57,11 @@ HEADER_PREAMBLE = (
 )
 
 
-class CPrototype(NamedTuple):
-    c_name: str
-    params: tuple[str, ...]
-    returns: str
-    flavor: str  # "bytecode" | "native"
+class CPrototype(namedtuple("CPrototype", "c_name params returns flavor")):
+    """params is a tuple of C type spellings; flavor is "bytecode" or
+    "native"."""
+
+    __slots__ = ()
 
     @property
     def is_argv_form(self) -> bool:

@@ -23,8 +23,8 @@ runs the lock component of the one product solve per function.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
+from . import Slotted
 from .diagnostics import ERROR, WARNING
 
 
@@ -103,12 +103,16 @@ class SummaryError(Exception):
         self.line = line
 
 
-@dataclass
-class SummaryTable:
+class SummaryTable(Slotted):
     """Effects by exact callee name, and by name prefix (`caml_*`)."""
 
-    exact: dict[str, frozenset[str]] = field(default_factory=dict)
-    prefix: dict[str, frozenset[str]] = field(default_factory=dict)
+    exact: dict[str, frozenset[str]]
+    prefix: dict[str, frozenset[str]]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, exact=None, prefix=None):
+        self.exact = {} if exact is None else exact
+        self.prefix = {} if prefix is None else prefix
 
     def lookup(self, name: str, default=frozenset()) -> frozenset[str]:
         """Effects for a callee: exact match first, then longest prefix,

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass
+
+from . import Slotted
 
 # Argument/return kinds.
 BOXED = "boxed_value"
@@ -104,8 +105,7 @@ _OPEN = {"(": ")", "[": "]", "<": ">"}
 _CLOSE = {")", "]", ">"}
 
 
-@dataclass(slots=True)
-class ExternalDecl:
+class ExternalDecl(Slotted):
     ocaml_name: str
     byte_name: str
     native_name: str | None
@@ -113,14 +113,27 @@ class ExternalDecl:
     arg_kinds: tuple[str, ...]
     return_kind: str
     source_loc: tuple[str, int, int]  # file, 1-based line, 1-based column
+    __slots__ = tuple(__annotations__)
+
+    def __init__(
+        self, ocaml_name, byte_name, native_name, arity, arg_kinds, return_kind,
+        source_loc,
+    ):
+        self.ocaml_name, self.byte_name = ocaml_name, byte_name
+        self.native_name, self.arity, self.arg_kinds = native_name, arity, arg_kinds
+        self.return_kind, self.source_loc = return_kind, source_loc
 
 
-@dataclass(slots=True)
-class MlParseError:
+class MlParseError(Slotted):
     file: str
     line: int
     column: int
     message: str
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, file, line, column, message):
+        self.file, self.line = file, line
+        self.column, self.message = column, message
 
 
 # ---------------------------------------------------------------------------

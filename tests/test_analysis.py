@@ -1,8 +1,6 @@
 """The one product solve per function: lock state, value facts and
 constants under one forward_solve call."""
 
-from dataclasses import fields
-
 from conftest import StatementGraph
 
 import stublint.analysis
@@ -103,6 +101,11 @@ def test_the_walk_knows_the_operands_of_every_node_type():
     }
     assert kinds - {nodes._At} - by_step - never_stepped == set(OPERANDS)
     for kind, operands in OPERANDS.items():
-        held = {f.name for f in fields(kind)}
-        expressions = {f.name for f in fields(kind) if f.type == "object"}
+        annotated = {
+            name: annotation
+            for cls in kind.__mro__
+            for name, annotation in vars(cls).get("__annotations__", {}).items()
+        }
+        held = set(annotated)
+        expressions = {name for name, kind in annotated.items() if kind == "object"}
         assert expressions <= set(operands) <= held, kind.__name__

@@ -144,3 +144,34 @@ def test_a_run_in_one_process_loads_neither_the_workers_nor_pickle(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "NAKED_POINTER" in done.stdout
+
+
+IMPORT_ONLY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import stublint.cli
+from stublint.lock_analysis import load_summaries
+
+load_summaries(None)
+print(" ".join(sorted(sys.modules)))
+"""
+
+# What the record classes once cost at start-up: `dataclasses` pulls in
+# `inspect`, which pulls in `ast`, `dis` and `tokenize`; `typing` came with
+# `NamedTuple`.
+SLOW_TO_IMPORT = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def test_start_up_loads_none_of_the_slow_standard_modules():
+    """The benchmark's start-up, `import stublint.cli` and the built-in
+    summaries, loads none of SLOW_TO_IMPORT.  `-S` skips the site, whose
+    `.pth` files may import some of them and hide a regression."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_ONLY, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "stublint.cli" in loaded
+    assert loaded & SLOW_TO_IMPORT == set()

@@ -1,14 +1,14 @@
 """The records built per token, statement and finding: slotted, positional."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
 import stublint
-from stublint.c_frontend import nodes, parser
+from stublint import lock_analysis
+from stublint.c_frontend import nodes, parser, preprocess
 
 
 def _subclasses(cls):
@@ -37,11 +37,24 @@ def test_positioned_nodes_are_slotted_and_take_line_col_first():
             assert p.default is p.empty, cls.__name__
 
 
-def test_no_dataclass_is_frozen():
-    records = [cls for cls in _classes() if dataclasses.is_dataclass(cls)]
-    assert len(records) > 10
+def test_every_record_is_slotted_and_pays_for_no_setattr():
+    """A record is a class with fields, declared as annotations on it or a
+    base.  Each one declares `__slots__`, and none defines the
+    `__setattr__` a frozen record would pay for on every construction."""
+    records = [
+        cls
+        for cls in _classes()
+        if any("__annotations__" in vars(base) for base in cls.__mro__)
+    ]
+    assert len(records) >= 38
+    assert {nodes.Name, nodes.StubUnit, preprocess.MacroDef} <= set(records)
+    assert {preprocess.PreprocessResult, lock_analysis.SummaryTable} <= set(records)
     for cls in records:
-        assert not cls.__dataclass_params__.frozen, cls.__name__
+        assert "__slots__" in vars(cls), cls.__name__
+        assert "__dataclass_fields__" not in vars(cls), cls.__name__
+        assert all(
+            "__setattr__" not in vars(base) for base in cls.__mro__[:-1]
+        ), cls.__name__
 
 
 def test_parser_passes_positions_by_position():
