@@ -163,15 +163,12 @@ def analyze_unit(unit, base_table: SummaryTable) -> list[Diagnostic]:
     return diags
 
 
-class Record(namedtuple("Record", "found headers")):
-    """What `_analyze_files` gives of one part of a C file; the records of
-    a file's parts, in order, are the record of the whole file.
-
-    `found` holds the preprocessor's notes, in the part that begins at line
-    0, then the parser's diagnostics and the analyses' findings; `headers`
-    holds the `_header` of each function."""
-
-    __slots__ = ()
+# What `_analyze_files` gives of one part of a C file; the records of a
+# file's parts, in order, are the record of the whole file.  `found` holds
+# the preprocessor's notes, in the part that begins at line 0, then the
+# parser's diagnostics and the analyses' findings; `headers` holds the
+# `_header` of each function.
+Record = namedtuple("Record", "found headers")
 
 
 def _analyze_files(parts, table: SummaryTable) -> list[Record]:

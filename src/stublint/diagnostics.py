@@ -45,8 +45,7 @@ RULES = {
 
 
 class Diagnostic(Slotted):
-    """Equal to another with the same fields, so lists of findings compare;
-    unhashable, as it is mutable."""
+    """Equal to another with the same fields, so lists of findings compare."""
 
     rule_id: str
     severity: str
@@ -65,12 +64,10 @@ class Diagnostic(Slotted):
         self.line, self.column, self.message = line, column, message
         self.related = related
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # defining it leaves the class unhashable
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    __hash__ = None
 
     def render(self) -> str:
         return (

@@ -107,5 +107,5 @@ def test_the_walk_knows_the_operands_of_every_node_type():
             for name, annotation in vars(cls).get("__annotations__", {}).items()
         }
         held = set(annotated)
-        expressions = {name for name, kind in annotated.items() if kind == "object"}
+        expressions = {name for name, ann in annotated.items() if ann == "object"}
         assert expressions <= set(operands) <= held, kind.__name__

@@ -51,7 +51,6 @@ def test_every_record_is_slotted_and_pays_for_no_setattr():
     assert {preprocess.PreprocessResult, lock_analysis.SummaryTable} <= set(records)
     for cls in records:
         assert "__slots__" in vars(cls), cls.__name__
-        assert "__dataclass_fields__" not in vars(cls), cls.__name__
         assert all(
             "__setattr__" not in vars(base) for base in cls.__mro__[:-1]
         ), cls.__name__
