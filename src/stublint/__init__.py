@@ -12,7 +12,6 @@ downstream whole-program analyzers.
 __version__ = "0.1.0"
 
 
-
 class Slotted:
     """Base of the package's records: plain classes with a written-out
     `__init__`, whose repr names each slot along the MRO.
